@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
     Embedding,
@@ -316,6 +317,30 @@ def _class_from_key(key: bytes) -> EmbeddingClass:
     )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("iso", "equivalence"):
+        raise ValueError(f"unknown dedup mode {mode!r}")
+
+
+def class_key(
+    e: Embedding,
+    mode: DedupMode = "iso",
+    *,
+    max_vertices: int = MAX_VERTICES,
+    max_edges: int = MAX_EDGES,
+) -> bytes:
+    """Key of the class of ``e``: equal keys iff same class in ``mode``.
+
+    ``iso`` uses the canonical key; ``equivalence`` additionally identifies
+    an embedding with its reversal by keying on ``min(key, key of reversal)``.
+    """
+    _check_mode(mode)
+    k = canonical_key(e, max_vertices=max_vertices, max_edges=max_edges)
+    if mode == "equivalence":
+        k = min(k, canonical_key(reverse(e), max_vertices=max_vertices, max_edges=max_edges))
+    return k
+
+
 def dedup(
     embeddings: Iterable[Embedding],
     mode: DedupMode = "iso",
@@ -323,21 +348,9 @@ def dedup(
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
 ) -> list[EmbeddingClass]:
-    """Group embeddings into classes, sorted by canonical key.
-
-    ``iso`` keys each embedding by its canonical key; ``equivalence``
-    additionally identifies an embedding with its reversal by keying on
-    ``min(key, key of reversal)``.
-    """
-    if mode not in ("iso", "equivalence"):
-        raise ValueError(f"unknown dedup mode {mode!r}")
-    keys: set[bytes] = set()
-    for e in embeddings:
-        k = canonical_key(e, max_vertices=max_vertices, max_edges=max_edges)
-        if mode == "equivalence":
-            rk = canonical_key(reverse(e), max_vertices=max_vertices, max_edges=max_edges)
-            k = min(k, rk)
-        keys.add(k)
+    """Group embeddings into classes by :func:`class_key`, sorted by key."""
+    _check_mode(mode)
+    keys = {class_key(e, mode, max_vertices=max_vertices, max_edges=max_edges) for e in embeddings}
     return [_class_from_key(k) for k in sorted(keys)]
 
 
@@ -371,6 +384,45 @@ def _vertex_profiles(g: MultiGraph) -> list[tuple]:
     return profiles
 
 
+def _vertex_automorphisms(g: MultiGraph) -> Iterator[list[int]]:
+    """Vertex maps of the automorphisms of ``g``, by backtracking.
+
+    Each yielded list maps vertex ``v`` to ``image[v]`` (index 0 unused) and
+    preserves every edge multiplicity.  The list is reused between yields.
+    """
+    mat = _mult_matrix(g)
+    profiles = _vertex_profiles(g)
+    n = g.n
+    image = [0] * (n + 1)
+    used = [False] * (n + 1)
+
+    def extend(v: int) -> Iterator[list[int]]:
+        if v > n:
+            yield image
+            return
+        for w in range(1, n + 1):
+            if used[w] or profiles[w - 1] != profiles[v - 1]:
+                continue
+            if any(mat[v][u] != mat[w][image[u]] for u in range(1, v)):
+                continue
+            image[v] = w
+            used[w] = True
+            yield from extend(v + 1)
+            used[w] = False
+        image[v] = 0
+
+    return extend(1)
+
+
+def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
+    """``(u, v) ->`` the darts at ``u`` of the edges joining ``u`` and ``v``."""
+    dv = g.dart_vertex
+    toward: dict[tuple[int, int], list[int]] = {}
+    for d in range(2 * g.edge_count):
+        toward.setdefault((dv[d], dv[d ^ 1]), []).append(d)
+    return toward
+
+
 def graph_automorphism_count(
     g: MultiGraph,
     *,
@@ -383,38 +435,44 @@ def graph_automorphism_count(
     bijection in ``prod(mult!)`` ways over the parallel classes.
     """
     _check_guard(g.n, g.edge_count, max_vertices, max_edges)
-    mat = _mult_matrix(g)
-    profiles = _vertex_profiles(g)
-    n = g.n
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-    count = 0
+    count = sum(1 for _ in _vertex_automorphisms(g))
+    return count * math.prod(math.factorial(len(ds)) for (u, v), ds in _darts_toward(g).items() if u < v)
 
-    def extend(v: int) -> None:
-        nonlocal count
-        if v > n:
-            count += 1
-            return
-        for w in range(1, n + 1):
-            if used[w] or profiles[w - 1] != profiles[v - 1]:
-                continue
-            if any(mat[v][u] != mat[w][image[u]] for u in range(1, v)):
-                continue
-            image[v] = w
-            used[w] = True
-            extend(v + 1)
-            used[w] = False
-        image[v] = 0
 
-    extend(1)
-    edge_factor = 1
-    seen: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            edge_factor *= math.factorial(g.multiplicity(u, v))
-    return count * edge_factor
+def graph_automorphisms(
+    g: MultiGraph,
+    *,
+    max_vertices: int = MAX_VERTICES,
+    max_edges: int = MAX_EDGES,
+) -> Iterator[bytes]:
+    """Every (vertex, edge) automorphism of the multigraph, as a dart permutation.
+
+    ``perm[d]`` is the image of dart ``d``: the dart of the image edge at the
+    image vertex, so ``perm[d ^ 1] == perm[d] ^ 1``.  Each vertex
+    automorphism is combined with every bijection between the parallel
+    classes it maps onto each other, which yields exactly
+    :func:`graph_automorphism_count` distinct permutations.  They are
+    ``bytes``, so the guard never admits more than 128 edges.
+    """
+    _check_guard(g.n, g.edge_count, max_vertices, min(max_edges, 128))
+    toward = _darts_toward(g)
+    classes = [(u, v, darts) for (u, v), darts in toward.items() if u < v]
+    perm = [0] * (2 * g.edge_count)
+    for image in _vertex_automorphisms(g):
+        parallel = []  # (darts of a parallel class, darts of its image class)
+        for u, v, darts in classes:
+            targets = toward[(image[u], image[v])]
+            if len(darts) == 1:
+                perm[darts[0]] = targets[0]
+                perm[darts[0] ^ 1] = targets[0] ^ 1
+            else:
+                parallel.append((darts, targets))
+        for choice in product(*(permutations(targets) for _, targets in parallel)):
+            for (darts, _), targets in zip(parallel, choice):
+                for d, t in zip(darts, targets):
+                    perm[d] = t
+                    perm[d ^ 1] = t ^ 1
+            yield bytes(perm)
 
 
 def multigraph_key(

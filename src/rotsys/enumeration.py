@@ -19,13 +19,19 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from multiprocessing import get_context
+from typing import Iterator, Sequence
 
 from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
+    _check_mode,
+    _class_from_key,
+    class_key,
     dedup,
+    graph_automorphisms,
     multigraph_key,
 )
 from .core import (
@@ -54,6 +60,11 @@ from .surgery import (
 )
 
 DEFAULT_BUDGET = 10**9
+
+# Automorphism groups up to this order are kept in memory by
+# RotationSpace.orbits (about 2 MB at 40 edges); larger ones are
+# generated afresh for every orbit.
+MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -87,6 +98,71 @@ class RotationSpace:
     def embedding_at(self, index: int) -> Embedding:
         # orders are least-dart-first, i.e. already normalized
         return Embedding(self.graph, self.rotations_at(index))
+
+    def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int]]:
+        """First index and size of each orbit met in ``indices``, in their order.
+
+        Two systems of one labelled graph are isomorphic exactly when an
+        automorphism of the graph maps one onto the other, so the orbits
+        under Aut(G) are the iso classes; in ``equivalence`` mode the
+        reversals of the images join the orbit as well.  Each system met is
+        mapped by every automorphism, and the images are marked, so later
+        members of its orbit are skipped.  Images keep the face count:
+        given the matches of a scan, every matching class is met once.  The
+        size counts the images marked, including those outside ``indices``.
+
+        Marks go in a bitmap of ``ceil(total / 8)`` bytes, or in a set when
+        ``indices`` are too few for the bitmap to pay (a set entry costs
+        about 64 bytes).  The other memory used beyond the space itself is
+        one ``order -> digit`` table per vertex, and the automorphisms when
+        there are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups
+        are generated afresh for each orbit.
+        """
+        _check_mode(mode)
+        mirror = mode == "equivalence"
+        # Darts fit a byte (graph_automorphisms enforces its edge guard), so
+        # orders and their images are bytes: unlike small tuples, freed
+        # bytes are not kept on the interpreter's free lists.
+        # Per dart: the pinned first dart, the order -> digit table and the
+        # radix place of its vertex.  An image is rotated to start at the
+        # pinned dart before the lookup.
+        at_vertex = []
+        place = 1
+        for orders, count in zip(self.orders, self.counts):
+            at_vertex.append((orders[0][0], {bytes(cyc): digit for digit, cyc in enumerate(orders)}, place))
+            place *= count
+        at_dart = [at_vertex[v - 1] for v in self.graph.dart_vertex]
+        stored: list[bytes] | None = list(islice(graph_automorphisms(self.graph), MAX_STORED_AUTOMORPHISMS + 1))
+        if len(stored) > MAX_STORED_AUTOMORPHISMS:
+            stored = None
+        bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
+        marked: set[int] = set()
+        for index in indices:
+            if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
+                continue
+            rot = self.rotations_at(index)
+            size = 0
+            for perm in graph_automorphisms(self.graph) if stored is None else stored:
+                image = perm.__getitem__
+                j = jm = 0
+                for cyc in rot:
+                    img = bytes(map(image, cyc))
+                    first, table, place = at_dart[img[0]]
+                    k = img.index(first)
+                    if k:
+                        img = img[k:] + img[:k]
+                    j += table[img] * place
+                    if mirror:
+                        jm += table[img[:1] + img[:0:-1]] * place
+                for k in (j, jm) if mirror else (j,):
+                    if bits is None:
+                        if k not in marked:
+                            marked.add(k)
+                            size += 1
+                    elif not bits[k >> 3] >> (k & 7) & 1:
+                        bits[k >> 3] |= 1 << (k & 7)
+                        size += 1
+            yield index, size
 
 
 def rotation_space_size(graph: MultiGraph) -> int:
@@ -159,15 +235,21 @@ def exhaustive_classes(
 ) -> list[EmbeddingClass]:
     """Embedding classes of ``graph`` with the given genus or face count.
 
-    Every rotation system is visited; matches are deduplicated canonically.
-    Output is sorted by canonical key, independent of the worker count.
+    Every rotation system is scanned for its face count.  The matches are
+    then walked in index order: each one not yet marked starts a new class
+    and has its orbit under Aut(G), or Aut(G) x mirror, marked (see
+    :meth:`RotationSpace.orbits`).  Only these first members go to
+    :func:`dedup`, so each class costs one class key (two canonical keys in
+    ``equivalence`` mode).  Output is sorted by canonical key, independent
+    of the worker count, which splits the scan.
     """
     f = _target_faces(graph, genus, faces)
     if f < 1:
         return []
     _, matches = scan_rotation_space(graph, f, budget=budget, workers=workers)
     space = RotationSpace(graph)
-    return dedup((space.embedding_at(i) for i in matches), mode)
+    firsts = [i for i, _ in space.orbits(matches, mode)]
+    return dedup((space.embedding_at(i) for i in firsts), mode)
 
 
 @dataclass(frozen=True)
@@ -199,21 +281,49 @@ class GenusDistribution:
         return sum(r.equivalence_classes for r in self.records)
 
 
+def _equivalence_classes_at(space: RotationSpace, indices: list[int]) -> list[EmbeddingClass]:
+    return [_class_from_key(class_key(space.embedding_at(i), "equivalence")) for i in indices]
+
+
+def _classes_chunk(args: tuple[int, tuple[tuple[int, int], ...], list[int]]) -> list[EmbeddingClass]:
+    n, edges, indices = args
+    return _equivalence_classes_at(RotationSpace(MultiGraph(n, edges)), indices)
+
+
 def genus_distribution(
     graph: MultiGraph,
     *,
     budget: int = DEFAULT_BUDGET,
     workers: int | None = None,
 ) -> GenusDistribution:
-    """Classes per genus across the whole rotation space of ``graph``."""
-    hist, _ = scan_rotation_space(graph, -1, budget=budget, workers=workers)
+    """Classes per genus across the whole rotation space of ``graph``.
+
+    One pass over the space in index order, with no face-count scan: each
+    system not yet marked starts a new equivalence class and has its orbit
+    under Aut(G) x mirror marked (see :meth:`RotationSpace.orbits`).  The
+    classes of these first members are built by ``workers`` processes and
+    bucketed by genus; ``raw_systems`` sums their orbit sizes.
+    """
+    space = RotationSpace(graph)
+    if space.total > budget:
+        raise BudgetExceeded(space.total, budget)
+    orbits = list(space.orbits(range(space.total), "equivalence"))
+    firsts = [i for i, _ in orbits]
+    nworkers = _resolve_workers(workers)
+    if nworkers == 1 or len(firsts) < nworkers:
+        built = _equivalence_classes_at(space, firsts)
+    else:
+        step = -(-len(firsts) // nworkers)
+        chunks = [(graph.n, graph.edges, firsts[lo:lo + step]) for lo in range(0, len(firsts), step)]
+        with get_context("spawn").Pool(nworkers) as pool:
+            parts = pool.map(_classes_chunk, chunks)
+        built = [c for part in parts for c in part]
+    by_genus: dict[int, list[tuple[EmbeddingClass, int]]] = {}
+    for c, (_, size) in zip(built, orbits):
+        by_genus.setdefault(c.genus, []).append((c, size))
     records = []
-    for f in sorted(hist, reverse=True):
-        chi = graph.n - graph.edge_count + f
-        genus = (2 - chi) // 2
-        classes = exhaustive_classes(
-            graph, faces=f, mode="equivalence", budget=budget, workers=workers
-        )
+    for genus in sorted(by_genus):
+        classes = [c for c, _ in by_genus[genus]]
         iso = sum(1 if c.chirality == "non_orientable" else 2 for c in classes)
         records.append(
             GenusRecord(
@@ -223,7 +333,7 @@ def genus_distribution(
                 orientable=sum(1 for c in classes if c.chirality == "orientable"),
                 non_orientable=sum(1 for c in classes if c.chirality == "non_orientable"),
                 group_orders=tuple(sorted(c.group_order for c in classes)),
-                raw_systems=hist[f],
+                raw_systems=sum(size for _, size in by_genus[genus]),
             )
         )
     return GenusDistribution(tuple(records))

@@ -13,6 +13,7 @@ from rotsys import (
     apply_iso,
     are_isomorphic,
     automorphism_group_order,
+    build_graph,
     canonical_key,
     chirality,
     complete,
@@ -28,7 +29,8 @@ from rotsys import (
     theta,
     trace_faces,
 )
-from rotsys.canon import canonical_embedding
+from rotsys.canon import canonical_embedding, graph_automorphisms
+from rotsys.suites import TORUS_TABLE
 
 from conftest import random_embedding, random_relabel
 
@@ -119,6 +121,42 @@ class TestAutomorphisms:
         for _ in range(60):
             e = random_embedding(rng)
             assert graph_automorphism_count(e.graph) % automorphism_group_order(e) == 0
+
+    @staticmethod
+    def check_generator(g):
+        perms = list(graph_automorphisms(g))
+        assert len(perms) == len(set(perms)) == graph_automorphism_count(g)
+        nd = 2 * g.edge_count
+        dv = g.dart_vertex
+        for perm in perms:
+            assert sorted(perm) == list(range(nd))
+            vmap = {}
+            for d in range(nd):
+                assert perm[d ^ 1] == perm[d] ^ 1
+                assert vmap.setdefault(dv[d], dv[perm[d]]) == dv[perm[d]]
+            assert sorted(vmap.values()) == sorted(vmap)
+
+    def test_generator_on_torus_table_graphs(self):
+        for name, spec, *_, aut, _ in TORUS_TABLE:
+            g = build_graph(spec)
+            assert graph_automorphism_count(g) == aut, name
+            self.check_generator(g)
+
+    def test_generator_with_parallel_edges(self):
+        self.check_generator(theta(5))
+        assert len(list(graph_automorphisms(theta(5)))) == 240
+        rng = random.Random(31)
+        parallel = 0
+        for _ in range(30):
+            g = random_embedding(rng, max_vertices=5, extra_edges=5).graph
+            parallel += len(set(map(frozenset, g.edges))) < g.edge_count
+            self.check_generator(g)
+        assert parallel >= 10
+
+    def test_generator_guard_keeps_darts_in_a_byte(self):
+        assert len(list(graph_automorphisms(theta(2)))) == 4
+        with pytest.raises(SizeGuardExceeded):
+            next(graph_automorphisms(theta(129), max_edges=200))
 
 
 class TestChirality:

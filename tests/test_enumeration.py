@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from rotsys import (
+    NON_ORIENTABLE,
     BudgetExceeded,
     ChordDiagram,
+    automorphism_group_order,
+    build_graph,
+    chirality,
     complete,
     complete_bipartite,
+    dedup,
     exhaustive_classes,
     face_pattern,
     genus_distribution,
@@ -23,9 +30,26 @@ from rotsys import (
     theta5_chord_analysis,
     theta_embeddings,
     trace_faces,
+    wheel,
 )
-from rotsys import _kernel
+from rotsys import _kernel, enumeration
+from rotsys.canon import graph_automorphisms
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
+from rotsys.suites import TORUS_TABLE
+
+from conftest import random_embedding
+
+
+def small_torus_graphs():
+    """Torus-table graphs with at most 8,000 systems: K4, K5, K3,3, 3-prism, K3,4, cube, C8+, petersen."""
+    graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
+    return [g for g in graphs if rotation_space_size(g) <= 8000]
+
+
+def random_graphs(seed: int, count: int = 30):
+    """Random loopless multigraphs, many with parallel edges."""
+    rng = random.Random(seed)
+    return [random_embedding(rng, max_vertices=5, extra_edges=4).graph for _ in range(count)]
 
 
 class TestRotationSpace:
@@ -92,6 +116,100 @@ class TestExhaustive:
         assert exhaustive_classes(theta(5), genus=3) == []
 
 
+class TestOrbitMarking:
+    """Orbit marking against the plain scan-everything-then-dedup path."""
+
+    @staticmethod
+    def check_against_plain_path(g, f):
+        space = RotationSpace(g)
+        _, matches = scan_rotation_space(g, f)
+        for mode in ("iso", "equivalence"):
+            plain = dedup((space.embedding_at(i) for i in matches), mode)
+            marked = exhaustive_classes(g, faces=f, mode=mode)
+            assert [c.canonical_key for c in marked] == [c.canonical_key for c in plain]
+            assert marked == plain
+
+    def test_torus_rows_match_plain_path(self):
+        for g in small_torus_graphs():
+            self.check_against_plain_path(g, 2 - g.n + g.edge_count)
+
+    def test_random_multigraphs_match_plain_path(self):
+        for g in random_graphs(41):
+            hist, _ = scan_rotation_space(g, -1)
+            for f in hist:
+                self.check_against_plain_path(g, f)
+
+    def test_orbit_stabiliser(self):
+        # |orbit| x |stabiliser| = |group acting|, with the stabiliser taken
+        # from automorphism_group_order and chirality independently.
+        for g in small_torus_graphs() + random_graphs(43):
+            aut = graph_automorphism_count(g)
+            space = RotationSpace(g)
+            for mode in ("iso", "equivalence"):
+                covered = 0
+                for i, size in space.orbits(range(space.total), mode):
+                    e = space.embedding_at(i)
+                    covered += size
+                    if mode == "iso":
+                        assert size * automorphism_group_order(e) == aut
+                    else:
+                        achiral = 2 if chirality(e) == NON_ORIENTABLE else 1
+                        assert size * automorphism_group_order(e) * achiral == 2 * aut
+                assert covered == space.total
+
+    def test_generated_automorphisms_give_the_stored_orbits(self, monkeypatch):
+        graphs = [complete(4), complete_bipartite(3, 3), theta(5)] + random_graphs(45, 10)
+        for mode in ("iso", "equivalence"):
+            stored = [list(RotationSpace(g).orbits(range(rotation_space_size(g)), mode)) for g in graphs]
+            monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
+            assert [list(RotationSpace(g).orbits(range(rotation_space_size(g)), mode)) for g in graphs] == stored
+            monkeypatch.undo()
+
+    def test_sparse_marks_give_the_bitmap_orbits(self):
+        # Under 1/512 of the space, marks go in a set instead of a bitmap.
+        # An orbit's first index is its least, so a prefix of the space
+        # meets exactly the orbits that start in it.
+        space = RotationSpace(build_graph("octahedron"))
+        prefix = range(space.total // 600)
+        for mode in ("iso", "equivalence"):
+            full = list(space.orbits(range(space.total), mode))
+            assert list(space.orbits(prefix, mode)) == [o for o in full if o[0] < len(prefix)]
+
+    @staticmethod
+    def orbit_peak_bytes(space, indices):
+        tracemalloc.start()
+        try:
+            found = list(space.orbits(indices, "equivalence"))
+            return found, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_with_a_high_degree_vertex(self):
+        # The hub of wheel(8) has 5,040 cyclic orders; a table holding every
+        # rotation of each would take over 5 MB.  The 161 KB bitmap, the
+        # table of the 5,040 stored orders and their digits fit in 1 MB.
+        space = RotationSpace(wheel(8))
+        found, peak = self.orbit_peak_bytes(space, range(200))
+        assert [i for i, _ in found][:3] == [0, 1, 2]
+        assert peak < 1 << 20
+
+    def test_memory_with_a_large_automorphism_group(self, monkeypatch):
+        # Above the cap the automorphisms are generated for each orbit, so
+        # the pass saves most of what the 5,040 of K1,7 take stored.
+        g = complete_bipartite(1, 7)
+        group_bytes = sum(sys.getsizeof(p) for p in graph_automorphisms(g))
+        space = RotationSpace(g)
+        stored, stored_peak = self.orbit_peak_bytes(space, range(space.total))
+        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
+        generated, peak = self.orbit_peak_bytes(space, range(space.total))
+        assert generated == stored == [(0, 720)]
+        assert peak < stored_peak - group_bytes / 2
+
+    def test_orbits_reject_unknown_mode(self):
+        with pytest.raises(ValueError):
+            list(RotationSpace(theta(3)).orbits([], "mirror"))
+
+
 class TestGenusDistribution:
     def test_k5(self):
         d = genus_distribution(complete(5))
@@ -123,6 +241,27 @@ class TestGenusDistribution:
                 for c in exhaustive_classes(g, faces=f, mode="iso"):
                     total += aut_g // c.group_order
             assert total == rotation_space_size(g)
+
+    def test_one_pass_and_raw_systems_match_scan(self, monkeypatch):
+        scan = enumeration.scan_rotation_space
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "scan_rotation_space", counted)
+        for g in (complete(5), complete_bipartite(3, 3), theta(5)) + tuple(random_graphs(47, 10)):
+            calls.clear()
+            d = genus_distribution(g)
+            assert len(calls) <= 1
+            hist, _ = scan(g, -1)
+            expect = {(2 - g.n + g.edge_count - f) // 2: c for f, c in hist.items()}
+            assert {r.genus: r.raw_systems for r in d.records} == expect
+
+    def test_worker_independence(self):
+        for g in (complete(5), complete_bipartite(3, 3)):
+            assert genus_distribution(g, workers=1) == genus_distribution(g, workers=3)
 
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:
