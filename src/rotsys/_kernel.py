@@ -8,29 +8,19 @@ contiguous index range visits systems in a deterministic order, which is
 what makes multi-worker runs reproducible.
 
 The scan itself is a face count per system: faces are the orbits of
-``d -> succ[d ^ 1]``.  A numba kernel handles large spaces; a pure-Python
-twin with identical semantics covers small ones and environments without
-numba (``ROTSYS_NO_NUMBA=1`` forces it).
+``d -> succ[d ^ 1]``.  :func:`scan` is the one routine that counts them;
+every scan in the package goes through it.  Passing a subset of a
+vertex's orders (for instance one order, to pin that vertex) scans the
+matching subspace.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 
-try:  # pragma: no cover - exercised implicitly
-    import numba
-    import numpy as np
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-MATCH_CAP = 1 << 22
-
-
-def numba_enabled() -> bool:
-    return HAVE_NUMBA and not os.environ.get("ROTSYS_NO_NUMBA")
+# There is no compiled kernel.  The name stays because the benchmark's
+# environment fingerprint reads it.
+HAVE_NUMBA = False
 
 
 def build_orders(darts_by_vertex: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -42,7 +32,7 @@ def build_orders(darts_by_vertex: list[tuple[int, ...]]) -> list[list[tuple[int,
     return out
 
 
-def scan_py(
+def scan(
     orders: list[list[tuple[int, ...]]],
     nd: int,
     lo: int,
@@ -95,104 +85,3 @@ def scan_py(
             set_succ(v)
             v += 1
     return hist, matches
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_jit(orders_flat, voffset, vdeg, vcount, nd, lo, hi, target_f, cap):  # pragma: no cover
-        nv = vcount.shape[0]
-        succ = np.zeros(nd, dtype=np.int64)
-        digits = np.zeros(nv, dtype=np.int64)
-        idx = lo
-        for v in range(nv):
-            digits[v] = idx % vcount[v]
-            idx //= vcount[v]
-        for v in range(nv):
-            base = voffset[v] + digits[v] * vdeg[v]
-            k = vdeg[v]
-            for i in range(k):
-                succ[orders_flat[base + i]] = orders_flat[base + (i + 1) % k]
-        hist = np.zeros(nd + 2, dtype=np.int64)
-        matches = np.empty(cap, dtype=np.int64)
-        mcount = 0
-        stamp = np.zeros(nd, dtype=np.int64)
-        cur = 0
-        overflow = 0
-        for index in range(lo, hi):
-            cur += 1
-            f = 0
-            for d0 in range(nd):
-                if stamp[d0] == cur:
-                    continue
-                f += 1
-                d = d0
-                while stamp[d] != cur:
-                    stamp[d] = cur
-                    d = succ[d ^ 1]
-            hist[f] += 1
-            if f == target_f:
-                if mcount >= cap:
-                    overflow = 1
-                    break
-                matches[mcount] = index
-                mcount += 1
-            v = 0
-            while v < nv:
-                digits[v] += 1
-                if digits[v] >= vcount[v]:
-                    digits[v] = 0
-                base = voffset[v] + digits[v] * vdeg[v]
-                k = vdeg[v]
-                for i in range(k):
-                    succ[orders_flat[base + i]] = orders_flat[base + (i + 1) % k]
-                if digits[v] != 0:
-                    break
-                v += 1
-        return hist, matches[:mcount], overflow
-
-
-def scan_numba(
-    orders: list[list[tuple[int, ...]]],
-    nd: int,
-    lo: int,
-    hi: int,
-    target_f: int,
-) -> tuple[list[int], list[int]]:
-    """Numba-backed scan with the same contract as :func:`scan_py`."""
-    nv = len(orders)
-    vdeg = np.array([len(orders[v][0]) for v in range(nv)], dtype=np.int64)
-    vcount = np.array([len(orders[v]) for v in range(nv)], dtype=np.int64)
-    voffset = np.zeros(nv, dtype=np.int64)
-    total = 0
-    for v in range(nv):
-        voffset[v] = total
-        total += int(vcount[v] * vdeg[v])
-    orders_flat = np.empty(total, dtype=np.int64)
-    for v in range(nv):
-        base = int(voffset[v])
-        k = int(vdeg[v])
-        for j, cyc in enumerate(orders[v]):
-            orders_flat[base + j * k : base + (j + 1) * k] = cyc
-    cap = min(hi - lo, MATCH_CAP)
-    hist, matches, overflow = _scan_jit(
-        orders_flat, voffset, vdeg, vcount, nd, lo, hi, target_f, max(cap, 1)
-    )
-    if overflow:
-        raise RuntimeError(
-            f"more than {MATCH_CAP} rotation systems matched the filter; narrow it"
-        )
-    return [int(x) for x in hist], [int(x) for x in matches]
-
-
-def scan(
-    orders: list[list[tuple[int, ...]]],
-    nd: int,
-    lo: int,
-    hi: int,
-    target_f: int,
-) -> tuple[list[int], list[int]]:
-    """Dispatch to the numba kernel for large ranges when available."""
-    if numba_enabled() and hi - lo > 20000:
-        return scan_numba(orders, nd, lo, hi, target_f)
-    return scan_py(orders, nd, lo, hi, target_f)

@@ -200,9 +200,8 @@ def embedding_from_darts(graph: MultiGraph, rotations: Iterable[Sequence[int]]) 
             f"edge {dart_edge(missing)} missing from the rotation of vertex "
             f"{graph.dart_vertex[missing]}"
         )
-    emb = Embedding(graph, rot)
-    _check_connected(emb)
-    return emb
+    _check_connected(graph)
+    return Embedding(graph, rot)
 
 
 def make_embedding(graph: MultiGraph, rotations: Iterable[Sequence[int]]) -> Embedding:
@@ -262,26 +261,21 @@ def from_neighbor_lists(neighbors: Sequence[Sequence[int]]) -> Embedding:
     return make_embedding(graph, rotations)
 
 
-def _check_connected(e: Embedding) -> None:
-    g = e.graph
-    if g.edge_count == 0:
-        if g.n > 1:
-            raise InvalidEmbedding("disconnected: isolated vertices")
-        return
-    if any(len(c) == 0 for c in e.rot):
-        raise InvalidEmbedding("disconnected: isolated vertex")
-    seen = [False] * (2 * g.edge_count)
-    stack = [0]
-    seen[0] = True
-    succ = e.succ
+def _check_connected(g: MultiGraph) -> None:
+    """Raise :class:`InvalidEmbedding` unless every vertex is reachable from vertex 1."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {1}
+    stack = [1]
     while stack:
-        d = stack.pop()
-        for nxt in (succ[d], d ^ 1):
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    if not all(seen):
-        raise InvalidEmbedding("disconnected graph")
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < g.n:
+        raise InvalidEmbedding(f"disconnected graph: {g.n - len(seen)} of {g.n} vertices unreachable from vertex 1")
 
 
 def trace_faces(e: Embedding) -> FaceSet:

@@ -37,8 +37,10 @@ from .canon import (
 from .core import (
     BudgetExceeded,
     Embedding,
+    InvalidEmbedding,
     MultiGraph,
     RotsysError,
+    _check_connected,
     complete,
     complete_bipartite,
     k4_plus,
@@ -166,7 +168,18 @@ class RotationSpace:
 
 
 def rotation_space_size(graph: MultiGraph) -> int:
+    """Number of rotation systems of ``graph``, which must be connected with an edge."""
+    if graph.edge_count == 0:
+        raise InvalidEmbedding("graph has no edges, so it has no rotation systems")
+    _check_connected(graph)
     return math.prod(math.factorial(graph.degree(v) - 1) for v in range(1, graph.n + 1))
+
+
+def _check_budget(graph: MultiGraph, budget: int) -> None:
+    """Refuse a space over ``budget`` before any of its orders are built."""
+    total = rotation_space_size(graph)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
 
 
 def _scan_chunk(args: tuple[int, tuple[tuple[int, int], ...], int, int, int]) -> tuple[list[int], list[int]]:
@@ -187,9 +200,8 @@ def scan_rotation_space(
     ``target_f = -1`` collects no indices (histogram only).  The histogram
     and index list are independent of the worker count.
     """
+    _check_budget(graph, budget)
     space = RotationSpace(graph)
-    if space.total > budget:
-        raise BudgetExceeded(space.total, budget)
     nworkers = _resolve_workers(workers)
     nd = 2 * graph.edge_count
     if nworkers == 1 or space.total < nworkers:
@@ -244,6 +256,7 @@ def exhaustive_classes(
     of the worker count, which splits the scan.
     """
     f = _target_faces(graph, genus, faces)
+    rotation_space_size(graph)  # refuses a graph with no rotation space
     if f < 1:
         return []
     _, matches = scan_rotation_space(graph, f, budget=budget, workers=workers)
@@ -304,9 +317,8 @@ def genus_distribution(
     classes of these first members are built by ``workers`` processes and
     bucketed by genus; ``raw_systems`` sums their orbit sizes.
     """
+    _check_budget(graph, budget)
     space = RotationSpace(graph)
-    if space.total > budget:
-        raise BudgetExceeded(space.total, budget)
     orbits = list(space.orbits(range(space.total), "equivalence"))
     firsts = [i for i, _ in orbits]
     nworkers = _resolve_workers(workers)
@@ -358,33 +370,10 @@ def theta_embeddings(
     if math.factorial(m - 1) > budget:
         raise BudgetExceeded(math.factorial(m - 1), budget)
     graph = theta(m)
-    u_rot = tuple(2 * i for i in range(m))
-    v_orders = _kernel.build_orders([graph.darts_at[1]])[0]
-    nd = 2 * m
-    matches = []
-    stamp = [0] * nd
-    succ = [0] * nd
-    for i in range(m):
-        succ[u_rot[i]] = u_rot[(i + 1) % m]
-    cur = 0
-    for idx, v_rot in enumerate(v_orders):
-        for i in range(m):
-            succ[v_rot[i]] = v_rot[(i + 1) % m]
-        cur += 1
-        count = 0
-        for d0 in range(nd):
-            if stamp[d0] == cur:
-                continue
-            count += 1
-            d = d0
-            while stamp[d] != cur:
-                stamp[d] = cur
-                d = succ[d ^ 1]
-        if count == f:
-            matches.append(idx)
-    return dedup(
-        (Embedding(graph, (u_rot, v_orders[i])) for i in matches), mode
-    )
+    u_orders, v_orders = _kernel.build_orders(list(graph.darts_at))
+    pinned = [u_orders[:1], v_orders]
+    _, matches = _kernel.scan(pinned, 2 * m, 0, len(v_orders), f)
+    return dedup((Embedding(graph, (pinned[0][0], v_orders[i])) for i in matches), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,11 @@ class TestEnumerate:
     def test_bad_graph_spec(self, capsys):
         assert main(["enumerate", "--graph", "nope(1)", "--genus", "0"]) == 2
 
+    def test_disconnected_graph_is_input_error(self, capsys):
+        for spec in ("complement(complete(4))", "complement(complete_bipartite(3,3))"):
+            assert main(["enumerate", "--graph", spec]) == 2
+            assert "error:" in capsys.readouterr().err
+
 
 class TestPipelinesAndTheta:
     def test_pipeline_k5(self, capsys):

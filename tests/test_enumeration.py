@@ -13,9 +13,12 @@ from rotsys import (
     NON_ORIENTABLE,
     BudgetExceeded,
     ChordDiagram,
+    InvalidEmbedding,
+    MultiGraph,
     automorphism_group_order,
     build_graph,
     chirality,
+    complement,
     complete,
     complete_bipartite,
     dedup,
@@ -67,15 +70,61 @@ class TestRotationSpace:
             seen.add(e.rot)
         assert len(seen) == space.total == 4
 
-    def test_python_and_numba_kernels_agree(self):
-        if not _kernel.numba_enabled():
-            pytest.skip("numba unavailable")
-        space = RotationSpace(complete_bipartite(3, 4))
-        nd = 2 * space.graph.edge_count
-        hist_py, match_py = _kernel.scan_py(space.orders, nd, 0, space.total, 5)
-        hist_nb, match_nb = _kernel.scan_numba(space.orders, nd, 0, space.total, 5)
-        assert hist_py == hist_nb
-        assert match_py == match_nb
+    def test_kernel_matches_trace_faces(self):
+        # Random sub-ranges, most starting past 0, where the odometer has
+        # to decode its first digits from lo.
+        rng = random.Random(51)
+        for g in small_torus_graphs() + random_graphs(53):
+            space = RotationSpace(g)
+            nd = 2 * g.edge_count
+            for _ in range(3):
+                lo = rng.randrange(space.total)
+                hi = rng.randint(lo + 1, min(space.total, lo + 200))
+                faces = [trace_faces(space.embedding_at(i)).stats.f for i in range(lo, hi)]
+                expect_hist = [faces.count(f) for f in range(nd + 2)]
+                for f in sorted(set(faces)) + [-1, nd + 1]:
+                    hist, matches = _kernel.scan(space.orders, nd, lo, hi, f)
+                    assert hist == expect_hist
+                    assert matches == [lo + k for k, fk in enumerate(faces) if fk == f]
+
+    def test_budget_is_checked_before_the_space_is_built(self):
+        # K1,10 has 362,880 systems, all cyclic orders of its hub; building
+        # them takes about 46 MB, so a peak under 1 MB shows none were built.
+        g = complete_bipartite(1, 10)
+        calls = (
+            lambda: scan_rotation_space(g, 1, budget=10),
+            lambda: exhaustive_classes(g, genus=0, budget=10),
+            lambda: genus_distribution(g, budget=10),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded) as err:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert err.value.required == 362880
+            assert peak < 1 << 20
+
+    def test_graphs_without_a_rotation_space_rejected(self):
+        graphs = (
+            MultiGraph(1, ()),
+            complement(complete(4)),  # four isolated vertices
+            complement(complete_bipartite(3, 3)),  # two disjoint triangles
+            MultiGraph(3, ((1, 2), (1, 2))),  # isolated vertex 3
+        )
+        for g in graphs:
+            calls = (
+                lambda: rotation_space_size(g),
+                lambda: scan_rotation_space(g, 1),
+                lambda: exhaustive_classes(g, faces=1),
+                lambda: exhaustive_classes(g, genus=5),  # a face count below 1
+                lambda: genus_distribution(g),
+            )
+            for call in calls:
+                with pytest.raises(InvalidEmbedding):
+                    call()
 
 
 class TestExhaustive:
@@ -274,10 +323,12 @@ class TestThetaEmbeddings:
         assert len(theta_embeddings(5, 2)) == 3
 
     def test_matches_exhaustive(self):
-        for m, genus in ((3, 1), (4, 1), (5, 2), (5, 1)):
-            smart = {c.canonical_key for c in theta_embeddings(m, genus)}
-            full = {c.canonical_key for c in exhaustive_classes(theta(m), genus=genus, mode="iso")}
-            assert smart == full
+        for m, genus in ((3, 1), (4, 1), (5, 2), (5, 1), (6, 1), (6, 2)):
+            for mode in ("iso", "equivalence"):
+                smart = theta_embeddings(m, genus, mode=mode)
+                full = exhaustive_classes(theta(m), genus=genus, mode=mode)
+                assert [c.canonical_key for c in smart] == [c.canonical_key for c in full]
+                assert smart == full
 
     def test_theta7_runs(self):
         classes = theta_embeddings(7, 3, mode="equivalence")
