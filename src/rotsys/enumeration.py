@@ -69,6 +69,12 @@ DEFAULT_BUDGET = 10**9
 MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
+def _stored_automorphisms(graph: MultiGraph) -> list[bytes] | None:
+    """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
+    stored = list(islice(graph_automorphisms(graph), MAX_STORED_AUTOMORPHISMS + 1))
+    return stored if len(stored) <= MAX_STORED_AUTOMORPHISMS else None
+
+
 def _resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, workers)
@@ -121,7 +127,9 @@ class RotationSpace:
         are generated afresh for each orbit.
         """
         _check_mode(mode)
-        mirror = mode == "equivalence"
+        return self._orbits(indices, mode == "equivalence", _stored_automorphisms(self.graph))
+
+    def _orbits(self, indices: Sequence[int], mirror: bool, stored: list[bytes] | None) -> Iterator[tuple[int, int]]:
         # Darts fit a byte (graph_automorphisms enforces its edge guard), so
         # orders and their images are bytes: unlike small tuples, freed
         # bytes are not kept on the interpreter's free lists.
@@ -134,9 +142,6 @@ class RotationSpace:
             at_vertex.append((orders[0][0], {bytes(cyc): digit for digit, cyc in enumerate(orders)}, place))
             place *= count
         at_dart = [at_vertex[v - 1] for v in self.graph.dart_vertex]
-        stored: list[bytes] | None = list(islice(graph_automorphisms(self.graph), MAX_STORED_AUTOMORPHISMS + 1))
-        if len(stored) > MAX_STORED_AUTOMORPHISMS:
-            stored = None
         bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
         marked: set[int] = set()
         for index in indices:
@@ -166,6 +171,42 @@ class RotationSpace:
                         size += 1
             yield index, size
 
+    def _pin(self, mirror: bool, stored: list[bytes] | None) -> tuple[int, list[int]]:
+        """A vertex (0-based) and the digits of one order per orbit at it.
+
+        The orbits are those of the vertex's stabiliser in Aut(G), joined by
+        reversal when ``mirror``, on its cyclic orders; the representative
+        of an orbit is its least digit.  An element of that group maps a
+        system to one of its class and sends the order at the vertex to any
+        other of its orbit, so every class has a member whose order there is
+        a representative.  The vertex has the fewest representatives per
+        order, the lowest one on ties.  Images are ``bytes`` as in
+        :meth:`orbits`, and groups above :data:`MAX_STORED_AUTOMORPHISMS` are
+        generated afresh for each representative.
+        """
+        best: tuple[int, list[int]] | None = None
+        for v, orders in enumerate(self.orders):
+            reps = [0]
+            if len(orders) > 1:
+                first, reps, seen = orders[0][0], [], set()
+                for digit, cyc in enumerate(map(bytes, orders)):
+                    if cyc in seen:
+                        continue
+                    reps.append(digit)
+                    for perm in graph_automorphisms(self.graph) if stored is None else stored:
+                        if self.graph.dart_vertex[perm[first]] != v + 1:
+                            continue  # moves v
+                        img = bytes(map(perm.__getitem__, cyc))
+                        k = img.index(first)
+                        img = img[k:] + img[:k]
+                        seen.add(img)
+                        if mirror:
+                            seen.add(img[:1] + img[:0:-1])
+            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(orders):
+                best = v, reps
+        assert best is not None
+        return best
+
 
 def rotation_space_size(graph: MultiGraph) -> int:
     """Number of rotation systems of ``graph``, which must be connected with an edge."""
@@ -182,10 +223,24 @@ def _check_budget(graph: MultiGraph, budget: int) -> None:
         raise BudgetExceeded(total, budget)
 
 
-def _scan_chunk(args: tuple[int, tuple[tuple[int, int], ...], int, int, int]) -> tuple[list[int], list[int]]:
-    n, edges, lo, hi, target_f = args
-    space = RotationSpace(MultiGraph(n, edges))
-    return _kernel.scan(space.orders, 2 * space.graph.edge_count, lo, hi, target_f)
+def _scan(
+    orders: list[list[tuple[int, ...]]], nd: int, target_f: int, workers: int | None
+) -> tuple[list[int], list[int]]:
+    """:func:`_kernel.scan` over the product of ``orders``, split in contiguous chunks.
+
+    Each worker gets the order lists with its chunk, so no worker builds
+    the space again; the histogram and the matches (in index order) do not
+    depend on the worker count.
+    """
+    total = math.prod(len(o) for o in orders)
+    nworkers = _resolve_workers(workers)
+    if nworkers == 1 or total < nworkers:
+        return _kernel.scan(orders, nd, 0, total, target_f)
+    step = -(-total // nworkers)
+    chunks = [(orders, nd, lo, min(lo + step, total), target_f) for lo in range(0, total, step)]
+    with get_context("fork").Pool(nworkers) as pool:
+        parts = pool.starmap(_kernel.scan, chunks)
+    return [sum(h[f] for h, _ in parts) for f in range(nd + 2)], [i for _, m in parts for i in m]
 
 
 def scan_rotation_space(
@@ -201,25 +256,7 @@ def scan_rotation_space(
     and index list are independent of the worker count.
     """
     _check_budget(graph, budget)
-    space = RotationSpace(graph)
-    nworkers = _resolve_workers(workers)
-    nd = 2 * graph.edge_count
-    if nworkers == 1 or space.total < nworkers:
-        hist, matches = _kernel.scan(space.orders, nd, 0, space.total, target_f)
-    else:
-        step = -(-space.total // nworkers)
-        chunks = [
-            (graph.n, graph.edges, lo, min(lo + step, space.total), target_f)
-            for lo in range(0, space.total, step)
-        ]
-        with get_context("fork").Pool(nworkers) as pool:
-            parts = pool.map(_scan_chunk, chunks)
-        hist = [0] * (nd + 2)
-        matches = []
-        for h, m in parts:
-            for f, c in enumerate(h):
-                hist[f] += c
-            matches.extend(m)
+    hist, matches = _scan(RotationSpace(graph).orders, 2 * graph.edge_count, target_f, workers)
     return {f: c for f, c in enumerate(hist) if c}, matches
 
 
@@ -247,21 +284,37 @@ def exhaustive_classes(
 ) -> list[EmbeddingClass]:
     """Embedding classes of ``graph`` with the given genus or face count.
 
-    Every rotation system is scanned for its face count.  The matches are
-    then walked in index order: each one not yet marked starts a new class
-    and has its orbit under Aut(G), or Aut(G) x mirror, marked (see
+    One vertex is pinned (see :meth:`RotationSpace._pin`): only the systems
+    whose order there is one of its representatives are scanned for their
+    face count.  The matches are then walked in index order of the full
+    space: each one not yet marked starts a new class and has its orbit
+    under Aut(G), or Aut(G) x mirror, marked (see
     :meth:`RotationSpace.orbits`).  Only these first members go to
     :func:`dedup`, so each class costs one class key (two canonical keys in
     ``equivalence`` mode).  Output is sorted by canonical key, independent
     of the worker count, which splits the scan.
     """
+    _check_mode(mode)
     f = _target_faces(graph, genus, faces)
     rotation_space_size(graph)  # refuses a graph with no rotation space
     if f < 1:
         return []
-    _, matches = scan_rotation_space(graph, f, budget=budget, workers=workers)
+    _check_budget(graph, budget)
     space = RotationSpace(graph)
-    firsts = [i for i, _ in space.orbits(matches, mode)]
+    mirror = mode == "equivalence"
+    stored = _stored_automorphisms(graph)
+    v, reps = space._pin(mirror, stored)
+    orders = list(space.orders)
+    orders[v] = [orders[v][d] for d in reps]
+    _, matches = _scan(orders, 2 * graph.edge_count, f, workers)
+    # Back to the full space: the digits below v keep their places, v's
+    # digit becomes its representative's, and the digits above move up.
+    place, count = math.prod(space.counts[:v]), space.counts[v]
+    for j, i in enumerate(matches):
+        high, low = divmod(i, place)
+        high, d = divmod(high, len(reps))
+        matches[j] = low + place * (reps[d] + count * high)
+    firsts = [i for i, _ in space._orbits(matches, mirror, stored)]
     return dedup((space.embedding_at(i) for i in firsts), mode)
 
 
@@ -364,12 +417,12 @@ def theta_embeddings(
     vertex carries the identity rotation (relabel the edges), so only the
     ``(m - 1)!`` rotations of the second vertex are scanned.
     """
+    graph = theta(m)  # refuses m < 1
     f = m - 2 * genus
     if f < 1:
         return []
     if math.factorial(m - 1) > budget:
         raise BudgetExceeded(math.factorial(m - 1), budget)
-    graph = theta(m)
     u_orders, v_orders = _kernel.build_orders(list(graph.darts_at))
     pinned = [u_orders[:1], v_orders]
     _, matches = _kernel.scan(pinned, 2 * m, 0, len(v_orders), f)

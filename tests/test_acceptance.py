@@ -10,8 +10,6 @@ import random
 import time
 from collections import Counter
 
-import pytest
-
 from rotsys import (
     SplitSpec,
     add_edge_in_face,
@@ -205,7 +203,6 @@ def test_criterion_13_torus_table():
     _announce(13, "torus table: 14 rows reproduced; K6 gated behind --include-slow; rest skipped", t0)
 
 
-@pytest.mark.slow
 def test_criterion_13_slow_k6_row():
     t0 = time.time()
     classes = exhaustive_classes(complete(6), genus=1, mode="equivalence")

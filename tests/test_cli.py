@@ -102,6 +102,10 @@ class TestPipelinesAndTheta:
         assert main(["theta", "--m", "5", "--genus", "2"]) == 0
         assert "3 iso classes" in capsys.readouterr().out
 
+    def test_theta_without_edges_is_input_error(self, capsys):
+        assert main(["theta", "--m", "0", "--genus", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerifyAndConvert:
     def test_verify_pass_exit_zero(self, capsys):

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -146,9 +147,16 @@ class TestExhaustive:
         assert all(c.face_degrees == (20,) for c in classes)
 
     def test_worker_independence(self):
-        a = exhaustive_classes(complete_bipartite(3, 4), genus=1, mode="equivalence", workers=1)
-        b = exhaustive_classes(complete_bipartite(3, 4), genus=1, mode="equivalence", workers=3)
-        assert [c.canonical_key for c in a] == [c.canonical_key for c in b]
+        # The pins of the octahedron and C7(2) keep 2 and 3 orders, so the
+        # chunks map matches back through several representatives.
+        for spec, reps in (("complete_bipartite(3,4)", 1), ("octahedron", 2), ("circulant(7,1,2)", 3)):
+            g = build_graph(spec)
+            assert len(RotationSpace(g)._pin(True, list(graph_automorphisms(g)))[1]) == reps
+            for mode in ("iso", "equivalence"):
+                a = exhaustive_classes(g, genus=1, mode=mode, workers=1)
+                b = exhaustive_classes(g, genus=1, mode=mode, workers=3)
+                assert [c.canonical_key for c in a] == [c.canonical_key for c in b]
+                assert a == b
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -259,6 +267,81 @@ class TestOrbitMarking:
             list(RotationSpace(theta(3)).orbits([], "mirror"))
 
 
+class TestPin:
+    """The pinned vertex of exhaustive_classes and its representative orders."""
+
+    @staticmethod
+    def stabiliser_orbits(g, v, mirror):
+        """Orbits of Stab(v), with reversal when ``mirror``, on the cyclic orders at v (0-based)."""
+        darts = g.darts_at[v]
+        group = [p for p in graph_automorphisms(g) if p[darts[0]] in darts]
+
+        def normal(cyc):
+            k = cyc.index(min(cyc))
+            return tuple(cyc[k:] + cyc[:k])
+
+        orbit_of = {}
+        for cyc in RotationSpace(g).orders[v]:
+            if cyc in orbit_of:
+                continue
+            images = {normal([p[d] for d in cyc]) for p in group}
+            if mirror:
+                images |= {normal(list(reversed(c))) for c in images}
+            for c in images:
+                orbit_of[c] = cyc
+        return orbit_of
+
+    def test_representatives_are_a_transversal_at_the_best_vertex(self):
+        for g in small_torus_graphs() + random_graphs(57):
+            space = RotationSpace(g)
+            for mirror in (False, True):
+                v, reps = space._pin(mirror, list(graph_automorphisms(g)))
+                orbit_of = self.stabiliser_orbits(g, v, mirror)
+                assert reps == sorted(reps) and reps[0] == 0
+                assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
+                # the fewest orbits per order, ties to the lowest vertex
+                ratios = [Fraction(len(set(self.stabiliser_orbits(g, w, mirror).values())), space.counts[w])
+                          for w in range(g.n)]
+                assert v == ratios.index(min(ratios))
+                assert Fraction(len(reps), space.counts[v]) == min(ratios)
+
+    def test_generated_automorphisms_give_the_stored_pin(self):
+        for g in [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10):
+            space = RotationSpace(g)
+            for mirror in (False, True):
+                assert space._pin(mirror, None) == space._pin(mirror, list(graph_automorphisms(g)))
+
+    def test_systems_scanned(self, monkeypatch):
+        scanned = []
+
+        def counted(orders, nd, lo, hi, target_f):
+            scanned.append(hi - lo)
+            return [0] * (nd + 2), []
+
+        monkeypatch.setattr(_kernel, "scan", counted)
+        for spec, pinned in (("complete_bipartite(4,4)", 279936), ("complete_bipartite(3,5)", 18432),
+                             ("circulant(8,1,2)", 839808)):
+            g = build_graph(spec)
+            scanned.clear()
+            exhaustive_classes(g, genus=1, mode="equivalence")
+            assert sum(scanned) == pinned
+            scanned.clear()
+            scan_rotation_space(g, -1)  # the oracle stays a full scan
+            assert sum(scanned) == rotation_space_size(g)
+
+    def test_space_built_once(self, monkeypatch):
+        built = []
+        init = RotationSpace.__init__
+
+        def counted(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(RotationSpace, "__init__", counted)
+        exhaustive_classes(complete_bipartite(3, 4), genus=1)
+        assert len(built) == 1
+
+
 class TestGenusDistribution:
     def test_k5(self):
         d = genus_distribution(complete(5))
@@ -338,6 +421,11 @@ class TestThetaEmbeddings:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             theta_embeddings(9, 4, budget=10)
+
+    def test_no_edges_rejected(self):
+        for m, genus in ((0, 0), (0, 1), (-1, 0)):
+            with pytest.raises(ValueError):
+                theta_embeddings(m, genus)
 
 
 class TestChordDiagrams:
