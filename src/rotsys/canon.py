@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal
 
 from .core import (
     Embedding,
@@ -129,6 +129,13 @@ def _all_streams(e: Embedding) -> list[bytes]:
     return [_stream_from(e, d) for d in range(nd)]
 
 
+def _least(e: Embedding) -> tuple[bytes, int]:
+    """The least stream of ``e`` and how often it occurs: its key and group order."""
+    streams = _all_streams(e)
+    key = min(streams)
+    return key, streams.count(key)
+
+
 def canonical_key(
     e: Embedding,
     *,
@@ -137,7 +144,7 @@ def canonical_key(
 ) -> bytes:
     """Canonical byte key: equal keys iff isomorphic embeddings."""
     _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
-    return min(_all_streams(e))
+    return _least(e)[0]
 
 
 def canonical_embedding(key: bytes) -> Embedding:
@@ -190,11 +197,7 @@ def automorphism_group_order(
     reversals are not counted.
     """
     _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
-    streams = _all_streams(e)
-    if 2 * e.graph.edge_count == 0:
-        return 1
-    least = min(streams)
-    return sum(1 for s in streams if s == least)
+    return _least(e)[1]
 
 
 @dataclass(frozen=True)
@@ -279,18 +282,6 @@ def are_isomorphic(
     return witness
 
 
-def chirality(
-    e: Embedding,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> Chirality:
-    """``non_orientable`` when ``e`` is isomorphic to its own reversal."""
-    key = canonical_key(e, max_vertices=max_vertices, max_edges=max_edges)
-    rkey = canonical_key(reverse(e), max_vertices=max_vertices, max_edges=max_edges)
-    return NON_ORIENTABLE if key == rkey else ORIENTABLE
-
-
 @dataclass(frozen=True)
 class EmbeddingClass:
     """An isomorphism (or mirror-equivalence) class of embeddings."""
@@ -303,23 +294,63 @@ class EmbeddingClass:
     chirality: Chirality
 
 
-def _class_from_key(key: bytes) -> EmbeddingClass:
+def _check_mode(mode: str) -> None:
+    if mode not in ("iso", "equivalence"):
+        raise ValueError(f"unknown dedup mode {mode!r}")
+
+
+def _class_data(
+    e: Embedding,
+    mode: DedupMode,
+    *,
+    max_vertices: int = MAX_VERTICES,
+    max_edges: int = MAX_EDGES,
+) -> tuple[bytes, int, bool | None]:
+    """Class key, group order and achirality of ``e`` (``None`` in ``iso`` mode).
+
+    One stream set gives the canonical key and the group order; in
+    ``equivalence`` mode the stream set of the reversal gives its key, the
+    class key is the lesser of the two, and ``e`` is achiral when they agree.
+    Isomorphic embeddings and mirror images have groups of the same order,
+    so the order holds for the whole class.
+    """
+    _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
+    key, order = _least(e)
+    if mode == "iso":
+        return key, order, None
+    rkey = _least(reverse(e))[0]
+    return min(key, rkey), order, key == rkey
+
+
+def _class_record(key: bytes, order: int, achiral: bool | None) -> EmbeddingClass:
+    """The class of ``key``, built from its decoded representative.
+
+    Achirality not yet known (``iso`` mode) costs the stream set of the
+    representative's reversal.
+    """
     rep = canonical_embedding(key)
+    if achiral is None:
+        achiral = _least(reverse(rep))[0] == key
     faces = trace_faces(rep)
-    rkey = canonical_key(reverse(rep))
     return EmbeddingClass(
         canonical_key=key,
         representative=rep,
         genus=faces.stats.genus,
         face_degrees=faces.face_lengths(),
-        group_order=automorphism_group_order(rep),
-        chirality=NON_ORIENTABLE if rkey == key else ORIENTABLE,
+        group_order=order,
+        chirality=NON_ORIENTABLE if achiral else ORIENTABLE,
     )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("iso", "equivalence"):
-        raise ValueError(f"unknown dedup mode {mode!r}")
+def chirality(
+    e: Embedding,
+    *,
+    max_vertices: int = MAX_VERTICES,
+    max_edges: int = MAX_EDGES,
+) -> Chirality:
+    """``non_orientable`` when ``e`` is isomorphic to its own reversal."""
+    achiral = _class_data(e, "equivalence", max_vertices=max_vertices, max_edges=max_edges)[2]
+    return NON_ORIENTABLE if achiral else ORIENTABLE
 
 
 def class_key(
@@ -335,10 +366,7 @@ def class_key(
     an embedding with its reversal by keying on ``min(key, key of reversal)``.
     """
     _check_mode(mode)
-    k = canonical_key(e, max_vertices=max_vertices, max_edges=max_edges)
-    if mode == "equivalence":
-        k = min(k, canonical_key(reverse(e), max_vertices=max_vertices, max_edges=max_edges))
-    return k
+    return _class_data(e, mode, max_vertices=max_vertices, max_edges=max_edges)[0]
 
 
 def dedup(
@@ -348,18 +376,18 @@ def dedup(
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
 ) -> list[EmbeddingClass]:
-    """Group embeddings into classes by :func:`class_key`, sorted by key."""
+    """Group embeddings into classes by :func:`class_key`, sorted by key.
+
+    Each input costs one stream set, two in ``equivalence`` mode; only the
+    group order and achirality of each class's first member are kept.  In
+    ``iso`` mode each class costs one more stream set, for its chirality.
+    """
     _check_mode(mode)
-    keys = {class_key(e, mode, max_vertices=max_vertices, max_edges=max_edges) for e in embeddings}
-    return [_class_from_key(k) for k in sorted(keys)]
-
-
-def dedup_keys(
-    embeddings: Iterable[Embedding],
-    mode: DedupMode = "iso",
-) -> set[bytes]:
-    """Just the class keys of :func:`dedup`, for cheap set comparisons."""
-    return {c.canonical_key for c in dedup(embeddings, mode)}
+    seen: dict[bytes, tuple[int, bool | None]] = {}
+    for e in embeddings:
+        key, order, achiral = _class_data(e, mode, max_vertices=max_vertices, max_edges=max_edges)
+        seen.setdefault(key, (order, achiral))
+    return [_class_record(key, *seen[key]) for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

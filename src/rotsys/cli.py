@@ -24,8 +24,8 @@ import sys
 from collections import Counter
 
 from . import enumeration as en
-from .canon import canonical_key, dedup
-from .core import BudgetExceeded, RotsysError, build_graph, reverse, surface_stats, trace_faces
+from .canon import class_key, dedup
+from .core import BudgetExceeded, RotsysError, build_graph, surface_stats, trace_faces
 from .formats import (
     ParseError,
     parse_appendix_a,
@@ -92,10 +92,7 @@ def _cmd_classify(args) -> int:
     classes = dedup([d.embedding for d in docs], mode)
     members: dict[bytes, list[str]] = {c.canonical_key: [] for c in classes}
     for d in docs:
-        k = canonical_key(d.embedding)
-        if mode == "equivalence":
-            k = min(k, canonical_key(reverse(d.embedding)))
-        members[k].append(d.name)
+        members[class_key(d.embedding, mode)].append(d.name)
     print(f"{len(docs)} embeddings, {len(classes)} {mode} classes")
     for c in classes:
         print(_class_line(c))
@@ -106,13 +103,8 @@ def _cmd_classify(args) -> int:
 def _cmd_enumerate(args) -> int:
     graph = build_graph(args.graph)
     mode = "equivalence" if args.mode == "equiv" else "iso"
-    kwargs = dict(mode=mode, budget=args.budget, workers=args.workers)
-    if args.one_face:
-        classes = en.exhaustive_classes(graph, faces=1, **kwargs)
-    elif args.genus is not None:
-        classes = en.exhaustive_classes(graph, genus=args.genus, **kwargs)
-    else:
-        dist = en.genus_distribution(graph, budget=args.budget, workers=args.workers)
+    if args.genus is None and not args.one_face:
+        dist = en.genus_distribution(graph, budget=args.budget)
         print(f"graph {args.graph}: rotation systems {en.rotation_space_size(graph)}")
         for r in dist.records:
             groups = ",".join(f"{o}^{c}" for o, c in sorted(Counter(r.group_orders).items(), reverse=True))
@@ -122,6 +114,8 @@ def _cmd_enumerate(args) -> int:
                 f" {r.iso_classes} iso), groups {groups}, systems {r.raw_systems}"
             )
         return 0
+    classes = en.exhaustive_classes(graph, genus=args.genus, faces=1 if args.one_face else None,
+                                    mode=mode, budget=args.budget, workers=args.workers)
     orc = sum(1 for c in classes if c.chirality == "orientable")
     print(
         f"graph {args.graph}: {len(classes)} {mode} classes"

@@ -28,8 +28,8 @@ from .canon import (
     DedupMode,
     EmbeddingClass,
     _check_mode,
-    _class_from_key,
-    class_key,
+    _class_data,
+    _class_record,
     dedup,
     graph_automorphisms,
     multigraph_key,
@@ -290,9 +290,9 @@ def exhaustive_classes(
     space: each one not yet marked starts a new class and has its orbit
     under Aut(G), or Aut(G) x mirror, marked (see
     :meth:`RotationSpace.orbits`).  Only these first members go to
-    :func:`dedup`, so each class costs one class key (two canonical keys in
-    ``equivalence`` mode).  Output is sorted by canonical key, independent
-    of the worker count, which splits the scan.
+    :func:`dedup`, so each class costs two stream sets in either mode.
+    Output is sorted by canonical key, independent of the worker count,
+    which splits the scan.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -347,15 +347,6 @@ class GenusDistribution:
         return sum(r.equivalence_classes for r in self.records)
 
 
-def _equivalence_classes_at(space: RotationSpace, indices: list[int]) -> list[EmbeddingClass]:
-    return [_class_from_key(class_key(space.embedding_at(i), "equivalence")) for i in indices]
-
-
-def _classes_chunk(args: tuple[int, tuple[tuple[int, int], ...], list[int]]) -> list[EmbeddingClass]:
-    n, edges, indices = args
-    return _equivalence_classes_at(RotationSpace(MultiGraph(n, edges)), indices)
-
-
 def genus_distribution(
     graph: MultiGraph,
     *,
@@ -364,27 +355,18 @@ def genus_distribution(
 ) -> GenusDistribution:
     """Classes per genus across the whole rotation space of ``graph``.
 
-    One pass over the space in index order, with no face-count scan: each
-    system not yet marked starts a new equivalence class and has its orbit
-    under Aut(G) x mirror marked (see :meth:`RotationSpace.orbits`).  The
-    classes of these first members are built by ``workers`` processes and
-    bucketed by genus; ``raw_systems`` sums their orbit sizes.
+    One sequential pass over the space in index order, with no face-count
+    scan: each system not yet marked starts a new equivalence class and has
+    its orbit under Aut(G) x mirror marked (see :meth:`RotationSpace.orbits`).
+    The class of each first member is built as :func:`dedup` builds it, in
+    orbit order, and bucketed by genus; ``raw_systems`` sums the orbit
+    sizes.  ``workers`` has no effect.
     """
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    orbits = list(space.orbits(range(space.total), "equivalence"))
-    firsts = [i for i, _ in orbits]
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or len(firsts) < nworkers:
-        built = _equivalence_classes_at(space, firsts)
-    else:
-        step = -(-len(firsts) // nworkers)
-        chunks = [(graph.n, graph.edges, firsts[lo:lo + step]) for lo in range(0, len(firsts), step)]
-        with get_context("spawn").Pool(nworkers) as pool:
-            parts = pool.map(_classes_chunk, chunks)
-        built = [c for part in parts for c in part]
     by_genus: dict[int, list[tuple[EmbeddingClass, int]]] = {}
-    for c, (_, size) in zip(built, orbits):
+    for i, size in space.orbits(range(space.total), "equivalence"):
+        c = _class_record(*_class_data(space.embedding_at(i), "equivalence"))
         by_genus.setdefault(c.genus, []).append((c, size))
     records = []
     for genus in sorted(by_genus):

@@ -19,17 +19,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import enumeration as en
-from .canon import NON_ORIENTABLE, ORIENTABLE, canonical_key, dedup, graph_automorphism_count
+from .canon import NON_ORIENTABLE, ORIENTABLE, chirality, class_key, dedup, graph_automorphism_count
 from .core import (
     BudgetExceeded,
-    MultiGraph,
     build_graph,
     complete,
     complete_bipartite,
-    reverse,
     surface_stats,
     theta,
-    trace_faces,
 )
 from .formats import load_appendix_a, load_appendix_b
 from .polygon import boundary_word, parse_word, surface_from_word, words_equivalent
@@ -139,10 +136,10 @@ def _suite_core(report: VerificationReport, budget: int, workers: int | None) ->
     report.check("K5 triple-torus classes (or+non)", "11+2", "%d+%d" % _chirality_split(k5g3))
     report.check("K5 triple-torus single faces", True, all(c.face_degrees == (20,) for c in k5g3))
 
-    d5 = en.genus_distribution(complete(5), budget=budget, workers=workers)
+    d5 = en.genus_distribution(complete(5), budget=budget)
     report.check("K5 genus distribution", "{1: 6, 2: 31, 3: 13}", str(d5.equivalence_counts()))
     report.check("K5 total inequivalent embeddings", 50, d5.total_equivalence())
-    d33 = en.genus_distribution(complete_bipartite(3, 3), budget=budget, workers=workers)
+    d33 = en.genus_distribution(complete_bipartite(3, 3), budget=budget)
     report.check("K33 genus distribution", "{1: 2, 2: 1}", str(d33.equivalence_counts()))
     report.check("K33 genus spectrum", "(1, 2)", str(d33.spectrum()))
     report.check("K5 genus spectrum", "(1, 2, 3)", str(d5.spectrum()))
@@ -166,13 +163,13 @@ def _suite_core(report: VerificationReport, budget: int, workers: int | None) ->
                  str(surface_from_word(parse_word("a+b+a-b-"))))
 
     for g, name in ((complete(5), "K5"), (complete_bipartite(3, 3), "K33"), (theta(5), "theta5")):
-        d = en.genus_distribution(g, budget=budget, workers=workers)
+        d = en.genus_distribution(g, budget=budget)
         raw = sum(r.raw_systems for r in d.records)
         report.check(f"{name} rotation systems covered", en.rotation_space_size(g), raw)
 
 
 def _suite_k33(report: VerificationReport, budget: int, workers: int | None) -> None:
-    d33 = en.genus_distribution(complete_bipartite(3, 3), budget=budget, workers=workers)
+    d33 = en.genus_distribution(complete_bipartite(3, 3), budget=budget)
     report.check("K33 genus distribution", "{1: 2, 2: 1}", str(d33.equivalence_counts()))
     exh = en.exhaustive_classes(complete_bipartite(3, 3), genus=2, mode="equivalence",
                                 budget=budget, workers=workers)
@@ -198,23 +195,15 @@ def _suite_appendix_a(report: VerificationReport, budget: int, workers: int | No
     stats = [surface_stats(r.embedding) for r in entries]
     report.check("all genus 2", True, all(s.genus == 2 for s in stats))
     report.check("all 3 faces", True, all(s.f == 3 for s in stats))
-    ekeys = set()
-    recomputed = []
-    mismatches = []
-    for r in entries:
-        k = canonical_key(r.embedding)
-        rk = canonical_key(reverse(r.embedding))
-        ekeys.add(min(k, rk))
-        chir = NON_ORIENTABLE if k == rk else ORIENTABLE
-        recomputed.append(chir)
-        if chir != r.expected_chirality:
-            mismatches.append(r.name)
+    classes = dedup([r.embedding for r in entries], "equivalence")
+    ekeys = {c.canonical_key for c in classes}
+    recomputed = [chirality(r.embedding) for r in entries]
+    mismatches = [r.name for r, chir in zip(entries, recomputed) if chir != r.expected_chirality]
     report.check("pairwise non-equivalent", 31, len(ekeys))
     report.check("chirality tags matching recomputation", "31/31",
                  f"{31 - len(mismatches)}/31" + (f" (recomputation wins: {mismatches})" if mismatches else ""))
-    orc = sum(1 for c in recomputed if c == ORIENTABLE)
+    orc = recomputed.count(ORIENTABLE)
     report.check("orientable+non-orientable", "14+17", f"{orc}+{31 - orc}")
-    classes = dedup([r.embedding for r in entries], "equivalence")
     report.check("group orders", "5^1,4^2,2^1,1^27", _group_multiset(classes))
     st = en.pipeline_k5_stages()
     report.check("classes = expansion-chain classes", True,
@@ -229,18 +218,10 @@ def _suite_appendix_b(report: VerificationReport, budget: int, workers: int | No
     report.check("all exactly one face", True, all(s.f == 1 for s in stats))
     exh = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget, workers=workers)
     report.check("exhaustive triple-torus classes (or+non)", "11+2", "%d+%d" % _chirality_split(exh))
-    ekeys = set()
-    mismatches = []
-    orc = 0
-    for r in entries:
-        k = canonical_key(r.embedding)
-        rk = canonical_key(reverse(r.embedding))
-        ekeys.add(min(k, rk))
-        chir = NON_ORIENTABLE if k == rk else ORIENTABLE
-        if chir == ORIENTABLE:
-            orc += 1
-        if chir != r.expected_chirality:
-            mismatches.append(r.name)
+    ekeys = {class_key(r.embedding, "equivalence") for r in entries}
+    recomputed = [chirality(r.embedding) for r in entries]
+    mismatches = [r.name for r, chir in zip(entries, recomputed) if chir != r.expected_chirality]
+    orc = recomputed.count(ORIENTABLE)
     report.check("pairwise non-equivalent", 13, len(ekeys))
     report.check("classes = exhaustive classes", True, ekeys == {c.canonical_key for c in exh})
     report.check("orientable+non-orientable", "11+2", f"{orc}+{13 - orc}")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rotsys import IsoWitness, MultiGraph, apply_iso, make_embedding, theta
+from rotsys import IsoWitness, MultiGraph, apply_iso, canon, make_embedding, theta
 from rotsys.core import Embedding, embedding_from_darts
 
 
@@ -51,3 +51,25 @@ def theta5_systems():
         10: make_embedding(g, [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5)]),
         5: make_embedding(g, [(1, 2, 3, 4, 5), (1, 4, 2, 5, 3)]),
     }
+
+
+@pytest.fixture
+def stream_sets(monkeypatch):
+    """``count(fn)``: ``fn()`` and the number of stream sets it took.
+
+    A stream set is one pass of ``canon._all_streams`` over the root darts
+    of an embedding.
+    """
+    taken = [0]
+    original = canon._all_streams
+
+    def counted(e):
+        taken[0] += 1
+        return original(e)
+
+    def count(fn):
+        taken[0] = 0
+        return fn(), taken[0]
+
+    monkeypatch.setattr(canon, "_all_streams", counted)
+    return count

@@ -221,6 +221,17 @@ class TestDedup:
         with pytest.raises(ValueError):
             dedup([], "both")
 
+    def test_stream_sets_per_input_and_per_class(self, stream_sets):
+        # equivalence: each input's own and its reversal's, none per class;
+        # iso: each input's own, plus the representative's reversal per class.
+        rng = random.Random(20)
+        embs = [random_embedding(rng) for _ in range(20)]
+        embs += [random_relabel(rng, e) for e in embs] + [reverse(e) for e in embs[:10]]
+        for mode, per_input, per_class in (("equivalence", 2, 0), ("iso", 1, 1)):
+            classes, taken = stream_sets(lambda: dedup(embs, mode))
+            assert len(classes) < len(embs)
+            assert taken == per_input * len(embs) + per_class * len(classes)
+
 
 class TestMultigraphKey:
     def test_invariance(self):

@@ -60,6 +60,13 @@ class TestEnumerate:
         assert main(["enumerate", "--graph", "theta(5)", "--one-face", "--mode", "equiv"]) == 0
         assert "3 equivalence classes" in capsys.readouterr().out
 
+    def test_genus_and_one_face_together(self, capsys):
+        args = ["enumerate", "--graph", "complete(5)", "--one-face", "--mode", "equiv"]
+        assert main(args + ["--genus", "2"]) == 2
+        assert "error: genus 2 forces f = 3, not 1" in capsys.readouterr().err
+        assert main(args + ["--genus", "3"]) == 0
+        assert "13 equivalence classes" in capsys.readouterr().out
+
     def test_distribution_when_no_filter(self, capsys):
         assert main(["enumerate", "--graph", "complete_bipartite(3,3)"]) == 0
         out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from rotsys import (
     MultiGraph,
     automorphism_group_order,
     build_graph,
+    canonical_key,
     chirality,
     complement,
     complete,
@@ -398,6 +399,42 @@ class TestGenusDistribution:
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:
             assert rec.iso_classes == 2 * rec.orientable + rec.non_orientable
+
+
+class TestGroupOrder:
+    """Group orders against the graph automorphisms that commute with the rotation."""
+
+    @staticmethod
+    def commuting(e):
+        succ = e.succ
+        return sum(
+            all(perm[succ[d]] == succ[perm[d]] for d in range(len(perm)))
+            for perm in graph_automorphisms(e.graph)
+        )
+
+    def test_group_order_counts_commuting_automorphisms(self):
+        mirrored = 0  # equivalence classes keyed by the reversal of their input
+        for g in small_torus_graphs() + random_graphs(61):
+            space = RotationSpace(g)
+            for i, _ in space.orbits(range(space.total), "iso"):
+                e = space.embedding_at(i)
+                order = self.commuting(e)
+                assert automorphism_group_order(e) == order
+                for mode in ("iso", "equivalence"):
+                    (c,) = dedup([e], mode)
+                    assert c.group_order == order
+                    assert self.commuting(c.representative) == order
+                    mirrored += c.canonical_key != canonical_key(e)
+        assert mirrored > 0
+
+
+class TestStreamSets:
+    def test_k5(self, stream_sets):
+        # Two per class: 50 classes in the distribution, 45 iso and 31
+        # equivalence classes at genus 2.
+        assert stream_sets(lambda: genus_distribution(complete(5)))[1] == 100
+        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="iso"))[1] == 90
+        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="equivalence"))[1] == 62
 
 
 class TestThetaEmbeddings:
