@@ -36,10 +36,10 @@ class SizeGuardExceeded(RotsysError):
 
 
 class BudgetExceeded(RotsysError):
-    """Rotation-space scan would exceed the configured budget."""
+    """Rotation space has more systems than the configured budget."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"scan needs {required} face tracings, budget is {budget}")
+        super().__init__(f"rotation space has {required} systems, budget is {budget}")
         self.required = required
         self.budget = budget
 

@@ -217,7 +217,12 @@ def rotation_space_size(graph: MultiGraph) -> int:
 
 
 def _check_budget(graph: MultiGraph, budget: int) -> None:
-    """Refuse a space over ``budget`` before any of its orders are built."""
+    """Refuse a space over ``budget`` before any of its orders are built.
+
+    The budget bounds the systems addressed, i.e. the size of the whole
+    rotation space, not the face tracings done: a pinned scan visits part
+    of the space and traces once per context of its inner vertex.
+    """
     total = rotation_space_size(graph)
     if total > budget:
         raise BudgetExceeded(total, budget)
@@ -397,7 +402,8 @@ def theta_embeddings(
 
     Every embedding of a theta graph is isomorphic to one whose first
     vertex carries the identity rotation (relabel the edges), so only the
-    ``(m - 1)!`` rotations of the second vertex are scanned.
+    ``(m - 1)!`` rotations of the second vertex are scanned, and the
+    budget bounds that number.
     """
     graph = theta(m)  # refuses m < 1
     f = m - 2 * genus

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import sys
@@ -14,6 +15,7 @@ from rotsys import (
     NON_ORIENTABLE,
     BudgetExceeded,
     ChordDiagram,
+    Embedding,
     InvalidEmbedding,
     MultiGraph,
     automorphism_group_order,
@@ -129,6 +131,125 @@ class TestRotationSpace:
                     call()
 
 
+def faces_at(g, orders, index):
+    """Face count, by trace_faces, of system ``index`` of the product of ``orders``."""
+    rot = []
+    for o in orders:
+        index, digit = divmod(index, len(o))
+        rot.append(o[digit])
+    return trace_faces(Embedding(g, tuple(rot))).stats.f
+
+
+def check_scan(orders, nd, lo, faces):
+    """_kernel.scan over ``lo..lo+len(faces)-1`` against those systems' face counts."""
+    expect = [faces.count(f) for f in range(nd + 2)]
+    for f in sorted(set(faces)) + [-1]:
+        hist, matches = _kernel.scan(orders, nd, lo, lo + len(faces), f)
+        assert hist == expect
+        assert matches == [lo + k for k, fk in enumerate(faces) if fk == f]
+
+
+def inner_block(orders):
+    """The kernel's inner vertex, its radix place and the span of one block of its digits."""
+    counts = [len(o) for o in orders]
+    u = counts.index(max(counts))
+    place = math.prod(counts[:u])
+    return u, place, place * counts[u]
+
+
+def pinned_orders(g, mode):
+    """The order lists that exhaustive_classes passes to the kernel at genus 1."""
+    seen = []
+
+    def stub(orders, nd, lo, hi, target_f):
+        seen.append(orders)
+        return [0] * (nd + 2), []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "scan", stub)
+        exhaustive_classes(g, genus=1, mode=mode, workers=1)
+    return seen[0]
+
+
+class TestKernel:
+    """The contracted scan: one trace per context of the inner vertex."""
+
+    def test_inner_vertex_above_vertex_0_with_split_contexts(self):
+        # Every lo, including those inside the u-stride of an earlier
+        # context, and hi cutting one system, one stride or one block later.
+        o = RotationSpace(complete(5)).orders
+        for orders, inner, stride in (([o[0][:3], o[1], o[2][:2], o[3][:1], o[4][:1]], 1, 3),
+                                      ([o[0][:2], o[1][:2], o[2], o[3][:1], o[4][2:4]], 2, 4)):
+            u, place, block = inner_block(orders)
+            assert (u, place) == (inner, stride)
+            total = math.prod(len(x) for x in orders)
+            faces = [faces_at(complete(5), orders, i) for i in range(total)]
+            for lo in range(total):
+                for hi in {lo + 1, lo + place + 1, lo + block + 1, total}:
+                    check_scan(orders, 20, lo, faces[lo:min(hi, total)])
+
+    def test_inner_vertex_of_degree_1_and_2(self):
+        k4_minus = MultiGraph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+        graphs = (
+            MultiGraph(2, ((1, 2),)),  # degree 1
+            MultiGraph(3, ((1, 2), (2, 3))),  # a path from a degree-1 vertex
+            MultiGraph(2, ((1, 2), (1, 2))),  # degree 2, parallel edges
+            complete(3),
+            complete_bipartite(1, 3),  # a degree-3 hub among degree-1 leaves
+        )
+        for g in graphs:
+            orders = RotationSpace(g).orders
+            total = math.prod(len(x) for x in orders)
+            faces = [faces_at(g, orders, i) for i in range(total)]
+            for lo in range(total):
+                check_scan(orders, 2 * g.edge_count, lo, faces[lo:])
+        # With the degree-3 vertices held to one order, the degree-2 vertex 1 is inner.
+        o = RotationSpace(k4_minus).orders
+        for a in o[1]:
+            for b in o[2]:
+                orders = [o[0], [a], [b], o[3]]
+                assert inner_block(orders)[0] == 0 and k4_minus.degree(1) == 2
+                check_scan(orders, 10, 0, [faces_at(k4_minus, orders, 0)])
+
+    def test_single_order_lists(self):
+        rng = random.Random(67)
+        g = complete(5)
+        o = RotationSpace(g).orders
+        pinned = [o[0][4:5]] + o[1:]  # the pinned case: one order, not the first
+        for _ in range(5):
+            lo = rng.randrange(1296)
+            hi = rng.randint(lo + 1, min(1296, lo + 100))
+            check_scan(pinned, 20, lo, [faces_at(g, pinned, i) for i in range(lo, hi)])
+        for g in [g, build_graph("octahedron")] + random_graphs(69, 10):
+            o = RotationSpace(g).orders
+            single = [x[i % len(x):][:1] for i, x in enumerate(o)]
+            check_scan(single, 2 * g.edge_count, 0, [faces_at(g, single, 0)])
+
+    def test_uncached_rows(self, monkeypatch):
+        rng = random.Random(71)
+        g = complete(5)
+        o = RotationSpace(g).orders
+        orders = [o[0][:2]] + o[1:]  # inner vertex 1, place 2
+        ranges = [(0, 2592)] + [(lo, rng.randint(lo + 1, min(2592, lo + 40))) for lo in rng.sample(range(2592), 4)]
+        faces = {r: [faces_at(g, orders, i) for i in range(*r)] for r in ranges}
+        for cap in (0, 6, 18):  # none, one row, three rows kept
+            monkeypatch.setattr(_kernel, "_MAX_TABLE", cap)
+            for (lo, hi), fs in faces.items():
+                check_scan(orders, 20, lo, fs)
+
+    def test_pinned_torus_spaces_match_trace_faces(self):
+        rng = random.Random(73)
+        for spec in ("circulant(7,1,2)", "circulant(8,1,2)", "complete_bipartite(4,4)"):
+            g = build_graph(spec)
+            for mode in ("iso", "equivalence"):
+                orders = pinned_orders(g, mode)
+                total = math.prod(len(x) for x in orders)
+                _, _, block = inner_block(orders)
+                for lo in [total - block // 2 - 1] + [rng.randrange(total) for _ in range(3)]:
+                    hi = min(total, lo + rng.randint(1, 2 * block + 2))
+                    check_scan(orders, 2 * g.edge_count, lo, [faces_at(g, orders, i) for i in range(lo, hi)])
+
+
 class TestExhaustive:
     def test_theta5_double_torus(self):
         classes = exhaustive_classes(theta(5), genus=2, mode="equivalence")
@@ -158,6 +279,19 @@ class TestExhaustive:
                 b = exhaustive_classes(g, genus=1, mode=mode, workers=3)
                 assert [c.canonical_key for c in a] == [c.canonical_key for c in b]
                 assert a == b
+
+    def test_worker_independence_with_mid_context_chunks(self):
+        g = build_graph("circulant(8,1,2)")
+        for mode in ("iso", "equivalence"):
+            # Up to 3 workers the chunks of the pinned space start on the
+            # blocks of the inner vertex's digits; 5 workers start them
+            # inside one, splitting its contexts.
+            orders = pinned_orders(g, mode)
+            step = -(-math.prod(len(x) for x in orders) // 5)
+            assert step % inner_block(orders)[2]
+            keys = [[c.canonical_key for c in exhaustive_classes(g, genus=1, mode=mode, workers=w)]
+                    for w in (1, 2, 3, 5)]
+            assert keys[0] == keys[1] == keys[2] == keys[3]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as err:
