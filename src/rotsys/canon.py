@@ -390,6 +390,33 @@ def dedup(
     return [_class_record(key, *seen[key]) for key in sorted(seen)]
 
 
+def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass], list[EmbeddingClass]]:
+    """Iso and equivalence classes of a pipeline stage's candidates.
+
+    Stages carry embeddings up to equivalence, so a chiral candidate stands
+    for itself and its mirror and both chiralities enter the iso classes.
+    The records are those of ``dedup(c + reversals, "iso")`` and
+    ``dedup(c, "equivalence")``, at one stream-set pair per candidate: its
+    key and its reversal's key each name an iso class, the lesser names the
+    equivalence class, and the group order and achirality, which mirrors
+    share, hold for all three.
+    """
+    iso: dict[bytes, tuple[int, bool]] = {}
+    equivalence: dict[bytes, tuple[int, bool]] = {}
+    for e in candidates:
+        _check_guard(e.graph.n, e.graph.edge_count, MAX_VERTICES, MAX_EDGES)
+        key, order = _least(e)
+        rkey = _least(reverse(e))[0]
+        data = order, key == rkey
+        iso.setdefault(key, data)
+        iso.setdefault(rkey, data)
+        equivalence.setdefault(min(key, rkey), data)
+    return (
+        [_class_record(key, *iso[key]) for key in sorted(iso)],
+        [_class_record(key, *equivalence[key]) for key in sorted(equivalence)],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Multigraph (embedding-free) isomorphism helpers
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .canon import (
     _check_mode,
     _class_data,
     _class_record,
+    _stage_classes,
     dedup,
     graph_automorphisms,
     multigraph_key,
@@ -46,7 +47,6 @@ from .core import (
     k4_plus,
     k5_minus_edge,
     make_embedding,
-    reverse,
     theta,
     trace_faces,
     triangle_multi,
@@ -553,15 +553,6 @@ def theta5_embeddings() -> list[Embedding]:
     return [make_embedding(g, rot) for rot in THETA5_ROTATIONS]
 
 
-def _stage_iso(candidates: list[Embedding]) -> list[EmbeddingClass]:
-    """Iso classes represented by a pipeline stage's candidates.
-
-    Stages carry embeddings up to equivalence, so a chiral candidate stands
-    for itself and its mirror; both chiralities enter the iso count.
-    """
-    return dedup(candidates + [reverse(e) for e in candidates], "iso")
-
-
 def theta5_classes() -> list[EmbeddingClass]:
     """The three double-torus classes of theta(5), from the fixed systems."""
     classes = dedup(theta5_embeddings(), "equivalence")
@@ -570,18 +561,28 @@ def theta5_classes() -> list[EmbeddingClass]:
 
 
 def _edge_additions(e: Embedding, target_key: bytes) -> list[Embedding]:
-    """All single-edge insertions into faces of ``e`` whose graph matches."""
+    """All single-edge insertions into faces of ``e`` whose graph matches.
+
+    The graph of an insertion is ``e.graph`` plus the new edge, whatever
+    its corners, so each vertex pair is keyed once and only the corners of
+    accepted pairs are built.
+    """
+    g = e.graph
     faces = trace_faces(e).faces
-    dv = e.graph.dart_vertex
+    dv = g.dart_vertex
+    accepted: dict[tuple[int, int], bool] = {}
     out = []
     for fi, walk in enumerate(faces):
         for i in range(len(walk)):
             for j in range(i + 1, len(walk)):
-                if dv[walk[i]] == dv[walk[j]]:
+                x, y = dv[walk[i]], dv[walk[j]]
+                if x == y:
                     continue
-                cand = add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j))
-                if multigraph_key(cand.graph) == target_key:
-                    out.append(cand)
+                pair = (x, y) if x < y else (y, x)
+                if pair not in accepted:
+                    accepted[pair] = multigraph_key(MultiGraph(g.n, g.edges + (pair,))) == target_key
+                if accepted[pair]:
+                    out.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
     return out
 
 
@@ -668,8 +669,7 @@ def pipeline_k5_stages() -> K5PipelineResult:
     t123_candidates: list[Embedding] = []
     for c in theta5:
         t123_candidates.extend(all_splits(c.representative, triangle_multi(1, 2, 3)))
-    t123_iso = _stage_iso(t123_candidates)
-    t123 = dedup(t123_candidates, "equivalence")
+    t123_iso, t123 = _stage_classes(t123_candidates)
 
     k4p_graph = k4_plus()
     k4p_candidates: list[Embedding] = []
@@ -691,15 +691,13 @@ def pipeline_k5_stages() -> K5PipelineResult:
     for c in k4p:
         from_k4p.extend(_subdivide_and_join(c.representative, k5m_key))
     k5m_candidates = from_w4 + from_k4p
-    k5m_iso = _stage_iso(k5m_candidates)
-    k5m = dedup(k5m_candidates, "equivalence")
+    k5m_iso, k5m = _stage_classes(k5m_candidates)
 
     k5_key = multigraph_key(complete(5))
     k5_candidates: list[Embedding] = []
     for c in k5m:
         k5_candidates.extend(_edge_additions(c.representative, k5_key))
-    k5_iso = _stage_iso(k5_candidates)
-    k5 = dedup(k5_candidates, "equivalence")
+    k5_iso, k5 = _stage_classes(k5_candidates)
 
     return K5PipelineResult(
         theta5=tuple(theta5),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rotsys import IsoWitness, MultiGraph, apply_iso, canon, make_embedding, theta
+from rotsys import IsoWitness, MultiGraph, apply_iso, canon, enumeration, make_embedding, surgery, theta
 from rotsys.core import Embedding, embedding_from_darts
 
 
@@ -27,6 +27,12 @@ def random_embedding(rng: random.Random, max_vertices: int = 6, extra_edges: int
         rng.shuffle(rest)
         rot.append([darts[0]] + rest)
     return embedding_from_darts(graph, rot)
+
+
+def random_graphs(seed: int, count: int = 30) -> list[MultiGraph]:
+    """Random loopless multigraphs, many with parallel edges."""
+    rng = random.Random(seed)
+    return [random_embedding(rng, max_vertices=5, extra_edges=4).graph for _ in range(count)]
 
 
 def random_relabel(rng: random.Random, e: Embedding) -> Embedding:
@@ -72,4 +78,27 @@ def stream_sets(monkeypatch):
         return fn(), taken[0]
 
     monkeypatch.setattr(canon, "_all_streams", counted)
+    return count
+
+
+@pytest.fixture
+def multigraph_keys(monkeypatch):
+    """``count(fn)``: ``fn()`` and the number of ``multigraph_key`` calls it made.
+
+    The calls are counted under the names that ``enumeration`` and
+    ``surgery`` imported from ``canon``.
+    """
+    taken = [0]
+    original = canon.multigraph_key
+
+    def counted(g, **kwargs):
+        taken[0] += 1
+        return original(g, **kwargs)
+
+    def count(fn):
+        taken[0] = 0
+        return fn(), taken[0]
+
+    for module in (canon, enumeration, surgery):
+        monkeypatch.setattr(module, "multigraph_key", counted)
     return count

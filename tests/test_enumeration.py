@@ -44,19 +44,13 @@ from rotsys.canon import graph_automorphisms
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE
 
-from conftest import random_embedding
+from conftest import random_graphs
 
 
 def small_torus_graphs():
     """Torus-table graphs with at most 8,000 systems: K4, K5, K3,3, 3-prism, K3,4, cube, C8+, petersen."""
     graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
     return [g for g in graphs if rotation_space_size(g) <= 8000]
-
-
-def random_graphs(seed: int, count: int = 30):
-    """Random loopless multigraphs, many with parallel edges."""
-    rng = random.Random(seed)
-    return [random_embedding(rng, max_vertices=5, extra_edges=4).graph for _ in range(count)]
 
 
 class TestRotationSpace:

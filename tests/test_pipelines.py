@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 from rotsys import (
@@ -9,9 +10,11 @@ from rotsys import (
     complete,
     complete_bipartite,
     exhaustive_classes,
+    reverse,
     trace_faces,
 )
 from rotsys.enumeration import (
+    RotationSpace,
     _edge_additions,
     _path_splits,
     _subdivide_and_join,
@@ -19,8 +22,11 @@ from rotsys.enumeration import (
     pipeline_k5_stages,
     theta5_classes,
 )
-from rotsys.canon import canonical_key, multigraph_key
-from rotsys.core import k5_minus_edge
+from rotsys.canon import _stage_classes, canonical_key, dedup, multigraph_key
+from rotsys.core import k4_plus, k5_minus_edge, triangle_multi, wheel
+from rotsys.surgery import CornerRef, add_edge_in_face, all_splits, subdivide_edge
+
+from conftest import random_graphs, random_relabel
 
 
 def _split(classes):
@@ -87,6 +93,90 @@ class TestK5Chain:
         assert {c.canonical_key for c in exh} == {c.canonical_key for c in st.k5_iso}
         exh_eq = exhaustive_classes(complete(5), genus=2, mode="equivalence")
         assert {c.canonical_key for c in exh_eq} == {c.canonical_key for c in st.k5}
+
+
+def _stage_candidates(st):
+    """The candidates of each stage of ``st``, rebuilt from the stage before."""
+    k5m_key, k5_key = multigraph_key(k5_minus_edge()), multigraph_key(complete(5))
+    return {
+        "t123": [e for c in st.theta5 for e in all_splits(c.representative, triangle_multi(1, 2, 3))],
+        "k4_plus": [e for c in st.t123 for e in all_splits(c.representative, k4_plus())],
+        "w4": [e for c in st.k4_plus for e in all_splits(c.representative, wheel(4))],
+        "k5_minus": [e for c in st.w4 for e in _edge_additions(c.representative, k5m_key)]
+        + [e for c in st.k4_plus for e in _subdivide_and_join(c.representative, k5m_key)],
+        "k5": [e for c in st.k5_minus for e in _edge_additions(c.representative, k5_key)],
+    }
+
+
+def _doubled_subdivisions(e):
+    g = e.graph
+    return [subdivide_edge(e, eid) for eid, (u, v) in enumerate(g.edges, start=1) if g.multiplicity(u, v) == 2]
+
+
+class TestStageShortcuts:
+    """The stage helpers against the plain build-everything-then-dedup path."""
+
+    def _check_stage_classes(self, candidates):
+        iso, eq = _stage_classes(candidates)
+        assert iso == dedup(candidates + [reverse(e) for e in candidates], "iso")
+        assert eq == dedup(candidates, "equivalence")
+        return eq
+
+    def test_stage_classes_on_every_pipeline_stage(self):
+        st = pipeline_k5_stages()
+        stages = _stage_candidates(st)
+        assert len(stages["k5_minus"]) == sum(st.k5_minus_candidates)
+        for candidates in stages.values():
+            self._check_stage_classes(candidates)
+
+    def test_stage_classes_on_random_embeddings(self):
+        # Random systems of random multigraphs, with relabelled and mirrored
+        # copies, so classes meet each other's members and their mirrors.
+        rng = random.Random(83)
+        embs = []
+        for g in random_graphs(85, 12):
+            space = RotationSpace(g)
+            embs += [space.embedding_at(rng.randrange(space.total)) for _ in range(3)]
+        embs += [random_relabel(rng, e) for e in embs[::2]] + [reverse(e) for e in embs[1::3]]
+        rng.shuffle(embs)
+        eq = self._check_stage_classes(embs)
+        assert {c.chirality for c in eq} == {"orientable", "non_orientable"}
+        assert len(eq) < len(embs)
+
+    def test_edge_additions_match_the_build_every_candidate_filter(self):
+        def built_then_filtered(e, target_key):
+            faces = trace_faces(e).faces
+            dv = e.graph.dart_vertex
+            out = []
+            for fi, walk in enumerate(faces):
+                for i in range(len(walk)):
+                    for j in range(i + 1, len(walk)):
+                        if dv[walk[i]] == dv[walk[j]]:
+                            continue
+                        cand = add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j))
+                        if multigraph_key(cand.graph) == target_key:
+                            out.append(cand)
+            return out
+
+        st = pipeline_k5_stages()
+        k5m_key, k5_key = multigraph_key(k5_minus_edge()), multigraph_key(complete(5))
+        cases = [(c.representative, k5m_key) for c in st.w4]
+        cases += [(e, k5m_key) for c in st.k4_plus for e in _doubled_subdivisions(c.representative)]
+        cases += [(c.representative, k5_key) for c in st.k5_minus]
+        assert len(cases) == 4 + 5 * 2 + 39
+        for e, key in cases:
+            assert _edge_additions(e, key) == built_then_filtered(e, key)
+
+    def test_cold_k5_chain_work_counts(self, stream_sets, multigraph_keys):
+        # Cleared before and after, so no other test meets a cache state
+        # it did not expect.
+        pipeline_k5_stages.cache_clear()
+        try:
+            (_, keys), sets = stream_sets(lambda: multigraph_keys(pipeline_k5_stages))
+        finally:
+            pipeline_k5_stages.cache_clear()
+        assert sets == 936
+        assert keys == 809
 
 
 class TestK33Chain:
