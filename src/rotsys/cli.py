@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(sp):
         sp.add_argument("--budget", type=int, default=en.DEFAULT_BUDGET,
-                        help="max rotation-space size (systems addressed, not faces traced)")
+                        help="max rotation-space size (systems addressed, not states expanded)")
 
     sp = sub.add_parser("faces", help="facial walks of an embedding file")
     sp.add_argument("file")

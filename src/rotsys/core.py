@@ -36,7 +36,11 @@ class SizeGuardExceeded(RotsysError):
 
 
 class BudgetExceeded(RotsysError):
-    """Rotation space has more systems than the configured budget."""
+    """Rotation space has more systems than the configured budget.
+
+    The budget bounds the systems addressed (the whole space), not the
+    states a scan expands.
+    """
 
     def __init__(self, required: int, budget: int):
         super().__init__(f"rotation space has {required} systems, budget is {budget}")

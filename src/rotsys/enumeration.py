@@ -220,8 +220,8 @@ def _check_budget(graph: MultiGraph, budget: int) -> None:
     """Refuse a space over ``budget`` before any of its orders are built.
 
     The budget bounds the systems addressed, i.e. the size of the whole
-    rotation space, not the face tracings done: a pinned scan visits part
-    of the space and traces once per context of its inner vertex.
+    rotation space, not the work done: a pinned scan covers part of the
+    space and expands far fewer states than the systems it covers.
     """
     total = rotation_space_size(graph)
     if total > budget:

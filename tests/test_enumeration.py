@@ -144,7 +144,11 @@ def check_scan(orders, nd, lo, faces):
 
 
 def inner_block(orders):
-    """The kernel's inner vertex, its radix place and the span of one block of its digits."""
+    """The vertex with the most orders, its radix place and the span of one block of its digits.
+
+    The former context kernel took this vertex as its inner vertex; ranges
+    cut at these places still split the kernel's aligned blocks.
+    """
     counts = [len(o) for o in orders]
     u = counts.index(max(counts))
     place = math.prod(counts[:u])
@@ -165,8 +169,27 @@ def pinned_orders(g, mode):
     return seen[0]
 
 
+@pytest.fixture
+def expansions(monkeypatch):
+    """A one-item list that counts the states the kernel expands (calls of ``_kernel._expand``)."""
+    calls = [0]
+    original = _kernel._expand
+
+    def counted(b, k, p):
+        calls[0] += 1
+        return original(b, k, p)
+
+    monkeypatch.setattr(_kernel, "_expand", counted)
+    return calls
+
+
 class TestKernel:
-    """The contracted scan: one trace per context of the inner vertex."""
+    """The elimination scan: per level, one histogram per boundary-dart state.
+
+    Some test names speak of the former context kernel (an inner vertex
+    whose digits were read from a table per traced context); the ranges
+    they cut still split the scan's aligned blocks.
+    """
 
     def test_inner_vertex_above_vertex_0_with_split_contexts(self):
         # Every lo, including those inside the u-stride of an earlier
@@ -242,6 +265,93 @@ class TestKernel:
                 for lo in [total - block // 2 - 1] + [rng.randrange(total) for _ in range(3)]:
                     hi = min(total, lo + rng.randint(1, 2 * block + 2))
                     check_scan(orders, 2 * g.edge_count, lo, [faces_at(g, orders, i) for i in range(lo, hi)])
+
+    def test_pinned_c8_2_and_k44_whole_ranges(self):
+        # Every match has the torus face count by trace_faces, a seeded
+        # sample of 2,000 other systems does not, and the histogram covers
+        # the whole space.
+        rng = random.Random(79)
+        for spec in ("circulant(8,1,2)", "complete_bipartite(4,4)"):
+            g = build_graph(spec)
+            f = g.edge_count - g.n  # genus 1
+            for mode in ("iso", "equivalence"):
+                orders = pinned_orders(g, mode)
+                total = math.prod(len(x) for x in orders)
+                hist, matches = _kernel.scan(orders, 2 * g.edge_count, 0, total, f)
+                assert sum(hist) == total
+                assert hist[f] == len(matches) > 0
+                assert matches == sorted(set(matches))
+                assert all(faces_at(g, orders, i) == f for i in matches)
+                hit = set(matches)
+                others = [i for i in rng.sample(range(total), 2000 + len(hit)) if i not in hit][:2000]
+                assert len(others) == 2000
+                assert all(faces_at(g, orders, i) != f for i in others)
+
+    def test_memo_cap_on_a_pinned_sub_range(self, monkeypatch, expansions):
+        # With no state, one state and three states memoised, the rest are
+        # recomputed; every cap gives the systems' own face counts.
+        g = build_graph("circulant(7,1,2)")
+        orders = pinned_orders(g, "equivalence")
+        total = math.prod(len(x) for x in orders)
+        lo = total // 3 + 5
+        faces = [faces_at(g, orders, i) for i in range(lo, lo + 1500)]
+        expanded = {}
+        default = _kernel._MAX_TABLE
+        for cap in (default, 0, 1, 3):
+            monkeypatch.setattr(_kernel, "_MAX_TABLE", cap)
+            expansions[0] = 0
+            check_scan(orders, 28, lo, faces)
+            expanded[cap] = expansions[0]
+        assert expanded[0] > expanded[3] > expanded[default]
+
+    def test_states_expanded_on_pinned_c8_2(self, expansions):
+        # The former context kernel traced 139,968 contexts of this space
+        # (839,808 systems, 6 orders at its inner vertex).
+        g = build_graph("circulant(8,1,2)")
+        orders = pinned_orders(g, "equivalence")
+        total = math.prod(len(x) for x in orders)
+        hist, matches = _kernel.scan(orders, 32, 0, total, 8)
+        assert total == 839808 and hist[8] == len(matches) == 319
+        assert expansions[0] == 1566
+
+    def test_large_graphs_with_tiny_spaces(self):
+        # A 200-cycle has one system; with a parallel edge it has 402 darts
+        # (more than a byte addresses) and 4 systems.
+        n = 200
+        cycle = MultiGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
+        assert scan_rotation_space(cycle, 2) == ({2: 1}, [0])
+        g = MultiGraph(n, cycle.edges + ((1, 2),))
+        space = RotationSpace(g)
+        assert 2 * g.edge_count > 256 and space.total == 4
+        faces = [trace_faces(space.embedding_at(i)).stats.f for i in range(4)]
+        for lo in range(4):
+            for hi in range(lo + 1, 5):
+                check_scan(space.orders, 2 * g.edge_count, lo, faces[lo:hi])
+
+
+class TestScanAgainstDistribution:
+    """The scan's histogram against the raw systems per genus of genus_distribution.
+
+    genus_distribution makes no face-count scan: it marks orbits and traces
+    one system per class, so it is an independent path to the same counts.
+    """
+
+    @staticmethod
+    def check(g):
+        hist, _ = scan_rotation_space(g, -1)
+        raw = {2 - 2 * r.genus - g.n + g.edge_count: r.raw_systems for r in genus_distribution(g).records}
+        assert hist == raw
+
+    def test_torus_rows(self):
+        graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
+        small = [g for g in graphs if rotation_space_size(g) <= 50_000]
+        assert len(small) == 9
+        for g in small:
+            self.check(g)
+
+    def test_random_multigraphs(self):
+        for g in random_graphs(59):
+            self.check(g)
 
 
 class TestExhaustive:
