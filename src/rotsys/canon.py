@@ -11,6 +11,13 @@ serializations agree; and because an automorphism fixing a dart is the
 identity, every distinct serialization of one embedding occurs with the
 same multiplicity, which *is* the automorphism group order.
 
+The least serialization is found by prefix pruning.  A serialization's
+third byte is the degree of its root's vertex, so only roots at vertices of
+least degree are started, and each traversal stops after the first vertex
+block that makes its output greater than the least one so far.  The roots
+that reach the least serialization are counted, so the key and the group
+order are those of the full set of serializations.
+
 Mirror images: reversing all rotations gives the reflected embedding.  An
 embedding isomorphic to its own reversal is called non-orientable (achiral);
 otherwise orientable (chiral).  Equivalence-mode deduplication identifies an
@@ -52,7 +59,7 @@ def _check_guard(n: int, m: int, max_vertices: int, max_edges: int) -> None:
         )
 
 
-def _stream_from(e: Embedding, root: int) -> bytes:
+def _stream_from(e: Embedding, root: int, best: bytes | None = None) -> bytes | None:
     """Serialization of ``e`` relabelled by the traversal rooted at ``root``.
 
     Vertices receive labels in first-encounter order; the rotation of a
@@ -60,6 +67,10 @@ def _stream_from(e: Embedding, root: int) -> bytes:
     Edges are labelled in emission order.  The output lists, per vertex in
     label order: its degree, then (neighbor label, edge label) for each dart
     of its rotation.
+
+    Given ``best``, the output is compared with its prefix after each vertex
+    block: ``None`` as soon as it is greater, and no more comparing once it
+    is smaller.  A returned stream is then at most ``best``.
     """
     g = e.graph
     succ = e.succ
@@ -67,7 +78,7 @@ def _stream_from(e: Embedding, root: int) -> bytes:
     starts = [root]
     vlab = {dv[root]: 0}
     elab: dict[int, int] = {}
-    out = [g.n, g.edge_count]
+    out = bytearray((g.n, g.edge_count))
     i = 0
     while i < len(starts):
         d0 = starts[i]
@@ -91,6 +102,12 @@ def _stream_from(e: Embedding, root: int) -> bytes:
             d = succ[d]
             if d == d0:
                 break
+        if best is not None:
+            head = best[: len(out)]
+            if out != head:
+                if out > head:
+                    return None
+                best = None
     return bytes(out)
 
 
@@ -122,18 +139,27 @@ def _labels_from(e: Embedding, root: int) -> tuple[dict[int, int], dict[int, int
     return vlab, elab
 
 
-def _all_streams(e: Embedding) -> list[bytes]:
-    nd = 2 * e.graph.edge_count
-    if nd == 0:
-        return [bytes([e.graph.n, 0])]
-    return [_stream_from(e, d) for d in range(nd)]
+def _least(e: Embedding) -> tuple[bytes, int, int]:
+    """The least stream of ``e``, how often it occurs, and the first root giving it.
 
-
-def _least(e: Embedding) -> tuple[bytes, int]:
-    """The least stream of ``e`` and how often it occurs: its key and group order."""
-    streams = _all_streams(e)
-    key = min(streams)
-    return key, streams.count(key)
+    These are the key, the group order and a root of the full set of
+    streams, found by prefix pruning over the roots of least degree.
+    """
+    degree = [len(e.rot[v - 1]) for v in e.graph.dart_vertex]
+    if not degree:
+        return bytes([e.graph.n, 0]), 1, 0
+    low = min(degree)
+    key = root = None
+    order = 0
+    for d, deg in enumerate(degree):
+        s = _stream_from(e, d, key) if deg == low else None
+        if s is None:
+            continue
+        if s == key:
+            order += 1
+        else:
+            key, order, root = s, 1, d
+    return key, order, root
 
 
 def canonical_key(
@@ -263,12 +289,10 @@ def are_isomorphic(
         _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
     if e1.graph.n != e2.graph.n or e1.graph.edge_count != e2.graph.edge_count:
         return None
-    s1 = _all_streams(e1)
-    s2 = _all_streams(e2)
-    if min(s1) != min(s2):
+    key1, _, root1 = _least(e1)
+    key2, _, root2 = _least(e2)
+    if key1 != key2:
         return None
-    root1 = s1.index(min(s1))
-    root2 = s2.index(min(s2))
     vl1, el1 = _labels_from(e1, root1)
     vl2, el2 = _labels_from(e2, root2)
     v_inv2 = {lab: v for v, lab in vl2.items()}
@@ -315,7 +339,7 @@ def _class_data(
     so the order holds for the whole class.
     """
     _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
-    key, order = _least(e)
+    key, order, _ = _least(e)
     if mode == "iso":
         return key, order, None
     rkey = _least(reverse(e))[0]
@@ -405,7 +429,7 @@ def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass
     equivalence: dict[bytes, tuple[int, bool]] = {}
     for e in candidates:
         _check_guard(e.graph.n, e.graph.edge_count, MAX_VERTICES, MAX_EDGES)
-        key, order = _least(e)
+        key, order, _ = _least(e)
         rkey = _least(reverse(e))[0]
         data = order, key == rkey
         iso.setdefault(key, data)

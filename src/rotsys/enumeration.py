@@ -132,7 +132,8 @@ class RotationSpace:
     def _orbits(self, indices: Sequence[int], mirror: bool, stored: list[bytes] | None) -> Iterator[tuple[int, int]]:
         # Darts fit a byte (graph_automorphisms enforces its edge guard), so
         # orders and their images are bytes: unlike small tuples, freed
-        # bytes are not kept on the interpreter's free lists.
+        # bytes are not kept on the interpreter's free lists, and an image
+        # is one translate through the permutation padded to 256 bytes.
         # Per dart: the pinned first dart, the order -> digit table and the
         # radix place of its vertex.  An image is rotated to start at the
         # pinned dart before the lookup.
@@ -142,18 +143,19 @@ class RotationSpace:
             at_vertex.append((orders[0][0], {bytes(cyc): digit for digit, cyc in enumerate(orders)}, place))
             place *= count
         at_dart = [at_vertex[v - 1] for v in self.graph.dart_vertex]
+        pad = bytes(256 - len(at_dart))
         bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
         marked: set[int] = set()
         for index in indices:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
-            rot = self.rotations_at(index)
+            rot = list(map(bytes, self.rotations_at(index)))
             size = 0
             for perm in graph_automorphisms(self.graph) if stored is None else stored:
-                image = perm.__getitem__
+                padded = perm + pad
                 j = jm = 0
                 for cyc in rot:
-                    img = bytes(map(image, cyc))
+                    img = cyc.translate(padded)
                     first, table, place = at_dart[img[0]]
                     k = img.index(first)
                     if k:
@@ -185,6 +187,7 @@ class RotationSpace:
         generated afresh for each representative.
         """
         best: tuple[int, list[int]] | None = None
+        pad = bytes(256 - 2 * self.graph.edge_count)
         for v, orders in enumerate(self.orders):
             reps = [0]
             if len(orders) > 1:
@@ -196,7 +199,7 @@ class RotationSpace:
                     for perm in graph_automorphisms(self.graph) if stored is None else stored:
                         if self.graph.dart_vertex[perm[first]] != v + 1:
                             continue  # moves v
-                        img = bytes(map(perm.__getitem__, cyc))
+                        img = cyc.translate(perm + pad)
                         k = img.index(first)
                         img = img[k:] + img[:k]
                         seen.add(img)

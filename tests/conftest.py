@@ -63,11 +63,11 @@ def theta5_systems():
 def stream_sets(monkeypatch):
     """``count(fn)``: ``fn()`` and the number of stream sets it took.
 
-    A stream set is one pass of ``canon._all_streams`` over the root darts
-    of an embedding.
+    A stream set is one search of ``canon._least`` for the least rooted
+    serialization of an embedding.
     """
     taken = [0]
-    original = canon._all_streams
+    original = canon._least
 
     def counted(e):
         taken[0] += 1
@@ -77,7 +77,32 @@ def stream_sets(monkeypatch):
         taken[0] = 0
         return fn(), taken[0]
 
-    monkeypatch.setattr(canon, "_all_streams", counted)
+    monkeypatch.setattr(canon, "_least", counted)
+    return count
+
+
+@pytest.fixture
+def stream_roots(monkeypatch):
+    """``count(fn)``: ``fn()``, the roots it started and the roots it finished.
+
+    A root is started by a call of ``canon._stream_from`` and finished when
+    that call serializes it to the end instead of pruning it.
+    """
+    started = [0]
+    finished = [0]
+    original = canon._stream_from
+
+    def counted(e, root, best=None):
+        started[0] += 1
+        s = original(e, root, best)
+        finished[0] += s is not None
+        return s
+
+    def count(fn):
+        started[0] = finished[0] = 0
+        return fn(), started[0], finished[0]
+
+    monkeypatch.setattr(canon, "_stream_from", counted)
     return count
 
 

@@ -29,10 +29,12 @@ from rotsys import (
     theta,
     trace_faces,
 )
-from rotsys.canon import canonical_embedding, graph_automorphisms
+from rotsys.canon import _least, _stream_from, canonical_embedding, graph_automorphisms
+from rotsys.core import k5_minus_edge
+from rotsys.enumeration import RotationSpace, genus_distribution, pipeline_k5_stages
 from rotsys.suites import TORUS_TABLE
 
-from conftest import random_embedding, random_relabel
+from conftest import random_embedding, random_graphs, random_relabel
 
 # The published unique double-torus system of K33, vertices A..F as 1..6.
 K33_NEIGHBOR_ROTATIONS = [
@@ -77,6 +79,58 @@ def _embedding_of_complete(n):
     for v in range(1, n + 1):
         rot.append([eid for eid, (a, b) in enumerate(g.edges, start=1) if v in (a, b)])
     return make_embedding(g, rot)
+
+
+def _plain_least(e):
+    """Key, group order and first root from every root's full stream."""
+    s = [_stream_from(e, d) for d in range(2 * e.graph.edge_count)]
+    key = min(s)
+    return key, s.count(key), s.index(key)
+
+
+class TestLeast:
+    """``_least`` prunes roots; it must agree with serializing every root."""
+
+    @staticmethod
+    def orders_checked(embeddings):
+        orders = set()
+        for e in embeddings:
+            for x in (e, reverse(e)):
+                least = _least(x)
+                assert least == _plain_least(x)
+                orders.add(least[1])
+        return orders
+
+    def test_every_system_of_small_graphs(self):
+        orders = set()
+        for g in (complete(4), complete_bipartite(3, 3), theta(5), complete(5), k5_minus_edge()):
+            space = RotationSpace(g)
+            orders |= self.orders_checked(map(space.embedding_at, range(space.total)))
+        assert orders == {1, 2, 3, 4, 5, 6, 10, 12, 18, 20}
+
+    def test_random_multigraphs(self):
+        rng = random.Random(19)
+        embeddings = []
+        for g in random_graphs(23, 40):
+            space = RotationSpace(g)
+            embeddings += [space.embedding_at(rng.randrange(space.total)) for _ in range(25)]
+        assert any(len(set(e.graph.edges)) < e.graph.edge_count for e in embeddings)
+        self.orders_checked(embeddings)
+
+    def test_conftest_group_orders(self, theta5_systems):
+        for order, e in theta5_systems.items():
+            assert self.orders_checked([e]) == {order}
+
+    def test_roots_started_and_finished(self, stream_roots):
+        # Only least-degree roots start (all 20 darts of K5); most are cut
+        # against the least stream so far.  Serializing every root, a K5
+        # chain would start and finish 17,060.
+        assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (2000, 498)
+        pipeline_k5_stages.cache_clear()
+        try:
+            assert stream_roots(pipeline_k5_stages)[1:] == (11480, 2740)
+        finally:
+            pipeline_k5_stages.cache_clear()
 
 
 class TestIsomorphism:
