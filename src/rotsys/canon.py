@@ -147,7 +147,9 @@ def _least(e: Embedding) -> tuple[bytes, int, int]:
     """
     degree = [len(e.rot[v - 1]) for v in e.graph.dart_vertex]
     if not degree:
-        return bytes([e.graph.n, 0]), 1, 0
+        # The one-vertex graph (the only connected edgeless one): one vertex
+        # block of degree 0.
+        return bytes([1, 0, 0]), 1, 0
     low = min(degree)
     key = root = None
     order = 0
@@ -289,6 +291,8 @@ def are_isomorphic(
         _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
     if e1.graph.n != e2.graph.n or e1.graph.edge_count != e2.graph.edge_count:
         return None
+    if not e1.graph.edge_count:
+        return IsoWitness(vertex_map={1: 1}, edge_map={})
     key1, _, root1 = _least(e1)
     key2, _, root2 = _least(e2)
     if key1 != key2:
@@ -420,17 +424,24 @@ def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass
     Stages carry embeddings up to equivalence, so a chiral candidate stands
     for itself and its mirror and both chiralities enter the iso classes.
     The records are those of ``dedup(c + reversals, "iso")`` and
-    ``dedup(c, "equivalence")``, at one stream-set pair per candidate: its
-    key and its reversal's key each name an iso class, the lesser names the
-    equivalence class, and the group order and achirality, which mirrors
-    share, hold for all three.
+    ``dedup(c, "equivalence")``: a candidate's key and its reversal's key
+    each name an iso class, the lesser names the equivalence class, and the
+    group order and achirality, which mirrors share, hold for all three.
+    Each candidate costs one stream set, and its reversal one more only
+    when its key has not been met yet, as a candidate's or as a reversal's:
+    the reversal's key depends on the key alone.
     """
     iso: dict[bytes, tuple[int, bool]] = {}
     equivalence: dict[bytes, tuple[int, bool]] = {}
+    mirror: dict[bytes, bytes] = {}
     for e in candidates:
         _check_guard(e.graph.n, e.graph.edge_count, MAX_VERTICES, MAX_EDGES)
         key, order, _ = _least(e)
-        rkey = _least(reverse(e))[0]
+        rkey = mirror.get(key)
+        if rkey is None:
+            rkey = _least(reverse(e))[0]
+            mirror[key] = rkey
+            mirror[rkey] = key
         data = order, key == rkey
         iso.setdefault(key, data)
         iso.setdefault(rkey, data)
@@ -454,23 +465,26 @@ def _mult_matrix(g: MultiGraph) -> list[list[int]]:
     return m
 
 
-def _vertex_profiles(g: MultiGraph) -> list[tuple]:
-    mat = _mult_matrix(g)
-    profiles = []
-    for v in range(1, g.n + 1):
-        mults = sorted(x for x in mat[v][1:] if x)
-        profiles.append((g.degree(v), tuple(mults)))
-    return profiles
+def _vertex_profiles(mat: list[list[int]]) -> list[tuple]:
+    """Per vertex of a multiplicity matrix: its degree and sorted multiplicities."""
+    return [(sum(row), tuple(sorted(filter(None, row)))) for row in mat[1:]]
 
 
-def _vertex_automorphisms(g: MultiGraph) -> Iterator[list[int]]:
-    """Vertex maps of the automorphisms of ``g``, by backtracking.
+def _vertex_isomorphisms(g: MultiGraph, h: MultiGraph) -> Iterator[list[int]]:
+    """Vertex maps of the isomorphisms from ``g`` onto ``h``, by backtracking.
 
-    Each yielded list maps vertex ``v`` to ``image[v]`` (index 0 unused) and
-    preserves every edge multiplicity.  The list is reused between yields.
+    ``g`` and ``h`` have the same number of vertices.  Each yielded list maps
+    vertex ``v`` of ``g`` to ``image[v]`` of ``h`` (index 0 unused) and
+    carries every edge multiplicity over.  The list is reused between
+    yields.  ``h is g`` gives the automorphisms of ``g``.
     """
     mat = _mult_matrix(g)
-    profiles = _vertex_profiles(g)
+    profiles = _vertex_profiles(mat)
+    if h is g:
+        hmat, hprofiles = mat, profiles
+    else:
+        hmat = _mult_matrix(h)
+        hprofiles = _vertex_profiles(hmat)
     n = g.n
     image = [0] * (n + 1)
     used = [False] * (n + 1)
@@ -480,9 +494,9 @@ def _vertex_automorphisms(g: MultiGraph) -> Iterator[list[int]]:
             yield image
             return
         for w in range(1, n + 1):
-            if used[w] or profiles[w - 1] != profiles[v - 1]:
+            if used[w] or hprofiles[w - 1] != profiles[v - 1]:
                 continue
-            if any(mat[v][u] != mat[w][image[u]] for u in range(1, v)):
+            if any(mat[v][u] != hmat[w][image[u]] for u in range(1, v)):
                 continue
             image[v] = w
             used[w] = True
@@ -491,6 +505,23 @@ def _vertex_automorphisms(g: MultiGraph) -> Iterator[list[int]]:
         image[v] = 0
 
     return extend(1)
+
+
+def _same_graph(g: MultiGraph, h: MultiGraph) -> bool:
+    """Whether ``g`` and ``h`` are isomorphic multigraphs (rotations ignored).
+
+    The answer, and the size guard on both graphs, are those of
+    ``multigraph_key(g) == multigraph_key(h)``; but only graphs with equal
+    sizes and equal sorted vertex profiles reach the search, which stops at
+    the first vertex map.
+    """
+    for x in (g, h):
+        _check_guard(x.n, x.edge_count, MAX_VERTICES, MAX_EDGES)
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    if sorted(_vertex_profiles(_mult_matrix(g))) != sorted(_vertex_profiles(_mult_matrix(h))):
+        return False
+    return next(_vertex_isomorphisms(g, h), None) is not None
 
 
 def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
@@ -514,7 +545,7 @@ def graph_automorphism_count(
     bijection in ``prod(mult!)`` ways over the parallel classes.
     """
     _check_guard(g.n, g.edge_count, max_vertices, max_edges)
-    count = sum(1 for _ in _vertex_automorphisms(g))
+    count = sum(1 for _ in _vertex_isomorphisms(g, g))
     return count * math.prod(math.factorial(len(ds)) for (u, v), ds in _darts_toward(g).items() if u < v)
 
 
@@ -537,7 +568,7 @@ def graph_automorphisms(
     toward = _darts_toward(g)
     classes = [(u, v, darts) for (u, v), darts in toward.items() if u < v]
     perm = [0] * (2 * g.edge_count)
-    for image in _vertex_automorphisms(g):
+    for image in _vertex_isomorphisms(g, g):
         parallel = []  # (darts of a parallel class, darts of its image class)
         for u, v, darts in classes:
             targets = toward[(image[u], image[v])]
@@ -567,7 +598,7 @@ def multigraph_key(
     """
     _check_guard(g.n, g.edge_count, max_vertices, max_edges)
     mat = _mult_matrix(g)
-    profiles = _vertex_profiles(g)
+    profiles = _vertex_profiles(mat)
     n = g.n
     best: list[int] | None = None
     order: list[int] = []

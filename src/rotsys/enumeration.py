@@ -30,10 +30,10 @@ from .canon import (
     _check_mode,
     _class_data,
     _class_record,
+    _same_graph,
     _stage_classes,
     dedup,
     graph_automorphisms,
-    multigraph_key,
 )
 from .core import (
     BudgetExceeded,
@@ -563,12 +563,12 @@ def theta5_classes() -> list[EmbeddingClass]:
     return classes
 
 
-def _edge_additions(e: Embedding, target_key: bytes) -> list[Embedding]:
-    """All single-edge insertions into faces of ``e`` whose graph matches.
+def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
+    """All single-edge insertions into faces of ``e`` whose graph is isomorphic to ``target``.
 
     The graph of an insertion is ``e.graph`` plus the new edge, whatever
-    its corners, so each vertex pair is keyed once and only the corners of
-    accepted pairs are built.
+    its corners, so each vertex pair is tested against ``target`` once, by
+    isomorphism, and only the corners of accepted pairs are built.
     """
     g = e.graph
     faces = trace_faces(e).faces
@@ -583,13 +583,13 @@ def _edge_additions(e: Embedding, target_key: bytes) -> list[Embedding]:
                     continue
                 pair = (x, y) if x < y else (y, x)
                 if pair not in accepted:
-                    accepted[pair] = multigraph_key(MultiGraph(g.n, g.edges + (pair,))) == target_key
+                    accepted[pair] = _same_graph(MultiGraph(g.n, g.edges + (pair,)), target)
                 if accepted[pair]:
                     out.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
     return out
 
 
-def _subdivide_and_join(e: Embedding, target_key: bytes) -> list[Embedding]:
+def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Embedding]:
     """Subdivide each copy of a doubled edge, then join the new vertex in."""
     g = e.graph
     doubled = [
@@ -597,7 +597,7 @@ def _subdivide_and_join(e: Embedding, target_key: bytes) -> list[Embedding]:
     ]
     out = []
     for eid in doubled:
-        out.extend(_edge_additions(subdivide_edge(e, eid), target_key))
+        out.extend(_edge_additions(subdivide_edge(e, eid), target))
     return out
 
 
@@ -628,7 +628,7 @@ class K33PipelineResult:
 
 def pipeline_k33_stages() -> K33PipelineResult:
     """Double path splits of the theta(5) classes, filtered to K33, deduped."""
-    k33_key = multigraph_key(complete_bipartite(3, 3))
+    k33 = complete_bipartite(3, 3)
     theta5 = theta5_classes()
     counts = []
     candidates: list[Embedding] = []
@@ -636,7 +636,7 @@ def pipeline_k33_stages() -> K33PipelineResult:
         mine = []
         for first in _path_splits(c.representative, 1):
             mine.extend(emb for emb in _path_splits(first, 2))
-        mine = [emb for emb in mine if multigraph_key(emb.graph) == k33_key]
+        mine = [emb for emb in mine if _same_graph(emb.graph, k33)]
         counts.append(len(mine))
         candidates.extend(mine)
     classes = dedup(candidates, "equivalence")
@@ -686,20 +686,20 @@ def pipeline_k5_stages() -> K5PipelineResult:
         w4_candidates.extend(all_splits(c.representative, w4_graph))
     w4 = dedup(w4_candidates, "equivalence")
 
-    k5m_key = multigraph_key(k5_minus_edge())
+    k5m_graph = k5_minus_edge()
     from_w4: list[Embedding] = []
     for c in w4:
-        from_w4.extend(_edge_additions(c.representative, k5m_key))
+        from_w4.extend(_edge_additions(c.representative, k5m_graph))
     from_k4p: list[Embedding] = []
     for c in k4p:
-        from_k4p.extend(_subdivide_and_join(c.representative, k5m_key))
+        from_k4p.extend(_subdivide_and_join(c.representative, k5m_graph))
     k5m_candidates = from_w4 + from_k4p
     k5m_iso, k5m = _stage_classes(k5m_candidates)
 
-    k5_key = multigraph_key(complete(5))
+    k5_graph = complete(5)
     k5_candidates: list[Embedding] = []
     for c in k5m:
-        k5_candidates.extend(_edge_additions(c.representative, k5_key))
+        k5_candidates.extend(_edge_additions(c.representative, k5_graph))
     k5_iso, k5 = _stage_classes(k5_candidates)
 
     return K5PipelineResult(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import canonical_embedding, canonical_key, multigraph_key
+from .canon import _same_graph, canonical_embedding, canonical_key
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -316,7 +316,7 @@ def partition_split_specs(e: Embedding, vertex: int, new_edge_id: int | None = N
 
 
 def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
-    """Expansions of ``e`` by vertex splitting whose graph matches ``target``.
+    """Expansions of ``e`` by vertex splitting whose graph is isomorphic to ``target``.
 
     One split when the target has one vertex more; longer chains (for path
     expansions) otherwise.  A single-step call returns the raw candidate
@@ -328,13 +328,12 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
         raise ValueError("target must have more vertices than the embedding")
     if target.edge_count != e.graph.edge_count + depth:
         return []
-    tkey = multigraph_key(target)
     if depth == 1:
         out = []
         for v in range(1, e.graph.n + 1):
             for spec in partition_split_specs(e, v):
                 child = split_vertex(e, spec)
-                if multigraph_key(child.graph) == tkey:
+                if _same_graph(child.graph, target):
                     out.append(child)
         return out
 
@@ -346,4 +345,4 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
                 for spec in partition_split_specs(emb, v):
                     seen.add(canonical_key(split_vertex(emb, spec)))
         frontier = [canonical_embedding(k) for k in sorted(seen)]
-    return [emb for emb in frontier if multigraph_key(emb.graph) == tkey]
+    return [emb for emb in frontier if _same_graph(emb.graph, target)]

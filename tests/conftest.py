@@ -107,23 +107,32 @@ def stream_roots(monkeypatch):
 
 
 @pytest.fixture
-def multigraph_keys(monkeypatch):
-    """``count(fn)``: ``fn()`` and the number of ``multigraph_key`` calls it made.
+def graph_tests(monkeypatch):
+    """``count(fn)``: ``fn()``, its graph tests and the searches they started.
 
-    The calls are counted under the names that ``enumeration`` and
-    ``surgery`` imported from ``canon``.
+    A graph test is one call of ``canon._same_graph``, counted under the
+    names that ``enumeration`` and ``surgery`` imported from ``canon``; a
+    search is one call of ``canon._vertex_isomorphisms``, which only tests
+    past the size and profile checks start.
     """
-    taken = [0]
-    original = canon.multigraph_key
+    tests = [0]
+    searches = [0]
+    same_graph = canon._same_graph
+    isomorphisms = canon._vertex_isomorphisms
 
-    def counted(g, **kwargs):
-        taken[0] += 1
-        return original(g, **kwargs)
+    def counted_test(g, h):
+        tests[0] += 1
+        return same_graph(g, h)
+
+    def counted_search(g, h):
+        searches[0] += 1
+        return isomorphisms(g, h)
 
     def count(fn):
-        taken[0] = 0
-        return fn(), taken[0]
+        tests[0] = searches[0] = 0
+        return fn(), tests[0], searches[0]
 
     for module in (canon, enumeration, surgery):
-        monkeypatch.setattr(module, "multigraph_key", counted)
+        monkeypatch.setattr(module, "_same_graph", counted_test)
+    monkeypatch.setattr(canon, "_vertex_isomorphisms", counted_search)
     return count

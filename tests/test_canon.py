@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from rotsys import (
     NON_ORIENTABLE,
     ORIENTABLE,
+    IsoWitness,
+    MultiGraph,
     SizeGuardExceeded,
     apply_iso,
     are_isomorphic,
@@ -23,13 +28,22 @@ from rotsys import (
     graph_automorphism_count,
     make_embedding,
     multigraph_key,
+    octahedron,
     petersen,
     prism,
     reverse,
     theta,
     trace_faces,
 )
-from rotsys.canon import _least, _stream_from, canonical_embedding, graph_automorphisms
+from rotsys.canon import (
+    _least,
+    _mult_matrix,
+    _same_graph,
+    _stream_from,
+    _vertex_profiles,
+    canonical_embedding,
+    graph_automorphisms,
+)
 from rotsys.core import k5_minus_edge
 from rotsys.enumeration import RotationSpace, genus_distribution, pipeline_k5_stages
 from rotsys.suites import TORUS_TABLE
@@ -128,7 +142,7 @@ class TestLeast:
         assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (2000, 498)
         pipeline_k5_stages.cache_clear()
         try:
-            assert stream_roots(pipeline_k5_stages)[1:] == (11480, 2740)
+            assert stream_roots(pipeline_k5_stages)[1:] == (6930, 1629)
         finally:
             pipeline_k5_stages.cache_clear()
 
@@ -145,6 +159,15 @@ class TestIsomorphism:
 
     def test_non_isomorphic_theta5(self, theta5_systems):
         assert are_isomorphic(theta5_systems[10], theta5_systems[5]) is None
+
+    def test_one_vertex_graph(self):
+        e = make_embedding(MultiGraph(1, ()), [()])
+        assert are_isomorphic(e, e) == IsoWitness(vertex_map={1: 1}, edge_map={})
+        key = canonical_key(e)
+        assert key == bytes([1, 0, 0])
+        assert canonical_embedding(key) == e
+        (c,) = dedup([e, e], "equivalence")
+        assert (c.genus, c.group_order, c.chirality) == (0, 1, NON_ORIENTABLE)
 
     def test_genus_and_groups_agree_on_equal_keys(self):
         rng = random.Random(14)
@@ -298,3 +321,81 @@ class TestMultigraphKey:
     def test_distinguishes(self):
         assert multigraph_key(prism(3)) != multigraph_key(complete_bipartite(3, 3))
         assert multigraph_key(theta(3)) != multigraph_key(theta(4))
+
+
+def _relabelled_graph(rng, g):
+    """``g`` with its vertices permuted and its edges shuffled."""
+    vperm = list(range(1, g.n + 1))
+    rng.shuffle(vperm)
+    edges = [(vperm[v - 1], vperm[u - 1]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return MultiGraph(g.n, tuple(edges))
+
+
+def _plus(g, *extra):
+    return MultiGraph(g.n, g.edges + extra)
+
+
+# Equal sizes and equal sorted vertex profiles, yet not isomorphic.
+K5_MINUS = k5_minus_edge()  # vertices 4 and 5 are not adjacent
+PROFILE_TWINS = [
+    (prism(3), complete_bipartite(3, 3)),
+    (_plus(prism(3), (1, 2)), _plus(prism(3), (1, 4))),
+    (_plus(K5_MINUS, (1, 2), (1, 4), (3, 5)), _plus(K5_MINUS, (1, 2), (3, 4), (3, 5))),
+]
+
+
+def _plain_automorphism_count(g):
+    """Vertex permutations keeping every multiplicity, times the parallel-edge bijections."""
+    mult = Counter(frozenset(e) for e in g.edges)
+    vertex_maps = sum(
+        all(mult[frozenset(p[u - 1] for u in pair)] == k for pair, k in mult.items())
+        for p in permutations(range(1, g.n + 1))
+    )
+    return vertex_maps * math.prod(math.factorial(k) for k in mult.values())
+
+
+class TestSameGraph:
+    """``_same_graph`` against comparing ``multigraph_key``."""
+
+    @staticmethod
+    def check_pairs(pairs):
+        graphs = {id(g): g for pair in pairs for g in pair}
+        keys = {i: multigraph_key(g) for i, g in graphs.items()}
+        same = 0
+        for g, h in pairs:
+            equal = keys[id(g)] == keys[id(h)]
+            assert _same_graph(g, h) == equal
+            same += equal
+        return same
+
+    def test_torus_table_pairs(self):
+        graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
+        assert self.check_pairs([(g, h) for g in graphs for h in graphs]) == len(graphs)
+
+    def test_random_graphs_and_relabellings(self):
+        rng = random.Random(37)
+        graphs = random_graphs(41, 40)
+        relabelled = [_relabelled_graph(rng, g) for g in graphs]
+        assert self.check_pairs(list(zip(graphs, relabelled))) == len(graphs)
+        assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+        assert self.check_pairs([(g, h) for g in graphs for h in relabelled]) > len(graphs)
+
+    def test_profile_twins(self):
+        for g, h in PROFILE_TWINS:
+            assert sorted(_vertex_profiles(_mult_matrix(g))) == sorted(_vertex_profiles(_mult_matrix(h)))
+            assert self.check_pairs([(g, h), (h, g), (g, g)]) == 1
+
+    def test_size_guard_on_both_graphs(self):
+        big = complete(17)
+        for g, h in ((big, complete(5)), (complete(5), big)):
+            with pytest.raises(SizeGuardExceeded):
+                _same_graph(g, h)
+
+    def test_automorphism_counts_of_the_named_graphs(self):
+        graphs = [g for pair in PROFILE_TWINS for g in pair]
+        graphs += [K5_MINUS, complete(4), complete(5), theta(5), octahedron()]
+        for g in graphs:
+            count = _plain_automorphism_count(g)
+            assert graph_automorphism_count(g) == count
+            assert len(set(graph_automorphisms(g))) == count

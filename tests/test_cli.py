@@ -40,6 +40,14 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "3 embeddings, 3 equivalence classes" in out
 
+    def test_classify_one_vertex_graph(self, tmp_path, capsys):
+        path = tmp_path / "one.emb"
+        path.write_text("graph one\nvertices 1\nrot 1:\n")
+        assert main(["classify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 embeddings, 1 iso classes" in out
+        assert out.count("genus=0") == 1
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["genus", "no/such/file.emb"]) == 2
 

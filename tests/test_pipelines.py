@@ -7,10 +7,13 @@ from collections import Counter
 
 from rotsys import (
     are_isomorphic,
+    canon,
     complete,
     complete_bipartite,
+    enumeration,
     exhaustive_classes,
     reverse,
+    surgery,
     trace_faces,
 )
 from rotsys.enumeration import (
@@ -56,15 +59,13 @@ class TestK5Chain:
 
     def test_w4_addition_count_is_18_each(self):
         st = pipeline_k5_stages()
-        key = multigraph_key(k5_minus_edge())
         for c in st.w4:
-            assert len(_edge_additions(c.representative, key)) == 18
+            assert len(_edge_additions(c.representative, k5_minus_edge())) == 18
 
     def test_k4_plus_subdivide_join_count_is_24_each(self):
         st = pipeline_k5_stages()
-        key = multigraph_key(k5_minus_edge())
         for c in st.k4_plus:
-            assert len(_subdivide_and_join(c.representative, key)) == 24
+            assert len(_subdivide_and_join(c.representative, k5_minus_edge())) == 24
 
     def test_k5_minus_stage(self):
         st = pipeline_k5_stages()
@@ -97,14 +98,14 @@ class TestK5Chain:
 
 def _stage_candidates(st):
     """The candidates of each stage of ``st``, rebuilt from the stage before."""
-    k5m_key, k5_key = multigraph_key(k5_minus_edge()), multigraph_key(complete(5))
+    k5m, k5 = k5_minus_edge(), complete(5)
     return {
         "t123": [e for c in st.theta5 for e in all_splits(c.representative, triangle_multi(1, 2, 3))],
         "k4_plus": [e for c in st.t123 for e in all_splits(c.representative, k4_plus())],
         "w4": [e for c in st.k4_plus for e in all_splits(c.representative, wheel(4))],
-        "k5_minus": [e for c in st.w4 for e in _edge_additions(c.representative, k5m_key)]
-        + [e for c in st.k4_plus for e in _subdivide_and_join(c.representative, k5m_key)],
-        "k5": [e for c in st.k5_minus for e in _edge_additions(c.representative, k5_key)],
+        "k5_minus": [e for c in st.w4 for e in _edge_additions(c.representative, k5m)]
+        + [e for c in st.k4_plus for e in _subdivide_and_join(c.representative, k5m)],
+        "k5": [e for c in st.k5_minus for e in _edge_additions(c.representative, k5)],
     }
 
 
@@ -144,7 +145,8 @@ class TestStageShortcuts:
         assert len(eq) < len(embs)
 
     def test_edge_additions_match_the_build_every_candidate_filter(self):
-        def built_then_filtered(e, target_key):
+        def built_then_filtered(e, target):
+            target_key = multigraph_key(target)
             faces = trace_faces(e).faces
             dv = e.graph.dart_vertex
             out = []
@@ -159,24 +161,29 @@ class TestStageShortcuts:
             return out
 
         st = pipeline_k5_stages()
-        k5m_key, k5_key = multigraph_key(k5_minus_edge()), multigraph_key(complete(5))
-        cases = [(c.representative, k5m_key) for c in st.w4]
-        cases += [(e, k5m_key) for c in st.k4_plus for e in _doubled_subdivisions(c.representative)]
-        cases += [(c.representative, k5_key) for c in st.k5_minus]
+        k5m, k5 = k5_minus_edge(), complete(5)
+        cases = [(c.representative, k5m) for c in st.w4]
+        cases += [(e, k5m) for c in st.k4_plus for e in _doubled_subdivisions(c.representative)]
+        cases += [(c.representative, k5) for c in st.k5_minus]
         assert len(cases) == 4 + 5 * 2 + 39
-        for e, key in cases:
-            assert _edge_additions(e, key) == built_then_filtered(e, key)
+        for e, target in cases:
+            assert _edge_additions(e, target) == built_then_filtered(e, target)
 
-    def test_cold_k5_chain_work_counts(self, stream_sets, multigraph_keys):
+    def test_cold_k5_chain_work_counts(self, stream_sets, graph_tests, monkeypatch):
         # Cleared before and after, so no other test meets a cache state
-        # it did not expect.
+        # it did not expect.  No pipeline path computes a graph key.
+        def no_key(g, **kwargs):
+            raise AssertionError("multigraph_key called")
+
+        for module in (canon, enumeration, surgery):
+            monkeypatch.setattr(module, "multigraph_key", no_key, raising=False)
         pipeline_k5_stages.cache_clear()
         try:
-            (_, keys), sets = stream_sets(lambda: multigraph_keys(pipeline_k5_stages))
+            (_, tests, searches), sets = stream_sets(lambda: graph_tests(pipeline_k5_stages))
         finally:
             pipeline_k5_stages.cache_clear()
-        assert sets == 936
-        assert keys == 809
+        assert sets == 581
+        assert (tests, searches) == (793, 130)
 
 
 class TestK33Chain:
