@@ -3,13 +3,12 @@ r"""Rotation-space scanning: count the faces of every rotation system.
 The space of rotation systems of a graph is the product, over vertices, of
 the (deg - 1)! cyclic orders of the incident darts (least dart pinned
 first, so each cyclic order appears exactly once).  A system is addressed
-by a mixed-radix index with vertex 1 as the fastest digit; scanning a
-contiguous index range visits systems in a deterministic order, which is
-what makes multi-worker runs reproducible.
+by a mixed-radix index with vertex 1 as the fastest digit.
 
 Faces are the orbits of ``d -> succ[d ^ 1]``.  :func:`scan` is the one
 routine that counts them; every scan in the package goes through it.
-Passing a subset of a vertex's orders (for instance one order, to pin
+It scans the whole product of the order lists it is given, in one pass;
+passing a subset of a vertex's orders (for instance one order, to pin
 that vertex) scans the matching subspace.
 
 The scan fixes the vertices' orders one vertex at a time (vertex
@@ -22,7 +21,7 @@ the order rho at a vertex w of S gives the state of ``S - {w}`` and
 closes the faces whose cycles of ``rho . P`` stay inside w's darts.  The
 faces of every completion depend on the state alone, so each level keeps
 the face-count histogram of the completions of each state it meets (up
-to :data:`_MAX_TABLE` states per block; beyond that they are
+to :data:`_MAX_TABLE` states per scan; beyond that they are
 recomputed), and the last vertex counts the cycles of ``rho . P`` for all
 its orders at once (:func:`_row`).  A second walk descends only into states whose
 histogram holds the face count still needed, which finds the matching
@@ -31,9 +30,7 @@ indices.
 Vertices are eliminated greedily, each time the one that leaves the
 fewest boundary darts (the one with fewer orders on ties), which keeps
 the states few and short; levels with one order, such as a pinned
-vertex, are stepped through without branching or memoising.  A range ``lo..hi`` is cut into aligned blocks in index order:
-in each, the digits above some vertex j are fixed, j runs over an
-interval of its digits, and the digits below j are free.
+vertex, are stepped through without branching or memoising.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from itertools import permutations
 # environment fingerprint reads it.
 HAVE_NUMBA = False
 
-# Most states :func:`scan` memoises in one block, over all levels.  A state
+# Most states one :func:`scan` memoises, over all levels.  A state
 # costs a few hundred bytes; the pinned K6 space needs about 3,000.
 _MAX_TABLE = 1 << 16
 
@@ -117,11 +114,10 @@ class _Level:
     that follows w's a-th dart under o.
     """
 
-    __slots__ = ("vertex", "code", "heads", "tail", "deg", "rs")
+    __slots__ = ("code", "heads", "tail", "deg", "rs")
 
-    def __init__(self, vertex: int, code: list[int], heads: list[int], tail: tuple[int, ...], deg: int,
-                 rs: list[list[int]]):
-        self.vertex, self.code, self.heads, self.tail, self.deg, self.rs = vertex, code, heads, tail, deg, rs
+    def __init__(self, code: list[int], heads: list[int], tail: tuple[int, ...], deg: int, rs: list[list[int]]):
+        self.code, self.heads, self.tail, self.deg, self.rs = code, heads, tail, deg, rs
 
 
 def _levels(
@@ -152,7 +148,7 @@ def _levels(
                 fwd[loc[d]] = at[s] if s in at else exit_at[s]
             rs.append(fwd[::-1])
         heads = kept + list(range(m + nn, m + 2 * nn))
-        levels.append(_Level(w, code, heads, tuple(range(m, m + 2 * nn)), deg, rs))
+        levels.append(_Level(code, heads, tuple(range(m, m + 2 * nn)), deg, rs))
         bound = [bound[i] for i in kept] + [darts[a] ^ 1 for a in inner]
         fixed[w] = True
     at = {d: i for i, d in enumerate(bound)}
@@ -166,7 +162,7 @@ def _levels(
 
 
 def _step(lv: _Level, rs: list[int], p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The next state after fixing ``lv.vertex`` by successors ``rs``, and the faces it closes."""
+    """The next state after fixing the vertex of ``lv`` by successors ``rs``, and the faces it closes."""
     code = lv.code
     pe = p + lv.tail
     mark = [0] * lv.deg
@@ -188,19 +184,18 @@ def _step(lv: _Level, rs: list[int], p: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(q), closed
 
 
-class _Block:
-    """One aligned block of a scan: per level, the successor lists and index of its orders, and the memo.
+class _Scan:
+    """One scan: its levels, the radix place of each level's vertex, and the memo.
 
     A histogram is one integer with ``width`` bits per face count, wide
-    enough for the number of systems in the block, so merging two costs one
+    enough for the number of systems in the space, so merging two costs one
     shift and one add.
     """
 
-    __slots__ = ("levels", "rs", "first", "place", "rhos", "last", "width", "memo", "rows", "room")
+    __slots__ = ("levels", "place", "rhos", "last", "width", "memo", "rows", "room")
 
-    def __init__(self, levels: list[_Level], rs: list[list[list[int]]], first: list[int], place: list[int],
-                 rhos: list[list[int]], size: int):
-        self.levels, self.rs, self.first, self.place, self.rhos = levels, rs, first, place, rhos
+    def __init__(self, levels: list[_Level], place: list[int], rhos: list[list[int]], size: int):
+        self.levels, self.place, self.rhos = levels, place, rhos
         self.last = len(levels)
         self.width = size.bit_length()
         self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(self.last + 1)]
@@ -208,22 +203,22 @@ class _Block:
         self.room = _MAX_TABLE
 
 
-def _through(b: _Block, k: int, p: tuple[int, ...]) -> tuple[int, tuple[int, ...], int, int]:
+def _through(b: _Scan, k: int, p: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
     """Step over the one-order levels from ``k``.
 
-    Returns the next level that branches (or the last), its state, the
-    faces closed on the way and the index the fixed digits add.
+    Returns the next level that branches (or the last), its state and the
+    faces closed on the way.  A one-order level's digit is 0, so it adds
+    nothing to an index.
     """
-    closed = base = 0
-    while k < b.last and len(b.rs[k]) == 1:
-        p, c = _step(b.levels[k], b.rs[k][0], p)
+    closed = 0
+    while k < b.last and len(b.levels[k].rs) == 1:
+        p, c = _step(b.levels[k], b.levels[k].rs[0], p)
         closed += c
-        base += b.first[k] * b.place[k]
         k += 1
-    return k, p, closed, base
+    return k, p, closed
 
 
-def _hist(b: _Block, k: int, p: tuple[int, ...]) -> int:
+def _hist(b: _Scan, k: int, p: tuple[int, ...]) -> int:
     """The face-count histogram of the completions of state ``p`` at level ``k``."""
     memo = b.memo[k]
     h = memo.get(p)
@@ -235,7 +230,7 @@ def _hist(b: _Block, k: int, p: tuple[int, ...]) -> int:
     return h
 
 
-def _where(b: _Block, p: tuple[int, ...]) -> dict[int, list[int]]:
+def _where(b: _Scan, p: tuple[int, ...]) -> dict[int, list[int]]:
     """:func:`_row` of state ``p`` at the last level, memoised like the histograms."""
     where = b.rows.get(p)
     if where is None:
@@ -246,106 +241,77 @@ def _where(b: _Block, p: tuple[int, ...]) -> dict[int, list[int]]:
     return where
 
 
-def _expand(b: _Block, k: int, p: tuple[int, ...]) -> int:
+def _expand(b: _Scan, k: int, p: tuple[int, ...]) -> int:
     """:func:`_hist` of a state not in the memo."""
     width = b.width
     if k == b.last:
         return sum(len(ks) << width * c for c, ks in _where(b, p).items())
     lv = b.levels[k]
     tally: dict[tuple[tuple[int, ...], int], int] = {}
-    for rs in b.rs[k]:
+    for rs in lv.rs:
         child = _step(lv, rs, p)
         tally[child] = tally.get(child, 0) + 1
     hist = 0
     for (q, c), times in tally.items():
-        k2, q2, c2, _ = _through(b, k + 1, q)
+        k2, q2, c2 = _through(b, k + 1, q)
         hist += times * _hist(b, k2, q2) << width * (c + c2)
     return hist
 
 
-def _collect(b: _Block, k: int, p: tuple[int, ...], need: int, base: int) -> list[int]:
+def _collect(b: _Scan, k: int, p: tuple[int, ...], need: int) -> list[int]:
     """The indices of the completions of state ``p`` at level ``k`` with ``need`` more faces.
 
     The walk goes level by level, and the partial indices that reach one
     state with one face count still needed are stepped on together, so no
-    state is stepped twice for one count.  ``base`` is the index of ``p``.
+    state is stepped twice for one count.
     """
     width = b.width
     mask = (1 << width) - 1
-    frontier = {(p, need): [base]}
+    frontier = {(p, need): [0]}
     while k < b.last:
-        lv, first, place = b.levels[k], b.first[k], b.place[k]
+        lv, place = b.levels[k], b.place[k]
         below: dict[tuple[tuple[int, ...], int], list[int]] = {}
         for (p, need), bases in frontier.items():
-            for d, rs in enumerate(b.rs[k]):
+            for d, rs in enumerate(lv.rs):
                 q, c = _step(lv, rs, p)
-                k2, q2, c2, b2 = _through(b, k + 1, q)
+                k2, q2, c2 = _through(b, k + 1, q)
                 n2 = need - c - c2
                 if n2 >= 0 and _hist(b, k2, q2) >> width * n2 & mask:
-                    off = (first + d) * place + b2
+                    off = d * place
                     below.setdefault((q2, n2), []).extend([i + off for i in bases])
         frontier, k = below, k2
-    first, place = b.first[k], b.place[k]
+    place = b.place[k]
     out: list[int] = []
     for (p, need), bases in frontier.items():
         for d in _where(b, p).get(need, ()):
-            off = (first + d) * place
+            off = d * place
             out.extend([i + off for i in bases])
     return out
 
 
-def scan(
-    orders: list[list[tuple[int, ...]]],
-    nd: int,
-    lo: int,
-    hi: int,
-    target_f: int,
-) -> tuple[list[int], list[int]]:
-    """Count faces for systems ``lo..hi-1``; collect indices with ``target_f`` faces.
+def scan(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> tuple[list[int], list[int]]:
+    """Count faces for every system of the product of ``orders``; collect those with ``target_f`` faces.
 
-    Returns the histogram over face counts ``0..nd+1`` and the matching
-    indices in ascending order.
+    Every vertex needs at least one order.  Returns the histogram over face
+    counts ``0..nd+1`` and the matching indices in ascending order.
     """
-    hist = [0] * (nd + 2)
-    matches: list[int] = []
-    if hi <= lo:
-        return hist, matches
-    nv = len(orders)
-    counts = [len(o) for o in orders]
-    places = [1]
-    for c in counts:
-        places.append(places[-1] * c)
     vertex_of = [0] * nd
     for v, o in enumerate(orders):
         for d in o[0]:
             vertex_of[d] = v
     seq = _elimination_order(orders, vertex_of)
     levels, rhos = _levels(orders, seq, vertex_of)
-    pos = lo
-    while pos < hi:
-        # The block: the digits below j run free, j's run from a to e - 1,
-        # and those above are pos's.
-        j = 0
-        while j + 1 < nv and pos % places[j + 1] == 0 and pos + places[j + 1] <= hi:
-            j += 1
-        a = pos // places[j] % counts[j]
-        e = min(counts[j], a + (hi - pos) // places[j])
-        cut = [slice(0, c) for c in counts[:j]] + [slice(a, e)]
-        cut += [slice(d, d + 1) for d in (pos // places[v] % counts[v] for v in range(j + 1, nv))]
-        block = _Block(
-            levels,
-            [lv.rs[cut[lv.vertex]] for lv in levels],
-            [cut[w].start for w in seq],
-            [places[w] for w in seq],
-            rhos[cut[seq[-1]]],
-            (e - a) * places[j],
-        )
-        k, p, closed, base = _through(block, 0, ())
-        top = _hist(block, k, p)
-        mask = (1 << block.width) - 1
-        for f in range(closed, nd + 2):
-            hist[f] += top >> block.width * (f - closed) & mask
-        if 0 <= target_f - closed and top >> block.width * (target_f - closed) & mask:
-            matches.extend(sorted(_collect(block, k, p, target_f - closed, base)))
-        pos += (e - a) * places[j]
+    places = [1]
+    for o in orders:
+        places.append(places[-1] * len(o))
+    b = _Scan(levels, [places[w] for w in seq], rhos, places[-1])
+    k, p, closed = _through(b, 0, ())
+    top = _hist(b, k, p)
+    mask = (1 << b.width) - 1
+    hist = [0] * (nd + 2)
+    for f in range(closed, nd + 2):
+        hist[f] = top >> b.width * (f - closed) & mask
+    matches: list[int] = []
+    if 0 <= target_f - closed and top >> b.width * (target_f - closed) & mask:
+        matches = sorted(_collect(b, k, p, target_f - closed))
     return hist, matches

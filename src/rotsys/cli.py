@@ -13,8 +13,7 @@ Commands::
     rotsys convert {appendixA,appendixB} F   published tables -> native format
 
 Exit status: 0 on success (and full suite pass), 1 on verification
-failure, 2 on input or budget errors.  Worker count comes from
-``--workers`` or the ``ROTSYS_WORKERS`` environment variable.
+failure, 2 on input or budget errors.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def _cmd_enumerate(args) -> int:
             )
         return 0
     classes = en.exhaustive_classes(graph, genus=args.genus, faces=1 if args.one_face else None,
-                                    mode=mode, budget=args.budget, workers=args.workers)
+                                    mode=mode, budget=args.budget)
     orc = sum(1 for c in classes if c.chirality == "orientable")
     print(
         f"graph {args.graph}: {len(classes)} {mode} classes"
@@ -167,9 +166,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(
-        args.suite, include_slow=args.include_slow, budget=args.budget, workers=args.workers
-    )
+    report = run_suite(args.suite, budget=args.budget)
     print(report.render_table())
     print()
     print(report.render_tsv())
@@ -192,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="2-cell embeddings of loopless multigraphs on orientable surfaces",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_workers(sp):
-        sp.add_argument("--workers", type=int, default=None, help="parallel workers (default: ROTSYS_WORKERS or 1)")
 
     def add_budget(sp):
         sp.add_argument("--budget", type=int, default=en.DEFAULT_BUDGET,
@@ -223,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--one-face", action="store_true", help="filter to single-face systems")
     sp.add_argument("--mode", choices=("iso", "equiv"), default="iso")
     add_budget(sp)
-    add_workers(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("pipeline", help="run an expansion chain")
@@ -239,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    sp.add_argument("--include-slow", action="store_true")
     sp.add_argument("--budget", type=int, default=None)
-    add_workers(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("convert", help="convert published tables to the native format")

@@ -288,7 +288,7 @@ def trace_faces(e: Embedding) -> FaceSet:
     nd = 2 * g.edge_count
     succ = e.succ
     visited = [False] * nd
-    faces = []
+    faces = [] if nd else [()]  # a single bare vertex bounds one spherical face, with an empty walk
     for d0 in range(nd):
         if visited[d0]:
             continue
@@ -298,13 +298,11 @@ def trace_faces(e: Embedding) -> FaceSet:
             visited[d] = True
             walk.append(d)
             d = succ[d ^ 1]
-        faces.append(tuple(walk))
-    faces.sort(key=lambda w: w[0])
-    f = len(faces) if nd else 1  # a single bare vertex bounds one spherical face
-    chi = g.n - g.edge_count + f
+        faces.append(tuple(walk))  # starts at its least dart, so faces are sorted by it
+    chi = g.n - g.edge_count + len(faces)
     if chi % 2 != 0 or chi > 2:
         raise AssertionError(f"impossible Euler characteristic {chi}")
-    stats = SurfaceStats(g.n, g.edge_count, f, (2 - chi) // 2)
+    stats = SurfaceStats(g.n, g.edge_count, len(faces), (2 - chi) // 2)
     return FaceSet(tuple(faces), stats)
 
 

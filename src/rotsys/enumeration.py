@@ -16,11 +16,9 @@ and 5), which the chord-diagram analysis shows to be the only ones.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from multiprocessing import get_context
 from typing import Iterator, Sequence
 
 from . import _kernel
@@ -73,13 +71,6 @@ def _stored_automorphisms(graph: MultiGraph) -> list[bytes] | None:
     """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
     stored = list(islice(graph_automorphisms(graph), MAX_STORED_AUTOMORPHISMS + 1))
     return stored if len(stored) <= MAX_STORED_AUTOMORPHISMS else None
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("ROTSYS_WORKERS")
-    return max(1, int(env)) if env else 1
 
 
 class RotationSpace:
@@ -231,40 +222,18 @@ def _check_budget(graph: MultiGraph, budget: int) -> None:
         raise BudgetExceeded(total, budget)
 
 
-def _scan(
-    orders: list[list[tuple[int, ...]]], nd: int, target_f: int, workers: int | None
-) -> tuple[list[int], list[int]]:
-    """:func:`_kernel.scan` over the product of ``orders``, split in contiguous chunks.
-
-    Each worker gets the order lists with its chunk, so no worker builds
-    the space again; the histogram and the matches (in index order) do not
-    depend on the worker count.
-    """
-    total = math.prod(len(o) for o in orders)
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or total < nworkers:
-        return _kernel.scan(orders, nd, 0, total, target_f)
-    step = -(-total // nworkers)
-    chunks = [(orders, nd, lo, min(lo + step, total), target_f) for lo in range(0, total, step)]
-    with get_context("fork").Pool(nworkers) as pool:
-        parts = pool.starmap(_kernel.scan, chunks)
-    return [sum(h[f] for h, _ in parts) for f in range(nd + 2)], [i for _, m in parts for i in m]
-
-
 def scan_rotation_space(
     graph: MultiGraph,
     target_f: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
 ) -> tuple[dict[int, int], list[int]]:
     """Face-count histogram over all systems, plus indices with ``target_f`` faces.
 
-    ``target_f = -1`` collects no indices (histogram only).  The histogram
-    and index list are independent of the worker count.
+    ``target_f = -1`` collects no indices (histogram only).
     """
     _check_budget(graph, budget)
-    hist, matches = _scan(RotationSpace(graph).orders, 2 * graph.edge_count, target_f, workers)
+    hist, matches = _kernel.scan(RotationSpace(graph).orders, 2 * graph.edge_count, target_f)
     return {f: c for f, c in enumerate(hist) if c}, matches
 
 
@@ -299,8 +268,7 @@ def exhaustive_classes(
     under Aut(G), or Aut(G) x mirror, marked (see
     :meth:`RotationSpace.orbits`).  Only these first members go to
     :func:`dedup`, so each class costs two stream sets in either mode.
-    Output is sorted by canonical key, independent of the worker count,
-    which splits the scan.
+    Output is sorted by canonical key.  ``workers`` has no effect.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -314,7 +282,7 @@ def exhaustive_classes(
     v, reps = space._pin(mirror, stored)
     orders = list(space.orders)
     orders[v] = [orders[v][d] for d in reps]
-    _, matches = _scan(orders, 2 * graph.edge_count, f, workers)
+    _, matches = _kernel.scan(orders, 2 * graph.edge_count, f)
     # Back to the full space: the digits below v keep their places, v's
     # digit becomes its representative's, and the digits above move up.
     place, count = math.prod(space.counts[:v]), space.counts[v]
@@ -416,7 +384,7 @@ def theta_embeddings(
         raise BudgetExceeded(math.factorial(m - 1), budget)
     u_orders, v_orders = _kernel.build_orders(list(graph.darts_at))
     pinned = [u_orders[:1], v_orders]
-    _, matches = _kernel.scan(pinned, 2 * m, 0, len(v_orders), f)
+    _, matches = _kernel.scan(pinned, 2 * m, f)
     return dedup((Embedding(graph, (pinned[0][0], v_orders[i])) for i in matches), mode)
 
 

@@ -96,8 +96,8 @@ def _group_multiset(classes) -> str:
     return ",".join(f"{order}^{counts[order]}" for order in sorted(counts, reverse=True))
 
 
-def _suite_core(report: VerificationReport, budget: int, workers: int | None) -> None:
-    theta5 = en.exhaustive_classes(theta(5), genus=2, mode="equivalence", budget=budget, workers=workers)
+def _suite_core(report: VerificationReport, budget: int) -> None:
+    theta5 = en.exhaustive_classes(theta(5), genus=2, mode="equivalence", budget=budget)
     report.check("theta5 double-torus classes", 3, len(theta5))
     report.check("theta5 group orders", "10^1,5^1,2^1", _group_multiset(theta5))
     report.check("theta5 chirality", "all non_orientable",
@@ -114,8 +114,7 @@ def _suite_core(report: VerificationReport, budget: int, workers: int | None) ->
     report.check("K5-uv candidates (from W4 + from K4plus)", "72+120",
                  "%d+%d" % st.k5_minus_candidates)
     report.check("K5-uv iso classes", 60, len(st.k5_minus_iso))
-    exh_k5uv = en.exhaustive_classes(build_graph("k5_minus_edge"), genus=2, mode="iso",
-                                     budget=budget, workers=workers)
+    exh_k5uv = en.exhaustive_classes(build_graph("k5_minus_edge"), genus=2, mode="iso", budget=budget)
     report.check("K5-uv iso classes (exhaustive cross-check)", 60, len(exh_k5uv))
     report.check("K5-uv equivalence (or+non)", "21+18", "%d+%d" % _chirality_split(st.k5_minus))
     report.check("K5 iso classes", 45, len(st.k5_iso))
@@ -125,14 +124,14 @@ def _suite_core(report: VerificationReport, budget: int, workers: int | None) ->
     report.check("K5 order-5 class chirality", "non_orientable",
                  order5[0].chirality if len(order5) == 1 else f"{len(order5)} classes")
 
-    exh_iso = en.exhaustive_classes(complete(5), genus=2, mode="iso", budget=budget, workers=workers)
+    exh_iso = en.exhaustive_classes(complete(5), genus=2, mode="iso", budget=budget)
     report.check("K5 exhaustive iso keys = pipeline", True,
                  {c.canonical_key for c in exh_iso} == {c.canonical_key for c in st.k5_iso})
-    exh_eq = en.exhaustive_classes(complete(5), genus=2, mode="equivalence", budget=budget, workers=workers)
+    exh_eq = en.exhaustive_classes(complete(5), genus=2, mode="equivalence", budget=budget)
     report.check("K5 exhaustive equivalence keys = pipeline", True,
                  {c.canonical_key for c in exh_eq} == {c.canonical_key for c in st.k5})
 
-    k5g3 = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget, workers=workers)
+    k5g3 = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget)
     report.check("K5 triple-torus classes (or+non)", "11+2", "%d+%d" % _chirality_split(k5g3))
     report.check("K5 triple-torus single faces", True, all(c.face_degrees == (20,) for c in k5g3))
 
@@ -168,11 +167,10 @@ def _suite_core(report: VerificationReport, budget: int, workers: int | None) ->
         report.check(f"{name} rotation systems covered", en.rotation_space_size(g), raw)
 
 
-def _suite_k33(report: VerificationReport, budget: int, workers: int | None) -> None:
+def _suite_k33(report: VerificationReport, budget: int) -> None:
     d33 = en.genus_distribution(complete_bipartite(3, 3), budget=budget)
     report.check("K33 genus distribution", "{1: 2, 2: 1}", str(d33.equivalence_counts()))
-    exh = en.exhaustive_classes(complete_bipartite(3, 3), genus=2, mode="equivalence",
-                                budget=budget, workers=workers)
+    exh = en.exhaustive_classes(complete_bipartite(3, 3), genus=2, mode="equivalence", budget=budget)
     report.check("K33 double-torus classes", 1, len(exh))
     report.check("K33 double-torus chirality", NON_ORIENTABLE, exh[0].chirality)
     res = en.pipeline_k33_stages()
@@ -189,7 +187,7 @@ def _suite_k33(report: VerificationReport, budget: int, workers: int | None) -> 
     report.check("word length", 18, len(word))
 
 
-def _suite_appendix_a(report: VerificationReport, budget: int, workers: int | None) -> None:
+def _suite_appendix_a(report: VerificationReport, budget: int) -> None:
     entries = load_appendix_a()
     report.check("systems parsed", 31, len(entries))
     stats = [surface_stats(r.embedding) for r in entries]
@@ -210,13 +208,13 @@ def _suite_appendix_a(report: VerificationReport, budget: int, workers: int | No
                  ekeys == {c.canonical_key for c in st.k5})
 
 
-def _suite_appendix_b(report: VerificationReport, budget: int, workers: int | None) -> None:
+def _suite_appendix_b(report: VerificationReport, budget: int) -> None:
     entries = load_appendix_b()
     report.check("systems parsed", 13, len(entries))
     stats = [surface_stats(r.embedding) for r in entries]
     report.check("all genus 3", True, all(s.genus == 3 for s in stats))
     report.check("all exactly one face", True, all(s.f == 1 for s in stats))
-    exh = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget, workers=workers)
+    exh = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget)
     report.check("exhaustive triple-torus classes (or+non)", "11+2", "%d+%d" % _chirality_split(exh))
     ekeys = {class_key(r.embedding, "equivalence") for r in entries}
     recomputed = [chirality(r.embedding) for r in entries]
@@ -248,7 +246,8 @@ TORUS_TABLE: tuple[tuple[str, str, int, int, int, int, str], ...] = (
     ("K4,4", "complete_bipartite(4,4)", 2, 0, 2, 1152, "32^1,16^1"),
 )
 
-TORUS_TABLE_SLOW: tuple[tuple[str, str, int, int, int, int, str], ...] = (
+# Checked after TORUS_TABLE but kept out of it: the benchmark's torus-scan iterates TORUS_TABLE.
+TORUS_TABLE_EXTRA: tuple[tuple[str, str, int, int, int, int, str], ...] = (
     ("K6", "complete(6)", 4, 2, 2, 720, "6^2,2^1,1^1"),
 )
 
@@ -256,13 +255,13 @@ TORUS_TABLE_BEYOND_BUDGET = ("K7", "icosahedron")
 
 
 def _torus_row(report: VerificationReport, name: str, spec: str, emb: int, orc: int,
-               non: int, graph_aut: int, groups: str, budget: int, workers: int | None) -> None:
+               non: int, graph_aut: int, groups: str, budget: int) -> None:
     g = build_graph(spec)
     size = en.rotation_space_size(g)
     if size > budget:
         report.skip(f"{name} torus embeddings", f"rotation space {size} exceeds budget {budget}")
         return
-    classes = en.exhaustive_classes(g, genus=1, mode="equivalence", budget=budget, workers=workers)
+    classes = en.exhaustive_classes(g, genus=1, mode="equivalence", budget=budget)
     got_or, got_non = _chirality_split(classes)
     iso = sum(1 if c.chirality == NON_ORIENTABLE else 2 for c in classes)
     computed = f"{len(classes)}={got_or}+{got_non}"
@@ -285,21 +284,14 @@ def _torus_row(report: VerificationReport, name: str, spec: str, emb: int, orc: 
                       f"rotation-preserving: {rot_s}; with reversal maps: {ext_s}", False)
 
 
-def _suite_torus_table(report: VerificationReport, budget: int, workers: int | None,
-                       include_slow: bool) -> None:
-    for name, spec, emb, orc, non, aut, groups in TORUS_TABLE:
-        _torus_row(report, name, spec, emb, orc, non, aut, groups, budget, workers)
-    for name, spec, emb, orc, non, aut, groups in TORUS_TABLE_SLOW:
-        if include_slow:
-            _torus_row(report, name, spec, emb, orc, non, aut, groups, budget, workers)
-        else:
-            report.skip(f"{name} torus embeddings",
-                        f"{en.rotation_space_size(build_graph(spec))} rotation systems; rerun with --include-slow")
+def _suite_torus_table(report: VerificationReport, budget: int) -> None:
+    for row in TORUS_TABLE + TORUS_TABLE_EXTRA:
+        _torus_row(report, *row, budget)
     for name in TORUS_TABLE_BEYOND_BUDGET:
         report.skip(f"{name} torus embeddings", "rotation space beyond any configured budget")
 
 
-def _suite_theta_question(report: VerificationReport, budget: int, workers: int | None) -> None:
+def _suite_theta_question(report: VerificationReport, budget: int) -> None:
     report.check("theta(3) torus classes", 1, len(en.theta_embeddings(3, 1, budget=budget)))
     report.check("theta(5) double-torus classes", 3, len(en.theta_embeddings(5, 2, budget=budget)))
     try:
@@ -320,9 +312,7 @@ def _suite_theta_question(report: VerificationReport, budget: int, workers: int 
 def run_suite(
     name: str,
     *,
-    include_slow: bool = False,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> VerificationReport:
     """Run a named verification suite and return its report."""
     if name not in SUITE_NAMES:
@@ -330,15 +320,15 @@ def run_suite(
     budget = en.DEFAULT_BUDGET if budget is None else budget
     report = VerificationReport(name)
     if name == "core":
-        _suite_core(report, budget, workers)
+        _suite_core(report, budget)
     elif name == "appendixA":
-        _suite_appendix_a(report, budget, workers)
+        _suite_appendix_a(report, budget)
     elif name == "appendixB":
-        _suite_appendix_b(report, budget, workers)
+        _suite_appendix_b(report, budget)
     elif name == "k33":
-        _suite_k33(report, budget, workers)
+        _suite_k33(report, budget)
     elif name == "torus-table":
-        _suite_torus_table(report, budget, workers, include_slow)
+        _suite_torus_table(report, budget)
     elif name == "theta-question":
-        _suite_theta_question(report, budget, workers)
+        _suite_theta_question(report, budget)
     return report

@@ -168,6 +168,8 @@ class TestIsomorphism:
         assert canonical_embedding(key) == e
         (c,) = dedup([e, e], "equivalence")
         assert (c.genus, c.group_order, c.chirality) == (0, 1, NON_ORIENTABLE)
+        assert trace_faces(e).faces == ((),)
+        assert c.face_degrees == (0,)
 
     def test_genus_and_groups_agree_on_equal_keys(self):
         rng = random.Random(14)

@@ -47,6 +47,7 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "1 embeddings, 1 iso classes" in out
         assert out.count("genus=0") == 1
+        assert "  faces=0  " in out  # one empty face
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["genus", "no/such/file.emb"]) == 2
@@ -80,14 +81,6 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert "genus 1: 2 classes" in out
         assert "genus 2: 1 classes" in out
-
-    def test_worker_count_does_not_change_output(self, capsys):
-        args = ["enumerate", "--graph", "complete_bipartite(3,4)", "--genus", "1"]
-        assert main(args + ["--workers", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(args + ["--workers", "3"]) == 0
-        three = capsys.readouterr().out
-        assert one == three
 
     def test_budget_error(self, capsys):
         assert main(["enumerate", "--graph", "petersen", "--genus", "1", "--budget", "5"]) == 2

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import random
 import sys
 import tracemalloc
@@ -30,6 +30,7 @@ from rotsys import (
     face_pattern,
     genus_distribution,
     graph_automorphism_count,
+    k4_plus,
     make_embedding,
     petersen,
     rotation_space_size,
@@ -69,21 +70,19 @@ class TestRotationSpace:
         assert len(seen) == space.total == 4
 
     def test_kernel_matches_trace_faces(self):
-        # Random sub-ranges, most starting past 0, where the odometer has
-        # to decode its first digits from lo.
+        # Random products of sliced order lists, of at most 200 systems.
         rng = random.Random(51)
         for g in small_torus_graphs() + random_graphs(53):
             space = RotationSpace(g)
             nd = 2 * g.edge_count
             for _ in range(3):
-                lo = rng.randrange(space.total)
-                hi = rng.randint(lo + 1, min(space.total, lo + 200))
-                faces = [trace_faces(space.embedding_at(i)).stats.f for i in range(lo, hi)]
+                orders = sliced(rng, space.orders, 200)
+                faces = all_faces(g, orders)
                 expect_hist = [faces.count(f) for f in range(nd + 2)]
                 for f in sorted(set(faces)) + [-1, nd + 1]:
-                    hist, matches = _kernel.scan(space.orders, nd, lo, hi, f)
+                    hist, matches = _kernel.scan(orders, nd, f)
                     assert hist == expect_hist
-                    assert matches == [lo + k for k, fk in enumerate(faces) if fk == f]
+                    assert matches == [k for k, fk in enumerate(faces) if fk == f]
 
     def test_budget_is_checked_before_the_space_is_built(self):
         # K1,10 has 362,880 systems, all cyclic orders of its hub; building
@@ -134,38 +133,52 @@ def faces_at(g, orders, index):
     return trace_faces(Embedding(g, tuple(rot))).stats.f
 
 
-def check_scan(orders, nd, lo, faces):
-    """_kernel.scan over ``lo..lo+len(faces)-1`` against those systems' face counts."""
+def all_faces(g, orders):
+    """Face counts, by trace_faces, of every system of the product of ``orders``, in index order."""
+    return [faces_at(g, orders, i) for i in range(math.prod(len(o) for o in orders))]
+
+
+def check_scan(orders, nd, faces):
+    """_kernel.scan over the whole product of ``orders`` against its systems' face counts."""
     expect = [faces.count(f) for f in range(nd + 2)]
     for f in sorted(set(faces)) + [-1]:
-        hist, matches = _kernel.scan(orders, nd, lo, lo + len(faces), f)
+        hist, matches = _kernel.scan(orders, nd, f)
         assert hist == expect
-        assert matches == [lo + k for k, fk in enumerate(faces) if fk == f]
+        assert matches == [k for k, fk in enumerate(faces) if fk == f]
 
 
-def inner_block(orders):
-    """The vertex with the most orders, its radix place and the span of one block of its digits.
+def slices(o):
+    """Every non-empty contiguous slice of the list ``o``."""
+    return [o[a:b] for a in range(len(o)) for b in range(a + 1, len(o) + 1)]
 
-    The former context kernel took this vertex as its inner vertex; ranges
-    cut at these places still split the kernel's aligned blocks.
+
+def sliced(rng, orders, most):
+    """A random contiguous slice of each vertex's orders, with at most ``most`` systems in all.
+
+    The vertices take their slices in a random order, each at most as long
+    as the room the earlier ones leave.
     """
-    counts = [len(o) for o in orders]
-    u = counts.index(max(counts))
-    place = math.prod(counts[:u])
-    return u, place, place * counts[u]
+    out = list(orders)
+    room = most
+    for v in rng.sample(range(len(orders)), len(orders)):
+        size = rng.randint(1, min(len(orders[v]), room))
+        a = rng.randint(0, len(orders[v]) - size)
+        out[v] = orders[v][a:a + size]
+        room //= size
+    return out
 
 
 def pinned_orders(g, mode):
     """The order lists that exhaustive_classes passes to the kernel at genus 1."""
     seen = []
 
-    def stub(orders, nd, lo, hi, target_f):
+    def stub(orders, nd, target_f):
         seen.append(orders)
         return [0] * (nd + 2), []
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "scan", stub)
-        exhaustive_classes(g, genus=1, mode=mode, workers=1)
+        exhaustive_classes(g, genus=1, mode=mode)
     return seen[0]
 
 
@@ -186,24 +199,19 @@ def expansions(monkeypatch):
 class TestKernel:
     """The elimination scan: per level, one histogram per boundary-dart state.
 
-    Some test names speak of the former context kernel (an inner vertex
-    whose digits were read from a table per traced context); the ranges
-    they cut still split the scan's aligned blocks.
+    Each test scans whole products of sliced order lists; a part of a space
+    is scanned that way.
     """
 
     def test_inner_vertex_above_vertex_0_with_split_contexts(self):
-        # Every lo, including those inside the u-stride of an earlier
-        # context, and hi cutting one system, one stride or one block later.
-        o = RotationSpace(complete(5)).orders
-        for orders, inner, stride in (([o[0][:3], o[1], o[2][:2], o[3][:1], o[4][:1]], 1, 3),
-                                      ([o[0][:2], o[1][:2], o[2], o[3][:1], o[4][2:4]], 2, 4)):
-            u, place, block = inner_block(orders)
-            assert (u, place) == (inner, stride)
-            total = math.prod(len(x) for x in orders)
-            faces = [faces_at(complete(5), orders, i) for i in range(total)]
-            for lo in range(total):
-                for hi in {lo + 1, lo + place + 1, lo + block + 1, total}:
-                    check_scan(orders, 20, lo, faces[lo:min(hi, total)])
+        # Every product of one contiguous slice per vertex, of two spaces
+        # whose vertex with the most orders is not vertex 0.
+        g = complete(5)
+        o = RotationSpace(g).orders
+        for base in ([o[0][:3], o[1], o[2][:2], o[3][:1], o[4][:1]],
+                     [o[0][:2], o[1][:2], o[2], o[3][:1], o[4][2:4]]):
+            for orders in itertools.product(*map(slices, base)):
+                check_scan(list(orders), 20, all_faces(g, orders))
 
     def test_inner_vertex_of_degree_1_and_2(self):
         k4_minus = MultiGraph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
@@ -215,18 +223,15 @@ class TestKernel:
             complete_bipartite(1, 3),  # a degree-3 hub among degree-1 leaves
         )
         for g in graphs:
-            orders = RotationSpace(g).orders
-            total = math.prod(len(x) for x in orders)
-            faces = [faces_at(g, orders, i) for i in range(total)]
-            for lo in range(total):
-                check_scan(orders, 2 * g.edge_count, lo, faces[lo:])
-        # With the degree-3 vertices held to one order, the degree-2 vertex 1 is inner.
+            for orders in itertools.product(*map(slices, RotationSpace(g).orders)):
+                check_scan(list(orders), 2 * g.edge_count, all_faces(g, orders))
+        # With the degree-3 vertices held to one order, only the degree-2 vertices remain.
         o = RotationSpace(k4_minus).orders
+        assert k4_minus.degree(1) == k4_minus.degree(4) == 2
         for a in o[1]:
             for b in o[2]:
                 orders = [o[0], [a], [b], o[3]]
-                assert inner_block(orders)[0] == 0 and k4_minus.degree(1) == 2
-                check_scan(orders, 10, 0, [faces_at(k4_minus, orders, 0)])
+                check_scan(orders, 10, all_faces(k4_minus, orders))
 
     def test_single_order_lists(self):
         rng = random.Random(67)
@@ -234,37 +239,42 @@ class TestKernel:
         o = RotationSpace(g).orders
         pinned = [o[0][4:5]] + o[1:]  # the pinned case: one order, not the first
         for _ in range(5):
-            lo = rng.randrange(1296)
-            hi = rng.randint(lo + 1, min(1296, lo + 100))
-            check_scan(pinned, 20, lo, [faces_at(g, pinned, i) for i in range(lo, hi)])
+            orders = sliced(rng, pinned, 100)
+            check_scan(orders, 20, all_faces(g, orders))
+        # Each vertex pinned in turn: where degrees differ, a pinned vertex
+        # can be fixed after vertices that branch, and close faces there.
+        mixed = [wheel(4), k4_plus(), complete_bipartite(3, 4)] + random_graphs(69, 10)
+        for h in mixed:
+            o = RotationSpace(h).orders
+            for v in range(h.n):
+                orders = [x[-1:] if w == v else x for w, x in enumerate(o)]
+                check_scan(orders, 2 * h.edge_count, all_faces(h, orders))
         for g in [g, build_graph("octahedron")] + random_graphs(69, 10):
             o = RotationSpace(g).orders
             single = [x[i % len(x):][:1] for i, x in enumerate(o)]
-            check_scan(single, 2 * g.edge_count, 0, [faces_at(g, single, 0)])
+            check_scan(single, 2 * g.edge_count, all_faces(g, single))
 
     def test_uncached_rows(self, monkeypatch):
         rng = random.Random(71)
         g = complete(5)
         o = RotationSpace(g).orders
-        orders = [o[0][:2]] + o[1:]  # inner vertex 1, place 2
-        ranges = [(0, 2592)] + [(lo, rng.randint(lo + 1, min(2592, lo + 40))) for lo in rng.sample(range(2592), 4)]
-        faces = {r: [faces_at(g, orders, i) for i in range(*r)] for r in ranges}
+        whole = [o[0][:2]] + o[1:]  # 2,592 systems
+        spaces = [whole] + [sliced(rng, whole, 40) for _ in range(4)]
+        faces = [all_faces(g, orders) for orders in spaces]
         for cap in (0, 6, 18):  # none, one row, three rows kept
             monkeypatch.setattr(_kernel, "_MAX_TABLE", cap)
-            for (lo, hi), fs in faces.items():
-                check_scan(orders, 20, lo, fs)
+            for orders, fs in zip(spaces, faces):
+                check_scan(orders, 20, fs)
 
     def test_pinned_torus_spaces_match_trace_faces(self):
         rng = random.Random(73)
         for spec in ("circulant(7,1,2)", "circulant(8,1,2)", "complete_bipartite(4,4)"):
             g = build_graph(spec)
             for mode in ("iso", "equivalence"):
-                orders = pinned_orders(g, mode)
-                total = math.prod(len(x) for x in orders)
-                _, _, block = inner_block(orders)
-                for lo in [total - block // 2 - 1] + [rng.randrange(total) for _ in range(3)]:
-                    hi = min(total, lo + rng.randint(1, 2 * block + 2))
-                    check_scan(orders, 2 * g.edge_count, lo, [faces_at(g, orders, i) for i in range(lo, hi)])
+                pinned = pinned_orders(g, mode)
+                for _ in range(4):
+                    orders = sliced(rng, pinned, 80)
+                    check_scan(orders, 2 * g.edge_count, all_faces(g, orders))
 
     def test_pinned_c8_2_and_k44_whole_ranges(self):
         # Every match has the torus face count by trace_faces, a seeded
@@ -277,7 +287,7 @@ class TestKernel:
             for mode in ("iso", "equivalence"):
                 orders = pinned_orders(g, mode)
                 total = math.prod(len(x) for x in orders)
-                hist, matches = _kernel.scan(orders, 2 * g.edge_count, 0, total, f)
+                hist, matches = _kernel.scan(orders, 2 * g.edge_count, f)
                 assert sum(hist) == total
                 assert hist[f] == len(matches) > 0
                 assert matches == sorted(set(matches))
@@ -291,27 +301,23 @@ class TestKernel:
         # With no state, one state and three states memoised, the rest are
         # recomputed; every cap gives the systems' own face counts.
         g = build_graph("circulant(7,1,2)")
-        orders = pinned_orders(g, "equivalence")
-        total = math.prod(len(x) for x in orders)
-        lo = total // 3 + 5
-        faces = [faces_at(g, orders, i) for i in range(lo, lo + 1500)]
+        pinned = pinned_orders(g, "equivalence")
+        orders = pinned[:3] + [o[2:4] for o in pinned[3:]]  # 1,728 systems
+        faces = all_faces(g, orders)
         expanded = {}
         default = _kernel._MAX_TABLE
         for cap in (default, 0, 1, 3):
             monkeypatch.setattr(_kernel, "_MAX_TABLE", cap)
             expansions[0] = 0
-            check_scan(orders, 28, lo, faces)
+            check_scan(orders, 28, faces)
             expanded[cap] = expansions[0]
         assert expanded[0] > expanded[3] > expanded[default]
 
     def test_states_expanded_on_pinned_c8_2(self, expansions):
-        # The former context kernel traced 139,968 contexts of this space
-        # (839,808 systems, 6 orders at its inner vertex).
         g = build_graph("circulant(8,1,2)")
         orders = pinned_orders(g, "equivalence")
-        total = math.prod(len(x) for x in orders)
-        hist, matches = _kernel.scan(orders, 32, 0, total, 8)
-        assert total == 839808 and hist[8] == len(matches) == 319
+        hist, matches = _kernel.scan(orders, 32, 8)
+        assert math.prod(len(x) for x in orders) == 839808 and hist[8] == len(matches) == 319
         assert expansions[0] == 1566
 
     def test_large_graphs_with_tiny_spaces(self):
@@ -323,10 +329,8 @@ class TestKernel:
         g = MultiGraph(n, cycle.edges + ((1, 2),))
         space = RotationSpace(g)
         assert 2 * g.edge_count > 256 and space.total == 4
-        faces = [trace_faces(space.embedding_at(i)).stats.f for i in range(4)]
-        for lo in range(4):
-            for hi in range(lo + 1, 5):
-                check_scan(space.orders, 2 * g.edge_count, lo, faces[lo:hi])
+        for orders in itertools.product(*map(slices, space.orders)):
+            check_scan(list(orders), 2 * g.edge_count, all_faces(g, orders))
 
 
 class TestScanAgainstDistribution:
@@ -371,31 +375,6 @@ class TestExhaustive:
         assert len(classes) == 13
         assert sum(1 for c in classes if c.chirality == "orientable") == 11
         assert all(c.face_degrees == (20,) for c in classes)
-
-    def test_worker_independence(self):
-        # The pins of the octahedron and C7(2) keep 2 and 3 orders, so the
-        # chunks map matches back through several representatives.
-        for spec, reps in (("complete_bipartite(3,4)", 1), ("octahedron", 2), ("circulant(7,1,2)", 3)):
-            g = build_graph(spec)
-            assert len(RotationSpace(g)._pin(True, list(graph_automorphisms(g)))[1]) == reps
-            for mode in ("iso", "equivalence"):
-                a = exhaustive_classes(g, genus=1, mode=mode, workers=1)
-                b = exhaustive_classes(g, genus=1, mode=mode, workers=3)
-                assert [c.canonical_key for c in a] == [c.canonical_key for c in b]
-                assert a == b
-
-    def test_worker_independence_with_mid_context_chunks(self):
-        g = build_graph("circulant(8,1,2)")
-        for mode in ("iso", "equivalence"):
-            # Up to 3 workers the chunks of the pinned space start on the
-            # blocks of the inner vertex's digits; 5 workers start them
-            # inside one, splitting its contexts.
-            orders = pinned_orders(g, mode)
-            step = -(-math.prod(len(x) for x in orders) // 5)
-            assert step % inner_block(orders)[2]
-            keys = [[c.canonical_key for c in exhaustive_classes(g, genus=1, mode=mode, workers=w)]
-                    for w in (1, 2, 3, 5)]
-            assert keys[0] == keys[1] == keys[2] == keys[3]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -553,8 +532,8 @@ class TestPin:
     def test_systems_scanned(self, monkeypatch):
         scanned = []
 
-        def counted(orders, nd, lo, hi, target_f):
-            scanned.append(hi - lo)
+        def counted(orders, nd, target_f):
+            scanned.append(math.prod(len(o) for o in orders))
             return [0] * (nd + 2), []
 
         monkeypatch.setattr(_kernel, "scan", counted)
@@ -629,10 +608,6 @@ class TestGenusDistribution:
             hist, _ = scan(g, -1)
             expect = {(2 - g.n + g.edge_count - f) // 2: c for f, c in hist.items()}
             assert {r.genus: r.raw_systems for r in d.records} == expect
-
-    def test_worker_independence(self):
-        for g in (complete(5), complete_bipartite(3, 3)):
-            assert genus_distribution(g, workers=1) == genus_distribution(g, workers=3)
 
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:

@@ -21,12 +21,12 @@ print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - bef
 
 def test_every_module_imports_only_the_standard_library():
     # Modules loaded before rotsys (site hooks of the interpreter) are not
-    # counted; everything importing rotsys pulls in must be rotsys or stdlib.
-    # multiprocessing registers __main__ a second time, as __mp_main__.
+    # counted; everything importing rotsys pulls in must be rotsys or stdlib,
+    # and none of it multiprocessing.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_ALL], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert "rotsys" in out
-    ours = {"rotsys", "__mp_main__"}
-    assert [m for m in out if m not in ours and m not in sys.stdlib_module_names] == []
+    assert "rotsys" in out and "multiprocessing" not in out
+    assert [m for m in out if m != "rotsys" and m not in sys.stdlib_module_names] == []
+
