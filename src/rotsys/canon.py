@@ -370,6 +370,20 @@ def _class_record(key: bytes, order: int, achiral: bool | None) -> EmbeddingClas
     )
 
 
+def _orbit_class(e: Embedding, mirror: bool, order: int, achiral: bool) -> EmbeddingClass:
+    """The class record of ``e``, whose group order and achirality are known.
+
+    The record is the one :func:`dedup` gives for ``e`` (in ``equivalence``
+    mode when ``mirror``).  One stream set gives the canonical key; a chiral
+    ``e`` in ``equivalence`` mode takes one more, for its reversal's key,
+    and the class key is the lesser of the two.
+    """
+    key = _least(e)[0]
+    if mirror and not achiral:
+        key = min(key, _least(reverse(e))[0])
+    return _class_record(key, order, achiral)
+
+
 def chirality(
     e: Embedding,
     *,
@@ -409,6 +423,9 @@ def dedup(
     Each input costs one stream set, two in ``equivalence`` mode; only the
     group order and achirality of each class's first member are kept.  In
     ``iso`` mode each class costs one more stream set, for its chirality.
+    Inputs known to lie in distinct classes, with their group orders and
+    achirality known, are cheaper through :func:`_orbit_class`, as the
+    orbit pass of the exhaustive classification gives them.
     """
     _check_mode(mode)
     seen: dict[bytes, tuple[int, bool | None]] = {}

@@ -26,8 +26,7 @@ from .canon import (
     DedupMode,
     EmbeddingClass,
     _check_mode,
-    _class_data,
-    _class_record,
+    _orbit_class,
     _same_graph,
     _stage_classes,
     dedup,
@@ -62,15 +61,10 @@ from .surgery import (
 DEFAULT_BUDGET = 10**9
 
 # Automorphism groups up to this order are kept in memory by
-# RotationSpace.orbits (about 2 MB at 40 edges); larger ones are
-# generated afresh for every orbit.
+# RotationSpace.orbits, as forward and inverse position permutations
+# (about 4.8 MB at 40 edges); larger ones are generated afresh for every
+# orbit.
 MAX_STORED_AUTOMORPHISMS = 1 << 14
-
-
-def _stored_automorphisms(graph: MultiGraph) -> list[bytes] | None:
-    """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
-    stored = list(islice(graph_automorphisms(graph), MAX_STORED_AUTOMORPHISMS + 1))
-    return stored if len(stored) <= MAX_STORED_AUTOMORPHISMS else None
 
 
 class RotationSpace:
@@ -87,19 +81,79 @@ class RotationSpace:
         self.counts = [len(o) for o in self.orders]
         self.total = math.prod(self.counts)
 
+    def _digits(self, index: int) -> list[int]:
+        digits = []
+        for count in self.counts:
+            index, digit = divmod(index, count)
+            digits.append(digit)
+        return digits
+
     def rotations_at(self, index: int) -> tuple[tuple[int, ...], ...]:
-        rot = []
-        for v in range(self.graph.n):
-            index, digit = divmod(index, self.counts[v])
-            rot.append(self.orders[v][digit])
-        return tuple(rot)
+        return tuple(orders[d] for orders, d in zip(self.orders, self._digits(index)))
 
     def embedding_at(self, index: int) -> Embedding:
         # orders are least-dart-first, i.e. already normalized
         return Embedding(self.graph, self.rotations_at(index))
 
-    def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int]]:
-        """First index and size of each orbit met in ``indices``, in their order.
+    # Images under Aut(G) are computed on dart *positions*: the darts
+    # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
+    # system is the bytes ``succ`` of the position of each position's
+    # rotation successor, and an automorphism the bytes ``fwd`` of each
+    # position's image and ``inv`` of its preimage; the image of the system
+    # is the conjugate ``fwd[succ[inv[p]]]``, two translates.  Darts fit a
+    # byte (graph_automorphisms enforces its edge guard), and unlike small
+    # tuples, freed bytes are not kept on the interpreter's free lists.
+
+    def _positions(self) -> tuple[bytes, bytes]:
+        """The dart at each position, and the position of each dart."""
+        darts = bytes(d for ds in self.graph.darts_at for d in ds)
+        position = bytearray(len(darts))
+        for p, d in enumerate(darts):
+            position[d] = p
+        return darts, bytes(position)
+
+    def _vertex_tables(self) -> list[tuple[slice, dict[bytes, int], list[int], int]]:
+        """Per vertex: the slice of its positions, its table, its mirror digits and its radix place.
+
+        The table maps the slice of ``succ`` of each cyclic order to its
+        digit; the mirror digits give the digit of each order's reversal.
+        """
+        position = self._positions()[1]
+
+        def successors(cyc: tuple[int, ...], start: int) -> bytes:
+            out = bytearray(len(cyc))
+            for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                out[position[d] - start] = position[nxt]
+            return bytes(out)
+
+        tables = []
+        start, place = 0, 1
+        for orders, count in zip(self.orders, self.counts):
+            end = start + len(orders[0])
+            table = {successors(cyc, start): digit for digit, cyc in enumerate(orders)}
+            tables.append((slice(start, end), table, [table[successors(cyc[::-1], start)] for cyc in orders], place))
+            start, place = end, place * count
+        return tables
+
+    def _conjugations(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every automorphism of the graph as ``(fwd, inv)`` position permutations."""
+        darts, position = self._positions()
+        pad = bytes(256 - len(darts))
+        position += pad
+        for perm in graph_automorphisms(self.graph):
+            fwd = darts.translate(perm + pad).translate(position)
+            inv = bytearray(len(fwd))
+            for p, q in enumerate(fwd):
+                inv[q] = p
+            yield fwd, bytes(inv)
+
+    def _stored_conjugations(self) -> list[tuple[bytes, bytes]] | None:
+        """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
+        stored = list(islice(self._conjugations(), MAX_STORED_AUTOMORPHISMS + 1))
+        return stored if len(stored) <= MAX_STORED_AUTOMORPHISMS else None
+
+    def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int, int, bool]]:
+        """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
 
         Two systems of one labelled graph are isomorphic exactly when an
         automorphism of the graph maps one onto the other, so the orbits
@@ -110,50 +164,48 @@ class RotationSpace:
         given the matches of a scan, every matching class is met once.  The
         size counts the images marked, including those outside ``indices``.
 
+        By orbit-stabiliser, the group order of the first member (the
+        automorphisms of its embedding) is the number of automorphisms that
+        map it to itself, and it is achiral exactly when one maps it to its
+        reversal.  Both hold for the whole class, in either mode.
+
         Marks go in a bitmap of ``ceil(total / 8)`` bytes, or in a set when
         ``indices`` are too few for the bitmap to pay (a set entry costs
         about 64 bytes).  The other memory used beyond the space itself is
-        one ``order -> digit`` table per vertex, and the automorphisms when
+        one ``order -> digit`` table and one list of mirror digits per
+        vertex, and the automorphisms, two position permutations each, when
         there are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups
         are generated afresh for each orbit.
         """
         _check_mode(mode)
-        return self._orbits(indices, mode == "equivalence", _stored_automorphisms(self.graph))
+        return self._orbits(indices, mode == "equivalence", self._stored_conjugations())
 
-    def _orbits(self, indices: Sequence[int], mirror: bool, stored: list[bytes] | None) -> Iterator[tuple[int, int]]:
-        # Darts fit a byte (graph_automorphisms enforces its edge guard), so
-        # orders and their images are bytes: unlike small tuples, freed
-        # bytes are not kept on the interpreter's free lists, and an image
-        # is one translate through the permutation padded to 256 bytes.
-        # Per dart: the pinned first dart, the order -> digit table and the
-        # radix place of its vertex.  An image is rotated to start at the
-        # pinned dart before the lookup.
-        at_vertex = []
-        place = 1
-        for orders, count in zip(self.orders, self.counts):
-            at_vertex.append((orders[0][0], {bytes(cyc): digit for digit, cyc in enumerate(orders)}, place))
-            place *= count
-        at_dart = [at_vertex[v - 1] for v in self.graph.dart_vertex]
-        pad = bytes(256 - len(at_dart))
+    def _orbits(
+        self, indices: Sequence[int], mirror: bool, stored: list[tuple[bytes, bytes]] | None
+    ) -> Iterator[tuple[int, int, int, bool]]:
+        vertices = self._vertex_tables()
+        keys = [list(table) for _, table, _, _ in vertices]
+        pad = bytes(256 - 2 * self.graph.edge_count)
         bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
         marked: set[int] = set()
         for index in indices:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
-            rot = list(map(bytes, self.rotations_at(index)))
-            size = 0
-            for perm in graph_automorphisms(self.graph) if stored is None else stored:
-                padded = perm + pad
+            digits = self._digits(index)
+            succ = b"".join(k[d] for k, d in zip(keys, digits)) + pad
+            reversal = sum(rev[d] * place for (_, _, rev, place), d in zip(vertices, digits))
+            size = order = 0
+            achiral = False
+            for fwd, inv in self._conjugations() if stored is None else stored:
+                image = inv.translate(succ).translate(fwd + pad)
                 j = jm = 0
-                for cyc in rot:
-                    img = cyc.translate(padded)
-                    first, table, place = at_dart[img[0]]
-                    k = img.index(first)
-                    if k:
-                        img = img[k:] + img[:k]
-                    j += table[img] * place
+                for cut, table, rev, place in vertices:
+                    digit = table[image[cut]]
+                    j += digit * place
                     if mirror:
-                        jm += table[img[:1] + img[:0:-1]] * place
+                        jm += rev[digit] * place
+                order += j == index
+                achiral = achiral or j == reversal
                 for k in (j, jm) if mirror else (j,):
                     if bits is None:
                         if k not in marked:
@@ -162,9 +214,9 @@ class RotationSpace:
                     elif not bits[k >> 3] >> (k & 7) & 1:
                         bits[k >> 3] |= 1 << (k & 7)
                         size += 1
-            yield index, size
+            yield index, size, order, achiral
 
-    def _pin(self, mirror: bool, stored: list[bytes] | None) -> tuple[int, list[int]]:
+    def _pin(self, mirror: bool, stored: list[tuple[bytes, bytes]] | None) -> tuple[int, list[int]]:
         """A vertex (0-based) and the digits of one order per orbit at it.
 
         The orbits are those of the vertex's stabiliser in Aut(G), joined by
@@ -173,30 +225,33 @@ class RotationSpace:
         system to one of its class and sends the order at the vertex to any
         other of its orbit, so every class has a member whose order there is
         a representative.  The vertex has the fewest representatives per
-        order, the lowest one on ties.  Images are ``bytes`` as in
-        :meth:`orbits`, and groups above :data:`MAX_STORED_AUTOMORPHISMS` are
-        generated afresh for each representative.
+        order, the lowest one on ties.  Images are taken as in
+        :meth:`orbits`, of a system that has the order at the vertex, and
+        groups above :data:`MAX_STORED_AUTOMORPHISMS` are generated afresh
+        for each representative.
         """
-        best: tuple[int, list[int]] | None = None
+        vertices = self._vertex_tables()
+        firsts = [next(iter(table)) for _, table, _, _ in vertices]
         pad = bytes(256 - 2 * self.graph.edge_count)
-        for v, orders in enumerate(self.orders):
+        best: tuple[int, list[int]] | None = None
+        for v, (cut, table, rev, _) in enumerate(vertices):
             reps = [0]
-            if len(orders) > 1:
-                first, reps, seen = orders[0][0], [], set()
-                for digit, cyc in enumerate(map(bytes, orders)):
-                    if cyc in seen:
+            if len(table) > 1:
+                reps, seen = [], set()
+                head, tail = b"".join(firsts[:v]), b"".join(firsts[v + 1:]) + pad
+                for key, digit in table.items():
+                    if digit in seen:
                         continue
                     reps.append(digit)
-                    for perm in graph_automorphisms(self.graph) if stored is None else stored:
-                        if self.graph.dart_vertex[perm[first]] != v + 1:
+                    succ = head + key + tail
+                    for fwd, inv in self._conjugations() if stored is None else stored:
+                        if not cut.start <= fwd[cut.start] < cut.stop:
                             continue  # moves v
-                        img = cyc.translate(perm + pad)
-                        k = img.index(first)
-                        img = img[k:] + img[:k]
-                        seen.add(img)
+                        image = table[inv.translate(succ).translate(fwd + pad)[cut]]
+                        seen.add(image)
                         if mirror:
-                            seen.add(img[:1] + img[:0:-1])
-            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(orders):
+                            seen.add(rev[image])
+            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(table):
                 best = v, reps
         assert best is not None
         return best
@@ -266,9 +321,13 @@ def exhaustive_classes(
     face count.  The matches are then walked in index order of the full
     space: each one not yet marked starts a new class and has its orbit
     under Aut(G), or Aut(G) x mirror, marked (see
-    :meth:`RotationSpace.orbits`).  Only these first members go to
-    :func:`dedup`, so each class costs two stream sets in either mode.
-    Output is sorted by canonical key.  ``workers`` has no effect.
+    :meth:`RotationSpace.orbits`), which also gives its group order and
+    achirality.  Each class record is built from its first member with one
+    stream set, for its canonical key, and one more for a chiral class in
+    ``equivalence`` mode, for its reversal's key (see
+    :func:`canon._orbit_class`).  The records are those :func:`dedup`
+    gives for the matches, sorted by canonical key.  ``workers`` has no
+    effect.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -278,7 +337,7 @@ def exhaustive_classes(
     _check_budget(graph, budget)
     space = RotationSpace(graph)
     mirror = mode == "equivalence"
-    stored = _stored_automorphisms(graph)
+    stored = space._stored_conjugations()
     v, reps = space._pin(mirror, stored)
     orders = list(space.orders)
     orders[v] = [orders[v][d] for d in reps]
@@ -290,8 +349,11 @@ def exhaustive_classes(
         high, low = divmod(i, place)
         high, d = divmod(high, len(reps))
         matches[j] = low + place * (reps[d] + count * high)
-    firsts = [i for i, _ in space._orbits(matches, mirror, stored)]
-    return dedup((space.embedding_at(i) for i in firsts), mode)
+    classes = [
+        _orbit_class(space.embedding_at(i), mirror, order, achiral)
+        for i, _, order, achiral in space._orbits(matches, mirror, stored)
+    ]
+    return sorted(classes, key=lambda c: c.canonical_key)
 
 
 @dataclass(frozen=True)
@@ -332,31 +394,32 @@ def genus_distribution(
     """Classes per genus across the whole rotation space of ``graph``.
 
     One sequential pass over the space in index order, with no face-count
-    scan: each system not yet marked starts a new equivalence class and has
-    its orbit under Aut(G) x mirror marked (see :meth:`RotationSpace.orbits`).
-    The class of each first member is built as :func:`dedup` builds it, in
-    orbit order, and bucketed by genus; ``raw_systems`` sums the orbit
-    sizes.  ``workers`` has no effect.
+    scan and no canonical key: each system not yet marked starts a new
+    equivalence class and has its orbit under Aut(G) x mirror marked (see
+    :meth:`RotationSpace.orbits`).  The orbit gives the class's group order
+    and achirality, one face trace of its first member gives its genus, and
+    ``raw_systems`` sums the orbit sizes.  The counts are those of
+    :func:`dedup` over the whole space.  ``workers`` has no effect.
     """
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    by_genus: dict[int, list[tuple[EmbeddingClass, int]]] = {}
-    for i, size in space.orbits(range(space.total), "equivalence"):
-        c = _class_record(*_class_data(space.embedding_at(i), "equivalence"))
-        by_genus.setdefault(c.genus, []).append((c, size))
+    by_genus: dict[int, list[tuple[int, int, bool]]] = {}
+    for i, size, order, achiral in space.orbits(range(space.total), "equivalence"):
+        genus = trace_faces(space.embedding_at(i)).stats.genus
+        by_genus.setdefault(genus, []).append((size, order, achiral))
     records = []
     for genus in sorted(by_genus):
-        classes = [c for c, _ in by_genus[genus]]
-        iso = sum(1 if c.chirality == "non_orientable" else 2 for c in classes)
+        orbits = by_genus[genus]
+        non_orientable = sum(achiral for _, _, achiral in orbits)
         records.append(
             GenusRecord(
                 genus=genus,
-                iso_classes=iso,
-                equivalence_classes=len(classes),
-                orientable=sum(1 for c in classes if c.chirality == "orientable"),
-                non_orientable=sum(1 for c in classes if c.chirality == "non_orientable"),
-                group_orders=tuple(sorted(c.group_order for c in classes)),
-                raw_systems=sum(size for _, size in by_genus[genus]),
+                iso_classes=2 * len(orbits) - non_orientable,
+                equivalence_classes=len(orbits),
+                orientable=len(orbits) - non_orientable,
+                non_orientable=non_orientable,
+                group_orders=tuple(sorted(order for _, order, _ in orbits)),
+                raw_systems=sum(size for size, _, _ in orbits),
             )
         )
     return GenusDistribution(tuple(records))

@@ -135,11 +135,18 @@ class TestLeast:
         for order, e in theta5_systems.items():
             assert self.orders_checked([e]) == {order}
 
-    def test_roots_started_and_finished(self, stream_roots):
+    def test_roots_started_and_finished(self, stream_roots, stream_sets):
         # Only least-degree roots start (all 20 darts of K5); most are cut
-        # against the least stream so far.  Serializing every root, a K5
-        # chain would start and finish 17,060.
-        assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (2000, 498)
+        # against the least stream so far.  The 50 equivalence classes of
+        # K5 take 100 stream sets in dedup; the genus distribution, whose
+        # orbit pass gives group orders and chirality, takes none.
+        # Serializing every root, a K5 chain would start and finish 17,060.
+        space = RotationSpace(complete(5))
+        firsts = [space.embedding_at(i) for i, *_ in space.orbits(range(space.total), "equivalence")]
+        assert len(firsts) == 50
+        (_, *roots), sets = stream_sets(lambda: stream_roots(lambda: dedup(firsts, "equivalence")))
+        assert (sets, *roots) == (100, 2000, 498)
+        assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (0, 0)
         pipeline_k5_stages.cache_clear()
         try:
             assert stream_roots(pipeline_k5_stages)[1:] == (6930, 1629)

@@ -16,12 +16,15 @@ from rotsys import (
     BudgetExceeded,
     ChordDiagram,
     Embedding,
+    GenusRecord,
     InvalidEmbedding,
     MultiGraph,
+    SizeGuardExceeded,
     automorphism_group_order,
     build_graph,
     canonical_key,
     chirality,
+    circulant,
     complement,
     complete,
     complete_bipartite,
@@ -414,23 +417,29 @@ class TestOrbitMarking:
             for f in hist:
                 self.check_against_plain_path(g, f)
 
-    def test_orbit_stabiliser(self):
+    def test_orbit_stabiliser(self, monkeypatch):
         # |orbit| x |stabiliser| = |group acting|, with the stabiliser taken
-        # from automorphism_group_order and chirality independently.
-        for g in small_torus_graphs() + random_graphs(43):
-            aut = graph_automorphism_count(g)
-            space = RotationSpace(g)
-            for mode in ("iso", "equivalence"):
-                covered = 0
-                for i, size in space.orbits(range(space.total), mode):
-                    e = space.embedding_at(i)
-                    covered += size
-                    if mode == "iso":
-                        assert size * automorphism_group_order(e) == aut
-                    else:
-                        achiral = 2 if chirality(e) == NON_ORIENTABLE else 1
-                        assert size * automorphism_group_order(e) * achiral == 2 * aut
-                assert covered == space.total
+        # from automorphism_group_order and chirality independently; the
+        # orbit's own group order and achirality must agree with them, for
+        # stored automorphisms and, with the cap at 1, generated ones.
+        graphs = small_torus_graphs() + random_graphs(43)
+        for cap in (enumeration.MAX_STORED_AUTOMORPHISMS, 1):
+            monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", cap)
+            for g in graphs:
+                aut = graph_automorphism_count(g)
+                space = RotationSpace(g)
+                for mode in ("iso", "equivalence"):
+                    covered = 0
+                    for i, size, order, achiral in space.orbits(range(space.total), mode):
+                        e = space.embedding_at(i)
+                        covered += size
+                        assert order == automorphism_group_order(e)
+                        assert achiral == (chirality(e) == NON_ORIENTABLE)
+                        if mode == "iso":
+                            assert size * order == aut
+                        else:
+                            assert size * order * (2 if achiral else 1) == 2 * aut
+                    assert covered == space.total
 
     def test_generated_automorphisms_give_the_stored_orbits(self, monkeypatch):
         graphs = [complete(4), complete_bipartite(3, 3), theta(5)] + random_graphs(45, 10)
@@ -462,10 +471,11 @@ class TestOrbitMarking:
     def test_memory_with_a_high_degree_vertex(self):
         # The hub of wheel(8) has 5,040 cyclic orders; a table holding every
         # rotation of each would take over 5 MB.  The 161 KB bitmap, the
-        # table of the 5,040 stored orders and their digits fit in 1 MB.
+        # table of the 5,040 orders and their digits, and the digits of
+        # their reversals fit in 1 MB.
         space = RotationSpace(wheel(8))
         found, peak = self.orbit_peak_bytes(space, range(200))
-        assert [i for i, _ in found][:3] == [0, 1, 2]
+        assert [i for i, *_ in found][:3] == [0, 1, 2]
         assert peak < 1 << 20
 
     def test_memory_with_a_large_automorphism_group(self, monkeypatch):
@@ -477,7 +487,7 @@ class TestOrbitMarking:
         stored, stored_peak = self.orbit_peak_bytes(space, range(space.total))
         monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
         generated, peak = self.orbit_peak_bytes(space, range(space.total))
-        assert generated == stored == [(0, 720)]
+        assert generated == stored == [(0, 720, 7, True)]
         assert peak < stored_peak - group_bytes / 2
 
     def test_orbits_reject_unknown_mode(self):
@@ -513,7 +523,7 @@ class TestPin:
         for g in small_torus_graphs() + random_graphs(57):
             space = RotationSpace(g)
             for mirror in (False, True):
-                v, reps = space._pin(mirror, list(graph_automorphisms(g)))
+                v, reps = space._pin(mirror, space._stored_conjugations())
                 orbit_of = self.stabiliser_orbits(g, v, mirror)
                 assert reps == sorted(reps) and reps[0] == 0
                 assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
@@ -527,7 +537,7 @@ class TestPin:
         for g in [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10):
             space = RotationSpace(g)
             for mirror in (False, True):
-                assert space._pin(mirror, None) == space._pin(mirror, list(graph_automorphisms(g)))
+                assert space._pin(mirror, None) == space._pin(mirror, space._stored_conjugations())
 
     def test_systems_scanned(self, monkeypatch):
         scanned = []
@@ -613,6 +623,48 @@ class TestGenusDistribution:
         for rec in genus_distribution(complete(5)).records:
             assert rec.iso_classes == 2 * rec.orientable + rec.non_orientable
 
+    @staticmethod
+    def plain_records(g):
+        """The records by the plain path: scan per face count, dedup, count the classes."""
+        space = RotationSpace(g)
+        hist, _ = scan_rotation_space(g, -1)
+        records = []
+        for f in sorted(hist, reverse=True):
+            _, matches = scan_rotation_space(g, f)
+            classes = dedup((space.embedding_at(i) for i in matches), "equivalence")
+            non = sum(c.chirality == NON_ORIENTABLE for c in classes)
+            records.append(GenusRecord(
+                genus=(2 - g.n + g.edge_count - f) // 2,
+                iso_classes=2 * len(classes) - non,
+                equivalence_classes=len(classes),
+                orientable=len(classes) - non,
+                non_orientable=non,
+                group_orders=tuple(sorted(c.group_order for c in classes)),
+                raw_systems=len(matches),
+            ))
+        return tuple(records)
+
+    def test_torus_rows_match_plain_path(self):
+        graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
+        small = [g for g in graphs if rotation_space_size(g) <= 50_000]
+        assert len(small) == 9
+        for g in small:
+            assert genus_distribution(g).records == self.plain_records(g)
+
+    def test_random_multigraphs_match_plain_path(self):
+        graphs = random_graphs(67)
+        assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+        for g in graphs:
+            assert genus_distribution(g).records == self.plain_records(g)
+
+    def test_size_guard(self):
+        # The guard comes from the automorphism search, before any orbit.
+        g = circulant(17, [1])
+        with pytest.raises(SizeGuardExceeded):
+            genus_distribution(g)
+        with pytest.raises(SizeGuardExceeded):
+            exhaustive_classes(g, genus=0)
+
 
 class TestGroupOrder:
     """Group orders against the graph automorphisms that commute with the rotation."""
@@ -629,10 +681,10 @@ class TestGroupOrder:
         mirrored = 0  # equivalence classes keyed by the reversal of their input
         for g in small_torus_graphs() + random_graphs(61):
             space = RotationSpace(g)
-            for i, _ in space.orbits(range(space.total), "iso"):
+            for i, _, order_of_orbit, _ in space.orbits(range(space.total), "iso"):
                 e = space.embedding_at(i)
                 order = self.commuting(e)
-                assert automorphism_group_order(e) == order
+                assert automorphism_group_order(e) == order == order_of_orbit
                 for mode in ("iso", "equivalence"):
                     (c,) = dedup([e], mode)
                     assert c.group_order == order
@@ -643,11 +695,14 @@ class TestGroupOrder:
 
 class TestStreamSets:
     def test_k5(self, stream_sets):
-        # Two per class: 50 classes in the distribution, 45 iso and 31
-        # equivalence classes at genus 2.
-        assert stream_sets(lambda: genus_distribution(complete(5)))[1] == 100
-        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="iso"))[1] == 90
-        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="equivalence"))[1] == 62
+        # None for the distribution, whose orbits give the group orders and
+        # chirality; one per class for its key, 45 iso classes at genus 2;
+        # and one more per chiral equivalence class, 31 = 17 achiral + 14
+        # chiral at genus 2, and 13 = 2 + 11 at genus 3.
+        assert stream_sets(lambda: genus_distribution(complete(5)))[1] == 0
+        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="iso"))[1] == 45
+        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="equivalence"))[1] == 45
+        assert stream_sets(lambda: exhaustive_classes(complete(5), genus=3, mode="equivalence"))[1] == 24
 
 
 class TestThetaEmbeddings:
