@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Literal
 
 from .core import (
@@ -48,14 +48,16 @@ Chirality = Literal["orientable", "non_orientable"]
 DedupMode = Literal["iso", "equivalence"]
 
 MAX_VERTICES = 16
+# Below 128: darts must fit a byte, in graph_automorphisms' permutations and
+# in RotationSpace's images.
 MAX_EDGES = 40
 
 
-def _check_guard(n: int, m: int, max_vertices: int, max_edges: int) -> None:
-    if n > max_vertices or m > max_edges:
+def _check_guard(n: int, m: int) -> None:
+    if n > MAX_VERTICES or m > MAX_EDGES:
         raise SizeGuardExceeded(
             f"instance with {n} vertices / {m} edges exceeds guard "
-            f"({max_vertices} vertices / {max_edges} edges)"
+            f"({MAX_VERTICES} vertices / {MAX_EDGES} edges)"
         )
 
 
@@ -164,14 +166,9 @@ def _least(e: Embedding) -> tuple[bytes, int, int]:
     return key, order, root
 
 
-def canonical_key(
-    e: Embedding,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> bytes:
+def canonical_key(e: Embedding) -> bytes:
     """Canonical byte key: equal keys iff isomorphic embeddings."""
-    _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
+    _check_guard(e.graph.n, e.graph.edge_count)
     return _least(e)[0]
 
 
@@ -213,18 +210,13 @@ def canonical_embedding(key: bytes) -> Embedding:
     return embedding_from_darts(graph, dart_rot)
 
 
-def automorphism_group_order(
-    e: Embedding,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> int:
+def automorphism_group_order(e: Embedding) -> int:
     """Order of the group of (vertex, edge) bijections fixing the rotations.
 
     Rotation-preserving maps only; maps carrying the rotations to their
     reversals are not counted.
     """
-    _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
+    _check_guard(e.graph.n, e.graph.edge_count)
     return _least(e)[1]
 
 
@@ -279,16 +271,10 @@ def _rotate_min(seq: list[int]) -> list[int]:
     return seq[k:] + seq[:k]
 
 
-def are_isomorphic(
-    e1: Embedding,
-    e2: Embedding,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> IsoWitness | None:
+def are_isomorphic(e1: Embedding, e2: Embedding) -> IsoWitness | None:
     """A verified isomorphism witness, or None when the keys differ."""
     for e in (e1, e2):
-        _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
+        _check_guard(e.graph.n, e.graph.edge_count)
     if e1.graph.n != e2.graph.n or e1.graph.edge_count != e2.graph.edge_count:
         return None
     if not e1.graph.edge_count:
@@ -327,38 +313,34 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown dedup mode {mode!r}")
 
 
-def _class_data(
-    e: Embedding,
-    mode: DedupMode,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> tuple[bytes, int, bool | None]:
-    """Class key, group order and achirality of ``e`` (``None`` in ``iso`` mode).
+def _mirror_keys(embeddings: Iterable[Embedding]) -> dict[bytes, tuple[bytes, int]]:
+    """``key -> (key of the reversal, group order)`` over the keys of ``embeddings``.
 
-    One stream set gives the canonical key and the group order; in
-    ``equivalence`` mode the stream set of the reversal gives its key, the
-    class key is the lesser of the two, and ``e`` is achiral when they agree.
-    Isomorphic embeddings and mirror images have groups of the same order,
-    so the order holds for the whole class.
+    Entries are in input order, each from the first input with its key.
+    Each input costs one stream set, and its reversal one more only when its
+    key has not been met yet, as an input's or as a reversal's: the
+    reversal's key depends on the key alone.  Isomorphic embeddings and
+    mirror images have groups of the same order, so the order holds for the
+    key's class and its mirror's.
     """
-    _check_guard(e.graph.n, e.graph.edge_count, max_vertices, max_edges)
-    key, order, _ = _least(e)
-    if mode == "iso":
-        return key, order, None
-    rkey = _least(reverse(e))[0]
-    return min(key, rkey), order, key == rkey
+    table: dict[bytes, tuple[bytes, int]] = {}
+    mirror: dict[bytes, bytes] = {}  # a reversal's key -> the key it reverses
+    for e in embeddings:
+        _check_guard(e.graph.n, e.graph.edge_count)
+        key, order, _ = _least(e)
+        if key in table:
+            continue
+        rkey = mirror.get(key)
+        if rkey is None:
+            rkey = _least(reverse(e))[0]
+            mirror[rkey] = key
+        table[key] = rkey, order
+    return table
 
 
-def _class_record(key: bytes, order: int, achiral: bool | None) -> EmbeddingClass:
-    """The class of ``key``, built from its decoded representative.
-
-    Achirality not yet known (``iso`` mode) costs the stream set of the
-    representative's reversal.
-    """
+def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
+    """The class of ``key``, built from its decoded representative."""
     rep = canonical_embedding(key)
-    if achiral is None:
-        achiral = _least(reverse(rep))[0] == key
     faces = trace_faces(rep)
     return EmbeddingClass(
         canonical_key=key,
@@ -384,55 +366,45 @@ def _orbit_class(e: Embedding, mirror: bool, order: int, achiral: bool) -> Embed
     return _class_record(key, order, achiral)
 
 
-def chirality(
-    e: Embedding,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> Chirality:
-    """``non_orientable`` when ``e`` is isomorphic to its own reversal."""
-    achiral = _class_data(e, "equivalence", max_vertices=max_vertices, max_edges=max_edges)[2]
-    return NON_ORIENTABLE if achiral else ORIENTABLE
+def chirality(e: Embedding) -> Chirality:
+    """``non_orientable`` when ``e`` is isomorphic to its own reversal.
+
+    Two stream sets: the keys of ``e`` and of its reversal, compared.
+    """
+    ((key, (rkey, _)),) = _mirror_keys([e]).items()
+    return NON_ORIENTABLE if key == rkey else ORIENTABLE
 
 
-def class_key(
-    e: Embedding,
-    mode: DedupMode = "iso",
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> bytes:
+def class_key(e: Embedding, mode: DedupMode = "iso") -> bytes:
     """Key of the class of ``e``: equal keys iff same class in ``mode``.
 
     ``iso`` uses the canonical key; ``equivalence`` additionally identifies
     an embedding with its reversal by keying on ``min(key, key of reversal)``.
     """
     _check_mode(mode)
-    return _class_data(e, mode, max_vertices=max_vertices, max_edges=max_edges)[0]
+    if mode == "iso":
+        return canonical_key(e)
+    ((key, (rkey, _)),) = _mirror_keys([e]).items()
+    return min(key, rkey)
 
 
-def dedup(
-    embeddings: Iterable[Embedding],
-    mode: DedupMode = "iso",
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> list[EmbeddingClass]:
+def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[EmbeddingClass]:
     """Group embeddings into classes by :func:`class_key`, sorted by key.
 
-    Each input costs one stream set, two in ``equivalence`` mode; only the
-    group order and achirality of each class's first member are kept.  In
-    ``iso`` mode each class costs one more stream set, for its chirality.
-    Inputs known to lie in distinct classes, with their group orders and
-    achirality known, are cheaper through :func:`_orbit_class`, as the
-    orbit pass of the exhaustive classification gives them.
+    The classes come from one :func:`_mirror_keys` table: the class key is
+    the input's key in ``iso`` mode and the lesser of it and its reversal's
+    key in ``equivalence`` mode, and a class is achiral when the two agree.
+    So each input costs one stream set, and one more for its reversal only
+    when its key was not met before, in either mode.  Inputs known to lie
+    in distinct classes, with their group orders and achirality known, are
+    cheaper through :func:`_orbit_class`, as the orbit pass of the
+    exhaustive classification gives them.
     """
     _check_mode(mode)
-    seen: dict[bytes, tuple[int, bool | None]] = {}
-    for e in embeddings:
-        key, order, achiral = _class_data(e, mode, max_vertices=max_vertices, max_edges=max_edges)
-        seen.setdefault(key, (order, achiral))
-    return [_class_record(key, *seen[key]) for key in sorted(seen)]
+    classes: dict[bytes, tuple[int, bool]] = {}
+    for key, (rkey, order) in _mirror_keys(embeddings).items():
+        classes[key if mode == "iso" else min(key, rkey)] = order, key == rkey
+    return [_class_record(key, *classes[key]) for key in sorted(classes)]
 
 
 def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass], list[EmbeddingClass]]:
@@ -441,28 +413,14 @@ def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass
     Stages carry embeddings up to equivalence, so a chiral candidate stands
     for itself and its mirror and both chiralities enter the iso classes.
     The records are those of ``dedup(c + reversals, "iso")`` and
-    ``dedup(c, "equivalence")``: a candidate's key and its reversal's key
-    each name an iso class, the lesser names the equivalence class, and the
-    group order and achirality, which mirrors share, hold for all three.
-    Each candidate costs one stream set, and its reversal one more only
-    when its key has not been met yet, as a candidate's or as a reversal's:
-    the reversal's key depends on the key alone.
+    ``dedup(c, "equivalence")``, split from the one :func:`_mirror_keys`
+    table that ``dedup`` uses: a candidate's key and its reversal's key each
+    name an iso class, and the lesser names the equivalence class.
     """
     iso: dict[bytes, tuple[int, bool]] = {}
     equivalence: dict[bytes, tuple[int, bool]] = {}
-    mirror: dict[bytes, bytes] = {}
-    for e in candidates:
-        _check_guard(e.graph.n, e.graph.edge_count, MAX_VERTICES, MAX_EDGES)
-        key, order, _ = _least(e)
-        rkey = mirror.get(key)
-        if rkey is None:
-            rkey = _least(reverse(e))[0]
-            mirror[key] = rkey
-            mirror[rkey] = key
-        data = order, key == rkey
-        iso.setdefault(key, data)
-        iso.setdefault(rkey, data)
-        equivalence.setdefault(min(key, rkey), data)
+    for key, (rkey, order) in _mirror_keys(candidates).items():
+        iso[key] = iso[rkey] = equivalence[min(key, rkey)] = order, key == rkey
     return (
         [_class_record(key, *iso[key]) for key in sorted(iso)],
         [_class_record(key, *equivalence[key]) for key in sorted(equivalence)],
@@ -533,7 +491,7 @@ def _same_graph(g: MultiGraph, h: MultiGraph) -> bool:
     the first vertex map.
     """
     for x in (g, h):
-        _check_guard(x.n, x.edge_count, MAX_VERTICES, MAX_EDGES)
+        _check_guard(x.n, x.edge_count)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if sorted(_vertex_profiles(_mult_matrix(g))) != sorted(_vertex_profiles(_mult_matrix(h))):
@@ -550,41 +508,45 @@ def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
     return toward
 
 
-def graph_automorphism_count(
-    g: MultiGraph,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> int:
+def graph_automorphism_count(g: MultiGraph) -> int:
     """Number of (vertex, edge) automorphism pairs of the multigraph.
 
     Rotations are ignored.  Each vertex automorphism extends to an edge
     bijection in ``prod(mult!)`` ways over the parallel classes.
     """
-    _check_guard(g.n, g.edge_count, max_vertices, max_edges)
+    _check_guard(g.n, g.edge_count)
     count = sum(1 for _ in _vertex_isomorphisms(g, g))
     return count * math.prod(math.factorial(len(ds)) for (u, v), ds in _darts_toward(g).items() if u < v)
 
 
-def graph_automorphisms(
-    g: MultiGraph,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> Iterator[bytes]:
+def graph_automorphisms(g: MultiGraph) -> Iterator[bytes]:
     """Every (vertex, edge) automorphism of the multigraph, as a dart permutation.
 
     ``perm[d]`` is the image of dart ``d``: the dart of the image edge at the
     image vertex, so ``perm[d ^ 1] == perm[d] ^ 1``.  Each vertex
     automorphism is combined with every bijection between the parallel
     classes it maps onto each other, which yields exactly
-    :func:`graph_automorphism_count` distinct permutations.  They are
-    ``bytes``, so the guard never admits more than 128 edges.
+    :func:`graph_automorphism_count` distinct permutations, the bijections
+    in the order of ``itertools.product`` over ``permutations`` of each
+    class's image darts, but made lazily.  They are ``bytes``, which the
+    guard's ``MAX_EDGES`` keeps below 128 edges.
     """
-    _check_guard(g.n, g.edge_count, max_vertices, min(max_edges, 128))
+    _check_guard(g.n, g.edge_count)
     toward = _darts_toward(g)
     classes = [(u, v, darts) for (u, v), darts in toward.items() if u < v]
     perm = [0] * (2 * g.edge_count)
+
+    def fill(parallel: list[tuple[list[int], list[int]]], i: int) -> Iterator[bytes]:
+        if i == len(parallel):
+            yield bytes(perm)
+            return
+        darts, targets = parallel[i]
+        for chosen in permutations(targets):
+            for d, t in zip(darts, chosen):
+                perm[d] = t
+                perm[d ^ 1] = t ^ 1
+            yield from fill(parallel, i + 1)
+
     for image in _vertex_isomorphisms(g, g):
         parallel = []  # (darts of a parallel class, darts of its image class)
         for u, v, darts in classes:
@@ -594,26 +556,16 @@ def graph_automorphisms(
                 perm[darts[0] ^ 1] = targets[0] ^ 1
             else:
                 parallel.append((darts, targets))
-        for choice in product(*(permutations(targets) for _, targets in parallel)):
-            for (darts, _), targets in zip(parallel, choice):
-                for d, t in zip(darts, targets):
-                    perm[d] = t
-                    perm[d ^ 1] = t ^ 1
-            yield bytes(perm)
+        yield from fill(parallel, 0)
 
 
-def multigraph_key(
-    g: MultiGraph,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-) -> bytes:
+def multigraph_key(g: MultiGraph) -> bytes:
     """Canonical key of the underlying multigraph (rotations ignored).
 
     Minimal serialization of the multiplicity matrix over vertex orderings,
     searched with profile grouping and prefix pruning.
     """
-    _check_guard(g.n, g.edge_count, max_vertices, max_edges)
+    _check_guard(g.n, g.edge_count)
     mat = _mult_matrix(g)
     profiles = _vertex_profiles(mat)
     n = g.n

@@ -24,7 +24,7 @@ from collections import Counter
 
 from . import enumeration as en
 from .canon import class_key, dedup
-from .core import BudgetExceeded, RotsysError, build_graph, surface_stats, trace_faces
+from .core import RotsysError, build_graph, surface_stats, trace_faces
 from .formats import (
     ParseError,
     parse_appendix_a,
@@ -88,10 +88,14 @@ def _cmd_classify(args) -> int:
     for path in args.files:
         docs.extend(parse_named_embeddings(_read(path)))
     mode = "equivalence" if args.mode == "equiv" else "iso"
-    classes = dedup([d.embedding for d in docs], mode)
-    members: dict[bytes, list[str]] = {c.canonical_key: [] for c in classes}
+    members: dict[bytes, list[str]] = {}
+    firsts = []
     for d in docs:
-        members[class_key(d.embedding, mode)].append(d.name)
+        names = members.setdefault(class_key(d.embedding, mode), [])
+        if not names:
+            firsts.append(d.embedding)
+        names.append(d.name)
+    classes = dedup(firsts, mode)
     print(f"{len(docs)} embeddings, {len(classes)} {mode} classes")
     for c in classes:
         print(_class_line(c))
@@ -247,13 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RotsysError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (RotsysError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

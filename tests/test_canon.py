@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -26,6 +27,7 @@ from rotsys import (
     dedup,
     from_neighbor_lists,
     graph_automorphism_count,
+    k4_plus,
     make_embedding,
     multigraph_key,
     octahedron,
@@ -36,16 +38,26 @@ from rotsys import (
     trace_faces,
 )
 from rotsys.canon import (
+    _darts_toward,
     _least,
     _mult_matrix,
     _same_graph,
     _stream_from,
+    _vertex_isomorphisms,
     _vertex_profiles,
     canonical_embedding,
+    class_key,
     graph_automorphisms,
 )
-from rotsys.core import k5_minus_edge
-from rotsys.enumeration import RotationSpace, genus_distribution, pipeline_k5_stages
+from rotsys.core import embedding_from_darts, k5_minus_edge
+from rotsys.enumeration import (
+    RotationSpace,
+    genus_distribution,
+    pipeline_k5_stages,
+    pipeline_k33_stages,
+    theta_embeddings,
+)
+from rotsys.formats import load_appendix_a, load_appendix_b
 from rotsys.suites import TORUS_TABLE
 
 from conftest import random_embedding, random_graphs, random_relabel
@@ -149,7 +161,7 @@ class TestLeast:
         assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (0, 0)
         pipeline_k5_stages.cache_clear()
         try:
-            assert stream_roots(pipeline_k5_stages)[1:] == (6930, 1629)
+            assert stream_roots(pipeline_k5_stages)[1:] == (6720, 1567)
         finally:
             pipeline_k5_stages.cache_clear()
 
@@ -242,7 +254,41 @@ class TestAutomorphisms:
     def test_generator_guard_keeps_darts_in_a_byte(self):
         assert len(list(graph_automorphisms(theta(2)))) == 4
         with pytest.raises(SizeGuardExceeded):
-            next(graph_automorphisms(theta(129), max_edges=200))
+            next(graph_automorphisms(theta(129)))
+
+    def test_generator_order_is_that_of_product(self):
+        graphs = [theta(5), theta(7), k4_plus(), complete(5), complete_bipartite(3, 3)]
+        graphs += random_graphs(43, 20)
+        assert sum(len(set(map(frozenset, g.edges))) < g.edge_count for g in graphs) >= 10
+        for g in graphs:
+            assert list(graph_automorphisms(g)) == list(_product_automorphisms(g))
+
+    def test_generator_is_lazy(self):
+        # theta(9) has 9! bijections of its parallel edges per vertex map;
+        # the first 100 automorphisms must not wait for all of them.
+        tracemalloc.start()
+        try:
+            perms = list(islice(graph_automorphisms(theta(9)), 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(perms)) == 100
+        assert peak < 5 * 2**20
+
+
+def _product_automorphisms(g):
+    """The automorphism dart permutations, by ``product`` over every class's permutations."""
+    toward = _darts_toward(g)
+    ends = [(u, v) for u, v in toward if u < v]
+    for image in _vertex_isomorphisms(g, g):
+        images = [toward[(image[u], image[v])] for u, v in ends]
+        for choice in product(*map(permutations, images)):
+            perm = [0] * (2 * g.edge_count)
+            for (u, v), chosen in zip(ends, choice):
+                for d, t in zip(toward[(u, v)], chosen):
+                    perm[d] = t
+                    perm[d ^ 1] = t ^ 1
+            yield bytes(perm)
 
 
 class TestChirality:
@@ -308,15 +354,108 @@ class TestDedup:
             dedup([], "both")
 
     def test_stream_sets_per_input_and_per_class(self, stream_sets):
-        # equivalence: each input's own and its reversal's, none per class;
-        # iso: each input's own, plus the representative's reversal per class.
+        # In both modes: one per input, plus one for its reversal when its
+        # key was met neither as an earlier input's nor as an earlier
+        # input's reversal's.
         rng = random.Random(20)
         embs = [random_embedding(rng) for _ in range(20)]
         embs += [random_relabel(rng, e) for e in embs] + [reverse(e) for e in embs[:10]]
-        for mode, per_input, per_class in (("equivalence", 2, 0), ("iso", 1, 1)):
+        met: set[bytes] = set()
+        expected = len(embs)
+        for e in embs:
+            key = canonical_key(e)
+            if key not in met:
+                expected += 1
+                met |= {key, canonical_key(reverse(e))}
+        assert expected < len(embs) + 20
+        for mode in ("equivalence", "iso"):
             classes, taken = stream_sets(lambda: dedup(embs, mode))
             assert len(classes) < len(embs)
-            assert taken == per_input * len(embs) + per_class * len(classes)
+            assert taken == expected
+
+    def test_stream_sets_of_the_library_dedups(self, stream_sets):
+        # theta(7) at genus 3: one per pinned match (180) and one per
+        # equivalence class (16).  The appendix systems are pairwise
+        # non-equivalent, so each takes its own and its reversal's.
+        for mode in ("equivalence", "iso"):
+            assert stream_sets(lambda: theta_embeddings(7, 3, mode=mode))[1] == 196
+        assert stream_sets(pipeline_k33_stages)[1] == 16
+        for load, sets in ((load_appendix_a, 62), (load_appendix_b, 26)):
+            embs = [r.embedding for r in load()]
+            assert stream_sets(lambda: dedup(embs, "equivalence"))[1] == sets
+
+
+def _theta7_one_face():
+    """The one-face (genus 3) systems of theta(7) with vertex 1's order fixed."""
+    g = theta(7)
+    embs = (make_embedding(g, [range(1, 8), (1, *p)]) for p in permutations(range(2, 8)))
+    return [e for e in embs if trace_faces(e).stats.f == 1]
+
+
+class TestDedupDifferential:
+    """``dedup``, ``class_key`` and ``chirality`` against keying every input plainly."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(47)
+        embs = [random_embedding(rng) for _ in range(40)]
+        embs += [random_relabel(rng, e) for e in embs[::2]] + [reverse(e) for e in embs[1::3]]
+        embs += [reverse(random_relabel(rng, e)) for e in embs[::5]]
+        rng.shuffle(embs)
+        return embs + _theta7_one_face()
+
+    @pytest.mark.parametrize("mode", ["iso", "equivalence"])
+    def test_against_the_plain_path(self, mode):
+        embs = self.inputs()
+        plain = {}
+        for e in embs:
+            key, rkey = canonical_key(e), canonical_key(reverse(e))
+            ckey = key if mode == "iso" else min(key, rkey)
+            chir = NON_ORIENTABLE if key == rkey else ORIENTABLE
+            assert class_key(e, mode) == ckey
+            assert chirality(e) == chir
+            plain.setdefault(ckey, (automorphism_group_order(e), chir))
+        classes = dedup(embs, mode)
+        assert [c.canonical_key for c in classes] == sorted(plain)
+        assert {c.chirality for c in classes} == {ORIENTABLE, NON_ORIENTABLE}
+        assert len(classes) < len(embs)
+        for c in classes:
+            assert (c.group_order, c.chirality) == plain[c.canonical_key]
+            assert c.representative == canonical_embedding(c.canonical_key)
+            faces = trace_faces(c.representative)
+            assert (c.genus, c.face_degrees) == (faces.stats.genus, faces.face_lengths())
+
+
+def _embedding_on(g):
+    """An embedding of ``g``: each vertex's darts in label order."""
+    return embedding_from_darts(g, g.darts_at)
+
+
+GUARDED = {
+    "canonical_key": canonical_key,
+    "automorphism_group_order": automorphism_group_order,
+    "are_isomorphic": lambda e: are_isomorphic(e, e),
+    "chirality": chirality,
+    "class_key-iso": lambda e: class_key(e, "iso"),
+    "class_key-equivalence": lambda e: class_key(e, "equivalence"),
+    "dedup-iso": lambda e: dedup([e], "iso"),
+    "dedup-equivalence": lambda e: dedup([e], "equivalence"),
+    "graph_automorphism_count": lambda e: graph_automorphism_count(e.graph),
+    "graph_automorphisms": lambda e: next(graph_automorphisms(e.graph)),
+    "multigraph_key": lambda e: multigraph_key(e.graph),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED))
+@pytest.mark.parametrize(
+    "graph",
+    [theta(41), MultiGraph(17, tuple((v, v % 17 + 1) for v in range(1, 18)))],
+    ids=["41-edges", "17-vertices"],
+)
+def test_size_guard_of_every_public_function(name, graph):
+    e = _embedding_on(graph)
+    with pytest.raises(SizeGuardExceeded):
+        GUARDED[name](e)
 
 
 class TestMultigraphKey:

@@ -182,7 +182,7 @@ class TestStageShortcuts:
             (_, tests, searches), sets = stream_sets(lambda: graph_tests(pipeline_k5_stages))
         finally:
             pipeline_k5_stages.cache_clear()
-        assert sets == 581
+        assert sets == 556
         assert (tests, searches) == (793, 130)
 
 
