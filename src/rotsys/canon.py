@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
     Embedding,
@@ -48,8 +47,8 @@ Chirality = Literal["orientable", "non_orientable"]
 DedupMode = Literal["iso", "equivalence"]
 
 MAX_VERTICES = 16
-# Below 128: darts must fit a byte, in graph_automorphisms' permutations and
-# in RotationSpace's images.
+# Darts and vertices must fit a byte, in the permutations of
+# _automorphism_chain and graph_automorphisms and in RotationSpace's images.
 MAX_EDGES = 40
 
 
@@ -313,29 +312,24 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown dedup mode {mode!r}")
 
 
-def _mirror_keys(embeddings: Iterable[Embedding]) -> dict[bytes, tuple[bytes, int]]:
-    """``key -> (key of the reversal, group order)`` over the keys of ``embeddings``.
+def _mirror_keys(embeddings: Iterable[Embedding]) -> Iterator[tuple[bytes, bytes, int]]:
+    """``(key, key of the reversal, group order)`` of each of ``embeddings``, in input order.
 
-    Entries are in input order, each from the first input with its key.
-    Each input costs one stream set, and its reversal one more only when its
-    key has not been met yet, as an input's or as a reversal's: the
+    Each input costs one stream set, and its reversal one more only when
+    its key has not been met yet, as an input's or as a reversal's: the
     reversal's key depends on the key alone.  Isomorphic embeddings and
     mirror images have groups of the same order, so the order holds for the
     key's class and its mirror's.
     """
-    table: dict[bytes, tuple[bytes, int]] = {}
-    mirror: dict[bytes, bytes] = {}  # a reversal's key -> the key it reverses
+    mirror: dict[bytes, bytes] = {}  # each key met -> the key of its reversal
     for e in embeddings:
         _check_guard(e.graph.n, e.graph.edge_count)
         key, order, _ = _least(e)
-        if key in table:
-            continue
         rkey = mirror.get(key)
         if rkey is None:
             rkey = _least(reverse(e))[0]
-            mirror[rkey] = key
-        table[key] = rkey, order
-    return table
+            mirror[key], mirror[rkey] = rkey, key
+        yield key, rkey, order
 
 
 def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
@@ -371,7 +365,7 @@ def chirality(e: Embedding) -> Chirality:
 
     Two stream sets: the keys of ``e`` and of its reversal, compared.
     """
-    ((key, (rkey, _)),) = _mirror_keys([e]).items()
+    ((key, rkey, _),) = _mirror_keys([e])
     return NON_ORIENTABLE if key == rkey else ORIENTABLE
 
 
@@ -384,14 +378,14 @@ def class_key(e: Embedding, mode: DedupMode = "iso") -> bytes:
     _check_mode(mode)
     if mode == "iso":
         return canonical_key(e)
-    ((key, (rkey, _)),) = _mirror_keys([e]).items()
+    ((key, rkey, _),) = _mirror_keys([e])
     return min(key, rkey)
 
 
-def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[EmbeddingClass]:
-    """Group embeddings into classes by :func:`class_key`, sorted by key.
+def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[list[EmbeddingClass], list[bytes]]:
+    """The classes of ``embeddings``, sorted by key, and the class key of each input.
 
-    The classes come from one :func:`_mirror_keys` table: the class key is
+    The classes come from one :func:`_mirror_keys` pass: the class key is
     the input's key in ``iso`` mode and the lesser of it and its reversal's
     key in ``equivalence`` mode, and a class is achiral when the two agree.
     So each input costs one stream set, and one more for its reversal only
@@ -401,10 +395,17 @@ def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[Embe
     exhaustive classification gives them.
     """
     _check_mode(mode)
+    keys: list[bytes] = []
     classes: dict[bytes, tuple[int, bool]] = {}
-    for key, (rkey, order) in _mirror_keys(embeddings).items():
-        classes[key if mode == "iso" else min(key, rkey)] = order, key == rkey
-    return [_class_record(key, *classes[key]) for key in sorted(classes)]
+    for key, rkey, order in _mirror_keys(embeddings):
+        keys.append(key if mode == "iso" else min(key, rkey))
+        classes[keys[-1]] = order, key == rkey
+    return [_class_record(key, *classes[key]) for key in sorted(classes)], keys
+
+
+def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[EmbeddingClass]:
+    """Group embeddings into classes by :func:`class_key`, sorted by key (see :func:`classify`)."""
+    return classify(embeddings, mode)[0]
 
 
 def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass], list[EmbeddingClass]]:
@@ -414,12 +415,12 @@ def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass
     for itself and its mirror and both chiralities enter the iso classes.
     The records are those of ``dedup(c + reversals, "iso")`` and
     ``dedup(c, "equivalence")``, split from the one :func:`_mirror_keys`
-    table that ``dedup`` uses: a candidate's key and its reversal's key each
+    pass that ``dedup`` uses: a candidate's key and its reversal's key each
     name an iso class, and the lesser names the equivalence class.
     """
     iso: dict[bytes, tuple[int, bool]] = {}
     equivalence: dict[bytes, tuple[int, bool]] = {}
-    for key, (rkey, order) in _mirror_keys(candidates).items():
+    for key, rkey, order in _mirror_keys(candidates):
         iso[key] = iso[rkey] = equivalence[min(key, rkey)] = order, key == rkey
     return (
         [_class_record(key, *iso[key]) for key in sorted(iso)],
@@ -445,41 +446,59 @@ def _vertex_profiles(mat: list[list[int]]) -> list[tuple]:
     return [(sum(row), tuple(sorted(filter(None, row)))) for row in mat[1:]]
 
 
-def _vertex_isomorphisms(g: MultiGraph, h: MultiGraph) -> Iterator[list[int]]:
-    """Vertex maps of the isomorphisms from ``g`` onto ``h``, by backtracking.
+GraphTables = tuple[list[list[int]], list[tuple]]
 
-    ``g`` and ``h`` have the same number of vertices.  Each yielded list maps
-    vertex ``v`` of ``g`` to ``image[v]`` of ``h`` (index 0 unused) and
-    carries every edge multiplicity over.  The list is reused between
-    yields.  ``h is g`` gives the automorphisms of ``g``.
-    """
+
+def _graph_tables(g: MultiGraph) -> GraphTables:
+    """The multiplicity matrix of ``g`` and its vertex profiles, as the search takes them."""
     mat = _mult_matrix(g)
-    profiles = _vertex_profiles(mat)
-    if h is g:
-        hmat, hprofiles = mat, profiles
-    else:
-        hmat = _mult_matrix(h)
-        hprofiles = _vertex_profiles(hmat)
-    n = g.n
+    return mat, _vertex_profiles(mat)
+
+
+def _vertex_isomorphisms(g: GraphTables, h: GraphTables, fixed: Sequence[int] = ()) -> Iterator[list[int]]:
+    """Vertex maps of the isomorphisms from one multigraph onto another, by backtracking.
+
+    ``g`` and ``h`` are the :func:`_graph_tables` of two graphs with the
+    same number of vertices; passing one graph's tables twice gives its
+    automorphisms.  Each yielded list maps vertex ``v`` of the first to
+    ``image[v]`` of the second (index 0 unused) and carries every edge
+    multiplicity over.  Vertices ``1..len(fixed)`` may only go to
+    ``fixed``, in order.  The list is reused between yields.
+    """
+    mat, profiles = g
+    hmat, hprofiles = h
+    n = len(profiles)
     image = [0] * (n + 1)
     used = [False] * (n + 1)
+
+    def fits(v: int, w: int) -> bool:
+        """Whether ``v -> w`` keeps the profile and the multiplicities to ``1..v-1``."""
+        if used[w] or hprofiles[w - 1] != profiles[v - 1]:
+            return False
+        row, hrow = mat[v], hmat[w]
+        for u in range(1, v):
+            if row[u] != hrow[image[u]]:
+                return False
+        return True
 
     def extend(v: int) -> Iterator[list[int]]:
         if v > n:
             yield image
             return
         for w in range(1, n + 1):
-            if used[w] or hprofiles[w - 1] != profiles[v - 1]:
-                continue
-            if any(mat[v][u] != hmat[w][image[u]] for u in range(1, v)):
-                continue
-            image[v] = w
-            used[w] = True
-            yield from extend(v + 1)
-            used[w] = False
+            if fits(v, w):
+                image[v] = w
+                used[w] = True
+                yield from extend(v + 1)
+                used[w] = False
         image[v] = 0
 
-    return extend(1)
+    for v, w in enumerate(fixed, 1):
+        if not fits(v, w):
+            return iter(())
+        image[v] = w
+        used[w] = True
+    return extend(len(fixed) + 1)
 
 
 def _same_graph(g: MultiGraph, h: MultiGraph) -> bool:
@@ -487,16 +506,17 @@ def _same_graph(g: MultiGraph, h: MultiGraph) -> bool:
 
     The answer, and the size guard on both graphs, are those of
     ``multigraph_key(g) == multigraph_key(h)``; but only graphs with equal
-    sizes and equal sorted vertex profiles reach the search, which stops at
-    the first vertex map.
+    sizes and equal sorted vertex profiles reach the search, which takes
+    the tables built for that check and stops at the first vertex map.
     """
     for x in (g, h):
         _check_guard(x.n, x.edge_count)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    if sorted(_vertex_profiles(_mult_matrix(g))) != sorted(_vertex_profiles(_mult_matrix(h))):
+    gt, ht = _graph_tables(g), _graph_tables(h)
+    if sorted(gt[1]) != sorted(ht[1]):
         return False
-    return next(_vertex_isomorphisms(g, h), None) is not None
+    return next(_vertex_isomorphisms(gt, ht), None) is not None
 
 
 def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
@@ -508,55 +528,105 @@ def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
     return toward
 
 
+def _automorphism_chain(g: MultiGraph) -> list[list[tuple[int, bytes]]]:
+    """Aut(G) as a stabiliser chain: per level, each image of its base point and an element giving it.
+
+    Elements permute *points*: the darts ``0..2m-1``, then ``2m + v - 1``
+    for vertex ``v``.  Every automorphism is, in exactly one way, a product
+    ``t_1 t_2 ... t_k`` (``t_k`` applied first) of one element per level.
+
+    The vertex levels come first, with base points the vertices ``1..n``:
+    the level of vertex ``i`` holds one automorphism fixing ``1..i-1`` per
+    image of ``i``, each found by a first-leaf search of
+    :func:`_vertex_isomorphisms` with that prefix fixed (the identity needs
+    no search).  A vertex map moves darts canonically: the ``j``-th dart
+    from ``u`` toward ``v`` goes to the ``j``-th from its image of ``u``
+    toward its image of ``v``.  Then, for each parallel class in the order
+    of :func:`_darts_toward`, the bijections of its ``k`` edges form
+    ``k - 1`` levels of ``S_k``, with base points its darts at its lower
+    end: level ``j`` moves each dart from place ``j`` on to place ``j``
+    and shifts the darts between up by one place, darts at the other end
+    alike.  So after the vertex levels the images of a class's remaining
+    places stay in ascending order, and a parallel level's elements come
+    in the order of the images they give.  Levels with the identity alone
+    are left out, so the group order is the product of the level sizes.
+    """
+    _check_guard(g.n, g.edge_count)
+    n, nd = g.n, 2 * g.edge_count
+    dv = g.dart_vertex
+    toward = _darts_toward(g)
+    slot = {d: j for ds in toward.values() for j, d in enumerate(ds)}
+    identity = bytes(range(nd + n))
+    tables = _graph_tables(g)
+    chain = []
+    for i in range(1, n + 1):
+        level = [(nd + i - 1, identity)]
+        for w in range(i + 1, n + 1):
+            image = next(_vertex_isomorphisms(tables, tables, (*range(1, i), w)), None)
+            if image is not None:
+                darts = [toward[image[dv[d]], image[dv[d ^ 1]]][slot[d]] for d in range(nd)]
+                vertices = [nd + x - 1 for x in image[1:]]
+                level.append((nd + w - 1, bytes(darts + vertices)))
+        chain.append(level)
+    for (u, v), ds in toward.items():
+        if u > v:
+            continue
+        for j in range(len(ds) - 1):
+            places = ds[j:]
+            level = []
+            for d in places:
+                rotation = bytearray(identity)
+                for a, b in zip(places, [d] + [x for x in places if x != d]):
+                    rotation[a], rotation[a ^ 1] = b, b ^ 1
+                level.append((d, bytes(rotation)))
+            chain.append(level)
+    return [level for level in chain if len(level) > 1]
+
+
 def graph_automorphism_count(g: MultiGraph) -> int:
     """Number of (vertex, edge) automorphism pairs of the multigraph.
 
-    Rotations are ignored.  Each vertex automorphism extends to an edge
-    bijection in ``prod(mult!)`` ways over the parallel classes.
+    Rotations are ignored.  The count is the product of the level sizes of
+    :func:`_automorphism_chain`: the orbit sizes of the vertices under
+    their predecessors' stabilisers, times ``mult!`` per parallel class.
+    No automorphism beyond the chain's transversals is built.
     """
-    _check_guard(g.n, g.edge_count)
-    count = sum(1 for _ in _vertex_isomorphisms(g, g))
-    return count * math.prod(math.factorial(len(ds)) for (u, v), ds in _darts_toward(g).items() if u < v)
+    return math.prod(map(len, _automorphism_chain(g)))
 
 
 def graph_automorphisms(g: MultiGraph) -> Iterator[bytes]:
     """Every (vertex, edge) automorphism of the multigraph, as a dart permutation.
 
     ``perm[d]`` is the image of dart ``d``: the dart of the image edge at the
-    image vertex, so ``perm[d ^ 1] == perm[d] ^ 1``.  Each vertex
-    automorphism is combined with every bijection between the parallel
-    classes it maps onto each other, which yields exactly
-    :func:`graph_automorphism_count` distinct permutations, the bijections
-    in the order of ``itertools.product`` over ``permutations`` of each
-    class's image darts, but made lazily.  They are ``bytes``, which the
-    guard's ``MAX_EDGES`` keeps below 128 edges.
+    image vertex, so ``perm[d ^ 1] == perm[d] ^ 1``.  The
+    :func:`graph_automorphism_count` permutations are distinct, and come
+    in the order of their vertex maps' images of ``1..n``, then of the
+    images of each parallel class's darts (``itertools.product`` over
+    ``permutations`` of each class's image darts), but made lazily.  They
+    are products over the levels of :func:`_automorphism_chain`, walked
+    depth first, with a vertex level's elements sorted by where the
+    product so far sends them; each node costs one ``bytes.translate`` of
+    its parent.  They are ``bytes``: the size guard keeps every dart and
+    vertex within a byte.
     """
-    _check_guard(g.n, g.edge_count)
-    toward = _darts_toward(g)
-    classes = [(u, v, darts) for (u, v), darts in toward.items() if u < v]
-    perm = [0] * (2 * g.edge_count)
+    chain = [(bytes(p for p, _ in level), [t for _, t in level]) for level in _automorphism_chain(g)]
+    nd = 2 * g.edge_count
+    pad = bytes(256 - nd - g.n)
 
-    def fill(parallel: list[tuple[list[int], list[int]]], i: int) -> Iterator[bytes]:
-        if i == len(parallel):
-            yield bytes(perm)
-            return
-        darts, targets = parallel[i]
-        for chosen in permutations(targets):
-            for d, t in zip(darts, chosen):
-                perm[d] = t
-                perm[d ^ 1] = t ^ 1
-            yield from fill(parallel, i + 1)
+    def walk(x: bytes, i: int) -> Iterator[bytes]:
+        table = x + pad
+        points, elements = chain[i]
+        if points[0] >= nd:  # a vertex level
+            elements = [t for _, t in sorted(zip(points.translate(table), elements))]
+        if i + 1 < len(chain):
+            for t in elements:
+                yield from walk(t.translate(table), i + 1)
+        else:
+            for t in elements:
+                yield t.translate(table)[:nd]
 
-    for image in _vertex_isomorphisms(g, g):
-        parallel = []  # (darts of a parallel class, darts of its image class)
-        for u, v, darts in classes:
-            targets = toward[(image[u], image[v])]
-            if len(darts) == 1:
-                perm[darts[0]] = targets[0]
-                perm[darts[0] ^ 1] = targets[0] ^ 1
-            else:
-                parallel.append((darts, targets))
-        yield from fill(parallel, 0)
+    identity = bytes(range(nd + g.n))
+    return walk(identity, 0) if chain else iter((identity[:nd],))
 
 
 def multigraph_key(g: MultiGraph) -> bytes:
@@ -566,8 +636,7 @@ def multigraph_key(g: MultiGraph) -> bytes:
     searched with profile grouping and prefix pruning.
     """
     _check_guard(g.n, g.edge_count)
-    mat = _mult_matrix(g)
-    profiles = _vertex_profiles(mat)
+    mat, profiles = _graph_tables(g)
     n = g.n
     best: list[int] | None = None
     order: list[int] = []

@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 
 from . import enumeration as en
-from .canon import class_key, dedup
+from .canon import classify
 from .core import RotsysError, build_graph, surface_stats, trace_faces
 from .formats import (
     ParseError,
@@ -88,14 +88,10 @@ def _cmd_classify(args) -> int:
     for path in args.files:
         docs.extend(parse_named_embeddings(_read(path)))
     mode = "equivalence" if args.mode == "equiv" else "iso"
+    classes, keys = classify([d.embedding for d in docs], mode)
     members: dict[bytes, list[str]] = {}
-    firsts = []
-    for d in docs:
-        names = members.setdefault(class_key(d.embedding, mode), [])
-        if not names:
-            firsts.append(d.embedding)
-        names.append(d.name)
-    classes = dedup(firsts, mode)
+    for d, key in zip(docs, keys):
+        members.setdefault(key, []).append(d.name)
     print(f"{len(docs)} embeddings, {len(classes)} {mode} classes")
     for c in classes:
         print(_class_line(c))

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
+    _automorphism_chain,
     _check_mode,
     _orbit_class,
     _same_graph,
     _stage_classes,
     dedup,
-    graph_automorphisms,
 )
 from .core import (
     BudgetExceeded,
@@ -62,8 +61,8 @@ DEFAULT_BUDGET = 10**9
 
 # Automorphism groups up to this order are kept in memory by
 # RotationSpace.orbits, as forward and inverse position permutations
-# (about 4.8 MB at 40 edges); larger ones are generated afresh for every
-# orbit.
+# (about 4.8 MB at 40 edges); larger ones are walked again from the space's
+# stabiliser chain for every orbit.
 MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
@@ -72,7 +71,10 @@ class RotationSpace:
 
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
-    fastest digit.
+    fastest digit.  The automorphism group of the graph, which the orbit
+    pass and the pin act with, is built once per space, as a stabiliser
+    chain (see :func:`canon._automorphism_chain`) whose products are its
+    elements.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -101,7 +103,7 @@ class RotationSpace:
     # rotation successor, and an automorphism the bytes ``fwd`` of each
     # position's image and ``inv`` of its preimage; the image of the system
     # is the conjugate ``fwd[succ[inv[p]]]``, two translates.  Darts fit a
-    # byte (graph_automorphisms enforces its edge guard), and unlike small
+    # byte (the chain enforces its edge guard), and unlike small
     # tuples, freed bytes are not kept on the interpreter's free lists.
 
     def _positions(self) -> tuple[bytes, bytes]:
@@ -135,22 +137,52 @@ class RotationSpace:
             start, place = end, place * count
         return tables
 
-    def _conjugations(self) -> Iterator[tuple[bytes, bytes]]:
-        """Every automorphism of the graph as ``(fwd, inv)`` position permutations."""
+    @cached_property
+    def _chain(self) -> list[list[tuple[bytes, bytes]]]:
+        """Aut(G) as the levels of :func:`canon._automorphism_chain`, built once per space.
+
+        Each element is ``(fwd, inv + pad)``: its position permutation and
+        the inverse of that (the positions sorted by their image), padded as
+        a translate table.
+        """
         darts, position = self._positions()
-        pad = bytes(256 - len(darts))
+        nd = len(darts)
+        pad = bytes(256 - nd)
         position += pad
-        for perm in graph_automorphisms(self.graph):
-            fwd = darts.translate(perm + pad).translate(position)
-            inv = bytearray(len(fwd))
-            for p, q in enumerate(fwd):
-                inv[q] = p
-            yield fwd, bytes(inv)
+        chain = []
+        for level in _automorphism_chain(self.graph):
+            fwds = [darts.translate(t[:nd] + pad).translate(position) for _, t in level]
+            chain.append([(fwd, bytes(sorted(range(nd), key=fwd.__getitem__)) + pad) for fwd in fwds])
+        return chain
+
+    def _conjugations(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every automorphism of the graph as ``(fwd, inv)`` position permutations.
+
+        They are the products ``t_1 ... t_k`` of one element per level of
+        the chain, walked depth first: a node's ``fwd`` is its parent's
+        composed with the level's element, ``inv(t_k) ... inv(t_1)`` its
+        inverse, one ``bytes.translate`` each.
+        """
+        chain = self._chain
+        identity = bytes(range(2 * self.graph.edge_count))
+        pad = bytes(256 - len(identity))
+
+        def walk(fwd: bytes, inv: bytes, i: int) -> Iterator[tuple[bytes, bytes]]:
+            table = fwd + pad
+            if i + 1 < len(chain):
+                for t, t_inv in chain[i]:
+                    yield from walk(t.translate(table), inv.translate(t_inv), i + 1)
+            else:
+                for t, t_inv in chain[i]:
+                    yield t.translate(table), inv.translate(t_inv)
+
+        return walk(identity, identity, 0) if chain else iter(((identity, identity),))
 
     def _stored_conjugations(self) -> list[tuple[bytes, bytes]] | None:
         """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
-        stored = list(islice(self._conjugations(), MAX_STORED_AUTOMORPHISMS + 1))
-        return stored if len(stored) <= MAX_STORED_AUTOMORPHISMS else None
+        if math.prod(map(len, self._chain)) > MAX_STORED_AUTOMORPHISMS:
+            return None
+        return list(self._conjugations())
 
     def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int, int, bool]]:
         """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
@@ -175,7 +207,7 @@ class RotationSpace:
         one ``order -> digit`` table and one list of mirror digits per
         vertex, and the automorphisms, two position permutations each, when
         there are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups
-        are generated afresh for each orbit.
+        are walked again from the chain for each orbit.
         """
         _check_mode(mode)
         return self._orbits(indices, mode == "equivalence", self._stored_conjugations())
@@ -227,8 +259,8 @@ class RotationSpace:
         a representative.  The vertex has the fewest representatives per
         order, the lowest one on ties.  Images are taken as in
         :meth:`orbits`, of a system that has the order at the vertex, and
-        groups above :data:`MAX_STORED_AUTOMORPHISMS` are generated afresh
-        for each representative.
+        groups above :data:`MAX_STORED_AUTOMORPHISMS` are walked again from
+        the chain for each representative.
         """
         vertices = self._vertex_tables()
         firsts = [next(iter(table)) for _, table, _, _ in vertices]

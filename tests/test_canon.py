@@ -36,9 +36,13 @@ from rotsys import (
     reverse,
     theta,
     trace_faces,
+    wheel,
 )
+from rotsys import canon, enumeration
 from rotsys.canon import (
+    _automorphism_chain,
     _darts_toward,
+    _graph_tables,
     _least,
     _mult_matrix,
     _same_graph,
@@ -52,6 +56,7 @@ from rotsys.canon import (
 from rotsys.core import embedding_from_darts, k5_minus_edge
 from rotsys.enumeration import (
     RotationSpace,
+    exhaustive_classes,
     genus_distribution,
     pipeline_k5_stages,
     pipeline_k33_stages,
@@ -280,7 +285,8 @@ def _product_automorphisms(g):
     """The automorphism dart permutations, by ``product`` over every class's permutations."""
     toward = _darts_toward(g)
     ends = [(u, v) for u, v in toward if u < v]
-    for image in _vertex_isomorphisms(g, g):
+    tables = _graph_tables(g)
+    for image in _vertex_isomorphisms(tables, tables):
         images = [toward[(image[u], image[v])] for u, v in ends]
         for choice in product(*map(permutations, images)):
             perm = [0] * (2 * g.edge_count)
@@ -289,6 +295,98 @@ def _product_automorphisms(g):
                     perm[d] = t
                     perm[d ^ 1] = t ^ 1
             yield bytes(perm)
+
+
+@pytest.fixture
+def vertex_maps(monkeypatch):
+    """``count(fn)``: ``fn()``, the searches it started and the vertex maps they reached.
+
+    A search is one call of ``canon._vertex_isomorphisms``; a vertex map is
+    one complete map it yields, a leaf of its backtracking.
+    """
+    searches = [0]
+    leaves = [0]
+    original = canon._vertex_isomorphisms
+
+    def counted(g, h, fixed=()):
+        searches[0] += 1
+        for image in original(g, h, fixed):
+            leaves[0] += 1
+            yield image
+
+    def count(fn):
+        searches[0] = leaves[0] = 0
+        return fn(), searches[0], leaves[0]
+
+    monkeypatch.setattr(canon, "_vertex_isomorphisms", counted)
+    return count
+
+
+class TestAutomorphismChain:
+    """The stabiliser chain against the plain search over every vertex map."""
+
+    @staticmethod
+    def graphs():
+        graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE] + random_graphs(47, 20)
+        return graphs + [theta(m) for m in range(2, 8)] + [wheel(6), complete_bipartite(1, 7)]
+
+    def test_count_against_the_generator_and_the_oracle(self):
+        graphs = self.graphs()
+        assert sum(len(set(map(frozenset, g.edges))) < g.edge_count for g in graphs) >= 10
+        for g in graphs:
+            count = graph_automorphism_count(g)
+            assert count == len(set(graph_automorphisms(g))) == sum(1 for _ in _product_automorphisms(g))
+            assert count == math.prod(map(len, _automorphism_chain(g)))
+
+    def test_stored_conjugations_are_the_automorphisms(self):
+        # As a set, the (fwd, inv) pairs are the automorphisms on dart
+        # positions, each converted with a plain inverse.
+        for g in self.graphs():
+            space = RotationSpace(g)
+            darts, position = space._positions()
+            identity = bytes(range(len(darts)))
+            stored = space._stored_conjugations()
+            for fwd, inv in stored:
+                assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
+            expected = set()
+            for perm in graph_automorphisms(g):
+                fwd = bytes(position[perm[d]] for d in darts)
+                inv = bytearray(len(fwd))
+                for p, q in enumerate(fwd):
+                    inv[q] = p
+                expected.add((fwd, bytes(inv)))
+            assert len(stored) == len(set(stored)) == len(expected)
+            assert set(stored) == expected
+
+    def test_counts_no_enumeration_could_reach(self):
+        # 15! and 2 x 14! vertex maps, about 1e12 and 1e11: the plain search
+        # cannot finish, the orbit sizes multiply at once.
+        assert graph_automorphism_count(complete_bipartite(1, 15)) == math.factorial(15)
+        assert graph_automorphism_count(complete_bipartite(2, 14)) == 2 * math.factorial(14)
+
+    def test_vertex_maps_reached(self, vertex_maps):
+        # The plain search reaches all 1,152, 720 and 120 vertex maps; the
+        # chain reaches one per transversal element other than the identity,
+        # and the searches that fail reach none.
+        for g, levels, searches in (
+            (complete_bipartite(4, 4), [8, 3, 2, 4, 3, 2], 28),
+            (complete_bipartite(3, 5), [3, 2, 5, 4, 3, 2], 28),
+            (petersen(), [10, 3, 2, 2], 45),
+        ):
+            assert [len(level) for level in _automorphism_chain(g)] == levels
+            leaves = sum(levels) - len(levels)
+            assert vertex_maps(lambda: graph_automorphism_count(g)) == (math.prod(levels), searches, leaves)
+        tables = _graph_tables(petersen())
+        assert vertex_maps(lambda: sum(1 for _ in canon._vertex_isomorphisms(tables, tables))) == (120, 1, 120)
+
+    def test_one_chain_per_exhaustive_call(self, monkeypatch, vertex_maps):
+        # Above the cap the pin and every orbit walk the group again, from
+        # the chain the space built once: no search is repeated.
+        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
+        g = complete(5)
+        _, chain_searches, _ = vertex_maps(lambda: _automorphism_chain(g))
+        classes, searches, _ = vertex_maps(lambda: exhaustive_classes(g, genus=2, mode="equivalence"))
+        assert len(classes) == 31 and searches == chain_searches == 10
 
 
 class TestChirality:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from rotsys import make_embedding, theta
@@ -39,6 +41,24 @@ class TestBasicCommands:
         assert main(["classify", str(path), "--mode", "equiv"]) == 0
         out = capsys.readouterr().out
         assert "3 embeddings, 3 equivalence classes" in out
+
+    def test_classify_stream_sets(self, tmp_path, capsys, stream_sets):
+        # Appendix A twice and appendix B: 75 documents in 44 classes.  One
+        # pass keys each document once and takes one more stream set per
+        # distinct key, for its reversal, in either mode; no class is keyed
+        # again.
+        files = {}
+        for fmt, name in (("appendixA", "appendix_a.txt"), ("appendixB", "appendix_b.txt")):
+            table = tmp_path / name
+            table.write_text(resources.files("rotsys.data").joinpath(name).read_text())
+            assert main(["convert", fmt, str(table)]) == 0
+            files[fmt] = tmp_path / f"{fmt}.emb"
+            files[fmt].write_text(capsys.readouterr().out)
+        args = ["classify", str(files["appendixA"]), str(files["appendixA"]), str(files["appendixB"])]
+        for mode, first in (("iso", "75 embeddings, 44 iso classes"), ("equiv", "75 embeddings, 44 equivalence classes")):
+            status, sets = stream_sets(lambda: main(args + ["--mode", mode]))
+            assert (status, sets) == (0, 119)
+            assert capsys.readouterr().out.splitlines()[0] == first
 
     def test_classify_one_vertex_graph(self, tmp_path, capsys):
         path = tmp_path / "one.emb"
