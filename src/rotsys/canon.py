@@ -11,12 +11,13 @@ serializations agree; and because an automorphism fixing a dart is the
 identity, every distinct serialization of one embedding occurs with the
 same multiplicity, which *is* the automorphism group order.
 
-The least serialization is found by prefix pruning.  A serialization's
-third byte is the degree of its root's vertex, so only roots at vertices of
-least degree are started, and each traversal stops after the first vertex
-block that makes its output greater than the least one so far.  The roots
-that reach the least serialization are counted, so the key and the group
-order are those of the full set of serializations.
+The least serialization is found by pruning breadth first, as in the
+search trees of canonical labelling.  A serialization's third byte is the
+degree of its root's vertex, so only roots at vertices of least degree are
+started.  They all advance together, one vertex block at a time, and after
+each block only the roots whose block is the least one go on.  The roots
+left at the end are those reaching the least serialization, so the key and
+the group order are those of the full set of serializations.
 
 Mirror images: reversing all rotations gives the reflected embedding.  An
 embedding isomorphic to its own reversal is called non-orientable (achiral);
@@ -60,109 +61,112 @@ def _check_guard(n: int, m: int) -> None:
         )
 
 
-def _stream_from(e: Embedding, root: int, best: bytes | None = None) -> bytes | None:
-    """Serialization of ``e`` relabelled by the traversal rooted at ``root``.
+def _steps(e: Embedding) -> list[list[tuple[int, int, int]]]:
+    """Per dart, the darts around its vertex from it on, as ``(partner vertex, edge, partner dart)``."""
+    dv = e.graph.dart_vertex
+    steps: list = [None] * len(dv)
+    for r in e.rot:
+        k = len(r)
+        ring = [(dv[d ^ 1], d >> 1, d ^ 1) for d in r] * 2
+        for i, d in enumerate(r):
+            steps[d] = ring[i : i + k]
+    return steps
 
-    Vertices receive labels in first-encounter order; the rotation of a
-    newly met vertex starts at the dart through which it was discovered.
-    Edges are labelled in emission order.  The output lists, per vertex in
-    label order: its degree, then (neighbor label, edge label) for each dart
-    of its rotation.
 
-    Given ``best``, the output is compared with its prefix after each vertex
-    block: ``None`` as soon as it is greater, and no more comparing once it
-    is smaller.  A returned stream is then at most ``best``.
+def _block(
+    steps: list[tuple[int, int, int]],
+    starts: list[int],
+    vlab: list[int],
+    elab: list[int],
+    next_edge_label: int,
+) -> tuple[bytes, int]:
+    """One vertex block of a rooted traversal, and the next free edge label.
+
+    ``steps`` are the :func:`_steps` of the dart through which the vertex
+    was discovered.  A partner vertex met for the first time gets the next
+    vertex label (``vlab`` holds ``-1`` for unlabelled vertices) and its
+    partner dart is appended to ``starts``; an edge met for the first time
+    gets ``next_edge_label`` (``elab`` alike).  The block is the vertex's
+    degree, then (neighbor label, edge label) for each dart of its rotation.
     """
-    g = e.graph
-    succ = e.succ
-    dv = g.dart_vertex
-    starts = [root]
-    vlab = {dv[root]: 0}
-    elab: dict[int, int] = {}
-    out = bytearray((g.n, g.edge_count))
-    i = 0
-    while i < len(starts):
-        d0 = starts[i]
-        i += 1
-        out.append(len(e.rot[dv[d0] - 1]))
-        d = d0
-        while True:
-            p = d ^ 1
-            w = dv[p]
-            wl = vlab.get(w)
-            if wl is None:
-                wl = len(starts)
-                vlab[w] = wl
-                starts.append(p)
-            el = elab.get(d >> 1)
-            if el is None:
-                el = len(elab)
-                elab[d >> 1] = el
-            out.append(wl)
-            out.append(el)
-            d = succ[d]
-            if d == d0:
-                break
-        if best is not None:
-            head = best[: len(out)]
-            if out != head:
-                if out > head:
-                    return None
-                best = None
-    return bytes(out)
+    out = [len(steps)]
+    for w, k, p in steps:
+        wl = vlab[w]
+        if wl < 0:
+            wl = vlab[w] = len(starts)
+            starts.append(p)
+        el = elab[k]
+        if el < 0:
+            el = elab[k] = next_edge_label
+            next_edge_label += 1
+        out.append(wl)
+        out.append(el)
+    return bytes(out), next_edge_label
 
 
 def _labels_from(e: Embedding, root: int) -> tuple[dict[int, int], dict[int, int]]:
     """First-encounter vertex and edge labels (1-based) of the rooted traversal."""
     g = e.graph
-    succ = e.succ
-    dv = g.dart_vertex
+    steps = _steps(e)
     starts = [root]
-    vlab = {dv[root]: 1}
-    elab: dict[int, int] = {}
-    i = 0
-    while i < len(starts):
-        d0 = starts[i]
-        i += 1
-        d = d0
-        while True:
-            p = d ^ 1
-            w = dv[p]
-            if w not in vlab:
-                vlab[w] = len(starts) + 1
-                starts.append(p)
-            eid = (d >> 1) + 1
-            if eid not in elab:
-                elab[eid] = len(elab) + 1
-            d = succ[d]
-            if d == d0:
-                break
-    return vlab, elab
+    vlab = [-1] * (g.n + 1)
+    vlab[g.dart_vertex[root]] = 0
+    elab = [-1] * g.edge_count
+    next_edge_label = 0
+    for d in starts:  # grows as the walk meets new vertices
+        next_edge_label = _block(steps[d], starts, vlab, elab, next_edge_label)[1]
+    edges = sorted((el, k) for k, el in enumerate(elab) if el >= 0)
+    return (
+        {g.dart_vertex[d]: i + 1 for i, d in enumerate(starts)},
+        {k + 1: el + 1 for el, k in edges},
+    )
 
 
 def _least(e: Embedding) -> tuple[bytes, int, int]:
     """The least stream of ``e``, how often it occurs, and the first root giving it.
 
-    These are the key, the group order and a root of the full set of
-    streams, found by prefix pruning over the roots of least degree.
+    A root's stream is the graph's vertex and edge counts, then the
+    :func:`_block` of each vertex in label order.  Every root of least
+    degree advances one block at a time, and only the roots whose block is
+    the least at that index go on; a root with no block left emits the
+    empty block, which is least, as a stream that is a prefix of another
+    is less.  The roots left at the end all give the least stream: their
+    number is the group order.
     """
-    degree = [len(e.rot[v - 1]) for v in e.graph.dart_vertex]
-    if not degree:
+    g = e.graph
+    steps = _steps(e)
+    if not steps:
         # The one-vertex graph (the only connected edgeless one): one vertex
         # block of degree 0.
         return bytes([1, 0, 0]), 1, 0
-    low = min(degree)
-    key = root = None
-    order = 0
-    for d, deg in enumerate(degree):
-        s = _stream_from(e, d, key) if deg == low else None
-        if s is None:
-            continue
-        if s == key:
-            order += 1
-        else:
-            key, order, root = s, 1, d
-    return key, order, root
+    dv = g.dart_vertex
+    low = min(map(len, steps))
+    live = []  # [root, starts, vertex labels, edge labels, next edge label]
+    for d, s in enumerate(steps):
+        if len(s) == low:
+            vlab = [-1] * (g.n + 1)
+            vlab[dv[d]] = 0
+            live.append([d, [d], vlab, [-1] * g.edge_count, 0])
+    key = bytearray((g.n, g.edge_count))
+    for i in range(g.n):
+        best = None
+        survivors = []
+        for state in live:
+            starts = state[1]
+            if i < len(starts):
+                block, state[4] = _block(steps[starts[i]], starts, state[2], state[3], state[4])
+            else:
+                block = b""
+            if best is None or block < best:
+                best = block
+                survivors = [state]
+            elif block == best:
+                survivors.append(state)
+        live = survivors
+        if not best:
+            break
+        key += best
+    return bytes(key), len(live), live[0][0]
 
 
 def canonical_key(e: Embedding) -> bytes:
@@ -416,16 +420,17 @@ def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass
     The records are those of ``dedup(c + reversals, "iso")`` and
     ``dedup(c, "equivalence")``, split from the one :func:`_mirror_keys`
     pass that ``dedup`` uses: a candidate's key and its reversal's key each
-    name an iso class, and the lesser names the equivalence class.
+    name an iso class, and the lesser names the equivalence class.  So
+    every equivalence class is also an iso class, with the same group
+    order and achirality, and the two lists share its record.
     """
     iso: dict[bytes, tuple[int, bool]] = {}
-    equivalence: dict[bytes, tuple[int, bool]] = {}
+    equivalence: set[bytes] = set()
     for key, rkey, order in _mirror_keys(candidates):
-        iso[key] = iso[rkey] = equivalence[min(key, rkey)] = order, key == rkey
-    return (
-        [_class_record(key, *iso[key]) for key in sorted(iso)],
-        [_class_record(key, *equivalence[key]) for key in sorted(equivalence)],
-    )
+        iso[key] = iso[rkey] = order, key == rkey
+        equivalence.add(min(key, rkey))
+    records = {key: _class_record(key, *iso[key]) for key in sorted(iso)}
+    return list(records.values()), [records[key] for key in sorted(equivalence)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +506,21 @@ def _vertex_isomorphisms(g: GraphTables, h: GraphTables, fixed: Sequence[int] = 
     return extend(len(fixed) + 1)
 
 
-def _same_graph(g: MultiGraph, h: MultiGraph) -> bool:
+def _same_graph(g: MultiGraph, h: MultiGraph, ht: GraphTables) -> bool:
     """Whether ``g`` and ``h`` are isomorphic multigraphs (rotations ignored).
 
-    The answer, and the size guard on both graphs, are those of
-    ``multigraph_key(g) == multigraph_key(h)``; but only graphs with equal
-    sizes and equal sorted vertex profiles reach the search, which takes
-    the tables built for that check and stops at the first vertex map.
+    ``ht`` are the :func:`_graph_tables` of ``h``: a caller testing many
+    graphs against one ``h`` builds them once.  The answer, and the size
+    guard on both graphs, are those of ``multigraph_key(g) ==
+    multigraph_key(h)``; but only graphs with equal sizes and equal sorted
+    vertex profiles reach the search, which takes the tables built for
+    that check and stops at the first vertex map.
     """
     for x in (g, h):
         _check_guard(x.n, x.edge_count)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    gt, ht = _graph_tables(g), _graph_tables(h)
+    gt = _graph_tables(g)
     if sorted(gt[1]) != sorted(ht[1]):
         return False
     return next(_vertex_isomorphisms(gt, ht), None) is not None

@@ -26,6 +26,7 @@ from .canon import (
     EmbeddingClass,
     _automorphism_chain,
     _check_mode,
+    _graph_tables,
     _orbit_class,
     _same_graph,
     _stage_classes,
@@ -636,6 +637,7 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
     g = e.graph
     faces = trace_faces(e).faces
     dv = g.dart_vertex
+    target_tables = _graph_tables(target)
     accepted: dict[tuple[int, int], bool] = {}
     out = []
     for fi, walk in enumerate(faces):
@@ -646,7 +648,7 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
                     continue
                 pair = (x, y) if x < y else (y, x)
                 if pair not in accepted:
-                    accepted[pair] = _same_graph(MultiGraph(g.n, g.edges + (pair,)), target)
+                    accepted[pair] = _same_graph(MultiGraph(g.n, g.edges + (pair,)), target, target_tables)
                 if accepted[pair]:
                     out.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
     return out
@@ -693,13 +695,14 @@ def pipeline_k33_stages() -> K33PipelineResult:
     """Double path splits of the theta(5) classes, filtered to K33, deduped."""
     k33 = complete_bipartite(3, 3)
     theta5 = theta5_classes()
+    k33_tables = _graph_tables(k33)
     counts = []
     candidates: list[Embedding] = []
     for c in theta5:
         mine = []
         for first in _path_splits(c.representative, 1):
             mine.extend(emb for emb in _path_splits(first, 2))
-        mine = [emb for emb in mine if _same_graph(emb.graph, k33)]
+        mine = [emb for emb in mine if _same_graph(emb.graph, k33, k33_tables)]
         counts.append(len(mine))
         candidates.extend(mine)
     classes = dedup(candidates, "equivalence")

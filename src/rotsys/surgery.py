@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import _same_graph, canonical_embedding, canonical_key
+from .canon import _graph_tables, _same_graph, canonical_embedding, canonical_key
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -328,12 +328,13 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
         raise ValueError("target must have more vertices than the embedding")
     if target.edge_count != e.graph.edge_count + depth:
         return []
+    target_tables = _graph_tables(target)
     if depth == 1:
         out = []
         for v in range(1, e.graph.n + 1):
             for spec in partition_split_specs(e, v):
                 child = split_vertex(e, spec)
-                if _same_graph(child.graph, target):
+                if _same_graph(child.graph, target, target_tables):
                     out.append(child)
         return out
 
@@ -345,4 +346,4 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
                 for spec in partition_split_specs(emb, v):
                     seen.add(canonical_key(split_vertex(emb, spec)))
         frontier = [canonical_embedding(k) for k in sorted(seen)]
-    return [emb for emb in frontier if _same_graph(emb.graph, target)]
+    return [emb for emb in frontier if _same_graph(emb.graph, target, target_tables)]

@@ -82,27 +82,25 @@ def stream_sets(monkeypatch):
 
 
 @pytest.fixture
-def stream_roots(monkeypatch):
-    """``count(fn)``: ``fn()``, the roots it started and the roots it finished.
+def stream_blocks(monkeypatch):
+    """``count(fn)``: ``fn()`` and the root-blocks it emitted.
 
-    A root is started by a call of ``canon._stream_from`` and finished when
-    that call serializes it to the end instead of pruning it.
+    A root-block is one call of ``canon._block``: the next vertex block of
+    one root's traversal, as ``canon._least`` advances every live root and
+    ``canon._labels_from`` walks one.
     """
-    started = [0]
-    finished = [0]
-    original = canon._stream_from
+    emitted = [0]
+    original = canon._block
 
-    def counted(e, root, best=None):
-        started[0] += 1
-        s = original(e, root, best)
-        finished[0] += s is not None
-        return s
+    def counted(steps, starts, vlab, elab, next_edge_label):
+        emitted[0] += 1
+        return original(steps, starts, vlab, elab, next_edge_label)
 
     def count(fn):
-        started[0] = finished[0] = 0
-        return fn(), started[0], finished[0]
+        emitted[0] = 0
+        return fn(), emitted[0]
 
-    monkeypatch.setattr(canon, "_stream_from", counted)
+    monkeypatch.setattr(canon, "_block", counted)
     return count
 
 
@@ -120,9 +118,9 @@ def graph_tests(monkeypatch):
     same_graph = canon._same_graph
     isomorphisms = canon._vertex_isomorphisms
 
-    def counted_test(g, h):
+    def counted_test(g, h, ht):
         tests[0] += 1
-        return same_graph(g, h)
+        return same_graph(g, h, ht)
 
     def counted_search(g, h, fixed=()):
         searches[0] += 1

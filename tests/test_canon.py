@@ -46,7 +46,6 @@ from rotsys.canon import (
     _least,
     _mult_matrix,
     _same_graph,
-    _stream_from,
     _vertex_isomorphisms,
     _vertex_profiles,
     canonical_embedding,
@@ -112,9 +111,39 @@ def _embedding_of_complete(n):
     return make_embedding(g, rot)
 
 
+def _plain_stream(e, root):
+    """Serialization of ``e`` relabelled by the traversal rooted at ``root``.
+
+    Vertices receive labels in first-encounter order; the rotation of a
+    newly met vertex starts at the dart through which it was discovered.
+    Edges are labelled in emission order.  The output is the vertex and
+    edge counts, then per vertex in label order: its degree, then
+    (neighbor label, edge label) for each dart of its rotation.
+    """
+    g = e.graph
+    dv = g.dart_vertex
+    starts = [root]
+    vlab = {dv[root]: 0}
+    elab = {}
+    out = bytearray((g.n, g.edge_count))
+    for d0 in starts:
+        out.append(len(e.rot[dv[d0] - 1]))
+        d = d0
+        while True:
+            w = dv[d ^ 1]
+            if w not in vlab:
+                vlab[w] = len(starts)
+                starts.append(d ^ 1)
+            out += bytes((vlab[w], elab.setdefault(d >> 1, len(elab))))
+            d = e.succ[d]
+            if d == d0:
+                break
+    return bytes(out)
+
+
 def _plain_least(e):
     """Key, group order and first root from every root's full stream."""
-    s = [_stream_from(e, d) for d in range(2 * e.graph.edge_count)]
+    s = [_plain_stream(e, d) for d in range(2 * e.graph.edge_count)]
     key = min(s)
     return key, s.count(key), s.index(key)
 
@@ -152,21 +181,50 @@ class TestLeast:
         for order, e in theta5_systems.items():
             assert self.orders_checked([e]) == {order}
 
-    def test_roots_started_and_finished(self, stream_roots, stream_sets):
-        # Only least-degree roots start (all 20 darts of K5); most are cut
-        # against the least stream so far.  The 50 equivalence classes of
-        # K5 take 100 stream sets in dedup; the genus distribution, whose
-        # orbit pass gives group orders and chirality, takes none.
-        # Serializing every root, a K5 chain would start and finish 17,060.
+    def test_torus_table_classes(self):
+        # The genus-1 class representatives of the torus rows, the most
+        # symmetric inputs: many least-degree roots tie to the last block.
+        reps = []
+        for _, spec, *_ in TORUS_TABLE:
+            reps += [c.representative for c in exhaustive_classes(build_graph(spec), genus=1)]
+        assert max(self.orders_checked(reps)) == 32
+
+    def test_parallel_edges_at_least_degree(self):
+        # Every vertex has degree 4 and two parallel pairs, so the roots'
+        # first blocks already differ.
+        g = MultiGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3), (1, 3)))
+        space = RotationSpace(g)
+        systems = list(map(space.embedding_at, range(space.total)))
+        firsts = {_plain_stream(systems[0], d)[:11] for d in range(12)}
+        assert len(firsts) > 1
+        self.orders_checked(systems)
+
+    def test_roots_that_run_out_of_blocks(self):
+        # K4 beside theta(3), all degree 3: the theta roots run out of
+        # blocks after two, and their shorter streams are the least.
+        g = MultiGraph(6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6), (5, 6), (5, 6)))
+        space = RotationSpace(g)
+        systems = list(map(space.embedding_at, range(space.total)))
+        self.orders_checked(systems)
+        assert all(len(_least(e)[0]) == 2 + 2 * 7 for e in systems)
+
+    def test_roots_started_and_finished(self, stream_blocks, stream_sets):
+        # Only least-degree roots start (all 20 darts of K5), and all of
+        # them advance one vertex block at a time; only those whose block
+        # is least go on.  The 50 equivalence classes of K5 take 100
+        # stream sets in dedup; the genus distribution, whose orbit pass
+        # gives group orders and chirality, takes none.  Serializing every
+        # root to the end, the K5 firsts would emit 10,000 root-blocks.
         space = RotationSpace(complete(5))
         firsts = [space.embedding_at(i) for i, *_ in space.orbits(range(space.total), "equivalence")]
         assert len(firsts) == 50
-        (_, *roots), sets = stream_sets(lambda: stream_roots(lambda: dedup(firsts, "equivalence")))
-        assert (sets, *roots) == (100, 2000, 498)
-        assert stream_roots(lambda: genus_distribution(complete(5)))[1:] == (0, 0)
+        (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: dedup(firsts, "equivalence")))
+        assert (sets, blocks) == (100, 4860)
+        (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: genus_distribution(complete(5))))
+        assert (sets, blocks) == (0, 0)
         pipeline_k5_stages.cache_clear()
         try:
-            assert stream_roots(pipeline_k5_stages)[1:] == (6720, 1567)
+            assert stream_blocks(pipeline_k5_stages)[1] == 16095
         finally:
             pipeline_k5_stages.cache_clear()
 
@@ -611,7 +669,7 @@ class TestSameGraph:
         same = 0
         for g, h in pairs:
             equal = keys[id(g)] == keys[id(h)]
-            assert _same_graph(g, h) == equal
+            assert _same_graph(g, h, _graph_tables(h)) == equal
             same += equal
         return same
 
@@ -636,7 +694,7 @@ class TestSameGraph:
         big = complete(17)
         for g, h in ((big, complete(5)), (complete(5), big)):
             with pytest.raises(SizeGuardExceeded):
-                _same_graph(g, h)
+                _same_graph(g, h, _graph_tables(h))
 
     def test_automorphism_counts_of_the_named_graphs(self):
         graphs = [g for pair in PROFILE_TWINS for g in pair]

@@ -121,6 +121,8 @@ class TestStageShortcuts:
         iso, eq = _stage_classes(candidates)
         assert iso == dedup(candidates + [reverse(e) for e in candidates], "iso")
         assert eq == dedup(candidates, "equivalence")
+        # Each equivalence class is one of the iso classes, record and all.
+        assert {id(c) for c in eq} <= {id(c) for c in iso}
         return eq
 
     def test_stage_classes_on_every_pipeline_stage(self):
@@ -175,15 +177,35 @@ class TestStageShortcuts:
         def no_key(g, **kwargs):
             raise AssertionError("multigraph_key called")
 
+        built = Counter()
+        class_record, graph_tables = canon._class_record, canon._graph_tables
+
+        def counted_record(key, order, achiral):
+            built["records"] += 1
+            return class_record(key, order, achiral)
+
+        def counted_tables(g):
+            built["tables"] += 1
+            return graph_tables(g)
+
+        monkeypatch.setattr(canon, "_class_record", counted_record)
         for module in (canon, enumeration, surgery):
             monkeypatch.setattr(module, "multigraph_key", no_key, raising=False)
+            monkeypatch.setattr(module, "_graph_tables", counted_tables)
         pipeline_k5_stages.cache_clear()
         try:
-            (_, tests, searches), sets = stream_sets(lambda: graph_tests(pipeline_k5_stages))
+            (st, tests, searches), sets = stream_sets(lambda: graph_tests(pipeline_k5_stages))
         finally:
             pipeline_k5_stages.cache_clear()
         assert sets == 556
         assert (tests, searches) == (793, 130)
+        # One record per distinct class key: the equivalence classes of a
+        # stage share the records of its iso classes.  Each graph test
+        # builds its candidate's tables; each call of all_splits or
+        # _edge_additions builds its target's once (67 calls).
+        iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
+        assert built["records"] == 125 == sum(map(len, iso_stages))
+        assert built["tables"] == 793 + 67
 
 
 class TestK33Chain:
