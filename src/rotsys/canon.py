@@ -49,7 +49,7 @@ DedupMode = Literal["iso", "equivalence"]
 
 MAX_VERTICES = 16
 # Darts and vertices must fit a byte, in the permutations of
-# _automorphism_chain and graph_automorphisms and in RotationSpace's images.
+# _automorphism_chain and in RotationSpace's images.
 MAX_EDGES = 40
 
 
@@ -599,41 +599,6 @@ def graph_automorphism_count(g: MultiGraph) -> int:
     No automorphism beyond the chain's transversals is built.
     """
     return math.prod(map(len, _automorphism_chain(g)))
-
-
-def graph_automorphisms(g: MultiGraph) -> Iterator[bytes]:
-    """Every (vertex, edge) automorphism of the multigraph, as a dart permutation.
-
-    ``perm[d]`` is the image of dart ``d``: the dart of the image edge at the
-    image vertex, so ``perm[d ^ 1] == perm[d] ^ 1``.  The
-    :func:`graph_automorphism_count` permutations are distinct, and come
-    in the order of their vertex maps' images of ``1..n``, then of the
-    images of each parallel class's darts (``itertools.product`` over
-    ``permutations`` of each class's image darts), but made lazily.  They
-    are products over the levels of :func:`_automorphism_chain`, walked
-    depth first, with a vertex level's elements sorted by where the
-    product so far sends them; each node costs one ``bytes.translate`` of
-    its parent.  They are ``bytes``: the size guard keeps every dart and
-    vertex within a byte.
-    """
-    chain = [(bytes(p for p, _ in level), [t for _, t in level]) for level in _automorphism_chain(g)]
-    nd = 2 * g.edge_count
-    pad = bytes(256 - nd - g.n)
-
-    def walk(x: bytes, i: int) -> Iterator[bytes]:
-        table = x + pad
-        points, elements = chain[i]
-        if points[0] >= nd:  # a vertex level
-            elements = [t for _, t in sorted(zip(points.translate(table), elements))]
-        if i + 1 < len(chain):
-            for t in elements:
-                yield from walk(t.translate(table), i + 1)
-        else:
-            for t in elements:
-                yield t.translate(table)[:nd]
-
-    identity = bytes(range(nd + g.n))
-    return walk(identity, 0) if chain else iter((identity[:nd],))
 
 
 def multigraph_key(g: MultiGraph) -> bytes:

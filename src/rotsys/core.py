@@ -48,11 +48,6 @@ class BudgetExceeded(RotsysError):
         self.budget = budget
 
 
-def partner(dart: int) -> int:
-    """The other dart of the same edge."""
-    return dart ^ 1
-
-
 def dart_edge(dart: int) -> int:
     """1-based edge id of a dart."""
     return dart // 2 + 1
@@ -109,9 +104,6 @@ class MultiGraph:
     def multiplicity(self, u: int, v: int) -> int:
         key = (min(u, v), max(u, v))
         return sum(1 for a, b in self.edges if (min(a, b), max(a, b)) == key)
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid - 1]
 
 
 @dataclass(frozen=True)
@@ -382,6 +374,8 @@ def k5_minus_edge() -> MultiGraph:
 
 def circulant(n: int, connections: Iterable[int]) -> MultiGraph:
     """Circulant graph: ``i`` adjacent to ``i + s`` (mod n) for each ``s``."""
+    if n < 2:
+        raise ValueError("circulant(n, ...) needs n >= 2")
     conns = sorted(set(s % n for s in connections))
     if any(s == 0 for s in conns):
         raise ValueError("circulant connection 0 would create loops")
@@ -456,22 +450,25 @@ def build_graph(spec: str) -> MultiGraph:
             raise ValueError("complement(...) needs an inner graph spec")
         return complement(build_graph(args))
     int_args = [int(a) for a in args.split(",")] if args else []
+    # name -> (constructor, least and most argument counts; None: no most)
     table = {
-        "complete": lambda: complete(*int_args),
-        "complete_bipartite": lambda: complete_bipartite(*int_args),
-        "theta": lambda: theta(*int_args),
-        "triangle_multi": lambda: triangle_multi(*int_args),
-        "k4_plus": k4_plus,
-        "wheel": lambda: wheel(*int_args) if int_args else wheel(4),
-        "k5_minus_edge": k5_minus_edge,
-        "circulant": lambda: circulant(int_args[0], int_args[1:]),
-        "prism": lambda: prism(*int_args),
-        "cube": cube,
-        "octahedron": octahedron,
-        "petersen": petersen,
+        "complete": (complete, 1, 1),
+        "complete_bipartite": (complete_bipartite, 2, 2),
+        "theta": (theta, 1, 1),
+        "triangle_multi": (triangle_multi, 3, 3),
+        "k4_plus": (k4_plus, 0, 0),
+        "wheel": (lambda rim=4: wheel(rim), 0, 1),
+        "k5_minus_edge": (k5_minus_edge, 0, 0),
+        "circulant": (lambda n, *connections: circulant(n, connections), 2, None),
+        "prism": (prism, 1, 1),
+        "cube": (cube, 0, 0),
+        "octahedron": (octahedron, 0, 0),
+        "petersen": (petersen, 0, 0),
     }
     if name not in table:
         raise ValueError(f"unknown graph constructor {name!r}")
-    if name == "circulant" and len(int_args) < 2:
-        raise ValueError("circulant(n, s1, ...) needs at least one connection")
-    return table[name]()
+    build, least, most = table[name]
+    if len(int_args) < least or (most is not None and len(int_args) > most):
+        expected = f"{least} or more" if most is None else f"{least} to {most}" if least < most else least
+        raise ValueError(f"wrong number of arguments for {name}: got {len(int_args)}, expected {expected}")
+    return build(*int_args)

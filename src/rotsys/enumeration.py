@@ -49,6 +49,7 @@ from .core import (
     triangle_multi,
     wheel,
 )
+from .polygon import PolygonWord, word_key
 from .surgery import (
     CornerRef,
     SplitSpec,
@@ -60,10 +61,10 @@ from .surgery import (
 
 DEFAULT_BUDGET = 10**9
 
-# Automorphism groups up to this order are kept in memory by
-# RotationSpace.orbits, as forward and inverse position permutations
-# (about 4.8 MB at 40 edges); larger ones are walked again from the space's
-# stabiliser chain for every orbit.
+# Automorphism groups up to this order are kept on each RotationSpace, as
+# forward and inverse position permutations (about 4.8 MB at 40 edges);
+# larger ones are walked again from the space's stabiliser chain for every
+# orbit and every pin representative.
 MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
@@ -75,7 +76,8 @@ class RotationSpace:
     fastest digit.  The automorphism group of the graph, which the orbit
     pass and the pin act with, is built once per space, as a stabiliser
     chain (see :func:`canon._automorphism_chain`) whose products are its
-    elements.
+    elements; so are the position and vertex tables they use and, up to
+    :data:`MAX_STORED_AUTOMORPHISMS`, the list of those products.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -107,6 +109,7 @@ class RotationSpace:
     # byte (the chain enforces its edge guard), and unlike small
     # tuples, freed bytes are not kept on the interpreter's free lists.
 
+    @cached_property
     def _positions(self) -> tuple[bytes, bytes]:
         """The dart at each position, and the position of each dart."""
         darts = bytes(d for ds in self.graph.darts_at for d in ds)
@@ -115,13 +118,14 @@ class RotationSpace:
             position[d] = p
         return darts, bytes(position)
 
+    @cached_property
     def _vertex_tables(self) -> list[tuple[slice, dict[bytes, int], list[int], int]]:
         """Per vertex: the slice of its positions, its table, its mirror digits and its radix place.
 
         The table maps the slice of ``succ`` of each cyclic order to its
         digit; the mirror digits give the digit of each order's reversal.
         """
-        position = self._positions()[1]
+        position = self._positions[1]
 
         def successors(cyc: tuple[int, ...], start: int) -> bytes:
             out = bytearray(len(cyc))
@@ -146,7 +150,7 @@ class RotationSpace:
         the inverse of that (the positions sorted by their image), padded as
         a translate table.
         """
-        darts, position = self._positions()
+        darts, position = self._positions
         nd = len(darts)
         pad = bytes(256 - nd)
         position += pad
@@ -179,8 +183,9 @@ class RotationSpace:
 
         return walk(identity, identity, 0) if chain else iter(((identity, identity),))
 
+    @cached_property
     def _stored_conjugations(self) -> list[tuple[bytes, bytes]] | None:
-        """Aut(G) as a list, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
+        """Aut(G) as a list, built once per space, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
         if math.prod(map(len, self._chain)) > MAX_STORED_AUTOMORPHISMS:
             return None
         return list(self._conjugations())
@@ -204,19 +209,17 @@ class RotationSpace:
 
         Marks go in a bitmap of ``ceil(total / 8)`` bytes, or in a set when
         ``indices`` are too few for the bitmap to pay (a set entry costs
-        about 64 bytes).  The other memory used beyond the space itself is
-        one ``order -> digit`` table and one list of mirror digits per
-        vertex, and the automorphisms, two position permutations each, when
-        there are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups
-        are walked again from the chain for each orbit.
+        about 64 bytes).  The other memory used is kept on the space, built
+        by its first orbit pass or pin and shared by later ones: one
+        ``order -> digit`` table and one list of mirror digits per vertex,
+        and the automorphisms, two position permutations each, when there
+        are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups are
+        walked again from the chain for each orbit.
         """
         _check_mode(mode)
-        return self._orbits(indices, mode == "equivalence", self._stored_conjugations())
-
-    def _orbits(
-        self, indices: Sequence[int], mirror: bool, stored: list[tuple[bytes, bytes]] | None
-    ) -> Iterator[tuple[int, int, int, bool]]:
-        vertices = self._vertex_tables()
+        mirror = mode == "equivalence"
+        stored = self._stored_conjugations
+        vertices = self._vertex_tables
         keys = [list(table) for _, table, _, _ in vertices]
         pad = bytes(256 - 2 * self.graph.edge_count)
         bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
@@ -249,7 +252,7 @@ class RotationSpace:
                         size += 1
             yield index, size, order, achiral
 
-    def _pin(self, mirror: bool, stored: list[tuple[bytes, bytes]] | None) -> tuple[int, list[int]]:
+    def _pin(self, mirror: bool) -> tuple[int, list[int]]:
         """A vertex (0-based) and the digits of one order per orbit at it.
 
         The orbits are those of the vertex's stabiliser in Aut(G), joined by
@@ -263,7 +266,8 @@ class RotationSpace:
         groups above :data:`MAX_STORED_AUTOMORPHISMS` are walked again from
         the chain for each representative.
         """
-        vertices = self._vertex_tables()
+        vertices = self._vertex_tables
+        stored = self._stored_conjugations
         firsts = [next(iter(table)) for _, table, _, _ in vertices]
         pad = bytes(256 - 2 * self.graph.edge_count)
         best: tuple[int, list[int]] | None = None
@@ -370,8 +374,7 @@ def exhaustive_classes(
     _check_budget(graph, budget)
     space = RotationSpace(graph)
     mirror = mode == "equivalence"
-    stored = space._stored_conjugations()
-    v, reps = space._pin(mirror, stored)
+    v, reps = space._pin(mirror)
     orders = list(space.orders)
     orders[v] = [orders[v][d] for d in reps]
     _, matches = _kernel.scan(orders, 2 * graph.edge_count, f)
@@ -384,7 +387,7 @@ def exhaustive_classes(
         matches[j] = low + place * (reps[d] + count * high)
     classes = [
         _orbit_class(space.embedding_at(i), mirror, order, achiral)
-        for i, _, order, achiral in space._orbits(matches, mirror, stored)
+        for i, _, order, achiral in space.orbits(matches, mode)
     ]
     return sorted(classes, key=lambda c: c.canonical_key)
 
@@ -497,7 +500,10 @@ class ChordDiagram:
     embedding; each chord pairs the two traversals of an edge.  Chords join
     positions of opposite parity (the walk alternates between the two
     vertices) and never adjacent positions (no digon face).  The stored
-    form is the lexicographic minimum over all rotations and reflections.
+    form is canonical under rotation and reflection: the word signing each
+    chord ``+`` at its first position and ``-`` at its second is put in
+    :func:`polygon.word_key` form, and the chords are the sorted position
+    pairs of the key's letters.
     """
 
     size: int
@@ -510,20 +516,15 @@ class ChordDiagram:
                 raise ValueError(f"chord {(i, j)} joins positions of equal parity")
             if (i - j) % size in (1, size - 1):
                 raise ValueError(f"chord {(i, j)} joins adjacent positions")
-        best = None
-        for reflect in (False, True):
-            for r in range(size):
-                img = []
-                for i, j in pairs:
-                    a = ((-i if reflect else i) + r) % size
-                    b = ((-j if reflect else j) + r) % size
-                    img.append((min(a, b), max(a, b)))
-                img.sort()
-                key = tuple(img)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        return ChordDiagram(size, best)
+        if sorted(p for pair in pairs for p in pair) != list(range(size)):
+            raise ValueError(f"chords {pairs} do not pair each of {size} positions once")
+        word: list = [None] * size
+        for letter, (i, j) in enumerate(pairs, 1):
+            word[min(i, j)], word[max(i, j)] = (letter, 1), (letter, -1)
+        where: dict[int, list[int]] = {}
+        for pos, (letter, _) in enumerate(word_key(PolygonWord(tuple(word)))):
+            where.setdefault(letter, []).append(pos)
+        return ChordDiagram(size, tuple(sorted(map(tuple, where.values()))))
 
     def chord_lengths(self) -> tuple[int, ...]:
         return tuple(sorted(min((i - j) % self.size, (j - i) % self.size) for i, j in self.chords))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import _graph_tables, _same_graph, canonical_embedding, canonical_key
+from .canon import _graph_tables, _same_graph
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -316,34 +316,22 @@ def partition_split_specs(e: Embedding, vertex: int, new_edge_id: int | None = N
 
 
 def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
-    """Expansions of ``e`` by vertex splitting whose graph is isomorphic to ``target``.
+    """One-split expansions of ``e`` whose graph is isomorphic to ``target``.
 
-    One split when the target has one vertex more; longer chains (for path
-    expansions) otherwise.  A single-step call returns the raw candidate
-    list, one entry per unordered split partition; a chained call returns
-    one canonical representative per isomorphism class reached.
+    ``target`` must have exactly one vertex more than ``e``.  The result is
+    the raw candidate list, one entry per unordered split partition of each
+    vertex (see :func:`partition_split_specs`), in vertex order; it is
+    empty when ``target`` does not have one edge more either.
     """
-    depth = target.n - e.graph.n
-    if depth < 1:
-        raise ValueError("target must have more vertices than the embedding")
-    if target.edge_count != e.graph.edge_count + depth:
+    if target.n != e.graph.n + 1:
+        raise ValueError("target must have exactly one vertex more than the embedding")
+    if target.edge_count != e.graph.edge_count + 1:
         return []
     target_tables = _graph_tables(target)
-    if depth == 1:
-        out = []
-        for v in range(1, e.graph.n + 1):
-            for spec in partition_split_specs(e, v):
-                child = split_vertex(e, spec)
-                if _same_graph(child.graph, target, target_tables):
-                    out.append(child)
-        return out
-
-    frontier = [e]
-    for _ in range(depth):
-        seen: set[bytes] = set()
-        for emb in frontier:
-            for v in range(1, emb.graph.n + 1):
-                for spec in partition_split_specs(emb, v):
-                    seen.add(canonical_key(split_vertex(emb, spec)))
-        frontier = [canonical_embedding(k) for k in sorted(seen)]
-    return [emb for emb in frontier if _same_graph(emb.graph, target, target_tables)]
+    out = []
+    for v in range(1, e.graph.n + 1):
+        for spec in partition_split_specs(e, v):
+            child = split_vertex(e, spec)
+            if _same_graph(child.graph, target, target_tables):
+                out.append(child)
+    return out

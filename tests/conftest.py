@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -33,6 +34,28 @@ def random_graphs(seed: int, count: int = 30) -> list[MultiGraph]:
     """Random loopless multigraphs, many with parallel edges."""
     rng = random.Random(seed)
     return [random_embedding(rng, max_vertices=5, extra_edges=4).graph for _ in range(count)]
+
+
+def product_automorphisms(g: MultiGraph):
+    """Every automorphism of ``g`` as a dart permutation (``bytes``), by plain search.
+
+    Each vertex map from the full backtracking of
+    ``canon._vertex_isomorphisms`` is combined, by ``product``, with every
+    permutation of each parallel class's image darts.  No stabiliser
+    chain is used, so the result checks the chain independently.
+    """
+    toward = canon._darts_toward(g)
+    ends = [(u, v) for u, v in toward if u < v]
+    tables = canon._graph_tables(g)
+    for image in canon._vertex_isomorphisms(tables, tables):
+        images = [toward[(image[u], image[v])] for u, v in ends]
+        for choice in product(*map(permutations, images)):
+            perm = [0] * (2 * g.edge_count)
+            for (u, v), chosen in zip(ends, choice):
+                for d, t in zip(toward[(u, v)], chosen):
+                    perm[d] = t
+                    perm[d ^ 1] = t ^ 1
+            yield bytes(perm)
 
 
 def random_relabel(rng: random.Random, e: Embedding) -> Embedding:

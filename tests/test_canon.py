@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-import tracemalloc
 from collections import Counter
-from itertools import islice, permutations, product
+from itertools import permutations
 
 import pytest
 
@@ -27,7 +26,6 @@ from rotsys import (
     dedup,
     from_neighbor_lists,
     graph_automorphism_count,
-    k4_plus,
     make_embedding,
     multigraph_key,
     octahedron,
@@ -41,7 +39,6 @@ from rotsys import (
 from rotsys import canon, enumeration
 from rotsys.canon import (
     _automorphism_chain,
-    _darts_toward,
     _graph_tables,
     _least,
     _mult_matrix,
@@ -50,7 +47,6 @@ from rotsys.canon import (
     _vertex_profiles,
     canonical_embedding,
     class_key,
-    graph_automorphisms,
 )
 from rotsys.core import embedding_from_darts, k5_minus_edge
 from rotsys.enumeration import (
@@ -64,7 +60,7 @@ from rotsys.enumeration import (
 from rotsys.formats import load_appendix_a, load_appendix_b
 from rotsys.suites import TORUS_TABLE
 
-from conftest import random_embedding, random_graphs, random_relabel
+from conftest import product_automorphisms, random_embedding, random_graphs, random_relabel
 
 # The published unique double-torus system of K33, vertices A..F as 1..6.
 K33_NEIGHBOR_ROTATIONS = [
@@ -285,7 +281,9 @@ class TestAutomorphisms:
 
     @staticmethod
     def check_generator(g):
-        perms = list(graph_automorphisms(g))
+        # The plain search's permutations are automorphisms, as many as
+        # graph_automorphism_count gives.
+        perms = list(product_automorphisms(g))
         assert len(perms) == len(set(perms)) == graph_automorphism_count(g)
         nd = 2 * g.edge_count
         dv = g.dart_vertex
@@ -305,7 +303,7 @@ class TestAutomorphisms:
 
     def test_generator_with_parallel_edges(self):
         self.check_generator(theta(5))
-        assert len(list(graph_automorphisms(theta(5)))) == 240
+        assert len(list(product_automorphisms(theta(5)))) == 240
         rng = random.Random(31)
         parallel = 0
         for _ in range(30):
@@ -313,46 +311,6 @@ class TestAutomorphisms:
             parallel += len(set(map(frozenset, g.edges))) < g.edge_count
             self.check_generator(g)
         assert parallel >= 10
-
-    def test_generator_guard_keeps_darts_in_a_byte(self):
-        assert len(list(graph_automorphisms(theta(2)))) == 4
-        with pytest.raises(SizeGuardExceeded):
-            next(graph_automorphisms(theta(129)))
-
-    def test_generator_order_is_that_of_product(self):
-        graphs = [theta(5), theta(7), k4_plus(), complete(5), complete_bipartite(3, 3)]
-        graphs += random_graphs(43, 20)
-        assert sum(len(set(map(frozenset, g.edges))) < g.edge_count for g in graphs) >= 10
-        for g in graphs:
-            assert list(graph_automorphisms(g)) == list(_product_automorphisms(g))
-
-    def test_generator_is_lazy(self):
-        # theta(9) has 9! bijections of its parallel edges per vertex map;
-        # the first 100 automorphisms must not wait for all of them.
-        tracemalloc.start()
-        try:
-            perms = list(islice(graph_automorphisms(theta(9)), 100))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(set(perms)) == 100
-        assert peak < 5 * 2**20
-
-
-def _product_automorphisms(g):
-    """The automorphism dart permutations, by ``product`` over every class's permutations."""
-    toward = _darts_toward(g)
-    ends = [(u, v) for u, v in toward if u < v]
-    tables = _graph_tables(g)
-    for image in _vertex_isomorphisms(tables, tables):
-        images = [toward[(image[u], image[v])] for u, v in ends]
-        for choice in product(*map(permutations, images)):
-            perm = [0] * (2 * g.edge_count)
-            for (u, v), chosen in zip(ends, choice):
-                for d, t in zip(toward[(u, v)], chosen):
-                    perm[d] = t
-                    perm[d ^ 1] = t ^ 1
-            yield bytes(perm)
 
 
 @pytest.fixture
@@ -393,7 +351,7 @@ class TestAutomorphismChain:
         assert sum(len(set(map(frozenset, g.edges))) < g.edge_count for g in graphs) >= 10
         for g in graphs:
             count = graph_automorphism_count(g)
-            assert count == len(set(graph_automorphisms(g))) == sum(1 for _ in _product_automorphisms(g))
+            assert count == len(set(product_automorphisms(g)))
             assert count == math.prod(map(len, _automorphism_chain(g)))
 
     def test_stored_conjugations_are_the_automorphisms(self):
@@ -401,13 +359,13 @@ class TestAutomorphismChain:
         # positions, each converted with a plain inverse.
         for g in self.graphs():
             space = RotationSpace(g)
-            darts, position = space._positions()
+            darts, position = space._positions
             identity = bytes(range(len(darts)))
-            stored = space._stored_conjugations()
+            stored = space._stored_conjugations
             for fwd, inv in stored:
                 assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
             expected = set()
-            for perm in graph_automorphisms(g):
+            for perm in product_automorphisms(g):
                 fwd = bytes(position[perm[d]] for d in darts)
                 inv = bytearray(len(fwd))
                 for p, q in enumerate(fwd):
@@ -597,7 +555,6 @@ GUARDED = {
     "dedup-iso": lambda e: dedup([e], "iso"),
     "dedup-equivalence": lambda e: dedup([e], "equivalence"),
     "graph_automorphism_count": lambda e: graph_automorphism_count(e.graph),
-    "graph_automorphisms": lambda e: next(graph_automorphisms(e.graph)),
     "multigraph_key": lambda e: multigraph_key(e.graph),
 }
 
@@ -702,4 +659,3 @@ class TestSameGraph:
         for g in graphs:
             count = _plain_automorphism_count(g)
             assert graph_automorphism_count(g) == count
-            assert len(set(graph_automorphisms(g))) == count

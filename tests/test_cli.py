@@ -109,6 +109,10 @@ class TestEnumerate:
     def test_bad_graph_spec(self, capsys):
         assert main(["enumerate", "--graph", "nope(1)", "--genus", "0"]) == 2
 
+    def test_wrong_argument_count_is_input_error(self, capsys):
+        assert main(["enumerate", "--graph", "complete", "--genus", "1"]) == 2
+        assert "error: wrong number of arguments for complete" in capsys.readouterr().err
+
     def test_disconnected_graph_is_input_error(self, capsys):
         for spec in ("complement(complete(4))", "complement(complete_bipartite(3,3))"):
             assert main(["enumerate", "--graph", spec]) == 2

@@ -84,8 +84,20 @@ class TestConstructors:
         assert build_graph("complement(cube)").edge_count == 16
         assert build_graph("circulant(8,1,4)").edge_count == 12
         assert build_graph("complete_bipartite(3,3)").n == 6
-        with pytest.raises(ValueError):
-            build_graph("no_such_graph(3)")
+        assert build_graph("wheel") == build_graph("wheel(4)") == wheel(4)
+        assert build_graph("wheel(5)") == wheel(5)
+        for spec in ("no_such_graph(3)", "circulant(0,1)"):
+            with pytest.raises(ValueError):
+                build_graph(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["complete", "complete_bipartite(3)", "wheel(4,5)", "theta(1,2)", "theta()", "triangle_multi(1,2)",
+         "k4_plus(9)", "petersen(1)", "circulant(8)", "prism", "complement(complete)"],
+    )
+    def test_build_graph_refuses_a_wrong_argument_count(self, spec):
+        with pytest.raises(ValueError, match="wrong number of arguments"):
+            build_graph(spec)
 
 
 class TestMakeEmbedding:

@@ -44,11 +44,10 @@ from rotsys import (
     wheel,
 )
 from rotsys import _kernel, enumeration
-from rotsys.canon import graph_automorphisms
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE
 
-from conftest import random_graphs
+from conftest import product_automorphisms, random_graphs
 
 
 def small_torus_graphs():
@@ -480,13 +479,18 @@ class TestOrbitMarking:
 
     def test_memory_with_a_large_automorphism_group(self, monkeypatch):
         # Above the cap the automorphisms are generated for each orbit, so
-        # the pass saves most of what the 5,040 of K1,7 take stored.
+        # the pass saves most of what the 5,040 of K1,7 take stored.  A
+        # space keeps the group it stored, so the cap is lowered before a
+        # second space is built.
         g = complete_bipartite(1, 7)
-        group_bytes = sum(sys.getsizeof(p) for p in graph_automorphisms(g))
+        group_bytes = sum(sys.getsizeof(p) for p in product_automorphisms(g))
         space = RotationSpace(g)
         stored, stored_peak = self.orbit_peak_bytes(space, range(space.total))
+        assert len(space._stored_conjugations) == 5040
         monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
+        space = RotationSpace(g)
         generated, peak = self.orbit_peak_bytes(space, range(space.total))
+        assert space._stored_conjugations is None
         assert generated == stored == [(0, 720, 7, True)]
         assert peak < stored_peak - group_bytes / 2
 
@@ -502,7 +506,7 @@ class TestPin:
     def stabiliser_orbits(g, v, mirror):
         """Orbits of Stab(v), with reversal when ``mirror``, on the cyclic orders at v (0-based)."""
         darts = g.darts_at[v]
-        group = [p for p in graph_automorphisms(g) if p[darts[0]] in darts]
+        group = [p for p in product_automorphisms(g) if p[darts[0]] in darts]
 
         def normal(cyc):
             k = cyc.index(min(cyc))
@@ -523,7 +527,7 @@ class TestPin:
         for g in small_torus_graphs() + random_graphs(57):
             space = RotationSpace(g)
             for mirror in (False, True):
-                v, reps = space._pin(mirror, space._stored_conjugations())
+                v, reps = space._pin(mirror)
                 orbit_of = self.stabiliser_orbits(g, v, mirror)
                 assert reps == sorted(reps) and reps[0] == 0
                 assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
@@ -533,11 +537,16 @@ class TestPin:
                 assert v == ratios.index(min(ratios))
                 assert Fraction(len(reps), space.counts[v]) == min(ratios)
 
-    def test_generated_automorphisms_give_the_stored_pin(self):
-        for g in [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10):
-            space = RotationSpace(g)
+    def test_generated_automorphisms_give_the_stored_pin(self, monkeypatch):
+        graphs = [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10)
+        stored = [RotationSpace(g) for g in graphs]
+        assert all(space._stored_conjugations for space in stored)  # kept under the default cap
+        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
+        generated = [RotationSpace(g) for g in graphs]
+        for space, other in zip(stored, generated):
+            assert other._stored_conjugations is None
             for mirror in (False, True):
-                assert space._pin(mirror, None) == space._pin(mirror, space._stored_conjugations())
+                assert other._pin(mirror) == space._pin(mirror)
 
     def test_systems_scanned(self, monkeypatch):
         scanned = []
@@ -670,25 +679,26 @@ class TestGroupOrder:
     """Group orders against the graph automorphisms that commute with the rotation."""
 
     @staticmethod
-    def commuting(e):
+    def commuting(e, groups):
+        """How many automorphisms of ``e.graph`` commute with ``e``'s rotation; ``groups`` caches them per graph."""
+        if e.graph not in groups:
+            groups[e.graph] = list(product_automorphisms(e.graph))
         succ = e.succ
-        return sum(
-            all(perm[succ[d]] == succ[perm[d]] for d in range(len(perm)))
-            for perm in graph_automorphisms(e.graph)
-        )
+        return sum(all(perm[succ[d]] == succ[perm[d]] for d in range(len(perm))) for perm in groups[e.graph])
 
     def test_group_order_counts_commuting_automorphisms(self):
         mirrored = 0  # equivalence classes keyed by the reversal of their input
+        groups: dict = {}
         for g in small_torus_graphs() + random_graphs(61):
             space = RotationSpace(g)
             for i, _, order_of_orbit, _ in space.orbits(range(space.total), "iso"):
                 e = space.embedding_at(i)
-                order = self.commuting(e)
+                order = self.commuting(e, groups)
                 assert automorphism_group_order(e) == order == order_of_orbit
                 for mode in ("iso", "equivalence"):
                     (c,) = dedup([e], mode)
                     assert c.group_order == order
-                    assert self.commuting(c.representative) == order
+                    assert self.commuting(c.representative, groups) == order
                     mirrored += c.canonical_key != canonical_key(e)
         assert mirrored > 0
 

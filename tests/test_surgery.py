@@ -21,7 +21,6 @@ from rotsys import (
     dedup,
     from_neighbor_lists,
     k4_plus,
-    k5_minus_edge,
     make_embedding,
     multigraph_key,
     split_vertex,
@@ -227,9 +226,14 @@ class TestAllSplits:
         assert sum(per_class) <= 30
 
     def test_theta5_2_has_no_k33_expansion(self, theta5_systems):
+        # K3,3 is four splits away from theta(5): all_splits makes one.
+        # The K3,3 chain's own test asserts that the group-10 class has no
+        # completion.
         from rotsys import complete_bipartite
 
-        assert all_splits(theta5_systems[10], complete_bipartite(3, 3)) == []
+        for target in (complete_bipartite(3, 3), theta(6)):
+            with pytest.raises(ValueError):
+                all_splits(theta5_systems[10], target)
 
     def test_dedup_counts_match_published(self):
         target = triangle_multi(1, 2, 3)
@@ -241,4 +245,5 @@ class TestAllSplits:
         assert sum(1 for c in eq if c.chirality == "orientable") == 2
 
     def test_wrong_edge_count_target(self, theta5_systems):
-        assert all_splits(theta5_systems[10], k5_minus_edge()) == []
+        # One vertex more, but not one edge more.
+        assert all_splits(theta5_systems[10], triangle_multi(1, 1, 1)) == []
