@@ -27,10 +27,11 @@ its orders at once (:func:`_row`).  A second walk descends only into states whos
 histogram holds the face count still needed, which finds the matching
 indices.
 
-Vertices are eliminated greedily, each time the one that leaves the
-fewest boundary darts (the one with fewer orders on ties), which keeps
-the states few and short; levels with one order, such as a pinned
-vertex, are stepped through without branching or memoising.
+The vertices with one order (pinned, or of degree at most 2) are fixed
+first, in one loop, so the recursion is only as deep as the vertices
+that branch.  Within each group vertices are eliminated greedily, each
+time the one that leaves the fewest boundary darts (the one with fewer
+orders on ties), which keeps the states few and short.
 """
 
 from __future__ import annotations
@@ -77,18 +78,21 @@ def _row(rhos: list[list[int]], p: tuple[int, ...]) -> dict[int, list[int]]:
 def _elimination_order(orders: list[list[tuple[int, ...]]], vertex_of: list[int]) -> list[int]:
     """Vertices in the order they are fixed: each time the one leaving the fewest boundary darts.
 
+    Every vertex with one order comes before every vertex that branches.
     Fixing w adds its edges to unfixed vertices to the boundary and removes
     those to fixed ones, so its key is ``deg - 2 * (edges to fixed
     vertices)``, kept up to date as vertices are fixed; ties go to fewer
     orders, then to the lower vertex.
     """
-    key: list[tuple[int, int, int] | None] = [(len(o[0]), len(o), v) for v, o in enumerate(orders)]
+    key: list[tuple[bool, int, int, int] | None] = [
+        (len(o) > 1, len(o[0]), len(o), v) for v, o in enumerate(orders)
+    ]
     heap = list(key)
     heapify(heap)
     seq = []
     while heap:
         top = heappop(heap)
-        w = top[2]
+        w = top[3]
         if key[w] != top:
             continue  # fixed already, or a stale key
         seq.append(w)
@@ -97,7 +101,7 @@ def _elimination_order(orders: list[list[tuple[int, ...]]], vertex_of: list[int]
             x = vertex_of[d ^ 1]
             kx = key[x]
             if kx is not None:
-                key[x] = kx = (kx[0] - 2, kx[1], x)
+                key[x] = kx = (kx[0], kx[1] - 2, kx[2], x)
                 heappush(heap, kx)
     return seq
 
@@ -203,21 +207,6 @@ class _Scan:
         self.room = _MAX_TABLE
 
 
-def _through(b: _Scan, k: int, p: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
-    """Step over the one-order levels from ``k``.
-
-    Returns the next level that branches (or the last), its state and the
-    faces closed on the way.  A one-order level's digit is 0, so it adds
-    nothing to an index.
-    """
-    closed = 0
-    while k < b.last and len(b.levels[k].rs) == 1:
-        p, c = _step(b.levels[k], b.levels[k].rs[0], p)
-        closed += c
-        k += 1
-    return k, p, closed
-
-
 def _hist(b: _Scan, k: int, p: tuple[int, ...]) -> int:
     """The face-count histogram of the completions of state ``p`` at level ``k``."""
     memo = b.memo[k]
@@ -253,8 +242,7 @@ def _expand(b: _Scan, k: int, p: tuple[int, ...]) -> int:
         tally[child] = tally.get(child, 0) + 1
     hist = 0
     for (q, c), times in tally.items():
-        k2, q2, c2 = _through(b, k + 1, q)
-        hist += times * _hist(b, k2, q2) << width * (c + c2)
+        hist += times * _hist(b, k + 1, q) << width * c
     return hist
 
 
@@ -274,12 +262,11 @@ def _collect(b: _Scan, k: int, p: tuple[int, ...], need: int) -> list[int]:
         for (p, need), bases in frontier.items():
             for d, rs in enumerate(lv.rs):
                 q, c = _step(lv, rs, p)
-                k2, q2, c2 = _through(b, k + 1, q)
-                n2 = need - c - c2
-                if n2 >= 0 and _hist(b, k2, q2) >> width * n2 & mask:
+                n2 = need - c
+                if n2 >= 0 and _hist(b, k + 1, q) >> width * n2 & mask:
                     off = d * place
-                    below.setdefault((q2, n2), []).extend([i + off for i in bases])
-        frontier, k = below, k2
+                    below.setdefault((q, n2), []).extend([i + off for i in bases])
+        frontier, k = below, k + 1
     place = b.place[k]
     out: list[int] = []
     for (p, need), bases in frontier.items():
@@ -305,7 +292,12 @@ def scan(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> tuple[l
     for o in orders:
         places.append(places[-1] * len(o))
     b = _Scan(levels, [places[w] for w in seq], rhos, places[-1])
-    k, p, closed = _through(b, 0, ())
+    # The one-order levels come first; each adds digit 0 to an index.
+    k, p, closed = 0, (), 0
+    while k < b.last and len(levels[k].rs) == 1:
+        p, c = _step(levels[k], levels[k].rs[0], p)
+        closed += c
+        k += 1
     top = _hist(b, k, p)
     mask = (1 << b.width) - 1
     hist = [0] * (nd + 2)

@@ -35,7 +35,7 @@ from .core import (
     Embedding,
     MultiGraph,
     SizeGuardExceeded,
-    dart_edge,
+    _normalize_cycle,
     embedding_from_darts,
     reverse,
     trace_faces,
@@ -251,27 +251,14 @@ def apply_iso(e: Embedding, witness: IsoWitness) -> Embedding:
 def _same_map(e1: Embedding, e2: Embedding) -> bool:
     """Equality as embeddings, ignoring stored endpoint order of edges."""
     g1, g2 = e1.graph, e2.graph
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    for (u1, v1), (u2, v2) in zip(g1.edges, g2.edges):
-        if {u1, v1} != {u2, v2}:
-            return False
-    for v in range(1, g1.n + 1):
-        r1 = [dart_edge(d) for d in e1.rot[v - 1]]
-        r2 = [dart_edge(d) for d in e2.rot[v - 1]]
-        if len(r1) != len(r2):
-            return False
-        if not r1:
-            continue
-        k = r2.index(min(r1)) if min(r1) in r2 else -1
-        if k < 0 or r2[k:] + r2[:k] != _rotate_min(r1):
-            return False
-    return True
-
-
-def _rotate_min(seq: list[int]) -> list[int]:
-    k = seq.index(min(seq))
-    return seq[k:] + seq[:k]
+    return (
+        g1.n == g2.n
+        and [sorted(p) for p in g1.edges] == [sorted(p) for p in g2.edges]
+        and all(
+            _normalize_cycle(e1.rotation_edges(v)) == _normalize_cycle(e2.rotation_edges(v))
+            for v in range(1, g1.n + 1)
+        )
+    )
 
 
 def are_isomorphic(e1: Embedding, e2: Embedding) -> IsoWitness | None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from hashlib import sha256
 
 from . import enumeration as en
 from .canon import classify
@@ -49,8 +50,9 @@ def _load_one(path: str):
 
 
 def _class_line(cls) -> str:
+    # A digest of the whole key: most classes of a graph share its first bytes.
     return (
-        f"class {cls.canonical_key.hex()[:16]}  genus={cls.genus}"
+        f"class {sha256(cls.canonical_key).hexdigest()[:16]}  genus={cls.genus}"
         f"  faces={','.join(str(x) for x in cls.face_degrees)}"
         f"  group={cls.group_order}  {cls.chirality}"
     )

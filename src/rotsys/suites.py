@@ -161,8 +161,9 @@ def _suite_core(report: VerificationReport, budget: int) -> None:
     report.check("torus word a+b+a-b-", "('orientable', 1)",
                  str(surface_from_word(parse_word("a+b+a-b-"))))
 
-    for g, name in ((complete(5), "K5"), (complete_bipartite(3, 3), "K33"), (theta(5), "theta5")):
-        d = en.genus_distribution(g, budget=budget)
+    d_theta5 = en.genus_distribution(theta(5), budget=budget)
+    for g, d, name in ((complete(5), d5, "K5"), (complete_bipartite(3, 3), d33, "K33"),
+                       (theta(5), d_theta5, "theta5")):
         raw = sum(r.raw_systems for r in d.records)
         report.check(f"{name} rotation systems covered", en.rotation_space_size(g), raw)
 

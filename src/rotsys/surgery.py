@@ -160,72 +160,49 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     return _rebuild(g.n + 1, new_edges, new_rot)
 
 
+def _delete(e: Embedding, edge_id: int, one_face: bool) -> Embedding:
+    """Remove an edge (later ids shift down) whose sides lie on one face exactly when ``one_face``."""
+    g = e.graph
+    if not (1 <= edge_id <= g.edge_count):
+        raise ValueError(f"unknown edge id {edge_id}")
+    d0 = 2 * (edge_id - 1)
+    walk = next(w for w in trace_faces(e).faces if d0 in w)
+    if (d0 + 1 in walk) != one_face:
+        raise InvalidEmbedding(
+            f"edge {edge_id} borders two faces; use delete_edge for the genus-preserving deletion"
+            if one_face
+            else f"both sides of edge {edge_id} lie on one face; deleting it would change the genus"
+        )
+    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
+    new_rot = [[_shift_dart_down(d, edge_id) for d in r if d >> 1 != edge_id - 1] for r in e.rot]
+    return _rebuild(g.n, new_edges, new_rot)
+
+
 def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, CornerRef]:
     """Delete an edge whose two sides lie on distinct faces.
 
     The two faces merge (f drops by one, genus is unchanged).  Returns the
     embedding together with the two corners, in the result's face list,
-    where :func:`add_edge_in_face` re-inserts the edge label-exactly.
+    where :func:`add_edge_in_face` re-inserts the edge label-exactly.  An
+    edge with both sides on one face, a pendant one among them, raises
+    ``InvalidEmbedding``; an unknown id raises ``ValueError``.
     """
-    g = e.graph
-    if not (1 <= edge_id <= g.edge_count):
-        raise ValueError(f"unknown edge id {edge_id}")
+    result = _delete(e, edge_id, one_face=False)
+    at = {d: (fi, pos) for fi, walk in enumerate(trace_faces(result).faces) for pos, d in enumerate(walk)}
     d0 = 2 * (edge_id - 1)
-    d1 = d0 + 1
-    face_of = {}
-    for fi, walk in enumerate(trace_faces(e).faces):
-        for d in walk:
-            face_of[d] = fi
-    if face_of[d0] == face_of[d1]:
-        raise InvalidEmbedding(
-            f"both sides of edge {edge_id} lie on one face; deleting it would change the genus"
-        )
-    s0 = e.succ[d0]
-    s1 = e.succ[d1]
-    if s0 == d0 or s1 == d1:
-        raise InvalidEmbedding(f"edge {edge_id} ends at a degree-1 vertex")
-
-    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
-    new_rot = []
-    for w in range(1, g.n + 1):
-        new_rot.append([_shift_dart_down(d, edge_id) for d in e.rot[w - 1] if d not in (d0, d1)])
-    result = _rebuild(g.n, new_edges, new_rot)
-
-    corners = {}
-    target0 = _shift_dart_down(s0, edge_id)
-    target1 = _shift_dart_down(s1, edge_id)
-    for fi, walk in enumerate(trace_faces(result).faces):
-        for pos, d in enumerate(walk):
-            if d == target0:
-                corners[0] = CornerRef(fi, pos)
-            elif d == target1:
-                corners[1] = CornerRef(fi, pos)
-    return result, corners[0], corners[1]
+    s0, s1 = (_shift_dart_down(e.succ[d], edge_id) for d in (d0, d0 + 1))
+    return result, CornerRef(*at[s0]), CornerRef(*at[s1])
 
 
 def delete_edge_permissive(e: Embedding, edge_id: int) -> Embedding:
     """Delete an edge whose two sides lie on one face (genus drops by one).
 
-    Exposed for experiments; the construction pipelines only ever use the
-    genus-preserving :func:`delete_edge`.  Deleting a bridge would
-    disconnect the graph and is rejected by the embedding constructor.
+    :func:`delete_edge`'s removal and checks with the face test reversed,
+    and no corners; the construction pipelines use only :func:`delete_edge`.
+    Deleting a bridge would disconnect the graph and is rejected by the
+    embedding constructor.
     """
-    g = e.graph
-    d0 = 2 * (edge_id - 1)
-    d1 = d0 + 1
-    face_of = {}
-    for fi, walk in enumerate(trace_faces(e).faces):
-        for d in walk:
-            face_of[d] = fi
-    if face_of[d0] != face_of[d1]:
-        raise InvalidEmbedding(
-            f"edge {edge_id} borders two faces; use delete_edge for the genus-preserving deletion"
-        )
-    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
-    new_rot = []
-    for w in range(1, g.n + 1):
-        new_rot.append([_shift_dart_down(d, edge_id) for d in e.rot[w - 1] if d not in (d0, d1)])
-    return _rebuild(g.n, new_edges, new_rot)
+    return _delete(e, edge_id, one_face=True)
 
 
 def add_edge_in_face(

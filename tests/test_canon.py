@@ -235,6 +235,18 @@ class TestIsomorphism:
             assert w is not None
             assert canonical_key(apply_iso(e, w)) == canonical_key(e2)
 
+    def test_edges_stored_with_reversed_endpoints(self):
+        # The witness maps each edge onto one stored the other way round,
+        # so the check compares edges as unordered pairs.
+        g = complete(5)
+        rot = [[i for i, (u, v) in enumerate(g.edges, start=1) if w in (u, v)] for w in range(1, 6)]
+        e = make_embedding(g, rot)
+        flipped = make_embedding(MultiGraph(5, tuple((v, u) for u, v in g.edges)), rot)
+        assert flipped.graph.edges != g.edges
+        w = are_isomorphic(e, flipped)
+        assert w is not None
+        assert canonical_key(apply_iso(e, w)) == canonical_key(flipped)
+
     def test_non_isomorphic_theta5(self, theta5_systems):
         assert are_isomorphic(theta5_systems[10], theta5_systems[5]) is None
 

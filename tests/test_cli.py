@@ -18,6 +18,11 @@ def theta5_file(tmp_path, theta5_systems):
     return str(path)
 
 
+def class_ids(out: str) -> list[str]:
+    """The ids of the ``class <id> ...`` lines of a command's output."""
+    return [line.split()[1] for line in out.splitlines() if line.startswith("class ")]
+
+
 class TestBasicCommands:
     def test_genus(self, theta5_file, capsys):
         assert main(["genus", theta5_file]) == 0
@@ -106,6 +111,12 @@ class TestEnumerate:
         assert main(["enumerate", "--graph", "petersen", "--genus", "1", "--budget", "5"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_class_ids_tell_classes_apart(self, capsys):
+        # All 19 classes share the key's first 8 bytes.
+        assert main(["enumerate", "--graph", "wheel(5)", "--genus", "1"]) == 0
+        ids = class_ids(capsys.readouterr().out)
+        assert len(ids) == len(set(ids)) == 19
+
     def test_bad_graph_spec(self, capsys):
         assert main(["enumerate", "--graph", "nope(1)", "--genus", "0"]) == 2
 
@@ -125,6 +136,8 @@ class TestPipelinesAndTheta:
         out = capsys.readouterr().out
         assert "K5-uv: 60 iso, 39 (21 orientable + 18 non-orientable)" in out
         assert "K5: 45 iso, 31 (14 orientable + 17 non-orientable)" in out
+        ids = class_ids(out)
+        assert len(ids) == len(set(ids)) == 31
 
     def test_pipeline_k33(self, capsys):
         assert main(["pipeline", "k33"]) == 0
@@ -145,6 +158,24 @@ class TestVerifyAndConvert:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         assert "theta(3) torus classes\t1\t1\tPASS" in out
+
+    def test_budget_skips_rows_in_two_suites(self, capsys):
+        # torus-table and theta-question report a row beyond the budget as SKIP.
+        assert main(["verify", "--suite", "torus-table", "--budget", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "K4,4 torus embeddings\t(skipped)\trotation space 1679616 exceeds budget 100\tSKIP" in out
+        assert "overall: PASS" in out
+        assert main(["verify", "--suite", "theta-question", "--budget", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "theta(7) triple-torus classes\t(skipped)\trotation space has 720 systems, budget is 100\tSKIP" in out
+
+    def test_budget_stops_the_other_suites(self, capsys):
+        # core and appendixB stop at the first space beyond the budget.
+        for suite, size in (("core", 576), ("appendixB", 7776)):
+            assert main(["verify", "--suite", suite, "--budget", "100"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: rotation space has {size} systems, budget is 100\n"
 
     def test_verify_deterministic_bytes(self, capsys):
         assert main(["verify", "--suite", "k33"]) == 0

@@ -45,7 +45,7 @@ from rotsys import (
 )
 from rotsys import _kernel, enumeration
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
-from rotsys.suites import TORUS_TABLE
+from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
 from conftest import product_automorphisms, random_graphs
 
@@ -244,7 +244,8 @@ class TestKernel:
             orders = sliced(rng, pinned, 100)
             check_scan(orders, 20, all_faces(g, orders))
         # Each vertex pinned in turn: where degrees differ, a pinned vertex
-        # can be fixed after vertices that branch, and close faces there.
+        # is still fixed before every vertex that branches, even one of
+        # lower degree.
         mixed = [wheel(4), k4_plus(), complete_bipartite(3, 4)] + random_graphs(69, 10)
         for h in mixed:
             o = RotationSpace(h).orders
@@ -255,6 +256,21 @@ class TestKernel:
             o = RotationSpace(g).orders
             single = [x[i % len(x):][:1] for i, x in enumerate(o)]
             check_scan(single, 2 * g.edge_count, all_faces(g, single))
+
+    def test_one_order_vertices_are_fixed_first(self):
+        # scan steps the one-order levels in a loop and recurses only into
+        # the levels that branch.
+        spaces = [pinned_orders(build_graph(spec), mode)
+                  for _, spec, *_ in TORUS_TABLE + TORUS_TABLE_EXTRA for mode in ("iso", "equivalence")]
+        for h in random_graphs(69, 10):
+            o = RotationSpace(h).orders
+            spaces += [[x[-1:] if w == v else x for w, x in enumerate(o)] for v in range(h.n)]
+        for orders in spaces:
+            vertex_of = {d: v for v, o in enumerate(orders) for d in o[0]}
+            seq = _kernel._elimination_order(orders, [vertex_of[d] for d in range(len(vertex_of))])
+            assert sorted(seq) == list(range(len(orders)))
+            branches = [len(orders[w]) > 1 for w in seq]
+            assert branches == sorted(branches)
 
     def test_uncached_rows(self, monkeypatch):
         rng = random.Random(71)
@@ -328,6 +344,10 @@ class TestKernel:
         n = 200
         cycle = MultiGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
         assert scan_rotation_space(cycle, 2) == ({2: 1}, [0])
+        # A 3,000-cycle: its one-order levels are stepped in a loop, not
+        # one recursive call each.
+        big = MultiGraph(3000, tuple((i, i + 1) for i in range(1, 3000)) + ((1, 3000),))
+        assert scan_rotation_space(big, 2) == ({2: 1}, [0])
         g = MultiGraph(n, cycle.edges + ((1, 2),))
         space = RotationSpace(g)
         assert 2 * g.edge_count > 256 and space.total == 4

@@ -164,6 +164,21 @@ class TestDeleteAdd:
         with pytest.raises(InvalidEmbedding):
             delete_edge_permissive(*_two_face_edge())
 
+    def test_unknown_edge_ids_rejected_by_both_deletions(self, theta5_systems):
+        e = theta5_systems[10]
+        for eid in (0, e.graph.edge_count + 1):
+            for delete in (delete_edge, delete_edge_permissive):
+                with pytest.raises(ValueError, match="unknown edge id"):
+                    delete(e, eid)
+
+    def test_pendant_edge_lies_on_one_face(self):
+        # A triangle with a pendant edge 4 at vertex 3: the two darts of
+        # edge 4 follow each other on one facial walk.
+        g = MultiGraph(4, ((1, 2), (2, 3), (1, 3), (3, 4)))
+        e = make_embedding(g, [[1, 3], [1, 2], [2, 3, 4], [4]])
+        with pytest.raises(InvalidEmbedding, match="lie on one face"):
+            delete_edge(e, 4)
+
     def test_k2_plus_edge_gives_spherical_digon(self):
         e = make_embedding(complete(2), [[1], [1]])
         e2 = add_edge_in_face(e, CornerRef(0, 0), CornerRef(0, 1), 2)
