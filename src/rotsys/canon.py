@@ -38,7 +38,6 @@ from .core import (
     _normalize_cycle,
     embedding_from_darts,
     reverse,
-    trace_faces,
 )
 
 ORIENTABLE = "orientable"
@@ -326,7 +325,7 @@ def _mirror_keys(embeddings: Iterable[Embedding]) -> Iterator[tuple[bytes, bytes
 def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
     """The class of ``key``, built from its decoded representative."""
     rep = canonical_embedding(key)
-    faces = trace_faces(rep)
+    faces = rep.face_set
     return EmbeddingClass(
         canonical_key=key,
         representative=rep,

@@ -13,12 +13,14 @@ Commands::
     rotsys convert {appendixA,appendixB} F   published tables -> native format
 
 Exit status: 0 on success (and full suite pass), 1 on verification
-failure, 2 on input or budget errors.
+failure, 2 on input or budget errors, 141 (128 + SIGPIPE) when the reader
+of the output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from hashlib import sha256
@@ -248,7 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of the output has gone (``rotsys ... | head``): stop
+        # quietly, and send what is left in the buffer to the null device
+        # so that the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status of a process that signal ends
     except (RotsysError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -164,6 +164,11 @@ class Embedding:
                 table[d] = cycle[(i + 1) % k]
         return tuple(table)
 
+    @cached_property
+    def face_set(self) -> FaceSet:
+        """The facial walks by :func:`trace_faces`, traced on first use and kept."""
+        return trace_faces(self)
+
     def rotation_edges(self, v: int) -> tuple[int, ...]:
         """Rotation at ``v`` as edge ids (valid because loops are excluded)."""
         return tuple(dart_edge(d) for d in self.rot[v - 1])
@@ -177,15 +182,17 @@ def embedding_from_darts(graph: MultiGraph, rotations: Iterable[Sequence[int]]) 
     rot = tuple(_normalize_cycle(r) for r in rotations)
     if len(rot) != graph.n:
         raise InvalidEmbedding(f"expected {graph.n} rotations, got {len(rot)}")
-    seen = [False] * (2 * graph.edge_count)
+    nd = 2 * graph.edge_count
+    dart_vertex = graph.dart_vertex
+    seen = [False] * nd
     for v0, cycle in enumerate(rot):
         for d in cycle:
-            if not (0 <= d < 2 * graph.edge_count):
+            if not (0 <= d < nd):
                 raise InvalidEmbedding(f"unknown dart {d} at vertex {v0 + 1}")
-            if graph.dart_vertex[d] != v0 + 1:
+            if dart_vertex[d] != v0 + 1:
                 raise InvalidEmbedding(
                     f"dart of edge {dart_edge(d)} listed at vertex {v0 + 1}, "
-                    f"but it sits at vertex {graph.dart_vertex[d]}"
+                    f"but it sits at vertex {dart_vertex[d]}"
                 )
             if seen[d]:
                 raise InvalidEmbedding(f"dart of edge {dart_edge(d)} listed twice")
@@ -194,7 +201,7 @@ def embedding_from_darts(graph: MultiGraph, rotations: Iterable[Sequence[int]]) 
         missing = seen.index(False)
         raise InvalidEmbedding(
             f"edge {dart_edge(missing)} missing from the rotation of vertex "
-            f"{graph.dart_vertex[missing]}"
+            f"{dart_vertex[missing]}"
         )
     _check_connected(graph)
     return Embedding(graph, rot)
@@ -275,7 +282,7 @@ def _check_connected(g: MultiGraph) -> None:
 
 
 def trace_faces(e: Embedding) -> FaceSet:
-    """Facial walks of ``e`` as orbits of ``d -> succ[d ^ 1]``."""
+    """Facial walks of ``e`` as orbits of ``d -> succ[d ^ 1]``; ``e.face_set`` keeps them on ``e``."""
     g = e.graph
     nd = 2 * g.edge_count
     succ = e.succ
@@ -300,7 +307,7 @@ def trace_faces(e: Embedding) -> FaceSet:
 
 def surface_stats(e: Embedding) -> SurfaceStats:
     """Vertex/edge/face counts and the orientable genus of ``e``."""
-    return trace_faces(e).stats
+    return e.face_set.stats
 
 
 def reverse(e: Embedding) -> Embedding:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernel
 from .canon import (
@@ -45,7 +46,6 @@ from .core import (
     k5_minus_edge,
     make_embedding,
     theta,
-    trace_faces,
     triangle_multi,
     wheel,
 )
@@ -62,22 +62,27 @@ from .surgery import (
 DEFAULT_BUDGET = 10**9
 
 # Automorphism groups up to this order are kept on each RotationSpace, as
-# forward and inverse position permutations (about 4.8 MB at 40 edges);
-# larger ones are walked again from the space's stabiliser chain for every
-# orbit and every pin representative.
+# forward and inverse position permutations (about 4.8 MB at 40 edges),
+# with the lists of those that land in a pinned subspace; larger ones are
+# walked again from the space's stabiliser chain for every orbit and every
+# pin representative.
 MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
 class RotationSpace:
-    """The full space of rotation systems of a graph, indexable by integer.
+    """The space of rotation systems of a graph, and its pinned subspaces, indexable by integer.
 
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
-    fastest digit.  The automorphism group of the graph, which the orbit
-    pass and the pin act with, is built once per space, as a stabiliser
-    chain (see :func:`canon._automorphism_chain`) whose products are its
-    elements; so are the position and vertex tables they use and, up to
-    :data:`MAX_STORED_AUTOMORPHISMS`, the list of those products.
+    fastest digit.  A mode's pinned subspace keeps only the representative
+    orders at the vertex that :meth:`_pin` chooses, whose digit then runs
+    over those; every class has a member there, so the orbit pass works in
+    it alone.  The automorphism group of the graph, which the orbit pass and
+    the pin act with, is built once per space, as a stabiliser chain (see
+    :func:`canon._automorphism_chain`) whose products are its elements; so
+    are the position and vertex tables they use, the pins and, up to
+    :data:`MAX_STORED_AUTOMORPHISMS`, the list of those products and the
+    lists of those that land in a pinned subspace.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -85,20 +90,31 @@ class RotationSpace:
         self.orders = _kernel.build_orders(list(graph.darts_at))
         self.counts = [len(o) for o in self.orders]
         self.total = math.prod(self.counts)
+        self._pins: dict[bool, tuple[int, list[int]]] = {}
+        self._pinned: dict[bool, list[list[tuple[int, ...]]]] = {}
+        self._moved: dict[tuple[int, int], list[tuple[bytes, bytes]]] = {}
+        self._landings: dict[tuple[bool, int, int], list[tuple[bytes, bytes]]] = {}
 
-    def _digits(self, index: int) -> list[int]:
-        digits = []
-        for count in self.counts:
-            index, digit = divmod(index, count)
-            digits.append(digit)
-        return digits
+    def pinned_orders(self, mode: DedupMode) -> list[list[tuple[int, ...]]]:
+        """The order lists of ``mode``'s pinned subspace: at the pinned vertex, its representatives only.
 
-    def rotations_at(self, index: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(orders[d] for orders, d in zip(self.orders, self._digits(index)))
+        They are built once per mode and shared, so callers must not change them.
+        """
+        mirror = mode == "equivalence"
+        if mirror not in self._pinned:
+            v, reps = self._pin(mirror)
+            orders = self._pinned[mirror] = list(self.orders)
+            orders[v] = [orders[v][d] for d in reps]
+        return self._pinned[mirror]
 
-    def embedding_at(self, index: int) -> Embedding:
+    def embedding_at(self, index: int, mode: DedupMode | None = None) -> Embedding:
+        """System ``index`` of the whole space or, given a mode, of that mode's pinned subspace."""
+        rotations = []
+        for orders in self.orders if mode is None else self.pinned_orders(mode):
+            index, digit = divmod(index, len(orders))
+            rotations.append(orders[digit])
         # orders are least-dart-first, i.e. already normalized
-        return Embedding(self.graph, self.rotations_at(index))
+        return Embedding(self.graph, tuple(rotations))
 
     # Images under Aut(G) are computed on dart *positions*: the darts
     # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
@@ -119,11 +135,12 @@ class RotationSpace:
         return darts, bytes(position)
 
     @cached_property
-    def _vertex_tables(self) -> list[tuple[slice, dict[bytes, int], list[int], int]]:
-        """Per vertex: the slice of its positions, its table, its mirror digits and its radix place.
+    def _vertex_tables(self) -> list[tuple[slice, list[bytes], dict[bytes, int], list[int]]]:
+        """Per vertex: the slice of its positions, its keys, its table and its mirror digits.
 
-        The table maps the slice of ``succ`` of each cyclic order to its
-        digit; the mirror digits give the digit of each order's reversal.
+        The key of each cyclic order, in digit order, is its slice of
+        ``succ``, and the table maps it back to the digit; the mirror digits
+        give the digit of each order's reversal.
         """
         position = self._positions[1]
 
@@ -134,12 +151,13 @@ class RotationSpace:
             return bytes(out)
 
         tables = []
-        start, place = 0, 1
-        for orders, count in zip(self.orders, self.counts):
+        start = 0
+        for orders in self.orders:
             end = start + len(orders[0])
-            table = {successors(cyc, start): digit for digit, cyc in enumerate(orders)}
-            tables.append((slice(start, end), table, [table[successors(cyc[::-1], start)] for cyc in orders], place))
-            start, place = end, place * count
+            keys = [successors(cyc, start) for cyc in orders]
+            table = {key: digit for digit, key in enumerate(keys)}
+            tables.append((slice(start, end), keys, table, [table[successors(cyc[::-1], start)] for cyc in orders]))
+            start = end
         return tables
 
     @cached_property
@@ -190,67 +208,128 @@ class RotationSpace:
             return None
         return list(self._conjugations())
 
+    def _moving(self, u: int, w: int) -> Iterable[tuple[bytes, bytes]]:
+        """The automorphisms that map vertex ``u`` to ``w`` (0-based).
+
+        A stored group gives a list, built on first need and kept; a larger
+        one is walked again from the chain.
+        """
+        cut_u, cut_w = self._vertex_tables[u][0], self._vertex_tables[w][0]
+        stored = self._stored_conjugations
+        found = (x for x in stored or self._conjugations() if cut_w.start <= x[0][cut_u.start] < cut_w.stop)
+        if stored is None:
+            return found
+        if (u, w) not in self._moved:
+            self._moved[u, w] = list(found)
+        return self._moved[u, w]
+
+    def _landing(self, mirror: bool, u: int, digit: int) -> list[tuple[bytes, bytes]]:
+        """The stored automorphisms that take vertex ``u`` with order ``digit`` into the pinned subspace.
+
+        They map ``u`` to the pinned vertex, and the order to a
+        representative there or to a representative's reversal; so they are
+        the automorphisms whose image of a system with that order at ``u``,
+        or the image's reversal, lies in the subspace.  The list is built on
+        first need and kept.
+        """
+        found = self._landings.get((mirror, u, digit))
+        if found is None:
+            v, reps = self._pin(mirror)
+            (cut_u, keys, _, _), (cut_v, _, table, rev) = self._vertex_tables[u], self._vertex_tables[v]
+            lands = {*reps, *(rev[r] for r in reps)}
+            pad = bytes(256 - 2 * self.graph.edge_count)
+            succ = bytes(cut_u.start) + keys[digit] + bytes(256 - cut_u.stop)
+            found = self._landings[mirror, u, digit] = [
+                (fwd, inv) for fwd, inv in self._moving(u, v)
+                if table[inv.translate(succ).translate(fwd + pad)[cut_v]] in lands
+            ]
+        return found
+
     def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int, int, bool]]:
         """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
 
-        Two systems of one labelled graph are isomorphic exactly when an
-        automorphism of the graph maps one onto the other, so the orbits
-        under Aut(G) are the iso classes; in ``equivalence`` mode the
-        reversals of the images join the orbit as well.  Each system met is
-        mapped by every automorphism, and the images are marked, so later
-        members of its orbit are skipped.  Images keep the face count:
-        given the matches of a scan, every matching class is met once.  The
-        size counts the images marked, including those outside ``indices``.
+        ``indices`` number systems of ``mode``'s pinned subspace (see
+        :meth:`pinned_orders`).  Two systems of one labelled graph are
+        isomorphic exactly when an automorphism of the graph maps one onto
+        the other, so the orbits under Aut(G) are the iso classes; in
+        ``equivalence`` mode the reversals of the images join the orbit as
+        well.  Each system met has its images in the subspace marked, so
+        later members of its orbit are skipped.  Images keep the face
+        count: given the matches of a pinned scan, every matching class is
+        met once.
 
-        By orbit-stabiliser, the group order of the first member (the
-        automorphisms of its embedding) is the number of automorphisms that
-        map it to itself, and it is achiral exactly when one maps it to its
-        reversal.  Both hold for the whole class, in either mode.
+        Only the automorphisms of :meth:`_landing`, for each vertex and the
+        system's order there, are applied (40 of K5's 120); a group above
+        :data:`MAX_STORED_AUTOMORPHISMS` is walked whole from the chain.
+        They include every one that maps the system to itself, whose number
+        is its group order, and every one that maps it to its reversal,
+        which exists exactly when it is achiral; both hold for the whole
+        class.  The orbit's size in the whole space is, by
+        orbit-stabiliser, ``|Aut G| / order`` in ``iso`` mode and ``2 |Aut
+        G| / (order (1 + achiral))`` in ``equivalence`` mode.
 
-        Marks go in a bitmap of ``ceil(total / 8)`` bytes, or in a set when
-        ``indices`` are too few for the bitmap to pay (a set entry costs
-        about 64 bytes).  The other memory used is kept on the space, built
-        by its first orbit pass or pin and shared by later ones: one
-        ``order -> digit`` table and one list of mirror digits per vertex,
-        and the automorphisms, two position permutations each, when there
-        are at most :data:`MAX_STORED_AUTOMORPHISMS`; larger groups are
-        walked again from the chain for each orbit.
+        Marks go in a bitmap of ``ceil(subspace / 8)`` bytes, or in a set
+        when ``indices`` are too few for the bitmap to pay (a set entry
+        costs about 64 bytes).  The tables and automorphism lists used are
+        kept on the space and shared with later passes.
         """
         _check_mode(mode)
         mirror = mode == "equivalence"
-        stored = self._stored_conjugations
+        v, reps = self._pin(mirror)
         vertices = self._vertex_tables
-        keys = [list(table) for _, table, _, _ in vertices]
+        aut = math.prod(map(len, self._chain))
         pad = bytes(256 - 2 * self.graph.edge_count)
-        bits = bytearray(-(-self.total // 8)) if len(indices) * 512 >= self.total else None
+        counts = [len(keys) for _, keys, _, _ in vertices]
+        counts[v] = len(reps)
+        places = [math.prod(counts[:w]) for w in range(len(counts))]
+        total = math.prod(counts)
+        rest = [(cut, table, rev, place) for w, ((cut, _, table, rev), place) in enumerate(zip(vertices, places)) if w != v]
+        cut_v, _, table_v, rev_v = vertices[v]
+        place_v = places[v]
+        rep_at = {d: k for k, d in enumerate(reps)}
+        stored = self._stored_conjugations
+        sources = [u for u in range(len(vertices)) if stored is not None and self._moving(u, v)]
+        bits = bytearray(-(-total // 8)) if len(indices) * 512 >= total else None
         marked: set[int] = set()
         for index in indices:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
-            digits = self._digits(index)
-            succ = b"".join(k[d] for k, d in zip(keys, digits)) + pad
-            reversal = sum(rev[d] * place for (_, _, rev, place), d in zip(vertices, digits))
-            size = order = 0
+            digits, high = [], index
+            for count in counts:
+                high, digit = divmod(high, count)
+                digits.append(digit)
+            digits[v] = reps[digits[v]]
+            succ = b"".join(keys[d] for (_, keys, _, _), d in zip(vertices, digits)) + pad
+            hits = []
+            order = 0
             achiral = False
-            for fwd, inv in self._conjugations() if stored is None else stored:
+            if stored is None:  # walked whole; the images outside the subspace are skipped below
+                elements: Iterable[tuple[bytes, bytes]] = self._conjugations()
+            else:
+                elements = chain.from_iterable(self._landing(mirror, u, digits[u]) for u in sources)
+            for fwd, inv in elements:
                 image = inv.translate(succ).translate(fwd + pad)
-                j = jm = 0
-                for cut, table, rev, place in vertices:
-                    digit = table[image[cut]]
-                    j += digit * place
+                at_v = table_v[image[cut_v]]
+                k, km = rep_at.get(at_v), rep_at.get(rev_v[at_v])
+                if k is not None:
+                    j = k * place_v
+                    for cut, table, _, place in rest:
+                        j += table[image[cut]] * place
+                    order += j == index
+                    hits.append(j)
+                if km is not None and (mirror or not achiral):
+                    j = km * place_v
+                    for cut, table, rev, place in rest:
+                        j += rev[table[image[cut]]] * place
+                    achiral = achiral or j == index
                     if mirror:
-                        jm += rev[digit] * place
-                order += j == index
-                achiral = achiral or j == reversal
-                for k in (j, jm) if mirror else (j,):
-                    if bits is None:
-                        if k not in marked:
-                            marked.add(k)
-                            size += 1
-                    elif not bits[k >> 3] >> (k & 7) & 1:
-                        bits[k >> 3] |= 1 << (k & 7)
-                        size += 1
-            yield index, size, order, achiral
+                        hits.append(j)
+            for j in hits:
+                if bits is None:
+                    marked.add(j)
+                else:
+                    bits[j >> 3] |= 1 << (j & 7)
+            yield index, 2 * aut // (order * (1 + achiral)) if mirror else aut // order, order, achiral
 
     def _pin(self, mirror: bool) -> tuple[int, list[int]]:
         """A vertex (0-based) and the digits of one order per orbit at it.
@@ -261,36 +340,36 @@ class RotationSpace:
         system to one of its class and sends the order at the vertex to any
         other of its orbit, so every class has a member whose order there is
         a representative.  The vertex has the fewest representatives per
-        order, the lowest one on ties.  Images are taken as in
-        :meth:`orbits`, of a system that has the order at the vertex, and
-        groups above :data:`MAX_STORED_AUTOMORPHISMS` are walked again from
-        the chain for each representative.
+        order, the lowest one on ties.  The stabiliser of each vertex is
+        collected once (see :meth:`_moving`), and its images are taken as in
+        :meth:`orbits`, of a system that has the order at the vertex.  The
+        choice is kept on the space, one per value of ``mirror``.
         """
+        if mirror in self._pins:
+            return self._pins[mirror]
         vertices = self._vertex_tables
-        stored = self._stored_conjugations
-        firsts = [next(iter(table)) for _, table, _, _ in vertices]
+        firsts = [keys[0] for _, keys, _, _ in vertices]
         pad = bytes(256 - 2 * self.graph.edge_count)
         best: tuple[int, list[int]] | None = None
-        for v, (cut, table, rev, _) in enumerate(vertices):
+        for v, (cut, keys, table, rev) in enumerate(vertices):
             reps = [0]
-            if len(table) > 1:
-                reps, seen = [], set()
+            if len(keys) > 1:
+                reps, seen = [], bytearray(len(keys))
                 head, tail = b"".join(firsts[:v]), b"".join(firsts[v + 1:]) + pad
-                for key, digit in table.items():
-                    if digit in seen:
+                for digit, key in enumerate(keys):
+                    if seen[digit]:
                         continue
                     reps.append(digit)
                     succ = head + key + tail
-                    for fwd, inv in self._conjugations() if stored is None else stored:
-                        if not cut.start <= fwd[cut.start] < cut.stop:
-                            continue  # moves v
+                    for fwd, inv in self._moving(v, v):
                         image = table[inv.translate(succ).translate(fwd + pad)[cut]]
-                        seen.add(image)
+                        seen[image] = 1
                         if mirror:
-                            seen.add(rev[image])
-            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(table):
+                            seen[rev[image]] = 1
+            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(keys):
                 best = v, reps
         assert best is not None
+        self._pins[mirror] = best
         return best
 
 
@@ -353,13 +432,13 @@ def exhaustive_classes(
 ) -> list[EmbeddingClass]:
     """Embedding classes of ``graph`` with the given genus or face count.
 
-    One vertex is pinned (see :meth:`RotationSpace._pin`): only the systems
-    whose order there is one of its representatives are scanned for their
-    face count.  The matches are then walked in index order of the full
-    space: each one not yet marked starts a new class and has its orbit
-    under Aut(G), or Aut(G) x mirror, marked (see
-    :meth:`RotationSpace.orbits`), which also gives its group order and
-    achirality.  Each class record is built from its first member with one
+    Only the pinned subspace is scanned for the face count: the systems
+    whose order at one vertex is one of its representatives (see
+    :meth:`RotationSpace._pin`).  The matches are then walked in index
+    order of the subspace: each one not yet marked starts a new class and
+    has its orbit under Aut(G), or Aut(G) x mirror, marked within the
+    subspace (see :meth:`RotationSpace.orbits`), which also gives its group
+    order and achirality.  Each class record is built from its first member with one
     stream set, for its canonical key, and one more for a chiral class in
     ``equivalence`` mode, for its reversal's key (see
     :func:`canon._orbit_class`).  The records are those :func:`dedup`
@@ -373,20 +452,9 @@ def exhaustive_classes(
         return []
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    mirror = mode == "equivalence"
-    v, reps = space._pin(mirror)
-    orders = list(space.orders)
-    orders[v] = [orders[v][d] for d in reps]
-    _, matches = _kernel.scan(orders, 2 * graph.edge_count, f)
-    # Back to the full space: the digits below v keep their places, v's
-    # digit becomes its representative's, and the digits above move up.
-    place, count = math.prod(space.counts[:v]), space.counts[v]
-    for j, i in enumerate(matches):
-        high, low = divmod(i, place)
-        high, d = divmod(high, len(reps))
-        matches[j] = low + place * (reps[d] + count * high)
+    _, matches = _kernel.scan(space.pinned_orders(mode), 2 * graph.edge_count, f)
     classes = [
-        _orbit_class(space.embedding_at(i), mirror, order, achiral)
+        _orbit_class(space.embedding_at(i, mode), mode == "equivalence", order, achiral)
         for i, _, order, achiral in space.orbits(matches, mode)
     ]
     return sorted(classes, key=lambda c: c.canonical_key)
@@ -429,19 +497,22 @@ def genus_distribution(
 ) -> GenusDistribution:
     """Classes per genus across the whole rotation space of ``graph``.
 
-    One sequential pass over the space in index order, with no face-count
-    scan and no canonical key: each system not yet marked starts a new
-    equivalence class and has its orbit under Aut(G) x mirror marked (see
-    :meth:`RotationSpace.orbits`).  The orbit gives the class's group order
-    and achirality, one face trace of its first member gives its genus, and
-    ``raw_systems`` sums the orbit sizes.  The counts are those of
+    One sequential pass over the ``equivalence`` mode's pinned subspace in
+    index order (1,296 of K5's 7,776 systems), with no face-count scan and
+    no canonical key: each system not yet marked starts a new equivalence
+    class and has its orbit under Aut(G) x mirror marked within the
+    subspace (see :meth:`RotationSpace.orbits`).  Every class has a member
+    there.  The orbit gives the class's group order, achirality and size
+    in the whole space, one face trace of its first member gives its genus,
+    and ``raw_systems`` sums the orbit sizes.  The counts are those of
     :func:`dedup` over the whole space.  ``workers`` has no effect.
     """
     _check_budget(graph, budget)
     space = RotationSpace(graph)
+    pinned = math.prod(map(len, space.pinned_orders("equivalence")))
     by_genus: dict[int, list[tuple[int, int, bool]]] = {}
-    for i, size, order, achiral in space.orbits(range(space.total), "equivalence"):
-        genus = trace_faces(space.embedding_at(i)).stats.genus
+    for i, size, order, achiral in space.orbits(range(pinned), "equivalence"):
+        genus = space.embedding_at(i, "equivalence").face_set.stats.genus
         by_genus.setdefault(genus, []).append((size, order, achiral))
     records = []
     for genus in sorted(by_genus):
@@ -534,7 +605,7 @@ def face_pattern(e: Embedding) -> ChordDiagram:
     """Chord diagram pairing the two traversals of each edge on the face."""
     if e.graph.n != 2:
         raise RotsysError("face_pattern needs a two-vertex embedding")
-    faces = trace_faces(e)
+    faces = e.face_set
     if faces.stats.f != 1:
         raise RotsysError(f"face_pattern needs one face, got {faces.stats.f}")
     walk = faces.faces[0]
@@ -636,7 +707,7 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
     isomorphism, and only the corners of accepted pairs are built.
     """
     g = e.graph
-    faces = trace_faces(e).faces
+    faces = e.face_set.faces
     dv = g.dart_vertex
     target_tables = _graph_tables(target)
     accepted: dict[tuple[int, int], bool] = {}

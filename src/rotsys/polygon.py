@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Embedding, RotsysError, dart_edge, trace_faces
+from .core import Embedding, RotsysError, dart_edge
 
 
 class WordError(RotsysError, ValueError):
@@ -98,7 +98,7 @@ def boundary_word(e: Embedding) -> PolygonWord:
     Letters are edge ids; the first traversal of an edge along the facial
     walk is signed ``+`` and the second ``-``.
     """
-    faces = trace_faces(e)
+    faces = e.face_set
     if faces.stats.f != 1:
         raise WordError(f"embedding has {faces.stats.f} faces; a polygon word needs exactly one")
     seen: set[int] = set()

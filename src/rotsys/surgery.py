@@ -30,7 +30,6 @@ from .core import (
     InvalidEmbedding,
     MultiGraph,
     embedding_from_darts,
-    trace_faces,
 )
 
 
@@ -166,7 +165,7 @@ def _delete(e: Embedding, edge_id: int, one_face: bool) -> Embedding:
     if not (1 <= edge_id <= g.edge_count):
         raise ValueError(f"unknown edge id {edge_id}")
     d0 = 2 * (edge_id - 1)
-    walk = next(w for w in trace_faces(e).faces if d0 in w)
+    walk = next(w for w in e.face_set.faces if d0 in w)
     if (d0 + 1 in walk) != one_face:
         raise InvalidEmbedding(
             f"edge {edge_id} borders two faces; use delete_edge for the genus-preserving deletion"
@@ -188,7 +187,7 @@ def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, Corne
     ``InvalidEmbedding``; an unknown id raises ``ValueError``.
     """
     result = _delete(e, edge_id, one_face=False)
-    at = {d: (fi, pos) for fi, walk in enumerate(trace_faces(result).faces) for pos, d in enumerate(walk)}
+    at = {d: (fi, pos) for fi, walk in enumerate(result.face_set.faces) for pos, d in enumerate(walk)}
     d0 = 2 * (edge_id - 1)
     s0, s1 = (_shift_dart_down(e.succ[d], edge_id) for d in (d0, d0 + 1))
     return result, CornerRef(*at[s0]), CornerRef(*at[s1])
@@ -214,11 +213,12 @@ def add_edge_in_face(
     """Insert an edge across a face, between two corners at distinct vertices.
 
     The face splits in two (f rises by one, genus is unchanged).  Corners
-    refer to positions in ``trace_faces(e)``.  ``new_edge_id`` defaults to
-    the next free id.
+    refer to positions in ``trace_faces(e)``, the walks kept on ``e``
+    (``e.face_set``), so inserting at the corners of walks already traced
+    traces none again.  ``new_edge_id`` defaults to the next free id.
     """
     g = e.graph
-    faces = trace_faces(e).faces
+    faces = e.face_set.faces
     if corner_u.face_index != corner_v.face_index:
         raise InvalidEmbedding("corners lie on different faces")
     if not (0 <= corner_u.face_index < len(faces)):

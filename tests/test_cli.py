@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import rotsys
 from rotsys import make_embedding, theta
 from rotsys.cli import main
 from rotsys.formats import write_embedding
@@ -116,6 +121,23 @@ class TestEnumerate:
         assert main(["enumerate", "--graph", "wheel(5)", "--genus", "1"]) == 0
         ids = class_ids(capsys.readouterr().out)
         assert len(ids) == len(set(ids)) == 19
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_output_pipe_ends_quietly(self, unbuffered):
+        # The reader closes the pipe before anything is written, so every
+        # write finds it gone: each print when unbuffered, otherwise the
+        # flush of the buffer.  No error line, no traceback and no warning
+        # at interpreter exit; the status is that of a SIGPIPE ending.
+        env = {**os.environ, "PYTHONPATH": str(Path(rotsys.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rotsys.cli", "enumerate", "--graph", "wheel(5)", "--genus", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_bad_graph_spec(self, capsys):
         assert main(["enumerate", "--graph", "nope(1)", "--genus", "0"]) == 2

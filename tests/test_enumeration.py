@@ -44,6 +44,7 @@ from rotsys import (
     wheel,
 )
 from rotsys import _kernel, enumeration
+from rotsys.canon import class_key
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
@@ -54,6 +55,11 @@ def small_torus_graphs():
     """Torus-table graphs with at most 8,000 systems: K4, K5, K3,3, 3-prism, K3,4, cube, C8+, petersen."""
     graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE]
     return [g for g in graphs if rotation_space_size(g) <= 8000]
+
+
+def pinned_size(space, mode):
+    """Number of systems of ``mode``'s pinned subspace of ``space``."""
+    return math.prod(map(len, space.pinned_orders(mode)))
 
 
 class TestRotationSpace:
@@ -440,7 +446,10 @@ class TestOrbitMarking:
         # |orbit| x |stabiliser| = |group acting|, with the stabiliser taken
         # from automorphism_group_order and chirality independently; the
         # orbit's own group order and achirality must agree with them, for
-        # stored automorphisms and, with the cap at 1, generated ones.
+        # stored automorphisms and, with the cap at 1, generated ones.  The
+        # pass visits the pinned subspace only, yet the sizes of the orbits
+        # it meets cover the whole space, and with stored automorphisms it
+        # meets each class once, at its first member in the subspace.
         graphs = small_torus_graphs() + random_graphs(43)
         for cap in (enumeration.MAX_STORED_AUTOMORPHISMS, 1):
             monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", cap)
@@ -449,8 +458,10 @@ class TestOrbitMarking:
                 space = RotationSpace(g)
                 for mode in ("iso", "equivalence"):
                     covered = 0
-                    for i, size, order, achiral in space.orbits(range(space.total), mode):
-                        e = space.embedding_at(i)
+                    pinned = range(pinned_size(space, mode))
+                    found = list(space.orbits(pinned, mode))
+                    for i, size, order, achiral in found:
+                        e = space.embedding_at(i, mode)
                         covered += size
                         assert order == automorphism_group_order(e)
                         assert achiral == (chirality(e) == NON_ORIENTABLE)
@@ -459,23 +470,33 @@ class TestOrbitMarking:
                         else:
                             assert size * order * (2 if achiral else 1) == 2 * aut
                     assert covered == space.total
+                    if cap > 1:
+                        firsts: dict[bytes, int] = {}
+                        for i in pinned:
+                            firsts.setdefault(class_key(space.embedding_at(i, mode), mode), i)
+                        assert [i for i, *_ in found] == sorted(firsts.values())
 
     def test_generated_automorphisms_give_the_stored_orbits(self, monkeypatch):
         graphs = [complete(4), complete_bipartite(3, 3), theta(5)] + random_graphs(45, 10)
         for mode in ("iso", "equivalence"):
-            stored = [list(RotationSpace(g).orbits(range(rotation_space_size(g)), mode)) for g in graphs]
+            stored = [list(space.orbits(range(pinned_size(space, mode)), mode))
+                      for space in map(RotationSpace, graphs)]
             monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
-            assert [list(RotationSpace(g).orbits(range(rotation_space_size(g)), mode)) for g in graphs] == stored
+            generated = [list(space.orbits(range(pinned_size(space, mode)), mode))
+                         for space in map(RotationSpace, graphs)]
+            assert generated == stored
             monkeypatch.undo()
 
     def test_sparse_marks_give_the_bitmap_orbits(self):
-        # Under 1/512 of the space, marks go in a set instead of a bitmap.
-        # An orbit's first index is its least, so a prefix of the space
-        # meets exactly the orbits that start in it.
+        # Under 1/512 of the pinned subspace, marks go in a set instead of a
+        # bitmap.  An orbit's first index is its least in the subspace, so a
+        # prefix of the subspace meets exactly the orbits that start in it.
         space = RotationSpace(build_graph("octahedron"))
-        prefix = range(space.total // 600)
         for mode in ("iso", "equivalence"):
-            full = list(space.orbits(range(space.total), mode))
+            size = pinned_size(space, mode)
+            prefix = range(size // 600)
+            assert len(prefix) * 512 < size
+            full = list(space.orbits(range(size), mode))
             assert list(space.orbits(prefix, mode)) == [o for o in full if o[0] < len(prefix)]
 
     @staticmethod
@@ -489,30 +510,56 @@ class TestOrbitMarking:
 
     def test_memory_with_a_high_degree_vertex(self):
         # The hub of wheel(8) has 5,040 cyclic orders; a table holding every
-        # rotation of each would take over 5 MB.  The 161 KB bitmap, the
-        # table of the 5,040 orders and their digits, and the digits of
-        # their reversals fit in 1 MB.
+        # rotation of each would take over 5 MB.  The table of the 5,040
+        # orders and their digits, the digits of their reversals, the pin's
+        # marks on them and the 6.5 KB bitmap of the 51,712 systems of the
+        # pinned subspace fit in 1 MB.
         space = RotationSpace(wheel(8))
         found, peak = self.orbit_peak_bytes(space, range(200))
+        assert pinned_size(space, "equivalence") == 51712
         assert [i for i, *_ in found][:3] == [0, 1, 2]
         assert peak < 1 << 20
 
     def test_memory_with_a_large_automorphism_group(self, monkeypatch):
-        # Above the cap the automorphisms are generated for each orbit, so
-        # the pass saves most of what the 5,040 of K1,7 take stored.  A
-        # space keeps the group it stored, so the cap is lowered before a
-        # second space is built.
+        # Above the cap the automorphisms are generated for the pin and for
+        # each orbit, so the pass saves most of what the 5,040 of K1,7 take
+        # stored.  A space keeps the group it stored, so the cap is lowered
+        # before a second space is built.  The center is pinned, and its
+        # stabiliser, the whole group, has one orbit on its 720 orders.
         g = complete_bipartite(1, 7)
         group_bytes = sum(sys.getsizeof(p) for p in product_automorphisms(g))
         space = RotationSpace(g)
-        stored, stored_peak = self.orbit_peak_bytes(space, range(space.total))
+        stored, stored_peak = self.orbit_peak_bytes(space, range(1))
         assert len(space._stored_conjugations) == 5040
+        assert pinned_size(space, "equivalence") == 1
         monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
         space = RotationSpace(g)
-        generated, peak = self.orbit_peak_bytes(space, range(space.total))
+        generated, peak = self.orbit_peak_bytes(space, range(1))
         assert space._stored_conjugations is None
+        assert space._moved == space._landings == {}
         assert generated == stored == [(0, 720, 7, True)]
         assert peak < stored_peak - group_bytes / 2
+
+    def test_k5_applies_40_of_120_automorphisms_per_class(self, monkeypatch):
+        # Each vertex of K5 goes to the pinned one under 24 automorphisms;
+        # 4 of them carry its order to the one representative there, and 4
+        # to its reversal.  Every class takes those 5 x 8, in either mode.
+        landing = RotationSpace._landing
+        applied = []
+
+        def counted(self, mirror, u, digit):
+            found = landing(self, mirror, u, digit)
+            applied.append(len(found))
+            return found
+
+        monkeypatch.setattr(RotationSpace, "_landing", counted)
+        for mode, classes in (("iso", 9 + 45 + 24), ("equivalence", 6 + 31 + 13)):
+            space = RotationSpace(complete(5))
+            applied.clear()
+            found = list(space.orbits(range(pinned_size(space, mode)), mode))
+            assert len(found) == classes
+            assert len(applied) == 5 * classes
+            assert sum(applied) == 40 * classes
 
     def test_orbits_reject_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -648,6 +695,24 @@ class TestGenusDistribution:
             expect = {(2 - g.n + g.edge_count - f) // 2: c for f, c in hist.items()}
             assert {r.genus: r.raw_systems for r in d.records} == expect
 
+    def test_visits_the_pinned_subspace(self, monkeypatch):
+        # The orbit pass walks only the systems whose order at the pinned
+        # vertex is a representative; their orbits still cover the space.
+        orbits = RotationSpace.orbits
+        visited = []
+
+        def counted(self, indices, mode="iso"):
+            visited.append(len(indices))
+            return orbits(self, indices, mode)
+
+        monkeypatch.setattr(RotationSpace, "orbits", counted)
+        for g, pinned in ((complete(5), 1296), (complete_bipartite(3, 4), 576), (theta(5), 24),
+                          (complete_bipartite(3, 3), 32)):
+            visited.clear()
+            d = genus_distribution(g)
+            assert visited == [pinned]
+            assert sum(r.raw_systems for r in d.records) == rotation_space_size(g)
+
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:
             assert rec.iso_classes == 2 * rec.orientable + rec.non_orientable
@@ -711,8 +776,8 @@ class TestGroupOrder:
         groups: dict = {}
         for g in small_torus_graphs() + random_graphs(61):
             space = RotationSpace(g)
-            for i, _, order_of_orbit, _ in space.orbits(range(space.total), "iso"):
-                e = space.embedding_at(i)
+            for i, _, order_of_orbit, _ in space.orbits(range(pinned_size(space, "iso")), "iso"):
+                e = space.embedding_at(i, "iso")
                 order = self.commuting(e, groups)
                 assert automorphism_group_order(e) == order == order_of_orbit
                 for mode in ("iso", "equivalence"):

@@ -9,6 +9,7 @@ from rotsys import (
     are_isomorphic,
     canon,
     complete,
+    core,
     complete_bipartite,
     enumeration,
     exhaustive_classes,
@@ -188,7 +189,13 @@ class TestStageShortcuts:
             built["tables"] += 1
             return graph_tables(g)
 
+        def counted_trace(e):
+            built["traces"] += 1
+            return trace_faces(e)
+
         monkeypatch.setattr(canon, "_class_record", counted_record)
+        for module in (core, canon, enumeration, surgery):
+            monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
         for module in (canon, enumeration, surgery):
             monkeypatch.setattr(module, "multigraph_key", no_key, raising=False)
             monkeypatch.setattr(module, "_graph_tables", counted_tables)
@@ -206,6 +213,12 @@ class TestStageShortcuts:
         iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
         assert built["records"] == 125 == sum(map(len, iso_stages))
         assert built["tables"] == 793 + 67
+        # Faces are traced once per embedding and kept on it: once per
+        # class record, and once for each of the 10 subdivided K4+ systems
+        # that edges are added to.  The 401 insertions of add_edge_in_face
+        # and the _edge_additions calls on class representatives reuse
+        # those walks (579 traces when each call traced its input again).
+        assert built["traces"] == 125 + 10
 
 
 class TestK33Chain:
