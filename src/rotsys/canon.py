@@ -103,26 +103,8 @@ def _block(
     return bytes(out), next_edge_label
 
 
-def _labels_from(e: Embedding, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """First-encounter vertex and edge labels (1-based) of the rooted traversal."""
-    g = e.graph
-    steps = _steps(e)
-    starts = [root]
-    vlab = [-1] * (g.n + 1)
-    vlab[g.dart_vertex[root]] = 0
-    elab = [-1] * g.edge_count
-    next_edge_label = 0
-    for d in starts:  # grows as the walk meets new vertices
-        next_edge_label = _block(steps[d], starts, vlab, elab, next_edge_label)[1]
-    edges = sorted((el, k) for k, el in enumerate(elab) if el >= 0)
-    return (
-        {g.dart_vertex[d]: i + 1 for i, d in enumerate(starts)},
-        {k + 1: el + 1 for el, k in edges},
-    )
-
-
-def _least(e: Embedding) -> tuple[bytes, int, int]:
-    """The least stream of ``e``, how often it occurs, and the first root giving it.
+def _least(e: Embedding) -> tuple[bytes, int, list]:
+    """The least stream of ``e``, how often it occurs, and the state of the first root giving it.
 
     A root's stream is the graph's vertex and edge counts, then the
     :func:`_block` of each vertex in label order.  Every root of least
@@ -130,17 +112,20 @@ def _least(e: Embedding) -> tuple[bytes, int, int]:
     the least at that index go on; a root with no block left emits the
     empty block, which is least, as a stream that is a prefix of another
     is less.  The roots left at the end all give the least stream: their
-    number is the group order.
+    number is the group order.  A root's state is ``[root, starts, vertex
+    labels, edge labels, next edge label]``, as :func:`_block` takes them;
+    at the end, the labels (0-based, ``-1`` where unreached) are those of
+    the root's whole traversal.
     """
     g = e.graph
     steps = _steps(e)
     if not steps:
         # The one-vertex graph (the only connected edgeless one): one vertex
-        # block of degree 0.
-        return bytes([1, 0, 0]), 1, 0
+        # block of degree 0, and the vertex labelled 0 with no root dart.
+        return bytes([1, 0, 0]), 1, [None, [], [-1, 0], [], 0]
     dv = g.dart_vertex
     low = min(map(len, steps))
-    live = []  # [root, starts, vertex labels, edge labels, next edge label]
+    live = []
     for d, s in enumerate(steps):
         if len(s) == low:
             vlab = [-1] * (g.n + 1)
@@ -165,7 +150,7 @@ def _least(e: Embedding) -> tuple[bytes, int, int]:
         if not best:
             break
         key += best
-    return bytes(key), len(live), live[0][0]
+    return bytes(key), len(live), live[0]
 
 
 def canonical_key(e: Embedding) -> bytes:
@@ -266,19 +251,14 @@ def are_isomorphic(e1: Embedding, e2: Embedding) -> IsoWitness | None:
         _check_guard(e.graph.n, e.graph.edge_count)
     if e1.graph.n != e2.graph.n or e1.graph.edge_count != e2.graph.edge_count:
         return None
-    if not e1.graph.edge_count:
-        return IsoWitness(vertex_map={1: 1}, edge_map={})
-    key1, _, root1 = _least(e1)
-    key2, _, root2 = _least(e2)
+    (key1, _, root1), (key2, _, root2) = _least(e1), _least(e2)
     if key1 != key2:
         return None
-    vl1, el1 = _labels_from(e1, root1)
-    vl2, el2 = _labels_from(e2, root2)
-    v_inv2 = {lab: v for v, lab in vl2.items()}
-    e_inv2 = {lab: k for k, lab in el2.items()}
+    vertex2 = {lab: v for v, lab in enumerate(root2[2]) if lab >= 0}
+    edge2 = {lab: k for k, lab in enumerate(root2[3]) if lab >= 0}
     witness = IsoWitness(
-        vertex_map={v: v_inv2[lab] for v, lab in vl1.items()},
-        edge_map={k: e_inv2[lab] for k, lab in el1.items()},
+        vertex_map={v: vertex2[lab] for v, lab in enumerate(root1[2]) if lab >= 0},
+        edge_map={k + 1: edge2[lab] + 1 for k, lab in enumerate(root1[3]) if lab >= 0},
     )
     if not _same_map(apply_iso(e1, witness), e2):
         raise AssertionError("isomorphism witness failed verification")
@@ -336,18 +316,21 @@ def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
     )
 
 
-def _orbit_class(e: Embedding, mirror: bool, order: int, achiral: bool) -> EmbeddingClass:
-    """The class record of ``e``, whose group order and achirality are known.
+def _orbit_classes(e: Embedding, mode: DedupMode, order: int, achiral: bool) -> list[EmbeddingClass]:
+    """The class records of the orbit of ``e`` under Aut(G) x mirror, whose group order and achirality are known.
 
-    The record is the one :func:`dedup` gives for ``e`` (in ``equivalence``
-    mode when ``mirror``).  One stream set gives the canonical key; a chiral
-    ``e`` in ``equivalence`` mode takes one more, for its reversal's key,
-    and the class key is the lesser of the two.
+    They are the records :func:`dedup` gives for ``e`` and its reversal.
+    One stream set gives the canonical key of ``e``, which names the one
+    class of an achiral orbit; a chiral orbit takes one more, for its
+    reversal's key, and is the two classes of those keys in ``iso`` mode
+    and the one class of the lesser key in ``equivalence`` mode.
     """
-    key = _least(e)[0]
-    if mirror and not achiral:
-        key = min(key, _least(reverse(e))[0])
-    return _class_record(key, order, achiral)
+    keys = [_least(e)[0]]
+    if not achiral:
+        keys.append(_least(reverse(e))[0])
+        if mode == "equivalence":
+            keys = [min(keys)]
+    return [_class_record(key, order, achiral) for key in keys]
 
 
 def chirality(e: Embedding) -> Chirality:
@@ -380,9 +363,9 @@ def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[
     key in ``equivalence`` mode, and a class is achiral when the two agree.
     So each input costs one stream set, and one more for its reversal only
     when its key was not met before, in either mode.  Inputs known to lie
-    in distinct classes, with their group orders and achirality known, are
-    cheaper through :func:`_orbit_class`, as the orbit pass of the
-    exhaustive classification gives them.
+    in distinct orbits under Aut(G) x mirror, with their group orders and
+    achirality known, are cheaper through :func:`_orbit_classes`, as the
+    orbit pass of the exhaustive classification gives them.
     """
     _check_mode(mode)
     keys: list[bytes] = []

@@ -26,9 +26,10 @@ from .canon import (
     DedupMode,
     EmbeddingClass,
     _automorphism_chain,
+    _check_guard,
     _check_mode,
     _graph_tables,
-    _orbit_class,
+    _orbit_classes,
     _same_graph,
     _stage_classes,
     dedup,
@@ -63,26 +64,27 @@ DEFAULT_BUDGET = 10**9
 
 # Automorphism groups up to this order are kept on each RotationSpace, as
 # forward and inverse position permutations (about 4.8 MB at 40 edges),
-# with the lists of those that land in a pinned subspace; larger ones are
+# with the lists of those that land in the pinned subspace; larger ones are
 # walked again from the space's stabiliser chain for every orbit and every
 # pin representative.
 MAX_STORED_AUTOMORPHISMS = 1 << 14
 
 
 class RotationSpace:
-    """The space of rotation systems of a graph, and its pinned subspaces, indexable by integer.
+    """The space of rotation systems of a graph, and its pinned subspace, indexable by integer.
 
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
-    fastest digit.  A mode's pinned subspace keeps only the representative
-    orders at the vertex that :meth:`_pin` chooses, whose digit then runs
-    over those; every class has a member there, so the orbit pass works in
-    it alone.  The automorphism group of the graph, which the orbit pass and
-    the pin act with, is built once per space, as a stabiliser chain (see
+    fastest digit.  The pinned subspace keeps only the representative
+    orders at the vertex that :attr:`_pin` chooses, whose digit then runs
+    over those; every class, up to isomorphism and mirror image, has a
+    member there, so the orbit pass works in it alone.  The automorphism
+    group of the graph, which the orbit pass and the pin act with, is built
+    once per space, as a stabiliser chain (see
     :func:`canon._automorphism_chain`) whose products are its elements; so
-    are the position and vertex tables they use, the pins and, up to
+    are the position and vertex tables they use, the pin and, up to
     :data:`MAX_STORED_AUTOMORPHISMS`, the list of those products and the
-    lists of those that land in a pinned subspace.
+    lists of those that land in the pinned subspace.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -90,27 +92,24 @@ class RotationSpace:
         self.orders = _kernel.build_orders(list(graph.darts_at))
         self.counts = [len(o) for o in self.orders]
         self.total = math.prod(self.counts)
-        self._pins: dict[bool, tuple[int, list[int]]] = {}
-        self._pinned: dict[bool, list[list[tuple[int, ...]]]] = {}
         self._moved: dict[tuple[int, int], list[tuple[bytes, bytes]]] = {}
-        self._landings: dict[tuple[bool, int, int], list[tuple[bytes, bytes]]] = {}
+        self._landings: dict[tuple[int, int], list[tuple[bytes, bytes]]] = {}
 
-    def pinned_orders(self, mode: DedupMode) -> list[list[tuple[int, ...]]]:
-        """The order lists of ``mode``'s pinned subspace: at the pinned vertex, its representatives only.
+    @cached_property
+    def pinned_orders(self) -> list[list[tuple[int, ...]]]:
+        """The order lists of the pinned subspace: at the pinned vertex, its representatives only.
 
-        They are built once per mode and shared, so callers must not change them.
+        They are shared, so callers must not change them.
         """
-        mirror = mode == "equivalence"
-        if mirror not in self._pinned:
-            v, reps = self._pin(mirror)
-            orders = self._pinned[mirror] = list(self.orders)
-            orders[v] = [orders[v][d] for d in reps]
-        return self._pinned[mirror]
+        v, reps = self._pin
+        orders = list(self.orders)
+        orders[v] = [orders[v][d] for d in reps]
+        return orders
 
-    def embedding_at(self, index: int, mode: DedupMode | None = None) -> Embedding:
-        """System ``index`` of the whole space or, given a mode, of that mode's pinned subspace."""
+    def embedding_at(self, index: int) -> Embedding:
+        """System ``index`` of the pinned subspace."""
         rotations = []
-        for orders in self.orders if mode is None else self.pinned_orders(mode):
+        for orders in self.pinned_orders:
             index, digit = divmod(index, len(orders))
             rotations.append(orders[digit])
         # orders are least-dart-first, i.e. already normalized
@@ -122,12 +121,14 @@ class RotationSpace:
     # rotation successor, and an automorphism the bytes ``fwd`` of each
     # position's image and ``inv`` of its preimage; the image of the system
     # is the conjugate ``fwd[succ[inv[p]]]``, two translates.  Darts fit a
-    # byte (the chain enforces its edge guard), and unlike small
-    # tuples, freed bytes are not kept on the interpreter's free lists.
+    # byte (the size guard is checked before the positions are built), and
+    # unlike small tuples, freed bytes are not kept on the interpreter's
+    # free lists.
 
     @cached_property
     def _positions(self) -> tuple[bytes, bytes]:
         """The dart at each position, and the position of each dart."""
+        _check_guard(self.graph.n, self.graph.edge_count)
         darts = bytes(d for ds in self.graph.darts_at for d in ds)
         position = bytearray(len(darts))
         for p, d in enumerate(darts):
@@ -223,7 +224,7 @@ class RotationSpace:
             self._moved[u, w] = list(found)
         return self._moved[u, w]
 
-    def _landing(self, mirror: bool, u: int, digit: int) -> list[tuple[bytes, bytes]]:
+    def _landing(self, u: int, digit: int) -> list[tuple[bytes, bytes]]:
         """The stored automorphisms that take vertex ``u`` with order ``digit`` into the pinned subspace.
 
         They map ``u`` to the pinned vertex, and the order to a
@@ -232,31 +233,32 @@ class RotationSpace:
         or the image's reversal, lies in the subspace.  The list is built on
         first need and kept.
         """
-        found = self._landings.get((mirror, u, digit))
+        found = self._landings.get((u, digit))
         if found is None:
-            v, reps = self._pin(mirror)
+            v, reps = self._pin
             (cut_u, keys, _, _), (cut_v, _, table, rev) = self._vertex_tables[u], self._vertex_tables[v]
             lands = {*reps, *(rev[r] for r in reps)}
             pad = bytes(256 - 2 * self.graph.edge_count)
             succ = bytes(cut_u.start) + keys[digit] + bytes(256 - cut_u.stop)
-            found = self._landings[mirror, u, digit] = [
+            found = self._landings[u, digit] = [
                 (fwd, inv) for fwd, inv in self._moving(u, v)
                 if table[inv.translate(succ).translate(fwd + pad)[cut_v]] in lands
             ]
         return found
 
-    def orbits(self, indices: Sequence[int], mode: DedupMode = "iso") -> Iterator[tuple[int, int, int, bool]]:
+    def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
         """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
 
-        ``indices`` number systems of ``mode``'s pinned subspace (see
-        :meth:`pinned_orders`).  Two systems of one labelled graph are
+        ``indices`` number systems of the pinned subspace (see
+        :attr:`pinned_orders`).  Two systems of one labelled graph are
         isomorphic exactly when an automorphism of the graph maps one onto
-        the other, so the orbits under Aut(G) are the iso classes; in
-        ``equivalence`` mode the reversals of the images join the orbit as
-        well.  Each system met has its images in the subspace marked, so
-        later members of its orbit are skipped.  Images keep the face
-        count: given the matches of a pinned scan, every matching class is
-        met once.
+        the other, so the orbits under Aut(G) are the iso classes, and with
+        the reversals of the images they are the equivalence classes, the
+        orbits under Aut(G) x mirror walked here.  An achiral orbit is one
+        iso class; a chiral one is two, each the mirror of the other.  Each
+        system met has its images in the subspace marked, so later members
+        of its orbit are skipped.  Images keep the face count: given the
+        matches of a pinned scan, every matching class is met once.
 
         Only the automorphisms of :meth:`_landing`, for each vertex and the
         system's order there, are applied (40 of K5's 120); a group above
@@ -265,22 +267,18 @@ class RotationSpace:
         is its group order, and every one that maps it to its reversal,
         which exists exactly when it is achiral; both hold for the whole
         class.  The orbit's size in the whole space is, by
-        orbit-stabiliser, ``|Aut G| / order`` in ``iso`` mode and ``2 |Aut
-        G| / (order (1 + achiral))`` in ``equivalence`` mode.
+        orbit-stabiliser, ``2 |Aut G| / (order (1 + achiral))``.
 
         Marks go in a bitmap of ``ceil(subspace / 8)`` bytes, or in a set
         when ``indices`` are too few for the bitmap to pay (a set entry
         costs about 64 bytes).  The tables and automorphism lists used are
         kept on the space and shared with later passes.
         """
-        _check_mode(mode)
-        mirror = mode == "equivalence"
-        v, reps = self._pin(mirror)
+        v, reps = self._pin
         vertices = self._vertex_tables
         aut = math.prod(map(len, self._chain))
         pad = bytes(256 - 2 * self.graph.edge_count)
-        counts = [len(keys) for _, keys, _, _ in vertices]
-        counts[v] = len(reps)
+        counts = [len(orders) for orders in self.pinned_orders]
         places = [math.prod(counts[:w]) for w in range(len(counts))]
         total = math.prod(counts)
         rest = [(cut, table, rev, place) for w, ((cut, _, table, rev), place) in enumerate(zip(vertices, places)) if w != v]
@@ -306,7 +304,7 @@ class RotationSpace:
             if stored is None:  # walked whole; the images outside the subspace are skipped below
                 elements: Iterable[tuple[bytes, bytes]] = self._conjugations()
             else:
-                elements = chain.from_iterable(self._landing(mirror, u, digits[u]) for u in sources)
+                elements = chain.from_iterable(self._landing(u, digits[u]) for u in sources)
             for fwd, inv in elements:
                 image = inv.translate(succ).translate(fwd + pad)
                 at_v = table_v[image[cut_v]]
@@ -317,36 +315,34 @@ class RotationSpace:
                         j += table[image[cut]] * place
                     order += j == index
                     hits.append(j)
-                if km is not None and (mirror or not achiral):
+                if km is not None:
                     j = km * place_v
                     for cut, table, rev, place in rest:
                         j += rev[table[image[cut]]] * place
                     achiral = achiral or j == index
-                    if mirror:
-                        hits.append(j)
+                    hits.append(j)
             for j in hits:
                 if bits is None:
                     marked.add(j)
                 else:
                     bits[j >> 3] |= 1 << (j & 7)
-            yield index, 2 * aut // (order * (1 + achiral)) if mirror else aut // order, order, achiral
+            yield index, 2 * aut // (order * (1 + achiral)), order, achiral
 
-    def _pin(self, mirror: bool) -> tuple[int, list[int]]:
+    @cached_property
+    def _pin(self) -> tuple[int, list[int]]:
         """A vertex (0-based) and the digits of one order per orbit at it.
 
         The orbits are those of the vertex's stabiliser in Aut(G), joined by
-        reversal when ``mirror``, on its cyclic orders; the representative
-        of an orbit is its least digit.  An element of that group maps a
-        system to one of its class and sends the order at the vertex to any
-        other of its orbit, so every class has a member whose order there is
-        a representative.  The vertex has the fewest representatives per
-        order, the lowest one on ties.  The stabiliser of each vertex is
-        collected once (see :meth:`_moving`), and its images are taken as in
-        :meth:`orbits`, of a system that has the order at the vertex.  The
-        choice is kept on the space, one per value of ``mirror``.
+        reversal, on its cyclic orders; the representative of an orbit is
+        its least digit.  An element of that group, or its composite with
+        reversal, maps a system to one of its class up to mirror image and
+        sends the order at the vertex to any other of its orbit, so every
+        class has a member whose order there is a representative, or a
+        mirror image with one.  The vertex has the fewest representatives
+        per order, the lowest one on ties.  The stabiliser of each vertex
+        is collected once (see :meth:`_moving`), and its images are taken
+        as in :meth:`orbits`, of a system that has the order at the vertex.
         """
-        if mirror in self._pins:
-            return self._pins[mirror]
         vertices = self._vertex_tables
         firsts = [keys[0] for _, keys, _, _ in vertices]
         pad = bytes(256 - 2 * self.graph.edge_count)
@@ -363,13 +359,10 @@ class RotationSpace:
                     succ = head + key + tail
                     for fwd, inv in self._moving(v, v):
                         image = table[inv.translate(succ).translate(fwd + pad)[cut]]
-                        seen[image] = 1
-                        if mirror:
-                            seen[rev[image]] = 1
+                        seen[image] = seen[rev[image]] = 1
             if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(keys):
                 best = v, reps
         assert best is not None
-        self._pins[mirror] = best
         return best
 
 
@@ -434,16 +427,16 @@ def exhaustive_classes(
 
     Only the pinned subspace is scanned for the face count: the systems
     whose order at one vertex is one of its representatives (see
-    :meth:`RotationSpace._pin`).  The matches are then walked in index
-    order of the subspace: each one not yet marked starts a new class and
-    has its orbit under Aut(G), or Aut(G) x mirror, marked within the
-    subspace (see :meth:`RotationSpace.orbits`), which also gives its group
-    order and achirality.  Each class record is built from its first member with one
-    stream set, for its canonical key, and one more for a chiral class in
-    ``equivalence`` mode, for its reversal's key (see
-    :func:`canon._orbit_class`).  The records are those :func:`dedup`
-    gives for the matches, sorted by canonical key.  ``workers`` has no
-    effect.
+    :attr:`RotationSpace._pin`).  The matches are then walked in index
+    order of the subspace: each one not yet marked starts a new orbit under
+    Aut(G) x mirror, which is marked within the subspace (see
+    :meth:`RotationSpace.orbits`) and gives its group order and
+    achirality.  The class records are built from the orbit's first member
+    (see :func:`canon._orbit_classes`): an achiral orbit is one class and
+    takes one stream set; a chiral one takes two, for the keys of the
+    member and of its reversal, and is two classes in ``iso`` mode and one
+    in ``equivalence`` mode.  The records are those :func:`dedup` gives for
+    the matches, sorted by canonical key.  ``workers`` has no effect.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -452,10 +445,10 @@ def exhaustive_classes(
         return []
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    _, matches = _kernel.scan(space.pinned_orders(mode), 2 * graph.edge_count, f)
+    _, matches = _kernel.scan(space.pinned_orders, 2 * graph.edge_count, f)
     classes = [
-        _orbit_class(space.embedding_at(i, mode), mode == "equivalence", order, achiral)
-        for i, _, order, achiral in space.orbits(matches, mode)
+        c for i, _, order, achiral in space.orbits(matches)
+        for c in _orbit_classes(space.embedding_at(i), mode, order, achiral)
     ]
     return sorted(classes, key=lambda c: c.canonical_key)
 
@@ -497,22 +490,21 @@ def genus_distribution(
 ) -> GenusDistribution:
     """Classes per genus across the whole rotation space of ``graph``.
 
-    One sequential pass over the ``equivalence`` mode's pinned subspace in
-    index order (1,296 of K5's 7,776 systems), with no face-count scan and
-    no canonical key: each system not yet marked starts a new equivalence
-    class and has its orbit under Aut(G) x mirror marked within the
-    subspace (see :meth:`RotationSpace.orbits`).  Every class has a member
-    there.  The orbit gives the class's group order, achirality and size
-    in the whole space, one face trace of its first member gives its genus,
-    and ``raw_systems`` sums the orbit sizes.  The counts are those of
+    One sequential pass over the pinned subspace in index order (1,296 of
+    K5's 7,776 systems), with no face-count scan and no canonical key: each
+    system not yet marked starts a new equivalence class and has its orbit
+    under Aut(G) x mirror marked within the subspace (see
+    :meth:`RotationSpace.orbits`).  Every class has a member there.  The
+    orbit gives the class's group order, achirality and size in the whole
+    space, one face trace of its first member gives its genus, and
+    ``raw_systems`` sums the orbit sizes.  The counts are those of
     :func:`dedup` over the whole space.  ``workers`` has no effect.
     """
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    pinned = math.prod(map(len, space.pinned_orders("equivalence")))
     by_genus: dict[int, list[tuple[int, int, bool]]] = {}
-    for i, size, order, achiral in space.orbits(range(pinned), "equivalence"):
-        genus = space.embedding_at(i, "equivalence").face_set.stats.genus
+    for i, size, order, achiral in space.orbits(range(math.prod(map(len, space.pinned_orders)))):
+        genus = space.embedding_at(i).face_set.stats.genus
         by_genus.setdefault(genus, []).append((size, order, achiral))
     records = []
     for genus in sorted(by_genus):

@@ -36,6 +36,20 @@ def random_graphs(seed: int, count: int = 30) -> list[MultiGraph]:
     return [random_embedding(rng, max_vertices=5, extra_edges=4).graph for _ in range(count)]
 
 
+def system_at(graph: MultiGraph, orders, index: int) -> Embedding:
+    """System ``index`` of the product of ``orders``, in mixed radix with vertex 1 the fastest digit.
+
+    Given a ``RotationSpace``'s ``orders`` it indexes the whole rotation
+    space, as the plain scan numbers it; ``RotationSpace.embedding_at``
+    indexes only the pinned subspace.
+    """
+    rot = []
+    for o in orders:
+        index, digit = divmod(index, len(o))
+        rot.append(o[digit])
+    return Embedding(graph, tuple(rot))
+
+
 def product_automorphisms(g: MultiGraph):
     """Every automorphism of ``g`` as a dart permutation (``bytes``), by plain search.
 
@@ -109,8 +123,7 @@ def stream_blocks(monkeypatch):
     """``count(fn)``: ``fn()`` and the root-blocks it emitted.
 
     A root-block is one call of ``canon._block``: the next vertex block of
-    one root's traversal, as ``canon._least`` advances every live root and
-    ``canon._labels_from`` walks one.
+    one root's traversal, as ``canon._least`` advances every live root.
     """
     emitted = [0]
     original = canon._block

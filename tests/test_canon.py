@@ -60,7 +60,7 @@ from rotsys.enumeration import (
 from rotsys.formats import load_appendix_a, load_appendix_b
 from rotsys.suites import TORUS_TABLE
 
-from conftest import product_automorphisms, random_embedding, random_graphs, random_relabel
+from conftest import product_automorphisms, random_embedding, random_graphs, random_relabel, system_at
 
 # The published unique double-torus system of K33, vertices A..F as 1..6.
 K33_NEIGHBOR_ROTATIONS = [
@@ -152,16 +152,16 @@ class TestLeast:
         orders = set()
         for e in embeddings:
             for x in (e, reverse(e)):
-                least = _least(x)
-                assert least == _plain_least(x)
-                orders.add(least[1])
+                key, order, first = _least(x)
+                assert (key, order, first[0]) == _plain_least(x)
+                orders.add(order)
         return orders
 
     def test_every_system_of_small_graphs(self):
         orders = set()
         for g in (complete(4), complete_bipartite(3, 3), theta(5), complete(5), k5_minus_edge()):
             space = RotationSpace(g)
-            orders |= self.orders_checked(map(space.embedding_at, range(space.total)))
+            orders |= self.orders_checked(system_at(g, space.orders, i) for i in range(space.total))
         assert orders == {1, 2, 3, 4, 5, 6, 10, 12, 18, 20}
 
     def test_random_multigraphs(self):
@@ -169,7 +169,7 @@ class TestLeast:
         embeddings = []
         for g in random_graphs(23, 40):
             space = RotationSpace(g)
-            embeddings += [space.embedding_at(rng.randrange(space.total)) for _ in range(25)]
+            embeddings += [system_at(g, space.orders, rng.randrange(space.total)) for _ in range(25)]
         assert any(len(set(e.graph.edges)) < e.graph.edge_count for e in embeddings)
         self.orders_checked(embeddings)
 
@@ -190,7 +190,7 @@ class TestLeast:
         # first blocks already differ.
         g = MultiGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3), (1, 3)))
         space = RotationSpace(g)
-        systems = list(map(space.embedding_at, range(space.total)))
+        systems = [system_at(g, space.orders, i) for i in range(space.total)]
         firsts = {_plain_stream(systems[0], d)[:11] for d in range(12)}
         assert len(firsts) > 1
         self.orders_checked(systems)
@@ -200,7 +200,7 @@ class TestLeast:
         # blocks after two, and their shorter streams are the least.
         g = MultiGraph(6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6), (5, 6), (5, 6)))
         space = RotationSpace(g)
-        systems = list(map(space.embedding_at, range(space.total)))
+        systems = [system_at(g, space.orders, i) for i in range(space.total)]
         self.orders_checked(systems)
         assert all(len(_least(e)[0]) == 2 + 2 * 7 for e in systems)
 
@@ -212,8 +212,8 @@ class TestLeast:
         # gives group orders and chirality, takes none.  Serializing every
         # root to the end, the K5 firsts would emit 10,000 root-blocks.
         space = RotationSpace(complete(5))
-        pinned = range(math.prod(map(len, space.pinned_orders("equivalence"))))
-        firsts = [space.embedding_at(i, "equivalence") for i, *_ in space.orbits(pinned, "equivalence")]
+        pinned = range(math.prod(map(len, space.pinned_orders)))
+        firsts = [space.embedding_at(i) for i, *_ in space.orbits(pinned)]
         assert len(firsts) == 50
         (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: dedup(firsts, "equivalence")))
         assert (sets, blocks) == (100, 4860)

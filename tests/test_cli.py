@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import rotsys
 from rotsys import make_embedding, theta
 from rotsys.cli import main
 from rotsys.formats import write_embedding
+from rotsys.suites import SUITE_NAMES, run_suite
 
 
 @pytest.fixture
@@ -204,6 +206,31 @@ class TestVerifyAndConvert:
         first = capsys.readouterr().out
         assert main(["verify", "--suite", "k33"]) == 0
         assert capsys.readouterr().out == first
+
+    # The sha256 of each suite's table and TSV, as ``rotsys verify --suite``
+    # prints them.  A change that must leave every report byte-identical is
+    # checked against these; a change that alters a report updates them and
+    # says why.
+    REPORT_DIGESTS = {
+        "core": ("73728b4519d6ed4f7d2383e48fd8b497fadccd7429d10fa10f4431776389f7e8",
+                 "e27b7f81e615695dd52a06d3c2acd28126c1569759ef895a00bd325e0988e7b1"),
+        "appendixA": ("3ac5186798b89646559139255e876a5e28e42e182b37e9022b5bc5fdc7494ad0",
+                      "352ac9744c9665c0e93d04be3db26a5fd3d0abeb57ec2f5a19d5107fe80f296f"),
+        "appendixB": ("e10654dd2348a4a5df4298773f83b32a3cf1e73c365cbfcfef7a3c5e5b7e28c3",
+                      "384822e444a602eace386df214a8f94af8cbf7d75b5996cc9a040a1444a1630a"),
+        "k33": ("e3e9acf77ad5e8be38f8689961bb886a3a21b63bb30bb88439fad30ab683646d",
+                "f4fdae889679e46e8708f2fceef096d7d2b72ffedf455bd440eb51e013b3a23f"),
+        "torus-table": ("a47595aae60041ea2b8f0a976225ac91114b119d51533f218e6a9de628f42d30",
+                        "74c0d318e8f1edb9b1463aa74f27bed281a181ea09928afb7d1d9930ada3b5ea"),
+        "theta-question": ("bb5a220c89570d2ae1a1e9e4f0c9087be2f11720a4c72ccc99ae10ef6a22b139",
+                           "7712518b6acbb310fa2865ea9b07c872e3c50aa9ce98de0ba927ccf957e6f220"),
+    }
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_report_digests(self, suite):
+        report = run_suite(suite)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report.render_table(), report.render_tsv()))
+        assert digests == self.REPORT_DIGESTS[suite]
 
     def test_convert_round_trip(self, tmp_path, capsys):
         from importlib import resources

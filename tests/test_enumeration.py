@@ -15,7 +15,6 @@ from rotsys import (
     NON_ORIENTABLE,
     BudgetExceeded,
     ChordDiagram,
-    Embedding,
     GenusRecord,
     InvalidEmbedding,
     MultiGraph,
@@ -48,7 +47,7 @@ from rotsys.canon import class_key
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
-from conftest import product_automorphisms, random_graphs
+from conftest import product_automorphisms, random_graphs, system_at
 
 
 def small_torus_graphs():
@@ -57,9 +56,9 @@ def small_torus_graphs():
     return [g for g in graphs if rotation_space_size(g) <= 8000]
 
 
-def pinned_size(space, mode):
-    """Number of systems of ``mode``'s pinned subspace of ``space``."""
-    return math.prod(map(len, space.pinned_orders(mode)))
+def pinned_size(space):
+    """Number of systems of the pinned subspace of ``space``."""
+    return math.prod(map(len, space.pinned_orders))
 
 
 class TestRotationSpace:
@@ -70,12 +69,13 @@ class TestRotationSpace:
         assert rotation_space_size(complete(6)) == 191102976
 
     def test_every_index_distinct_and_normalized(self):
-        space = RotationSpace(theta(3))
-        seen = set()
-        for i in range(space.total):
-            e = space.embedding_at(i)
-            seen.add(e.rot)
-        assert len(seen) == space.total == 4
+        # The pinned subspace indexes distinct systems of the whole space.
+        for g in (theta(3), complete(4), complete_bipartite(3, 3), k4_plus()):
+            space = RotationSpace(g)
+            whole = {system_at(g, space.orders, i).rot for i in range(space.total)}
+            pinned = [space.embedding_at(i).rot for i in range(pinned_size(space))]
+            assert len(whole) == space.total
+            assert len(set(pinned)) == len(pinned) and set(pinned) <= whole
 
     def test_kernel_matches_trace_faces(self):
         # Random products of sliced order lists, of at most 200 systems.
@@ -134,11 +134,7 @@ class TestRotationSpace:
 
 def faces_at(g, orders, index):
     """Face count, by trace_faces, of system ``index`` of the product of ``orders``."""
-    rot = []
-    for o in orders:
-        index, digit = divmod(index, len(o))
-        rot.append(o[digit])
-    return trace_faces(Embedding(g, tuple(rot))).stats.f
+    return trace_faces(system_at(g, orders, index)).stats.f
 
 
 def all_faces(g, orders):
@@ -176,8 +172,8 @@ def sliced(rng, orders, most):
     return out
 
 
-def pinned_orders(g, mode):
-    """The order lists that exhaustive_classes passes to the kernel at genus 1."""
+def pinned_orders(g):
+    """The order lists that exhaustive_classes passes to the kernel at genus 1, the same in either mode."""
     seen = []
 
     def stub(orders, nd, target_f):
@@ -186,7 +182,9 @@ def pinned_orders(g, mode):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "scan", stub)
-        exhaustive_classes(g, genus=1, mode=mode)
+        for mode in ("iso", "equivalence"):
+            exhaustive_classes(g, genus=1, mode=mode)
+    assert seen[0] == seen[1]
     return seen[0]
 
 
@@ -266,8 +264,7 @@ class TestKernel:
     def test_one_order_vertices_are_fixed_first(self):
         # scan steps the one-order levels in a loop and recurses only into
         # the levels that branch.
-        spaces = [pinned_orders(build_graph(spec), mode)
-                  for _, spec, *_ in TORUS_TABLE + TORUS_TABLE_EXTRA for mode in ("iso", "equivalence")]
+        spaces = [pinned_orders(build_graph(spec)) for _, spec, *_ in TORUS_TABLE + TORUS_TABLE_EXTRA]
         for h in random_graphs(69, 10):
             o = RotationSpace(h).orders
             spaces += [[x[-1:] if w == v else x for w, x in enumerate(o)] for v in range(h.n)]
@@ -294,11 +291,10 @@ class TestKernel:
         rng = random.Random(73)
         for spec in ("circulant(7,1,2)", "circulant(8,1,2)", "complete_bipartite(4,4)"):
             g = build_graph(spec)
-            for mode in ("iso", "equivalence"):
-                pinned = pinned_orders(g, mode)
-                for _ in range(4):
-                    orders = sliced(rng, pinned, 80)
-                    check_scan(orders, 2 * g.edge_count, all_faces(g, orders))
+            pinned = pinned_orders(g)
+            for _ in range(4):
+                orders = sliced(rng, pinned, 80)
+                check_scan(orders, 2 * g.edge_count, all_faces(g, orders))
 
     def test_pinned_c8_2_and_k44_whole_ranges(self):
         # Every match has the torus face count by trace_faces, a seeded
@@ -308,24 +304,23 @@ class TestKernel:
         for spec in ("circulant(8,1,2)", "complete_bipartite(4,4)"):
             g = build_graph(spec)
             f = g.edge_count - g.n  # genus 1
-            for mode in ("iso", "equivalence"):
-                orders = pinned_orders(g, mode)
-                total = math.prod(len(x) for x in orders)
-                hist, matches = _kernel.scan(orders, 2 * g.edge_count, f)
-                assert sum(hist) == total
-                assert hist[f] == len(matches) > 0
-                assert matches == sorted(set(matches))
-                assert all(faces_at(g, orders, i) == f for i in matches)
-                hit = set(matches)
-                others = [i for i in rng.sample(range(total), 2000 + len(hit)) if i not in hit][:2000]
-                assert len(others) == 2000
-                assert all(faces_at(g, orders, i) != f for i in others)
+            orders = pinned_orders(g)
+            total = math.prod(len(x) for x in orders)
+            hist, matches = _kernel.scan(orders, 2 * g.edge_count, f)
+            assert sum(hist) == total
+            assert hist[f] == len(matches) > 0
+            assert matches == sorted(set(matches))
+            assert all(faces_at(g, orders, i) == f for i in matches)
+            hit = set(matches)
+            others = [i for i in rng.sample(range(total), 2000 + len(hit)) if i not in hit][:2000]
+            assert len(others) == 2000
+            assert all(faces_at(g, orders, i) != f for i in others)
 
     def test_memo_cap_on_a_pinned_sub_range(self, monkeypatch, expansions):
         # With no state, one state and three states memoised, the rest are
         # recomputed; every cap gives the systems' own face counts.
         g = build_graph("circulant(7,1,2)")
-        pinned = pinned_orders(g, "equivalence")
+        pinned = pinned_orders(g)
         orders = pinned[:3] + [o[2:4] for o in pinned[3:]]  # 1,728 systems
         faces = all_faces(g, orders)
         expanded = {}
@@ -339,14 +334,15 @@ class TestKernel:
 
     def test_states_expanded_on_pinned_c8_2(self, expansions):
         g = build_graph("circulant(8,1,2)")
-        orders = pinned_orders(g, "equivalence")
+        orders = pinned_orders(g)
         hist, matches = _kernel.scan(orders, 32, 8)
         assert math.prod(len(x) for x in orders) == 839808 and hist[8] == len(matches) == 319
         assert expansions[0] == 1566
 
     def test_large_graphs_with_tiny_spaces(self):
         # A 200-cycle has one system; with a parallel edge it has 402 darts
-        # (more than a byte addresses) and 4 systems.
+        # (more than a byte addresses) and 4 systems.  The scan takes no
+        # size guard, which only the byte tables of the orbit pass need.
         n = 200
         cycle = MultiGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
         assert scan_rotation_space(cycle, 2) == ({2: 1}, [0])
@@ -418,6 +414,10 @@ class TestExhaustive:
     def test_impossible_genus_empty(self):
         assert exhaustive_classes(theta(5), genus=3) == []
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            exhaustive_classes(theta(3), genus=1, mode="mirror")
+
 
 class TestOrbitMarking:
     """Orbit marking against the plain scan-everything-then-dedup path."""
@@ -427,7 +427,7 @@ class TestOrbitMarking:
         space = RotationSpace(g)
         _, matches = scan_rotation_space(g, f)
         for mode in ("iso", "equivalence"):
-            plain = dedup((space.embedding_at(i) for i in matches), mode)
+            plain = dedup((system_at(g, space.orders, i) for i in matches), mode)
             marked = exhaustive_classes(g, faces=f, mode=mode)
             assert [c.canonical_key for c in marked] == [c.canonical_key for c in plain]
             assert marked == plain
@@ -446,64 +446,57 @@ class TestOrbitMarking:
         # |orbit| x |stabiliser| = |group acting|, with the stabiliser taken
         # from automorphism_group_order and chirality independently; the
         # orbit's own group order and achirality must agree with them, for
-        # stored automorphisms and, with the cap at 1, generated ones.  The
-        # pass visits the pinned subspace only, yet the sizes of the orbits
-        # it meets cover the whole space, and with stored automorphisms it
-        # meets each class once, at its first member in the subspace.
+        # stored automorphisms and, with the cap at 1, generated ones.  An
+        # orbit under Aut(G) x mirror is one iso class of |Aut G| / order
+        # systems when achiral, and two when chiral.  The pass visits the
+        # pinned subspace only, yet the sizes of the orbits it meets cover
+        # the whole space, and with stored automorphisms it meets each
+        # equivalence class once, at its first member in the subspace.
         graphs = small_torus_graphs() + random_graphs(43)
         for cap in (enumeration.MAX_STORED_AUTOMORPHISMS, 1):
             monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", cap)
             for g in graphs:
                 aut = graph_automorphism_count(g)
                 space = RotationSpace(g)
-                for mode in ("iso", "equivalence"):
-                    covered = 0
-                    pinned = range(pinned_size(space, mode))
-                    found = list(space.orbits(pinned, mode))
-                    for i, size, order, achiral in found:
-                        e = space.embedding_at(i, mode)
-                        covered += size
-                        assert order == automorphism_group_order(e)
-                        assert achiral == (chirality(e) == NON_ORIENTABLE)
-                        if mode == "iso":
-                            assert size * order == aut
-                        else:
-                            assert size * order * (2 if achiral else 1) == 2 * aut
-                    assert covered == space.total
-                    if cap > 1:
-                        firsts: dict[bytes, int] = {}
-                        for i in pinned:
-                            firsts.setdefault(class_key(space.embedding_at(i, mode), mode), i)
-                        assert [i for i, *_ in found] == sorted(firsts.values())
+                covered = 0
+                pinned = range(pinned_size(space))
+                found = list(space.orbits(pinned))
+                for i, size, order, achiral in found:
+                    e = space.embedding_at(i)
+                    covered += size
+                    assert order == automorphism_group_order(e)
+                    assert achiral == (chirality(e) == NON_ORIENTABLE)
+                    assert size * order == (1 if achiral else 2) * aut
+                assert covered == space.total
+                if cap > 1:
+                    firsts: dict[bytes, int] = {}
+                    for i in pinned:
+                        firsts.setdefault(class_key(space.embedding_at(i), "equivalence"), i)
+                    assert [i for i, *_ in found] == sorted(firsts.values())
 
     def test_generated_automorphisms_give_the_stored_orbits(self, monkeypatch):
         graphs = [complete(4), complete_bipartite(3, 3), theta(5)] + random_graphs(45, 10)
-        for mode in ("iso", "equivalence"):
-            stored = [list(space.orbits(range(pinned_size(space, mode)), mode))
-                      for space in map(RotationSpace, graphs)]
-            monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
-            generated = [list(space.orbits(range(pinned_size(space, mode)), mode))
-                         for space in map(RotationSpace, graphs)]
-            assert generated == stored
-            monkeypatch.undo()
+        stored = [list(space.orbits(range(pinned_size(space)))) for space in map(RotationSpace, graphs)]
+        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
+        generated = [list(space.orbits(range(pinned_size(space)))) for space in map(RotationSpace, graphs)]
+        assert generated == stored
 
     def test_sparse_marks_give_the_bitmap_orbits(self):
         # Under 1/512 of the pinned subspace, marks go in a set instead of a
         # bitmap.  An orbit's first index is its least in the subspace, so a
         # prefix of the subspace meets exactly the orbits that start in it.
         space = RotationSpace(build_graph("octahedron"))
-        for mode in ("iso", "equivalence"):
-            size = pinned_size(space, mode)
-            prefix = range(size // 600)
-            assert len(prefix) * 512 < size
-            full = list(space.orbits(range(size), mode))
-            assert list(space.orbits(prefix, mode)) == [o for o in full if o[0] < len(prefix)]
+        size = pinned_size(space)
+        prefix = range(size // 600)
+        assert len(prefix) * 512 < size
+        full = list(space.orbits(range(size)))
+        assert list(space.orbits(prefix)) == [o for o in full if o[0] < len(prefix)]
 
     @staticmethod
     def orbit_peak_bytes(space, indices):
         tracemalloc.start()
         try:
-            found = list(space.orbits(indices, "equivalence"))
+            found = list(space.orbits(indices))
             return found, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,7 +509,7 @@ class TestOrbitMarking:
         # pinned subspace fit in 1 MB.
         space = RotationSpace(wheel(8))
         found, peak = self.orbit_peak_bytes(space, range(200))
-        assert pinned_size(space, "equivalence") == 51712
+        assert pinned_size(space) == 51712
         assert [i for i, *_ in found][:3] == [0, 1, 2]
         assert peak < 1 << 20
 
@@ -531,7 +524,7 @@ class TestOrbitMarking:
         space = RotationSpace(g)
         stored, stored_peak = self.orbit_peak_bytes(space, range(1))
         assert len(space._stored_conjugations) == 5040
-        assert pinned_size(space, "equivalence") == 1
+        assert pinned_size(space) == 1
         monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
         space = RotationSpace(g)
         generated, peak = self.orbit_peak_bytes(space, range(1))
@@ -543,35 +536,36 @@ class TestOrbitMarking:
     def test_k5_applies_40_of_120_automorphisms_per_class(self, monkeypatch):
         # Each vertex of K5 goes to the pinned one under 24 automorphisms;
         # 4 of them carry its order to the one representative there, and 4
-        # to its reversal.  Every class takes those 5 x 8, in either mode.
+        # to its reversal.  Every orbit under Aut(G) x mirror takes those
+        # 5 x 8: the 6 + 31 + 13 equivalence classes at genus 1, 2 and 3.
+        # At genus 2, 17 orbits are achiral and 14 chiral, so both modes
+        # walk the same 31 orbits for the 45 iso or 31 equivalence classes.
         landing = RotationSpace._landing
         applied = []
 
-        def counted(self, mirror, u, digit):
-            found = landing(self, mirror, u, digit)
+        def counted(self, u, digit):
+            found = landing(self, u, digit)
             applied.append(len(found))
             return found
 
         monkeypatch.setattr(RotationSpace, "_landing", counted)
-        for mode, classes in (("iso", 9 + 45 + 24), ("equivalence", 6 + 31 + 13)):
-            space = RotationSpace(complete(5))
+        space = RotationSpace(complete(5))
+        found = list(space.orbits(range(pinned_size(space))))
+        assert len(found) == 6 + 31 + 13
+        assert len(applied) == 5 * len(found)
+        assert sum(applied) == 40 * len(found)
+        for mode, classes in (("iso", 45), ("equivalence", 31)):
             applied.clear()
-            found = list(space.orbits(range(pinned_size(space, mode)), mode))
-            assert len(found) == classes
-            assert len(applied) == 5 * classes
-            assert sum(applied) == 40 * classes
-
-    def test_orbits_reject_unknown_mode(self):
-        with pytest.raises(ValueError):
-            list(RotationSpace(theta(3)).orbits([], "mirror"))
+            assert len(exhaustive_classes(complete(5), genus=2, mode=mode)) == classes
+            assert sum(applied) == 40 * 31 == 1240
 
 
 class TestPin:
     """The pinned vertex of exhaustive_classes and its representative orders."""
 
     @staticmethod
-    def stabiliser_orbits(g, v, mirror):
-        """Orbits of Stab(v), with reversal when ``mirror``, on the cyclic orders at v (0-based)."""
+    def stabiliser_orbits(g, v):
+        """Orbits of Stab(v), joined by reversal, on the cyclic orders at v (0-based)."""
         darts = g.darts_at[v]
         group = [p for p in product_automorphisms(g) if p[darts[0]] in darts]
 
@@ -584,8 +578,7 @@ class TestPin:
             if cyc in orbit_of:
                 continue
             images = {normal([p[d] for d in cyc]) for p in group}
-            if mirror:
-                images |= {normal(list(reversed(c))) for c in images}
+            images |= {normal(list(reversed(c))) for c in images}
             for c in images:
                 orbit_of[c] = cyc
         return orbit_of
@@ -593,16 +586,15 @@ class TestPin:
     def test_representatives_are_a_transversal_at_the_best_vertex(self):
         for g in small_torus_graphs() + random_graphs(57):
             space = RotationSpace(g)
-            for mirror in (False, True):
-                v, reps = space._pin(mirror)
-                orbit_of = self.stabiliser_orbits(g, v, mirror)
-                assert reps == sorted(reps) and reps[0] == 0
-                assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
-                # the fewest orbits per order, ties to the lowest vertex
-                ratios = [Fraction(len(set(self.stabiliser_orbits(g, w, mirror).values())), space.counts[w])
-                          for w in range(g.n)]
-                assert v == ratios.index(min(ratios))
-                assert Fraction(len(reps), space.counts[v]) == min(ratios)
+            v, reps = space._pin
+            orbit_of = self.stabiliser_orbits(g, v)
+            assert reps == sorted(reps) and reps[0] == 0
+            assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
+            # the fewest orbits per order, ties to the lowest vertex
+            ratios = [Fraction(len(set(self.stabiliser_orbits(g, w).values())), space.counts[w])
+                      for w in range(g.n)]
+            assert v == ratios.index(min(ratios))
+            assert Fraction(len(reps), space.counts[v]) == min(ratios)
 
     def test_generated_automorphisms_give_the_stored_pin(self, monkeypatch):
         graphs = [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10)
@@ -612,8 +604,7 @@ class TestPin:
         generated = [RotationSpace(g) for g in graphs]
         for space, other in zip(stored, generated):
             assert other._stored_conjugations is None
-            for mirror in (False, True):
-                assert other._pin(mirror) == space._pin(mirror)
+            assert other._pin == space._pin
 
     def test_systems_scanned(self, monkeypatch):
         scanned = []
@@ -626,9 +617,10 @@ class TestPin:
         for spec, pinned in (("complete_bipartite(4,4)", 279936), ("complete_bipartite(3,5)", 18432),
                              ("circulant(8,1,2)", 839808)):
             g = build_graph(spec)
-            scanned.clear()
-            exhaustive_classes(g, genus=1, mode="equivalence")
-            assert sum(scanned) == pinned
+            for mode in ("iso", "equivalence"):
+                scanned.clear()
+                exhaustive_classes(g, genus=1, mode=mode)
+                assert sum(scanned) == pinned
             scanned.clear()
             scan_rotation_space(g, -1)  # the oracle stays a full scan
             assert sum(scanned) == rotation_space_size(g)
@@ -701,9 +693,9 @@ class TestGenusDistribution:
         orbits = RotationSpace.orbits
         visited = []
 
-        def counted(self, indices, mode="iso"):
+        def counted(self, indices):
             visited.append(len(indices))
-            return orbits(self, indices, mode)
+            return orbits(self, indices)
 
         monkeypatch.setattr(RotationSpace, "orbits", counted)
         for g, pinned in ((complete(5), 1296), (complete_bipartite(3, 4), 576), (theta(5), 24),
@@ -725,7 +717,7 @@ class TestGenusDistribution:
         records = []
         for f in sorted(hist, reverse=True):
             _, matches = scan_rotation_space(g, f)
-            classes = dedup((space.embedding_at(i) for i in matches), "equivalence")
+            classes = dedup((system_at(g, space.orders, i) for i in matches), "equivalence")
             non = sum(c.chirality == NON_ORIENTABLE for c in classes)
             records.append(GenusRecord(
                 genus=(2 - g.n + g.edge_count - f) // 2,
@@ -752,12 +744,16 @@ class TestGenusDistribution:
             assert genus_distribution(g).records == self.plain_records(g)
 
     def test_size_guard(self):
-        # The guard comes from the automorphism search, before any orbit.
-        g = circulant(17, [1])
-        with pytest.raises(SizeGuardExceeded):
-            genus_distribution(g)
-        with pytest.raises(SizeGuardExceeded):
-            exhaustive_classes(g, genus=0)
+        # The guard is checked before any orbit and before the byte tables
+        # of the pass: a 130-cycle plus a chord has 262 darts, more than a
+        # byte addresses, and only 4 systems.
+        chorded = MultiGraph(130, tuple((i, i + 1) for i in range(1, 130)) + ((1, 130), (1, 3)))
+        assert rotation_space_size(chorded) == 4
+        for g in (circulant(17, [1]), chorded):
+            with pytest.raises(SizeGuardExceeded):
+                genus_distribution(g)
+            with pytest.raises(SizeGuardExceeded):
+                exhaustive_classes(g, genus=0)
 
 
 class TestGroupOrder:
@@ -776,8 +772,8 @@ class TestGroupOrder:
         groups: dict = {}
         for g in small_torus_graphs() + random_graphs(61):
             space = RotationSpace(g)
-            for i, _, order_of_orbit, _ in space.orbits(range(pinned_size(space, "iso")), "iso"):
-                e = space.embedding_at(i, "iso")
+            for i, _, order_of_orbit, _ in space.orbits(range(pinned_size(space))):
+                e = space.embedding_at(i)
                 order = self.commuting(e, groups)
                 assert automorphism_group_order(e) == order == order_of_orbit
                 for mode in ("iso", "equivalence"):
@@ -791,9 +787,10 @@ class TestGroupOrder:
 class TestStreamSets:
     def test_k5(self, stream_sets):
         # None for the distribution, whose orbits give the group orders and
-        # chirality; one per class for its key, 45 iso classes at genus 2;
-        # and one more per chiral equivalence class, 31 = 17 achiral + 14
-        # chiral at genus 2, and 13 = 2 + 11 at genus 3.
+        # chirality.  One per orbit under Aut(G) x mirror for its key, and
+        # one more per chiral orbit for its reversal's, in either mode: 31 =
+        # 17 achiral + 14 chiral orbits at genus 2 (the 45 iso classes), and
+        # 13 = 2 + 11 at genus 3.
         assert stream_sets(lambda: genus_distribution(complete(5)))[1] == 0
         assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="iso"))[1] == 45
         assert stream_sets(lambda: exhaustive_classes(complete(5), genus=2, mode="equivalence"))[1] == 45

@@ -30,7 +30,7 @@ from rotsys.canon import _stage_classes, canonical_key, dedup, multigraph_key
 from rotsys.core import k4_plus, k5_minus_edge, triangle_multi, wheel
 from rotsys.surgery import CornerRef, add_edge_in_face, all_splits, subdivide_edge
 
-from conftest import random_graphs, random_relabel
+from conftest import random_graphs, random_relabel, system_at
 
 
 def _split(classes):
@@ -140,7 +140,7 @@ class TestStageShortcuts:
         embs = []
         for g in random_graphs(85, 12):
             space = RotationSpace(g)
-            embs += [space.embedding_at(rng.randrange(space.total)) for _ in range(3)]
+            embs += [system_at(g, space.orders, rng.randrange(space.total)) for _ in range(3)]
         embs += [random_relabel(rng, e) for e in embs[::2]] + [reverse(e) for e in embs[1::3]]
         rng.shuffle(embs)
         eq = self._check_stage_classes(embs)
