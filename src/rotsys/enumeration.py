@@ -427,7 +427,10 @@ def exhaustive_classes(
 
     Only the pinned subspace is scanned for the face count: the systems
     whose order at one vertex is one of its representatives (see
-    :attr:`RotationSpace._pin`).  The matches are then walked in index
+    :attr:`RotationSpace._pin`).  The scan (:func:`_kernel.matches`) lists
+    only the systems with that face count, and drops the partial systems
+    whose open face walks are too short to close as many faces; it builds
+    no histogram.  The matches are then walked in index
     order of the subspace: each one not yet marked starts a new orbit under
     Aut(G) x mirror, which is marked within the subspace (see
     :meth:`RotationSpace.orbits`) and gives its group order and
@@ -445,7 +448,7 @@ def exhaustive_classes(
         return []
     _check_budget(graph, budget)
     space = RotationSpace(graph)
-    _, matches = _kernel.scan(space.pinned_orders, 2 * graph.edge_count, f)
+    matches = _kernel.matches(space.pinned_orders, 2 * graph.edge_count, f)
     classes = [
         c for i, _, order, achiral in space.orbits(matches)
         for c in _orbit_classes(space.embedding_at(i), mode, order, achiral)
@@ -536,7 +539,9 @@ def theta_embeddings(
     Every embedding of a theta graph is isomorphic to one whose first
     vertex carries the identity rotation (relabel the edges), so only the
     ``(m - 1)!`` rotations of the second vertex are scanned, and the
-    budget bounds that number.
+    budget bounds that number.  The scan (:func:`_kernel.matches`) lists
+    only the rotations with the genus's face count; the matches are then
+    deduplicated.
     """
     graph = theta(m)  # refuses m < 1
     f = m - 2 * genus
@@ -546,7 +551,7 @@ def theta_embeddings(
         raise BudgetExceeded(math.factorial(m - 1), budget)
     u_orders, v_orders = _kernel.build_orders(list(graph.darts_at))
     pinned = [u_orders[:1], v_orders]
-    _, matches = _kernel.scan(pinned, 2 * m, f)
+    matches = _kernel.matches(pinned, 2 * m, f)
     return dedup((Embedding(graph, (pinned[0][0], v_orders[i])) for i in matches), mode)
 
 

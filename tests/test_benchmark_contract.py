@@ -3,9 +3,9 @@
 The benchmark imports ``rotsys`` from outside and reaches into it: its
 tracer wraps functions by name, its fingerprint reads
 ``_kernel.HAVE_NUMBA``, its workloads pass ``workers=1``, and every item is
-checked against a recorded class-key digest.  A change to the package that
-breaks any of these fails here.  Nothing under ``perfbench/`` is changed
-or written.
+checked against a recorded class-key digest, here at two seeds.  A change
+to the package that breaks any of these fails here.  Nothing under
+``perfbench/`` is changed or written.
 
     python3 -m pytest -q tests/test_benchmark_contract.py
 """
@@ -50,8 +50,10 @@ def test_fingerprint_and_workers_keyword():
 
 @pytest.mark.parametrize("workload", list(workloads.ITEMS))
 def test_one_pass_matches_the_recorded_digests(workload, clock):
+    # Two seeds, so that two labellings of every input meet the digests.
     recorded = json.loads(run.DIGESTS.read_text())
-    failures: list[str] = []
-    result = run.run_pass(workloads.ITEMS[workload](0), recorded, failures, clock)
-    assert failures == []
-    assert result["digests"]
+    for seed in (0, 1):
+        failures: list[str] = []
+        result = run.run_pass(workloads.ITEMS[workload](seed), recorded, failures, clock)
+        assert failures == [], seed
+        assert result["digests"]

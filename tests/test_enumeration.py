@@ -178,10 +178,10 @@ def pinned_orders(g):
 
     def stub(orders, nd, target_f):
         seen.append(orders)
-        return [0] * (nd + 2), []
+        return []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "scan", stub)
+        mp.setattr(_kernel, "matches", stub)
         for mode in ("iso", "equivalence"):
             exhaustive_classes(g, genus=1, mode=mode)
     assert seen[0] == seen[1]
@@ -194,9 +194,9 @@ def expansions(monkeypatch):
     calls = [0]
     original = _kernel._expand
 
-    def counted(b, k, p):
+    def counted(*args):
         calls[0] += 1
-        return original(b, k, p)
+        return original(*args)
 
     monkeypatch.setattr(_kernel, "_expand", counted)
     return calls
@@ -357,6 +357,82 @@ class TestKernel:
             check_scan(list(orders), 2 * g.edge_count, all_faces(g, orders))
 
 
+def check_matches(orders, least=0):
+    """_kernel.matches against scan's matches, for every face count from ``least`` to nd/2 + 2."""
+    nd = sum(len(o[0]) for o in orders)
+    hist, _ = _kernel.scan(orders, nd, -1)
+    for f in range(least, nd // 2 + 3):
+        expect = _kernel.scan(orders, nd, f)[1] if hist[f] else []
+        assert _kernel.matches(orders, nd, f) == expect, f
+
+
+def pendant(g):
+    """``g`` with one more vertex, of degree 1, joined to vertex 1."""
+    return MultiGraph(g.n + 1, g.edges + ((1, g.n + 1),))
+
+
+class TestMatches:
+    """The face-length bounded pass against the histogram scan."""
+
+    def test_shortest_face(self):
+        cycle = MultiGraph(200, tuple((i, i + 1) for i in range(1, 200)) + ((1, 200),))
+        graphs = ((complete(5), 3), (complete_bipartite(4, 4), 4), (petersen(), 5), (build_graph("cube"), 4),
+                  (theta(3), 2), (cycle, 200), (pendant(complete(4)), 1))
+        for g, ell in graphs:
+            orders = RotationSpace(g).orders
+            vertex_of = [0] * (2 * g.edge_count)
+            for v, o in enumerate(orders):
+                for d in o[0]:
+                    vertex_of[d] = v
+            assert _kernel._shortest_face(orders, vertex_of) == ell
+
+    def test_torus_rows_pinned(self):
+        for _, spec, *_ in TORUS_TABLE:
+            check_matches(pinned_orders(build_graph(spec)))
+        # K6 from 8 faces up: at genus 2 and 3 (7 and 5 faces) its pinned
+        # space holds about 10^5 and 10^6 matches, too many to list in Tier-1.
+        check_matches(pinned_orders(complete(6)), 8)
+
+    def test_whole_spaces(self):
+        # Simple graphs (ell 3 and 4), theta graphs with one vertex pinned
+        # and random multigraphs (ell 2), and graphs with a vertex of
+        # degree 1 (ell 1).
+        k5_minus = MultiGraph(5, tuple(e for e in complete(5).edges if e != (4, 5)))
+        for g in (complete(5), k5_minus, complete_bipartite(3, 3), pendant(complete(4)), pendant(wheel(4))):
+            check_matches(RotationSpace(g).orders)
+        for m in range(2, 8):
+            u, v = RotationSpace(theta(m)).orders
+            check_matches([u[:1], v])
+        for g in random_graphs(83):
+            check_matches(RotationSpace(g).orders)
+
+    def test_sliced_and_uncached(self, monkeypatch):
+        rng = random.Random(89)
+        spaces = [sliced(rng, pinned_orders(build_graph(spec)), 3000)
+                  for spec in ("circulant(8,1,2)", "complete_bipartite(4,4)", "complement(cube)", "petersen")]
+        spaces += [sliced(rng, RotationSpace(g).orders, 500) for g in random_graphs(97, 10)]
+        spaces += [sliced(rng, RotationSpace(pendant(complete(5))).orders, 2000)]
+        for cap in (_kernel._MAX_TABLE, 0, 1, 3):
+            monkeypatch.setattr(_kernel, "_MAX_TABLE", cap)
+            for orders in spaces:
+                check_matches(orders)
+
+    def test_states_expanded(self, expansions):
+        # The bound cuts the states of pinned K4,4 and C8(2) at genus 1; on
+        # pinned octahedron no state above the last level can fall short,
+        # so the pass keeps no lengths and expands the states scan does.
+        for spec, f, scanned, bounded in (("complete_bipartite(4,4)", 8, 1668, 219),
+                                          ("circulant(8,1,2)", 8, 1566, 989), ("octahedron", 6, 238, 238)):
+            g = build_graph(spec)
+            orders = pinned_orders(g)
+            expansions[0] = 0
+            found = _kernel.scan(orders, 2 * g.edge_count, f)[1]
+            assert expansions[0] == scanned
+            expansions[0] = 0
+            assert _kernel.matches(orders, 2 * g.edge_count, f) == found
+            assert expansions[0] == bounded
+
+
 class TestScanAgainstDistribution:
     """The scan's histogram against the raw systems per genus of genus_distribution.
 
@@ -399,6 +475,17 @@ class TestExhaustive:
         assert len(classes) == 13
         assert sum(1 for c in classes if c.chirality == "orientable") == 11
         assert all(c.face_degrees == (20,) for c in classes)
+
+    def test_k7_torus(self, expansions):
+        # Two routes to one count: the orbit pass over the bounded scan's
+        # matches, and the 240 systems with 14 faces that the unbounded scan
+        # of the whole 3.6 * 10^14 space measured.
+        classes = exhaustive_classes(complete(7), genus=1, budget=10**15)
+        assert expansions[0] == 1595
+        assert [c.group_order for c in classes] == [42, 42]
+        assert sum(5040 // c.group_order for c in classes) == 240
+        mirror = dedup([c.representative for c in classes], "equivalence")
+        assert [c.chirality for c in mirror] == ["orientable"]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -611,9 +698,10 @@ class TestPin:
 
         def counted(orders, nd, target_f):
             scanned.append(math.prod(len(o) for o in orders))
-            return [0] * (nd + 2), []
+            return []
 
-        monkeypatch.setattr(_kernel, "scan", counted)
+        monkeypatch.setattr(_kernel, "matches", counted)
+        monkeypatch.setattr(_kernel, "scan", lambda orders, nd, f: ([0] * (nd + 2), counted(orders, nd, f)))
         for spec, pinned in (("complete_bipartite(4,4)", 279936), ("complete_bipartite(3,5)", 18432),
                              ("circulant(8,1,2)", 839808)):
             g = build_graph(spec)
