@@ -504,28 +504,38 @@ def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
     return toward
 
 
-def _automorphism_chain(g: MultiGraph) -> list[list[tuple[int, bytes]]]:
+def _automorphism_chain(
+    g: MultiGraph,
+    base: Sequence[int] | None = None,
+    orbit: Sequence[int] | None = None,
+) -> list[list[tuple[int, bytes]]]:
     """Aut(G) as a stabiliser chain: per level, each image of its base point and an element giving it.
 
     Elements permute *points*: the darts ``0..2m-1``, then ``2m + v - 1``
     for vertex ``v``.  Every automorphism is, in exactly one way, a product
     ``t_1 t_2 ... t_k`` (``t_k`` applied first) of one element per level.
+    The first element of a level is the identity, whose image is the base
+    point.
 
-    The vertex levels come first, with base points the vertices ``1..n``:
-    the level of vertex ``i`` holds one automorphism fixing ``1..i-1`` per
-    image of ``i``, each found by a first-leaf search of
-    :func:`_vertex_isomorphisms` with that prefix fixed (the identity needs
-    no search).  A vertex map moves darts canonically: the ``j``-th dart
-    from ``u`` toward ``v`` goes to the ``j``-th from its image of ``u``
-    toward its image of ``v``.  Then, for each parallel class in the order
-    of :func:`_darts_toward`, the bijections of its ``k`` edges form
-    ``k - 1`` levels of ``S_k``, with base points its darts at its lower
-    end: level ``j`` moves each dart from place ``j`` on to place ``j``
-    and shifts the darts between up by one place, darts at the other end
-    alike.  So after the vertex levels the images of a class's remaining
-    places stay in ascending order, and a parallel level's elements come
-    in the order of the images they give.  Levels with the identity alone
-    are left out, so the group order is the product of the level sizes.
+    The vertex levels come first, with base points the vertices in ``base``
+    order (``1..n`` by default): the level of the ``i``-th holds one
+    automorphism fixing those before it per image, each found by a
+    first-leaf search of :func:`_vertex_isomorphisms` with that prefix
+    fixed, on the tables relabelled so that the base runs ``1..n`` (the
+    identity needs no search).  Given ``orbit``, a label per vertex (index 0
+    unused) that is equal on each orbit of Aut(G), only the vertices of the
+    base point's orbit are searched as its images.  A vertex map moves darts
+    canonically: the ``j``-th dart from ``u`` toward ``v`` goes to the
+    ``j``-th from its image of ``u`` toward its image of ``v``.  Then, for
+    each parallel class in the order of :func:`_darts_toward`, the
+    bijections of its ``k`` edges form ``k - 1`` levels of ``S_k``, with
+    base points its darts at its lower end: level ``j`` moves each dart from
+    place ``j`` on to place ``j`` and shifts the darts between up by one
+    place, darts at the other end alike.  So after the vertex levels the
+    images of a class's remaining places stay in ascending order, and a
+    parallel level's elements come in the order of the images they give.
+    Levels with the identity alone are left out, so the group order is the
+    product of the level sizes.
     """
     _check_guard(g.n, g.edge_count)
     n, nd = g.n, 2 * g.edge_count
@@ -533,16 +543,23 @@ def _automorphism_chain(g: MultiGraph) -> list[list[tuple[int, bytes]]]:
     toward = _darts_toward(g)
     slot = {d: j for ds in toward.values() for j, d in enumerate(ds)}
     identity = bytes(range(nd + n))
-    tables = _graph_tables(g)
+    at = [0, *(base or range(1, n + 1))]  # the vertex relabelled i
+    mat, profiles = _graph_tables(g)
+    tables = [[mat[x][y] for y in at] for x in at], [profiles[x - 1] for x in at[1:]]
     chain = []
     for i in range(1, n + 1):
-        level = [(nd + i - 1, identity)]
+        level = [(nd + at[i] - 1, identity)]
         for w in range(i + 1, n + 1):
-            image = next(_vertex_isomorphisms(tables, tables, (*range(1, i), w)), None)
-            if image is not None:
+            if orbit is not None and orbit[at[w]] != orbit[at[i]]:
+                continue
+            found = next(_vertex_isomorphisms(tables, tables, (*range(1, i), w)), None)
+            if found is not None:
+                image = [0] * (n + 1)
+                for x, y in zip(at, found):
+                    image[x] = at[y]
                 darts = [toward[image[dv[d]], image[dv[d ^ 1]]][slot[d]] for d in range(nd)]
                 vertices = [nd + x - 1 for x in image[1:]]
-                level.append((nd + w - 1, bytes(darts + vertices)))
+                level.append((nd + at[w] - 1, bytes(darts + vertices)))
         chain.append(level)
     for (u, v), ds in toward.items():
         if u > v:

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
-    _automorphism_chain,
-    _check_guard,
     _check_mode,
     _graph_tables,
     _orbit_classes,
@@ -59,311 +55,9 @@ from .surgery import (
     split_vertex,
     subdivide_edge,
 )
+from .rotation_space import RotationSpace
 
 DEFAULT_BUDGET = 10**9
-
-# Automorphism groups up to this order are kept on each RotationSpace, as
-# forward and inverse position permutations (about 4.8 MB at 40 edges),
-# with the lists of those that land in the pinned subspace; larger ones are
-# walked again from the space's stabiliser chain for every orbit and every
-# pin representative.
-MAX_STORED_AUTOMORPHISMS = 1 << 14
-
-
-class RotationSpace:
-    """The space of rotation systems of a graph, and its pinned subspace, indexable by integer.
-
-    Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
-    pinned first); systems are numbered in mixed radix with vertex 1 as the
-    fastest digit.  The pinned subspace keeps only the representative
-    orders at the vertex that :attr:`_pin` chooses, whose digit then runs
-    over those; every class, up to isomorphism and mirror image, has a
-    member there, so the orbit pass works in it alone.  The automorphism
-    group of the graph, which the orbit pass and the pin act with, is built
-    once per space, as a stabiliser chain (see
-    :func:`canon._automorphism_chain`) whose products are its elements; so
-    are the position and vertex tables they use, the pin and, up to
-    :data:`MAX_STORED_AUTOMORPHISMS`, the list of those products and the
-    lists of those that land in the pinned subspace.
-    """
-
-    def __init__(self, graph: MultiGraph):
-        self.graph = graph
-        self.orders = _kernel.build_orders(list(graph.darts_at))
-        self.counts = [len(o) for o in self.orders]
-        self.total = math.prod(self.counts)
-        self._moved: dict[tuple[int, int], list[tuple[bytes, bytes]]] = {}
-        self._landings: dict[tuple[int, int], list[tuple[bytes, bytes]]] = {}
-
-    @cached_property
-    def pinned_orders(self) -> list[list[tuple[int, ...]]]:
-        """The order lists of the pinned subspace: at the pinned vertex, its representatives only.
-
-        They are shared, so callers must not change them.
-        """
-        v, reps = self._pin
-        orders = list(self.orders)
-        orders[v] = [orders[v][d] for d in reps]
-        return orders
-
-    def embedding_at(self, index: int) -> Embedding:
-        """System ``index`` of the pinned subspace."""
-        rotations = []
-        for orders in self.pinned_orders:
-            index, digit = divmod(index, len(orders))
-            rotations.append(orders[digit])
-        # orders are least-dart-first, i.e. already normalized
-        return Embedding(self.graph, tuple(rotations))
-
-    # Images under Aut(G) are computed on dart *positions*: the darts
-    # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
-    # system is the bytes ``succ`` of the position of each position's
-    # rotation successor, and an automorphism the bytes ``fwd`` of each
-    # position's image and ``inv`` of its preimage; the image of the system
-    # is the conjugate ``fwd[succ[inv[p]]]``, two translates.  Darts fit a
-    # byte (the size guard is checked before the positions are built), and
-    # unlike small tuples, freed bytes are not kept on the interpreter's
-    # free lists.
-
-    @cached_property
-    def _positions(self) -> tuple[bytes, bytes]:
-        """The dart at each position, and the position of each dart."""
-        _check_guard(self.graph.n, self.graph.edge_count)
-        darts = bytes(d for ds in self.graph.darts_at for d in ds)
-        position = bytearray(len(darts))
-        for p, d in enumerate(darts):
-            position[d] = p
-        return darts, bytes(position)
-
-    @cached_property
-    def _vertex_tables(self) -> list[tuple[slice, list[bytes], dict[bytes, int], list[int]]]:
-        """Per vertex: the slice of its positions, its keys, its table and its mirror digits.
-
-        The key of each cyclic order, in digit order, is its slice of
-        ``succ``, and the table maps it back to the digit; the mirror digits
-        give the digit of each order's reversal.
-        """
-        position = self._positions[1]
-
-        def successors(cyc: tuple[int, ...], start: int) -> bytes:
-            out = bytearray(len(cyc))
-            for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-                out[position[d] - start] = position[nxt]
-            return bytes(out)
-
-        tables = []
-        start = 0
-        for orders in self.orders:
-            end = start + len(orders[0])
-            keys = [successors(cyc, start) for cyc in orders]
-            table = {key: digit for digit, key in enumerate(keys)}
-            tables.append((slice(start, end), keys, table, [table[successors(cyc[::-1], start)] for cyc in orders]))
-            start = end
-        return tables
-
-    @cached_property
-    def _chain(self) -> list[list[tuple[bytes, bytes]]]:
-        """Aut(G) as the levels of :func:`canon._automorphism_chain`, built once per space.
-
-        Each element is ``(fwd, inv + pad)``: its position permutation and
-        the inverse of that (the positions sorted by their image), padded as
-        a translate table.
-        """
-        darts, position = self._positions
-        nd = len(darts)
-        pad = bytes(256 - nd)
-        position += pad
-        chain = []
-        for level in _automorphism_chain(self.graph):
-            fwds = [darts.translate(t[:nd] + pad).translate(position) for _, t in level]
-            chain.append([(fwd, bytes(sorted(range(nd), key=fwd.__getitem__)) + pad) for fwd in fwds])
-        return chain
-
-    def _conjugations(self) -> Iterator[tuple[bytes, bytes]]:
-        """Every automorphism of the graph as ``(fwd, inv)`` position permutations.
-
-        They are the products ``t_1 ... t_k`` of one element per level of
-        the chain, walked depth first: a node's ``fwd`` is its parent's
-        composed with the level's element, ``inv(t_k) ... inv(t_1)`` its
-        inverse, one ``bytes.translate`` each.
-        """
-        chain = self._chain
-        identity = bytes(range(2 * self.graph.edge_count))
-        pad = bytes(256 - len(identity))
-
-        def walk(fwd: bytes, inv: bytes, i: int) -> Iterator[tuple[bytes, bytes]]:
-            table = fwd + pad
-            if i + 1 < len(chain):
-                for t, t_inv in chain[i]:
-                    yield from walk(t.translate(table), inv.translate(t_inv), i + 1)
-            else:
-                for t, t_inv in chain[i]:
-                    yield t.translate(table), inv.translate(t_inv)
-
-        return walk(identity, identity, 0) if chain else iter(((identity, identity),))
-
-    @cached_property
-    def _stored_conjugations(self) -> list[tuple[bytes, bytes]] | None:
-        """Aut(G) as a list, built once per space, or ``None`` above :data:`MAX_STORED_AUTOMORPHISMS`."""
-        if math.prod(map(len, self._chain)) > MAX_STORED_AUTOMORPHISMS:
-            return None
-        return list(self._conjugations())
-
-    def _moving(self, u: int, w: int) -> Iterable[tuple[bytes, bytes]]:
-        """The automorphisms that map vertex ``u`` to ``w`` (0-based).
-
-        A stored group gives a list, built on first need and kept; a larger
-        one is walked again from the chain.
-        """
-        cut_u, cut_w = self._vertex_tables[u][0], self._vertex_tables[w][0]
-        stored = self._stored_conjugations
-        found = (x for x in stored or self._conjugations() if cut_w.start <= x[0][cut_u.start] < cut_w.stop)
-        if stored is None:
-            return found
-        if (u, w) not in self._moved:
-            self._moved[u, w] = list(found)
-        return self._moved[u, w]
-
-    def _landing(self, u: int, digit: int) -> list[tuple[bytes, bytes]]:
-        """The stored automorphisms that take vertex ``u`` with order ``digit`` into the pinned subspace.
-
-        They map ``u`` to the pinned vertex, and the order to a
-        representative there or to a representative's reversal; so they are
-        the automorphisms whose image of a system with that order at ``u``,
-        or the image's reversal, lies in the subspace.  The list is built on
-        first need and kept.
-        """
-        found = self._landings.get((u, digit))
-        if found is None:
-            v, reps = self._pin
-            (cut_u, keys, _, _), (cut_v, _, table, rev) = self._vertex_tables[u], self._vertex_tables[v]
-            lands = {*reps, *(rev[r] for r in reps)}
-            pad = bytes(256 - 2 * self.graph.edge_count)
-            succ = bytes(cut_u.start) + keys[digit] + bytes(256 - cut_u.stop)
-            found = self._landings[u, digit] = [
-                (fwd, inv) for fwd, inv in self._moving(u, v)
-                if table[inv.translate(succ).translate(fwd + pad)[cut_v]] in lands
-            ]
-        return found
-
-    def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
-        """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
-
-        ``indices`` number systems of the pinned subspace (see
-        :attr:`pinned_orders`).  Two systems of one labelled graph are
-        isomorphic exactly when an automorphism of the graph maps one onto
-        the other, so the orbits under Aut(G) are the iso classes, and with
-        the reversals of the images they are the equivalence classes, the
-        orbits under Aut(G) x mirror walked here.  An achiral orbit is one
-        iso class; a chiral one is two, each the mirror of the other.  Each
-        system met has its images in the subspace marked, so later members
-        of its orbit are skipped.  Images keep the face count: given the
-        matches of a pinned scan, every matching class is met once.
-
-        Only the automorphisms of :meth:`_landing`, for each vertex and the
-        system's order there, are applied (40 of K5's 120); a group above
-        :data:`MAX_STORED_AUTOMORPHISMS` is walked whole from the chain.
-        They include every one that maps the system to itself, whose number
-        is its group order, and every one that maps it to its reversal,
-        which exists exactly when it is achiral; both hold for the whole
-        class.  The orbit's size in the whole space is, by
-        orbit-stabiliser, ``2 |Aut G| / (order (1 + achiral))``.
-
-        Marks go in a bitmap of ``ceil(subspace / 8)`` bytes, or in a set
-        when ``indices`` are too few for the bitmap to pay (a set entry
-        costs about 64 bytes).  The tables and automorphism lists used are
-        kept on the space and shared with later passes.
-        """
-        v, reps = self._pin
-        vertices = self._vertex_tables
-        aut = math.prod(map(len, self._chain))
-        pad = bytes(256 - 2 * self.graph.edge_count)
-        counts = [len(orders) for orders in self.pinned_orders]
-        places = [math.prod(counts[:w]) for w in range(len(counts))]
-        total = math.prod(counts)
-        rest = [(cut, table, rev, place) for w, ((cut, _, table, rev), place) in enumerate(zip(vertices, places)) if w != v]
-        cut_v, _, table_v, rev_v = vertices[v]
-        place_v = places[v]
-        rep_at = {d: k for k, d in enumerate(reps)}
-        stored = self._stored_conjugations
-        sources = [u for u in range(len(vertices)) if stored is not None and self._moving(u, v)]
-        bits = bytearray(-(-total // 8)) if len(indices) * 512 >= total else None
-        marked: set[int] = set()
-        for index in indices:
-            if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
-                continue
-            digits, high = [], index
-            for count in counts:
-                high, digit = divmod(high, count)
-                digits.append(digit)
-            digits[v] = reps[digits[v]]
-            succ = b"".join(keys[d] for (_, keys, _, _), d in zip(vertices, digits)) + pad
-            hits = []
-            order = 0
-            achiral = False
-            if stored is None:  # walked whole; the images outside the subspace are skipped below
-                elements: Iterable[tuple[bytes, bytes]] = self._conjugations()
-            else:
-                elements = chain.from_iterable(self._landing(u, digits[u]) for u in sources)
-            for fwd, inv in elements:
-                image = inv.translate(succ).translate(fwd + pad)
-                at_v = table_v[image[cut_v]]
-                k, km = rep_at.get(at_v), rep_at.get(rev_v[at_v])
-                if k is not None:
-                    j = k * place_v
-                    for cut, table, _, place in rest:
-                        j += table[image[cut]] * place
-                    order += j == index
-                    hits.append(j)
-                if km is not None:
-                    j = km * place_v
-                    for cut, table, rev, place in rest:
-                        j += rev[table[image[cut]]] * place
-                    achiral = achiral or j == index
-                    hits.append(j)
-            for j in hits:
-                if bits is None:
-                    marked.add(j)
-                else:
-                    bits[j >> 3] |= 1 << (j & 7)
-            yield index, 2 * aut // (order * (1 + achiral)), order, achiral
-
-    @cached_property
-    def _pin(self) -> tuple[int, list[int]]:
-        """A vertex (0-based) and the digits of one order per orbit at it.
-
-        The orbits are those of the vertex's stabiliser in Aut(G), joined by
-        reversal, on its cyclic orders; the representative of an orbit is
-        its least digit.  An element of that group, or its composite with
-        reversal, maps a system to one of its class up to mirror image and
-        sends the order at the vertex to any other of its orbit, so every
-        class has a member whose order there is a representative, or a
-        mirror image with one.  The vertex has the fewest representatives
-        per order, the lowest one on ties.  The stabiliser of each vertex
-        is collected once (see :meth:`_moving`), and its images are taken
-        as in :meth:`orbits`, of a system that has the order at the vertex.
-        """
-        vertices = self._vertex_tables
-        firsts = [keys[0] for _, keys, _, _ in vertices]
-        pad = bytes(256 - 2 * self.graph.edge_count)
-        best: tuple[int, list[int]] | None = None
-        for v, (cut, keys, table, rev) in enumerate(vertices):
-            reps = [0]
-            if len(keys) > 1:
-                reps, seen = [], bytearray(len(keys))
-                head, tail = b"".join(firsts[:v]), b"".join(firsts[v + 1:]) + pad
-                for digit, key in enumerate(keys):
-                    if seen[digit]:
-                        continue
-                    reps.append(digit)
-                    succ = head + key + tail
-                    for fwd, inv in self._moving(v, v):
-                        image = table[inv.translate(succ).translate(fwd + pad)[cut]]
-                        seen[image] = seen[rev[image]] = 1
-            if best is None or len(reps) * self.counts[best[0]] < len(best[1]) * len(keys):
-                best = v, reps
-        assert best is not None
-        return best
 
 
 def rotation_space_size(graph: MultiGraph) -> int:
@@ -406,6 +100,8 @@ def _target_faces(graph: MultiGraph, genus: int | None, faces: int | None) -> in
         raise ValueError("give a genus or a face count to filter on")
     n, m = graph.n, graph.edge_count
     if genus is not None:
+        if genus < 0:
+            raise ValueError(f"genus {genus} is negative")
         f = 2 - 2 * genus - n + m
         if faces is not None and faces != f:
             raise ValueError(f"genus {genus} forces f = {f}, not {faces}")
@@ -439,7 +135,10 @@ def exhaustive_classes(
     takes one stream set; a chiral one takes two, for the keys of the
     member and of its reversal, and is two classes in ``iso`` mode and one
     in ``equivalence`` mode.  The records are those :func:`dedup` gives for
-    the matches, sorted by canonical key.  ``workers`` has no effect.
+    the matches, sorted by canonical key.  The automorphisms applied come
+    from stabiliser chains rebased at vertices, by sifting (see
+    :meth:`RotationSpace._landing`); no list of the group is built, so its
+    size does not set the cost of an orbit.  ``workers`` has no effect.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -447,6 +146,11 @@ def exhaustive_classes(
     if f < 1:
         return []
     _check_budget(graph, budget)
+    return _pinned_classes(graph, f, mode)
+
+
+def _pinned_classes(graph: MultiGraph, f: int, mode: DedupMode) -> list[EmbeddingClass]:
+    """The classes with ``f`` faces, from the pinned scan and the orbit pass (see :func:`exhaustive_classes`)."""
     space = RotationSpace(graph)
     matches = _kernel.matches(space.pinned_orders, 2 * graph.edge_count, f)
     classes = [
@@ -534,25 +238,24 @@ def theta_embeddings(
     mode: DedupMode = "iso",
     budget: int = DEFAULT_BUDGET,
 ) -> list[EmbeddingClass]:
-    """Classes of the m-edge theta graph at the given genus.
+    """Classes of the m-edge theta graph at the given genus, as :func:`exhaustive_classes` gives them.
 
-    Every embedding of a theta graph is isomorphic to one whose first
-    vertex carries the identity rotation (relabel the edges), so only the
-    ``(m - 1)!`` rotations of the second vertex are scanned, and the
-    budget bounds that number.  The scan (:func:`_kernel.matches`) lists
-    only the rotations with the genus's face count; the matches are then
-    deduplicated.
+    The same pinned scan and orbit pass run on ``theta(m)``.  Aut(theta(m))
+    is every bijection of the edges, with or without the swap of the two
+    vertices, and the stabiliser of a vertex has one orbit on its cyclic
+    orders, found by ``2m`` sifts of its chain; so one order is pinned, and
+    the ``(m - 1)!`` rotations of the other vertex are scanned.  The budget
+    bounds that number, not the whole space.  Each class then costs one
+    stream set, and a chiral one one more (18 for theta(7) at genus 3).
     """
     graph = theta(m)  # refuses m < 1
-    f = m - 2 * genus
+    _check_mode(mode)
+    f = _target_faces(graph, genus, None)  # refuses a negative genus
     if f < 1:
         return []
     if math.factorial(m - 1) > budget:
         raise BudgetExceeded(math.factorial(m - 1), budget)
-    u_orders, v_orders = _kernel.build_orders(list(graph.darts_at))
-    pinned = [u_orders[:1], v_orders]
-    matches = _kernel.matches(pinned, 2 * m, f)
-    return dedup((Embedding(graph, (pinned[0][0], v_orders[i])) for i in matches), mode)
+    return _pinned_classes(graph, f, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,531 @@
+"""The rotation space of a graph, its pinned subspace and the orbit pass of Aut(G) on it.
+
+A :class:`RotationSpace` numbers the rotation systems of a graph, pins one
+vertex to one order per orbit of its stabiliser (joined by reversal), and
+walks the orbits of Aut(G) x mirror within that pinned subspace.  The
+automorphisms it applies come from stabiliser chains rebased at vertices
+(:func:`canon._automorphism_chain`), by sifting, so no list of the group is
+ever built.  :mod:`rotsys.enumeration` drives it.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from functools import cached_property
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
+
+from . import _kernel
+from .canon import _automorphism_chain, _check_guard
+from .core import Embedding, MultiGraph
+
+# An automorphism acts on dart positions (see RotationSpace) as ``(fwd, inv)``:
+# the bytes of each position's image and of its preimage, extended to 256
+# entries by the identity, so that either one serves as a translate table.
+Element = tuple[bytes, bytes]
+IDENTITY = bytes(range(256))
+
+
+def _compose(a: Element, b: Element) -> Element:
+    """``a`` applied after ``b``: one ``bytes.translate`` for each direction."""
+    return b[0].translate(a[0]), a[1].translate(b[1])
+
+
+def _products(levels: list[list[Element]]) -> Iterator[Element]:
+    """Every product ``t_1 ... t_k`` of one element per level, depth first."""
+
+    def walk(node: Element, i: int) -> Iterator[Element]:
+        if i == len(levels):
+            yield node
+        else:
+            for t in levels[i]:
+                yield from walk(_compose(node, t), i + 1)
+
+    return walk((IDENTITY, IDENTITY), 0)
+
+
+def _order_keys(start: int, k: int) -> tuple[list[bytes], list[bytes]]:
+    """The keys of the cyclic orders of a vertex of degree ``k`` at positions ``start .. start + k - 1``, and of their reversals.
+
+    The orders are listed as :func:`_kernel.build_orders` lists them: the
+    first dart, then each permutation of the others in lexicographic
+    order.  An order's key holds the position of each position's
+    successor, and its reversal's key the position of its predecessor.
+    They are built depth first, so orders that share a prefix share its
+    work.
+    """
+    if k == 1:
+        return [bytes([start])], [bytes([start])]
+    keys: list[bytes] = []
+    mirrors: list[bytes] = []
+    succ, pred = bytearray(k), bytearray(k)
+
+    def extend(last: int, left: list[int]) -> None:
+        if len(left) == 1:
+            x = left[0]
+            succ[last], pred[x], succ[x], pred[0] = start + x, start + last, start, start + x
+            keys.append(bytes(succ))
+            mirrors.append(bytes(pred))
+            return
+        for i, x in enumerate(left):
+            succ[last], pred[x] = start + x, start + last
+            extend(x, left[:i] + left[i + 1:])
+
+    extend(0, list(range(1, k)))
+    return keys, mirrors
+
+
+class _Rebased(NamedTuple):
+    """Aut(G) from its stabiliser chain rebased at a vertex w, on dart positions.
+
+    The chain's base runs w, then w's neighbours, then the other vertices
+    (see :func:`canon._automorphism_chain`), so the levels after w's make
+    up w's stabiliser: those of the neighbours and of the parallel classes
+    at w act on w's darts, and the products of the others fix them all.
+    """
+
+    order: int  # |Aut G|, the product of the level sizes
+    moving: dict[int, Element]  # per vertex u of w's orbit, one automorphism taking w to u
+    near: list[tuple[int, int, dict[int, Element] | None]]  # per neighbour b: a position toward b, b, b's level
+    acting: list[list[Element]]  # the levels that act on w's darts
+    fixing: list[list[Element]]  # the levels whose products fix every dart at w
+
+
+class RotationSpace:
+    """The space of rotation systems of a graph, and its pinned subspace, indexable by integer.
+
+    Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
+    pinned first); systems are numbered in mixed radix with vertex 1 as the
+    fastest digit.  The pinned subspace keeps only the representative
+    orders at the vertex that :attr:`_pin` chooses, whose digit then runs
+    over those; every class, up to isomorphism and mirror image, has a
+    member there, so the orbit pass works in it alone.  The automorphism
+    group of the graph, which the orbit pass and the pin act with, is built
+    as stabiliser chains rebased at vertices (see :meth:`_chain_at`), each
+    once per space; so are the position and vertex tables they use, the
+    pin, and the lists of the automorphisms that land in the pinned
+    subspace.  No list of the whole group is ever built.
+    """
+
+    def __init__(self, graph: MultiGraph):
+        self.graph = graph
+        self.orders = _kernel.build_orders(list(graph.darts_at))
+        self.counts = [len(o) for o in self.orders]
+        self.total = math.prod(self.counts)
+        self._rebased: dict[int, _Rebased] = {}
+        self._holdings: dict[int, list[Element]] = {}
+        self._landings: dict[tuple[int, int], list[Element]] = {}
+
+    @cached_property
+    def pinned_orders(self) -> list[list[tuple[int, ...]]]:
+        """The order lists of the pinned subspace: at the pinned vertex, its representatives only.
+
+        They are shared, so callers must not change them.
+        """
+        v, reps = self._pin
+        orders = list(self.orders)
+        orders[v] = [orders[v][d] for d in reps]
+        return orders
+
+    def embedding_at(self, index: int) -> Embedding:
+        """System ``index`` of the pinned subspace."""
+        rotations = []
+        for orders in self.pinned_orders:
+            index, digit = divmod(index, len(orders))
+            rotations.append(orders[digit])
+        # orders are least-dart-first, i.e. already normalized
+        return Embedding(self.graph, tuple(rotations))
+
+    # Images under Aut(G) are computed on dart *positions*: the darts
+    # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
+    # system is the bytes ``succ`` of the position of each position's
+    # rotation successor, and an automorphism an :data:`Element`; the image
+    # of the system is the conjugate ``fwd[succ[inv[p]]]``, two translates.
+    # Darts fit a byte (the size guard is checked before the positions are
+    # built), and unlike small tuples, freed bytes are not kept on the
+    # interpreter's free lists.
+
+    @cached_property
+    def _positions(self) -> tuple[bytes, bytes]:
+        """The dart at each position, and the position of each dart."""
+        _check_guard(self.graph.n, self.graph.edge_count)
+        darts = bytes(d for ds in self.graph.darts_at for d in ds)
+        position = bytearray(len(darts))
+        for p, d in enumerate(darts):
+            position[d] = p
+        return darts, bytes(position)
+
+    @cached_property
+    def _ends(self) -> tuple[bytes, bytes]:
+        """Translate tables of each position's partner: its position, and its vertex (0-based)."""
+        darts, position = self._positions
+        dv = self.graph.dart_vertex
+        pad = bytes(256 - len(darts))
+        return bytes(position[d ^ 1] for d in darts) + pad, bytes(dv[d ^ 1] - 1 for d in darts) + pad
+
+    @cached_property
+    def _vertex_tables(self) -> list[tuple[slice, list[bytes], dict[bytes, int], list[int]]]:
+        """Per vertex: the slice of its positions, its keys, its table and its mirror digits.
+
+        The key of each cyclic order, in digit order, is its slice of
+        ``succ`` (see :func:`_order_keys`), and the table maps it back to
+        the digit; the mirror digits give the digit of each order's
+        reversal.  Vertices of one degree share the work: their keys are
+        the first one's shifted to their positions, and their mirror digits
+        are the first one's.
+        """
+        self._positions  # the size guard, before any position is written to a byte
+        firsts: dict[int, tuple[int, list[bytes], list[int]]] = {}  # per degree: its first vertex's start, keys, mirrors
+        tables = []
+        start = 0
+        for orders in self.orders:
+            k = len(orders[0])
+            if k in firsts:
+                first, keys, rev = firsts[k]
+                shift = bytes(first) + bytes(range(start, start + k)) + bytes(256 - first - k)
+                keys = [key.translate(shift) for key in keys]
+                table = {key: digit for digit, key in enumerate(keys)}
+            else:
+                keys, mirrors = _order_keys(start, k)
+                table = {key: digit for digit, key in enumerate(keys)}
+                rev = [table[key] for key in mirrors]
+                firsts[k] = start, keys, rev
+            tables.append((slice(start, start + k), keys, table, rev))
+            start += k
+        return tables
+
+    def _chain_at(self, w: int) -> _Rebased:
+        """Aut(G) from :func:`canon._automorphism_chain` rebased at vertex ``w`` (0-based), built on first need and kept.
+
+        The first chain built is the one at :attr:`_first`, which gives the
+        orbits of Aut(G) on the vertices (:attr:`_orbit_of`); a later one
+        searches for the images of each base point within its orbit only,
+        so a vertex that no automorphism moves costs no search.
+        """
+        found = self._rebased.get(w)
+        if found is None:
+            g = self.graph
+            darts, position = self._positions
+            nd = len(darts)
+            pad, tail = bytes(256 - nd), bytes(range(nd, 256))
+            position += pad
+            cut = self._vertex_tables[w][0]
+            far = self._ends[1]
+            toward: dict[int, int] = {}  # each neighbour -> the first position at w toward it
+            for p in range(cut.start, cut.stop):
+                toward.setdefault(far[p], p)
+            base = [w, *toward, *(x for x in range(g.n) if x != w and x not in toward)]
+            orbit = None if w == self._first else [-1, *self._orbit_of]
+            levels = []
+            for level in _automorphism_chain(g, [x + 1 for x in base], orbit):
+                elements = {}
+                for point, t in level:
+                    fwd = darts.translate(t[:nd] + pad).translate(position)
+                    elements[point - nd if point >= nd else point] = (
+                        fwd + tail, bytes(sorted(range(nd), key=fwd.__getitem__)) + tail
+                    )
+                levels.append((level[0][0], elements))
+            dv = g.dart_vertex
+            vertex_levels = {b - nd: e for b, e in levels if b >= nd}
+            acts = [b - nd in toward if b >= nd else w + 1 in (dv[b], dv[b ^ 1]) for b, _ in levels]
+            found = self._rebased[w] = _Rebased(
+                order=math.prod(len(e) for _, e in levels),
+                moving=vertex_levels.get(w, {w: (IDENTITY, IDENTITY)}),
+                near=[(p, b, vertex_levels.get(b)) for b, p in toward.items()],
+                acting=[list(e.values()) for (_, e), a in zip(levels, acts) if a],
+                fixing=[list(e.values()) for (b, e), a in zip(levels, acts) if not a and b != nd + w],
+            )
+        return found
+
+    @cached_property
+    def _orbit_of(self) -> list[int]:
+        """The least vertex (0-based) of each vertex's orbit under Aut(G).
+
+        The elements of the first chain generate Aut(G), so the orbits are
+        the classes of the pairs (vertex, its image) they make.
+        """
+        rebased = self._chain_at(self._first)
+        darts = self._positions[0]
+        dv = self.graph.dart_vertex
+        starts = [cut.start for cut, *_ in self._vertex_tables]
+        root = list(range(self.graph.n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for fwd, _ in chain.from_iterable((rebased.moving.values(), *rebased.acting, *rebased.fixing)):
+            for x, p in enumerate(starts):
+                a, b = find(x), find(dv[darts[fwd[p]]] - 1)
+                root[max(a, b)] = min(a, b)
+        return [find(x) for x in range(self.graph.n)]
+
+    def _cycle(self, w: int, digit: int) -> bytes:
+        """The positions of order ``digit`` at vertex ``w``, in cyclic order."""
+        position = self._positions[1]
+        return bytes(position[d] for d in self.orders[w][digit])
+
+    def _sift(self, w: int, phi: bytes) -> Element | None:
+        """The automorphism fixing vertex ``w`` that maps its darts as ``phi`` does, from the chain rebased at ``w``; ``None`` if none does.
+
+        ``phi`` holds the image of each of ``w``'s positions, in order.  For
+        each neighbour, the image of a dart toward it names the image of
+        the neighbour; its level's element giving that image (the identity
+        for no move) is divided out of ``phi``, as in Sims's sifting.  What
+        is left must keep every dart toward the neighbour it leads to, and
+        then only permutes the darts within parallel classes at ``w``:
+        those bijections are automorphisms, built here directly.
+        """
+        partner, far = self._ends
+        cut = self._vertex_tables[w][0]
+        fwd = inv = IDENTITY
+        for p, b, level in self._chain_at(w).near:
+            y = far[phi[p - cut.start]]
+            if y != b:
+                t = level and level.get(y)
+                if not t:
+                    return None
+                phi = phi.translate(t[1])
+                fwd, inv = t[0].translate(fwd), inv.translate(t[1])
+        if phi.translate(far) != far[cut]:
+            return None
+        c, c_inv = bytearray(IDENTITY), bytearray(IDENTITY)
+        for p, q in enumerate(phi, cut.start):
+            c[p], c[partner[p]] = q, partner[q]
+            c_inv[q], c_inv[partner[q]] = p, partner[p]
+        return bytes(c).translate(fwd), inv.translate(c_inv)
+
+    def _aligned(self, w: int, a: int, b: int, first: bool = False) -> list[Element]:
+        """The automorphisms fixing vertex ``w`` that carry its order ``a`` onto ``b`` or ``b``'s reversal, one per map of ``w``'s darts.
+
+        Each of the ``deg`` rotations of ``a``'s cycle onto a target's maps
+        ``w``'s darts, and is kept when :meth:`_sift` finds an automorphism
+        making it.  With ``first``, the search stops at the first one.
+        """
+        cut, _, _, rev = self._vertex_tables[w]
+        k = cut.stop - cut.start
+        where = bytearray(k)  # the place of each of w's positions in a's cycle
+        for i, p in enumerate(self._cycle(w, a)):
+            where[p - cut.start] = i
+        pad = bytes(256 - k)
+        found = []
+        for target in dict.fromkeys((b, rev[b])):
+            cycle = self._cycle(w, target) * 2
+            for j in range(k):
+                s = self._sift(w, where.translate(cycle[j : j + k] + pad))
+                if s is not None:
+                    found.append(s)
+                    if first:
+                        return found
+        return found
+
+    def _orbits_at(self, w: int) -> tuple[list[int], list[int], dict[int, list[Element]]]:
+        """The orbits of vertex ``w``'s stabiliser in Aut(G), joined by reversal, on its cyclic orders.
+
+        Returns the least digit of each orbit, the representative of every
+        digit, and for each representative the automorphisms fixing ``w``
+        that keep its order or reverse it, one per map of ``w``'s darts
+        (:meth:`_aligned`).  The maps the stabiliser makes form a group P of
+        order the product of the chain's levels acting there, so by
+        orbit-stabiliser digit 0's orbit has ``2|P|`` over the number kept
+        orders.  When that is all of them, as at theta(m)'s vertices, the
+        ``2 deg`` sifts settle the vertex.  Otherwise each representative's
+        order in turn has every element of P applied.
+        """
+        cut, keys, table, rev = self._vertex_tables[w]
+        acting = self._chain_at(w).acting
+        kept = {0: self._aligned(w, 0, 0)}
+        if 2 * math.prod(map(len, acting)) == len(kept[0]) * len(keys):
+            return [0], [0] * len(keys), kept
+        reps: list[int] = []
+        rep_of = [-1] * len(keys)
+        for digit in range(len(keys)):
+            if rep_of[digit] >= 0:
+                continue
+            reps.append(digit)
+            kept[digit] = mine = []
+            succ = bytes(cut.start) + keys[digit] + bytes(256 - cut.stop)
+            for s in _products(acting):
+                x = table[s[1][cut].translate(succ).translate(s[0])]
+                rep_of[x] = rep_of[rev[x]] = digit
+                if x == digit or x == rev[digit]:
+                    mine.append(s)
+        return reps, rep_of, kept
+
+    @cached_property
+    def _first(self) -> int:
+        """The vertex (0-based) whose chain is built first: the one with the most orders, the lowest on ties."""
+        return self.counts.index(max(self.counts))
+
+    @cached_property
+    def _pinned(self) -> tuple[int, list[int], list[int], dict[int, list[Element]]]:
+        """The pinned vertex (0-based) and its :meth:`_orbits_at`.
+
+        The vertex has the fewest representatives per order, the lowest one
+        on ties.  Vertices of one orbit of Aut(G) tie, so only the lowest of
+        each is tried, that of :attr:`_first`'s orbit first.  The group P
+        that w's stabiliser makes on w's darts has at most ``|Stab(w)|``
+        over the bijections of the parallel classes away from w elements,
+        and each orbit at w at most ``2 |P|`` orders; so w has at least
+        ``1 / min(2 |P|, orders)`` representatives per order, and is not
+        tried when that cannot beat the best so far.
+        """
+        order = self._chain_at(self._first).order
+        orbit = self._orbit_of
+        classes = Counter(map(frozenset, self.graph.edges))
+        best = None
+        for w in sorted(set(orbit), key=lambda w: (w != orbit[self._first], w)):
+            if best is not None:
+                away = math.prod(math.factorial(k) for ends, k in classes.items() if w + 1 not in ends)
+                most = min(2 * order // (orbit.count(w) * away), self.counts[w])
+                if (self.counts[best[0]], w) > (len(best[1]) * most, best[0]):
+                    continue
+            reps, rep_of, kept = self._orbits_at(w)
+            if best is None or (len(reps) * self.counts[best[0]], w) < (len(best[1]) * self.counts[w], best[0]):
+                best = w, reps, rep_of, kept
+        assert best is not None
+        return best
+
+    @property
+    def _pin(self) -> tuple[int, list[int]]:
+        """A vertex (0-based) and the digits of one order per orbit at it.
+
+        The orbits are those of the vertex's stabiliser in Aut(G), joined by
+        reversal, on its cyclic orders; the representative of an orbit is
+        its least digit.  An element of that group, or its composite with
+        reversal, maps a system to one of its class up to mirror image and
+        sends the order at the vertex to any other of its orbit, so every
+        class has a member whose order there is a representative, or a
+        mirror image with one.  See :attr:`_pinned` for the choice of
+        vertex and :meth:`_orbits_at` for the orbits.
+        """
+        v, reps, _, _ = self._pinned
+        return v, reps
+
+    @cached_property
+    def _fixing(self) -> list[Element]:
+        """The automorphisms that fix every dart at the pinned vertex."""
+        return list(_products(self._chain_at(self._pin[0]).fixing))
+
+    def _holding(self, r: int) -> list[Element]:
+        """The automorphisms fixing the pinned vertex that keep its order ``r``, a representative, or reverse it.
+
+        They are the kept ones of :meth:`_orbits_at`, each times every
+        element of :attr:`_fixing`; each ``inv`` is cut to the darts, as
+        :meth:`orbits` applies it.  The list is built on first need and kept.
+        """
+        found = self._holdings.get(r)
+        if found is None:
+            nd = 2 * self.graph.edge_count
+            kept = self._pinned[3][r]
+            found = self._holdings[r] = [(f, i[:nd]) for a in kept for f, i in (_compose(a, k) for k in self._fixing)]
+        return found
+
+    def _landing(self, u: int, digit: int) -> list[Element]:
+        """The automorphisms that take vertex ``u`` with order ``digit`` into the pinned subspace.
+
+        They map ``u`` to the pinned vertex v, and the order to a
+        representative there or to a representative's reversal; so they are
+        the automorphisms whose image of a system with that order at ``u``,
+        or the image's reversal, lies in the subspace.  One automorphism t
+        of the chain rebased at v takes ``u`` to v, and the order to one in
+        the orbit of a representative r.  If that order is neither r nor its
+        reversal, one sifted alignment q carries it there; the others are
+        those of :meth:`_holding` for r after q t.  The list is built on
+        first need and kept.
+        """
+        found = self._landings.get((u, digit))
+        if found is None:
+            v, _, rep_of, _ = self._pinned
+            found = []
+            move = self._chain_at(v).moving.get(u)
+            if move is not None:
+                t = move[1], move[0]
+                cut_u, keys, _, _ = self._vertex_tables[u]
+                cut_v, _, table, rev = self._vertex_tables[v]
+                succ = bytes(cut_u.start) + keys[digit] + bytes(256 - cut_u.stop)
+                at = table[t[1][cut_v].translate(succ).translate(t[0])]
+                r = rep_of[at]
+                if at != r and at != rev[r]:
+                    t = _compose(self._aligned(v, at, r, first=True)[0], t)
+                found = [_compose(h, t) for h in self._holding(r)]
+            self._landings[u, digit] = found
+        return found
+
+    def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
+        """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
+
+        ``indices`` number systems of the pinned subspace (see
+        :attr:`pinned_orders`).  Two systems of one labelled graph are
+        isomorphic exactly when an automorphism of the graph maps one onto
+        the other, so the orbits under Aut(G) are the iso classes, and with
+        the reversals of the images they are the equivalence classes, the
+        orbits under Aut(G) x mirror walked here.  An achiral orbit is one
+        iso class; a chiral one is two, each the mirror of the other.  Each
+        system met has its images in the subspace marked, so later members
+        of its orbit are skipped.  Images keep the face count: given the
+        matches of a pinned scan, every matching class is met once.
+
+        Only the automorphisms of :meth:`_landing`, for each vertex and the
+        system's order there, are applied (40 of K5's 120), whatever the
+        size of the group.  They include every one that maps the system to
+        itself, whose number is its group order, and every one that maps it
+        to its reversal, which exists exactly when it is achiral; both hold
+        for the whole class.  The orbit's size in the whole space is, by
+        orbit-stabiliser, ``2 |Aut G| / (order (1 + achiral))``.
+
+        Marks go in a bitmap of ``ceil(subspace / 8)`` bytes, or in a set
+        when ``indices`` are too few for the bitmap to pay (a set entry
+        costs about 64 bytes).  The tables and automorphism lists used are
+        kept on the space and shared with later passes.
+        """
+        v, reps = self._pin
+        vertices = self._vertex_tables
+        rebased = self._chain_at(v)
+        pad = bytes(256 - 2 * self.graph.edge_count)
+        counts = [len(orders) for orders in self.pinned_orders]
+        places = [math.prod(counts[:w]) for w in range(len(counts))]
+        total = math.prod(counts)
+        rest = [(cut, table, rev, place) for w, ((cut, _, table, rev), place) in enumerate(zip(vertices, places)) if w != v]
+        cut_v, _, table_v, rev_v = vertices[v]
+        place_v = places[v]
+        rep_at = {d: k for k, d in enumerate(reps)}
+        sources = sorted(rebased.moving)
+        bits = bytearray(-(-total // 8)) if len(indices) * 512 >= total else None
+        marked: set[int] = set()
+        for index in indices:
+            if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
+                continue
+            digits, high = [], index
+            for count in counts:
+                high, digit = divmod(high, count)
+                digits.append(digit)
+            digits[v] = reps[digits[v]]
+            succ = b"".join(keys[d] for (_, keys, _, _), d in zip(vertices, digits)) + pad
+            hits = []
+            order = 0
+            achiral = False
+            for fwd, inv in chain.from_iterable(self._landing(u, digits[u]) for u in sources):
+                image = inv.translate(succ).translate(fwd)
+                at_v = table_v[image[cut_v]]
+                k, km = rep_at.get(at_v), rep_at.get(rev_v[at_v])
+                if k is not None:
+                    j = k * place_v
+                    for cut, table, _, place in rest:
+                        j += table[image[cut]] * place
+                    order += j == index
+                    hits.append(j)
+                if km is not None:
+                    j = km * place_v
+                    for cut, table, rev, place in rest:
+                        j += rev[table[image[cut]]] * place
+                    achiral = achiral or j == index
+                    hits.append(j)
+            for j in hits:
+                if bits is None:
+                    marked.add(j)
+                else:
+                    bits[j >> 3] |= 1 << (j & 7)
+            yield index, 2 * rebased.order // (order * (1 + achiral)), order, achiral

@@ -36,7 +36,7 @@ from rotsys import (
     trace_faces,
     wheel,
 )
-from rotsys import canon, enumeration
+from rotsys import canon, rotation_space
 from rotsys.canon import (
     _automorphism_chain,
     _graph_tables,
@@ -367,25 +367,33 @@ class TestAutomorphismChain:
             assert count == len(set(product_automorphisms(g)))
             assert count == math.prod(map(len, _automorphism_chain(g)))
 
-    def test_stored_conjugations_are_the_automorphisms(self):
-        # As a set, the (fwd, inv) pairs are the automorphisms on dart
-        # positions, each converted with a plain inverse.
+    def test_rebased_chains_are_the_automorphisms(self):
+        # At every vertex w, the products of one element taken from w's
+        # level, then from each level acting on w's darts, then from each
+        # level fixing them, are, as a set of (fwd, inv) pairs, the
+        # automorphisms on dart positions, each converted with a plain
+        # inverse; each pair is a permutation and its inverse, and no
+        # product comes twice.
         for g in self.graphs():
             space = RotationSpace(g)
             darts, position = space._positions
-            identity = bytes(range(len(darts)))
-            stored = space._stored_conjugations
-            for fwd, inv in stored:
-                assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
+            nd = len(darts)
+            identity = bytes(range(nd))
             expected = set()
             for perm in product_automorphisms(g):
                 fwd = bytes(position[perm[d]] for d in darts)
-                inv = bytearray(len(fwd))
+                inv = bytearray(nd)
                 for p, q in enumerate(fwd):
                     inv[q] = p
                 expected.add((fwd, bytes(inv)))
-            assert len(stored) == len(set(stored)) == len(expected)
-            assert set(stored) == expected
+            for w in range(g.n):
+                rebased = space._chain_at(w)
+                levels = [list(rebased.moving.values()), *rebased.acting, *rebased.fixing]
+                products = [(fwd[:nd], inv[:nd]) for fwd, inv in rotation_space._products(levels)]
+                for fwd, inv in products:
+                    assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
+                assert rebased.order == len(products) == len(set(products)) == len(expected)
+                assert set(products) == expected
 
     def test_counts_no_enumeration_could_reach(self):
         # 15! and 2 x 14! vertex maps, about 1e12 and 1e11: the plain search
@@ -408,14 +416,23 @@ class TestAutomorphismChain:
         tables = _graph_tables(petersen())
         assert vertex_maps(lambda: sum(1 for _ in canon._vertex_isomorphisms(tables, tables))) == (120, 1, 120)
 
-    def test_one_chain_per_exhaustive_call(self, monkeypatch, vertex_maps):
-        # Above the cap the pin and every orbit walk the group again, from
-        # the chain the space built once: no search is repeated.
-        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
-        g = complete(5)
-        _, chain_searches, _ = vertex_maps(lambda: _automorphism_chain(g))
-        classes, searches, _ = vertex_maps(lambda: exhaustive_classes(g, genus=2, mode="equivalence"))
-        assert len(classes) == 31 and searches == chain_searches == 10
+    def test_one_chain_per_exhaustive_call(self, vertex_maps):
+        # The pin and every landing list take their automorphisms from the
+        # chains the space builds once, by sifting: no search is repeated.
+        # The first chain, at the vertex with the most orders, tries every
+        # later vertex as the image of each base vertex: n(n - 1)/2
+        # searches.  It gives the vertex orbits, and the lowest vertex of
+        # another orbit gets a chain of its own only when its stabiliser
+        # could give it fewer representatives per order.  K5, theta(7),
+        # K3,5 and K5,3 need one chain.  In the multigraph below, vertex 1
+        # keeps 2 of its 6 orders, and vertex 2 might keep fewer (it too
+        # keeps 2), so the chain rebased at 2 is built: 2 searches, as images
+        # are only searched within the orbits {2, 4} and {3, 5}.
+        multigraph = MultiGraph(5, ((1, 2), (1, 2), (1, 4), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)))
+        for g, genus, searches in ((complete(5), 2, 10), (theta(7), 3, 1), (complete_bipartite(3, 5), 1, 28),
+                                   (complete_bipartite(5, 3), 1, 28), (multigraph, 1, 10 + 2)):
+            classes, found, _ = vertex_maps(lambda: exhaustive_classes(g, genus=genus, mode="equivalence"))
+            assert classes and found == searches
 
 
 class TestChirality:
@@ -501,11 +518,12 @@ class TestDedup:
             assert taken == expected
 
     def test_stream_sets_of_the_library_dedups(self, stream_sets):
-        # theta(7) at genus 3: one per pinned match (180) and one per
-        # equivalence class (16).  The appendix systems are pairwise
-        # non-equivalent, so each takes its own and its reversal's.
+        # theta(7) at genus 3: one per equivalence class (16), and one more
+        # for each of the 2 chiral ones, in either mode.  The appendix
+        # systems are pairwise non-equivalent, so each takes its own and its
+        # reversal's.
         for mode in ("equivalence", "iso"):
-            assert stream_sets(lambda: theta_embeddings(7, 3, mode=mode))[1] == 196
+            assert stream_sets(lambda: theta_embeddings(7, 3, mode=mode))[1] == 18
         assert stream_sets(pipeline_k33_stages)[1] == 16
         for load, sets in ((load_appendix_a, 62), (load_appendix_b, 26)):
             embs = [r.embedding for r in load()]

@@ -108,6 +108,10 @@ class TestEnumerate:
         assert main(args + ["--genus", "3"]) == 0
         assert "13 equivalence classes" in capsys.readouterr().out
 
+    def test_negative_genus_is_input_error(self, capsys):
+        assert main(["enumerate", "--graph", "complete(5)", "--genus", "-1"]) == 2
+        assert capsys.readouterr().err == "error: genus -1 is negative\n"
+
     def test_distribution_when_no_filter(self, capsys):
         assert main(["enumerate", "--graph", "complete_bipartite(3,3)"]) == 0
         out = capsys.readouterr().out
@@ -174,6 +178,10 @@ class TestPipelinesAndTheta:
     def test_theta_without_edges_is_input_error(self, capsys):
         assert main(["theta", "--m", "0", "--genus", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_theta_negative_genus_is_input_error(self, capsys):
+        assert main(["theta", "--m", "3", "--genus", "-1"]) == 2
+        assert capsys.readouterr().err == "error: genus -1 is negative\n"
 
 
 class TestVerifyAndConvert:

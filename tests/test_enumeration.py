@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -61,6 +62,28 @@ def pinned_size(space):
     return math.prod(map(len, space.pinned_orders))
 
 
+def differential_graphs():
+    """The graphs the pin and landing lists are checked on: the 14 torus rows, random multigraphs, theta(2..8), W6, K1,7."""
+    graphs = [build_graph(spec) for _, spec, *_ in TORUS_TABLE] + random_graphs(59)
+    return graphs + [theta(m) for m in range(2, 9)] + [wheel(6), complete_bipartite(1, 7)]
+
+
+def normal(cyc):
+    """A cyclic order as a tuple, least dart first."""
+    k = cyc.index(min(cyc))
+    return tuple(cyc[k:]) + tuple(cyc[:k])
+
+
+def relabelled(e, perm):
+    """The rotations of the image of ``e`` under the dart permutation ``perm``, each least dart first."""
+    dv = e.graph.dart_vertex
+    rot: list = [None] * e.graph.n
+    for r in e.rot:
+        image = [perm[d] for d in r]
+        rot[dv[image[0]] - 1] = normal(image)
+    return tuple(rot)
+
+
 class TestRotationSpace:
     def test_size(self):
         assert rotation_space_size(theta(5)) == 576
@@ -76,6 +99,22 @@ class TestRotationSpace:
             pinned = [space.embedding_at(i).rot for i in range(pinned_size(space))]
             assert len(whole) == space.total
             assert len(set(pinned)) == len(pinned) and set(pinned) <= whole
+
+    def test_vertex_tables_against_each_order(self):
+        # The keys built depth first, and shifted for later vertices of one
+        # degree, against each order's successors written out one by one;
+        # the mirror digit against the reversed order's digit.
+        for g in [theta(7), wheel(6), complete_bipartite(1, 7), complete_bipartite(2, 4)] + random_graphs(71, 10):
+            space = RotationSpace(g)
+            darts, position = space._positions
+            for orders, (cut, keys, table, rev) in zip(space.orders, space._vertex_tables):
+                assert [darts[p] for p in range(cut.start, cut.stop)] == sorted(orders[0])
+                for digit, cyc in enumerate(orders):
+                    key = bytearray(len(cyc))
+                    for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                        key[position[d] - cut.start] = position[nxt]
+                    assert keys[digit] == key and table[keys[digit]] == digit
+                    assert orders[rev[digit]] == (cyc[0], *cyc[:0:-1])
 
     def test_kernel_matches_trace_faces(self):
         # Random products of sliced order lists, of at most 200 systems.
@@ -501,6 +540,11 @@ class TestExhaustive:
     def test_impossible_genus_empty(self):
         assert exhaustive_classes(theta(5), genus=3) == []
 
+    def test_negative_genus_rejected(self):
+        for g in (complete(5), theta(3)):
+            with pytest.raises(ValueError, match="genus -1 is negative"):
+                exhaustive_classes(g, genus=-1)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             exhaustive_classes(theta(3), genus=1, mode="mirror")
@@ -529,44 +573,60 @@ class TestOrbitMarking:
             for f in hist:
                 self.check_against_plain_path(g, f)
 
-    def test_orbit_stabiliser(self, monkeypatch):
+    def test_orbit_stabiliser(self):
         # |orbit| x |stabiliser| = |group acting|, with the stabiliser taken
         # from automorphism_group_order and chirality independently; the
-        # orbit's own group order and achirality must agree with them, for
-        # stored automorphisms and, with the cap at 1, generated ones.  An
+        # orbit's own group order and achirality must agree with them.  An
         # orbit under Aut(G) x mirror is one iso class of |Aut G| / order
         # systems when achiral, and two when chiral.  The pass visits the
         # pinned subspace only, yet the sizes of the orbits it meets cover
-        # the whole space, and with stored automorphisms it meets each
-        # equivalence class once, at its first member in the subspace.
-        graphs = small_torus_graphs() + random_graphs(43)
-        for cap in (enumeration.MAX_STORED_AUTOMORPHISMS, 1):
-            monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", cap)
-            for g in graphs:
-                aut = graph_automorphism_count(g)
-                space = RotationSpace(g)
-                covered = 0
-                pinned = range(pinned_size(space))
-                found = list(space.orbits(pinned))
-                for i, size, order, achiral in found:
-                    e = space.embedding_at(i)
-                    covered += size
-                    assert order == automorphism_group_order(e)
-                    assert achiral == (chirality(e) == NON_ORIENTABLE)
-                    assert size * order == (1 if achiral else 2) * aut
-                assert covered == space.total
-                if cap > 1:
-                    firsts: dict[bytes, int] = {}
-                    for i in pinned:
-                        firsts.setdefault(class_key(space.embedding_at(i), "equivalence"), i)
-                    assert [i for i, *_ in found] == sorted(firsts.values())
+        # the whole space, and it meets each equivalence class once, at its
+        # first member in the subspace.
+        for g in small_torus_graphs() + random_graphs(43):
+            aut = graph_automorphism_count(g)
+            space = RotationSpace(g)
+            covered = 0
+            pinned = range(pinned_size(space))
+            found = list(space.orbits(pinned))
+            for i, size, order, achiral in found:
+                e = space.embedding_at(i)
+                covered += size
+                assert order == automorphism_group_order(e)
+                assert achiral == (chirality(e) == NON_ORIENTABLE)
+                assert size * order == (1 if achiral else 2) * aut
+            assert covered == space.total
+            firsts: dict[bytes, int] = {}
+            for i in pinned:
+                firsts.setdefault(class_key(space.embedding_at(i), "equivalence"), i)
+            assert [i for i, *_ in found] == sorted(firsts.values())
 
-    def test_generated_automorphisms_give_the_stored_orbits(self, monkeypatch):
-        graphs = [complete(4), complete_bipartite(3, 3), theta(5)] + random_graphs(45, 10)
-        stored = [list(space.orbits(range(pinned_size(space)))) for space in map(RotationSpace, graphs)]
-        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
-        generated = [list(space.orbits(range(pinned_size(space)))) for space in map(RotationSpace, graphs)]
-        assert generated == stored
+    def test_whole_group_gives_the_same_orbits(self):
+        # The plain pass: every automorphism, from the plain search, applied
+        # to each system met, its images and their reversals marked where
+        # they fall in the pinned subspace.
+        graphs = [complete(4), complete_bipartite(3, 3), theta(5), theta(6), wheel(6)] + random_graphs(45, 10)
+        for g in graphs:
+            space = RotationSpace(g)
+            group = list(product_automorphisms(g))
+            pinned = {}
+            for i in range(pinned_size(space)):
+                pinned[tuple(map(tuple, space.embedding_at(i).rot))] = i
+            plain, marked = [], set()
+            for i in range(pinned_size(space)):
+                if i in marked:
+                    continue
+                e = space.embedding_at(i)
+                order = achiral = 0
+                for perm in group:
+                    image = relabelled(e, perm)
+                    for k, rot in ((0, image), (1, tuple(normal(r[::-1]) for r in image))):
+                        j = pinned.get(rot)
+                        if j is not None:
+                            marked.add(j)
+                            order += k == 0 and j == i
+                            achiral = achiral or (k == 1 and j == i)
+                plain.append((i, 2 * len(group) // (order * (1 + achiral)), order, bool(achiral)))
+            assert list(space.orbits(range(pinned_size(space)))) == plain
 
     def test_sparse_marks_give_the_bitmap_orbits(self):
         # Under 1/512 of the pinned subspace, marks go in a set instead of a
@@ -600,25 +660,21 @@ class TestOrbitMarking:
         assert [i for i, *_ in found][:3] == [0, 1, 2]
         assert peak < 1 << 20
 
-    def test_memory_with_a_large_automorphism_group(self, monkeypatch):
-        # Above the cap the automorphisms are generated for the pin and for
-        # each orbit, so the pass saves most of what the 5,040 of K1,7 take
-        # stored.  A space keeps the group it stored, so the cap is lowered
-        # before a second space is built.  The center is pinned, and its
-        # stabiliser, the whole group, has one orbit on its 720 orders.
+    def test_memory_with_a_large_automorphism_group(self):
+        # No list of the group is built: the center of K1,7 is pinned, its
+        # stabiliser, the whole group of 5,040, has one orbit on its 720
+        # orders, which 14 sifts show, and the orbit pass applies only the
+        # 14 automorphisms that keep the one representative or reverse it.
+        # The whole pass, its tables of the 720 orders included, peaks below
+        # what the group alone takes as bytes.
         g = complete_bipartite(1, 7)
         group_bytes = sum(sys.getsizeof(p) for p in product_automorphisms(g))
         space = RotationSpace(g)
-        stored, stored_peak = self.orbit_peak_bytes(space, range(1))
-        assert len(space._stored_conjugations) == 5040
-        assert pinned_size(space) == 1
-        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 64)
-        space = RotationSpace(g)
-        generated, peak = self.orbit_peak_bytes(space, range(1))
-        assert space._stored_conjugations is None
-        assert space._moved == space._landings == {}
-        assert generated == stored == [(0, 720, 7, True)]
-        assert peak < stored_peak - group_bytes / 2
+        found, peak = self.orbit_peak_bytes(space, range(1))
+        assert found == [(0, 720, 7, True)]
+        assert space._pin == (0, [0]) and space.counts[0] == 720
+        assert [len(found) for found in space._landings.values()] == [14]
+        assert peak < group_bytes
 
     def test_k5_applies_40_of_120_automorphisms_per_class(self, monkeypatch):
         # Each vertex of K5 goes to the pinned one under 24 automorphisms;
@@ -651,47 +707,69 @@ class TestPin:
     """The pinned vertex of exhaustive_classes and its representative orders."""
 
     @staticmethod
-    def stabiliser_orbits(g, v):
-        """Orbits of Stab(v), joined by reversal, on the cyclic orders at v (0-based)."""
+    def stabiliser_orbits(g, v, group):
+        """Orbits of Stab(v), joined by reversal, on the cyclic orders at v (0-based), from the plain search's ``group``."""
         darts = g.darts_at[v]
-        group = [p for p in product_automorphisms(g) if p[darts[0]] in darts]
-
-        def normal(cyc):
-            k = cyc.index(min(cyc))
-            return tuple(cyc[k:] + cyc[:k])
-
+        stabiliser = [p for p in group if p[darts[0]] in darts]
         orbit_of = {}
         for cyc in RotationSpace(g).orders[v]:
             if cyc in orbit_of:
                 continue
-            images = {normal([p[d] for d in cyc]) for p in group}
+            images = {normal([p[d] for d in cyc]) for p in stabiliser}
             images |= {normal(list(reversed(c))) for c in images}
             for c in images:
                 orbit_of[c] = cyc
         return orbit_of
 
     def test_representatives_are_a_transversal_at_the_best_vertex(self):
-        for g in small_torus_graphs() + random_graphs(57):
+        for g in differential_graphs():
+            group = list(product_automorphisms(g))
             space = RotationSpace(g)
             v, reps = space._pin
-            orbit_of = self.stabiliser_orbits(g, v)
+            orbit_of = self.stabiliser_orbits(g, v, group)
             assert reps == sorted(reps) and reps[0] == 0
             assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
             # the fewest orbits per order, ties to the lowest vertex
-            ratios = [Fraction(len(set(self.stabiliser_orbits(g, w).values())), space.counts[w])
+            ratios = [Fraction(len(set(self.stabiliser_orbits(g, w, group).values())), space.counts[w])
                       for w in range(g.n)]
             assert v == ratios.index(min(ratios))
             assert Fraction(len(reps), space.counts[v]) == min(ratios)
 
-    def test_generated_automorphisms_give_the_stored_pin(self, monkeypatch):
-        graphs = [complete(5), build_graph("octahedron"), theta(5)] + random_graphs(59, 10)
-        stored = [RotationSpace(g) for g in graphs]
-        assert all(space._stored_conjugations for space in stored)  # kept under the default cap
-        monkeypatch.setattr(enumeration, "MAX_STORED_AUTOMORPHISMS", 1)
-        generated = [RotationSpace(g) for g in graphs]
-        for space, other in zip(stored, generated):
-            assert other._stored_conjugations is None
-            assert other._pin == space._pin
+    def test_landing_lists_equal_the_plain_filter(self):
+        # Every landing list, as a set, against the automorphisms of the
+        # plain search's group that take u to the pinned vertex v and u's
+        # order into the pinned subspace.  Such an automorphism takes u's
+        # order rho to a representative or a representative's reversal l
+        # exactly when rho is the preimage of l, so each automorphism is
+        # listed under u and each of those preimages.
+        for g in differential_graphs():
+            space = RotationSpace(g)
+            v, reps = space._pin
+            darts, position = space._positions
+            nd = len(darts)
+            pad = bytes(256 - nd)
+            vertices = space._vertex_tables
+            at = [w for w, (cut, *_) in enumerate(vertices) for _ in range(cut.start, cut.stop)]
+            cut_v, keys_v, _, rev_v = vertices[v]
+            expected: dict = {}
+            for perm in product_automorphisms(g):
+                fwd = bytes(position[perm[d]] for d in darts)
+                inv = bytearray(nd)
+                for p, q in enumerate(fwd):
+                    inv[q] = p
+                inv = bytes(inv)
+                u = at[inv[cut_v.start]]
+                cut_u, _, table_u, _ = vertices[u]
+                for d in {*reps, *(rev_v[r] for r in reps)}:
+                    succ = bytes(cut_v.start) + keys_v[d] + bytes(256 - cut_v.stop)
+                    rho = table_u[fwd[cut_u].translate(succ).translate(inv + pad)]
+                    expected.setdefault((u, rho), set()).add((fwd, inv))
+            for u, (_, keys, _, _) in enumerate(vertices):
+                for digit in range(len(keys)):
+                    landing = space._landing(u, digit)
+                    found = {(fwd[:nd], inv[:nd]) for fwd, inv in landing}
+                    assert len(found) == len(landing)
+                    assert found == expected.get((u, digit), set())
 
     def test_systems_scanned(self, monkeypatch):
         scanned = []
@@ -903,9 +981,82 @@ class TestThetaEmbeddings:
         assert len(classes) > 0
         assert all(c.face_degrees == (14,) for c in classes)
 
+    # sha256 over each class's key, group order and chirality, recorded
+    # from the pinned scan and dedup that theta_embeddings ran before it
+    # ran the orbit pass of exhaustive_classes.
+    RECORDED = (
+        (1, 0, "iso", 1, "d807d2bbeca87736a8fdd54e9e07d1c1f7fa59982bf7c9e7673918f856c8afa4"),
+        (1, 0, "equivalence", 1, "d807d2bbeca87736a8fdd54e9e07d1c1f7fa59982bf7c9e7673918f856c8afa4"),
+        (2, 0, "iso", 1, "34d8b859525b4e08bcef5f0cb5f8efc2ad02d9965ea8953e7deaebd05ae128f9"),
+        (2, 0, "equivalence", 1, "34d8b859525b4e08bcef5f0cb5f8efc2ad02d9965ea8953e7deaebd05ae128f9"),
+        (3, 0, "iso", 1, "f43acf7fa1ae929a8434d54e922d92debdf579dce6c4d24798484c3322e3105d"),
+        (3, 0, "equivalence", 1, "f43acf7fa1ae929a8434d54e922d92debdf579dce6c4d24798484c3322e3105d"),
+        (3, 1, "iso", 1, "4cda0f4e37c12f633a78eb7c904bbb010a0c26ac6b0d7427f00ab5bdf09f8bd1"),
+        (3, 1, "equivalence", 1, "4cda0f4e37c12f633a78eb7c904bbb010a0c26ac6b0d7427f00ab5bdf09f8bd1"),
+        (4, 0, "iso", 1, "4d48b499636a8e99cbf11f6648679e36bf210516e312e4236d6a7525e47318df"),
+        (4, 0, "equivalence", 1, "4d48b499636a8e99cbf11f6648679e36bf210516e312e4236d6a7525e47318df"),
+        (4, 1, "iso", 2, "412b75f45f3df0b2933f7fbb4bccb664a57dfd398a747a6dda1f9ebd4e09dae1"),
+        (4, 1, "equivalence", 2, "412b75f45f3df0b2933f7fbb4bccb664a57dfd398a747a6dda1f9ebd4e09dae1"),
+        (5, 0, "iso", 1, "02e307f56be9f800c1a1283cc2c9f0a8886faca5d3899b33d3a3da95a200526e"),
+        (5, 0, "equivalence", 1, "02e307f56be9f800c1a1283cc2c9f0a8886faca5d3899b33d3a3da95a200526e"),
+        (5, 1, "iso", 3, "8f9482d15b525da3f34556d47e4dc2c9e71d4e93ac22d8702340880091a4ac6f"),
+        (5, 1, "equivalence", 3, "8f9482d15b525da3f34556d47e4dc2c9e71d4e93ac22d8702340880091a4ac6f"),
+        (5, 2, "iso", 3, "a614d91b59fd77690b14854abd999095168d2ec8c7ce49458f83ffb3bc29a739"),
+        (5, 2, "equivalence", 3, "a614d91b59fd77690b14854abd999095168d2ec8c7ce49458f83ffb3bc29a739"),
+        (6, 0, "iso", 1, "6fe142ff995dbdc48a6e59348aacda0b679237b300363de9fe72e978dface7cc"),
+        (6, 0, "equivalence", 1, "6fe142ff995dbdc48a6e59348aacda0b679237b300363de9fe72e978dface7cc"),
+        (6, 1, "iso", 7, "575d2beca3f64d2e0dfae980e17494a39e9129f62d4ac005a424f2235f98955c"),
+        (6, 1, "equivalence", 6, "150a2e3031d08745e71be13fdb6e305f9fe2f8d56ece5388efe9af217e6b6a3f"),
+        (6, 2, "iso", 11, "af014e5d04a1863658dd58652624798aff372c5a971f97949c3dde3c26e66deb"),
+        (6, 2, "equivalence", 10, "1399595b61219e7c4522a97cbeea535a5a6cd6167cf3333fafd90c856c055bf4"),
+        (7, 0, "iso", 1, "1785c1417c81ed91185ea1ab69e68597be277242a5727cca7faca2c5f5ad0928"),
+        (7, 0, "equivalence", 1, "1785c1417c81ed91185ea1ab69e68597be277242a5727cca7faca2c5f5ad0928"),
+        (7, 1, "iso", 10, "b18b3cf74763a8ad8b9e41832d7540e8e1d37eaf44adf364567e1d077d976d5a"),
+        (7, 1, "equivalence", 8, "8aa4abc574bb7ca0c3db96f33d796b869dc13740ffbc75e3aaf9f59db07fa9f7"),
+        (7, 2, "iso", 42, "03df2a90f25df8407543df699af47b83cea0498be9948ed7de2814a84638f7e2"),
+        (7, 2, "equivalence", 31, "04c6cb4df4fccdc125cf02cd056ee3a0b2f3e0ebe88bbcbe691ac9aed30a17f4"),
+        (7, 3, "iso", 18, "ef496283d9e31922adb3dc6033045349ef8cd555eebc644c58a94d8934752672"),
+        (7, 3, "equivalence", 16, "2a3d626859d11d19362b62c3a8c6ced9e86a858e9b3e286b8c242b071adcfdc7"),
+        (8, 0, "iso", 1, "bd8549cbdcbb951abdc4622047aa366550419f62bfe2c76fb8d5df64d0b6cd60"),
+        (8, 0, "equivalence", 1, "bd8549cbdcbb951abdc4622047aa366550419f62bfe2c76fb8d5df64d0b6cd60"),
+        (8, 1, "iso", 17, "8806d7eb5ed7ee5fe80d8e19d452b99fabc67f792309dd12ebf298fc718c6251"),
+        (8, 1, "equivalence", 13, "4865c5dd0bf340fa37b116e188c4d4d573e7b8b4ff416fb5bc2a66f6d3575b4d"),
+        (8, 2, "iso", 140, "1d3a0fa172b54c81b4d93caae886f916a622644a93470354e5caa553508a6f67"),
+        (8, 2, "equivalence", 92, "77b6e2f5d2562a4e4e77935dc80134e9c1026edc6f9c42e41946f3679f1b228f"),
+        (8, 3, "iso", 211, "8f17532692df92be881aebd281b9290409786feaacfc4b88dd867c0b7c169ac4"),
+        (8, 3, "equivalence", 133, "769775e66ad4b30e0679323ba62ef68b480a0a4d028be056b45dd0d9e1ca804d"),
+        (9, 4, "iso", 468, "379f4d6fa5ad029f8e1e4d5219a849b73bc1a4593f80314907f5c05da8fd92fd"),
+        (9, 4, "equivalence", 283, "91ff05247c297032adbf0c8c77780fcfadda998546be2864b635faa72091440c"),
+    )
+
+    @staticmethod
+    def class_digest(classes):
+        h = hashlib.sha256()
+        for c in classes:
+            h.update(c.canonical_key + b"|%d|" % c.group_order + c.chirality.encode() + b";")
+        return h.hexdigest()
+
+    def test_recorded_classes(self):
+        for m, genus, mode, count, digest in self.RECORDED:
+            classes = theta_embeddings(m, genus, mode=mode)
+            assert (len(classes), self.class_digest(classes)) == (count, digest), (m, genus, mode)
+
+    def test_theta7_by_the_genus_distribution(self):
+        # A second route to theta(7)'s one-face classes: the orbit marking
+        # of the whole pinned subspace, with no face-count scan and no key.
+        (record,) = [r for r in genus_distribution(theta(7)).records if r.genus == 3]
+        assert (record.equivalence_classes, record.iso_classes) == (16, 18)
+        assert record.equivalence_classes == len(theta_embeddings(7, 3, mode="equivalence"))
+        assert record.iso_classes == len(theta_embeddings(7, 3, mode="iso"))
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             theta_embeddings(9, 4, budget=10)
+
+    def test_negative_genus_rejected(self):
+        for m in (1, 3, 7):
+            with pytest.raises(ValueError, match="genus -1 is negative"):
+                theta_embeddings(m, -1)
 
     def test_no_edges_rejected(self):
         for m, genus in ((0, 0), (0, 1), (-1, 0)):
