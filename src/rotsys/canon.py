@@ -504,11 +504,7 @@ def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
     return toward
 
 
-def _automorphism_chain(
-    g: MultiGraph,
-    base: Sequence[int] | None = None,
-    orbit: Sequence[int] | None = None,
-) -> list[list[tuple[int, bytes]]]:
+def _automorphism_chain(g: MultiGraph, base: Sequence[int] | None = None) -> list[list[tuple[int, bytes]]]:
     """Aut(G) as a stabiliser chain: per level, each image of its base point and an element giving it.
 
     Elements permute *points*: the darts ``0..2m-1``, then ``2m + v - 1``
@@ -522,9 +518,8 @@ def _automorphism_chain(
     automorphism fixing those before it per image, each found by a
     first-leaf search of :func:`_vertex_isomorphisms` with that prefix
     fixed, on the tables relabelled so that the base runs ``1..n`` (the
-    identity needs no search).  Given ``orbit``, a label per vertex (index 0
-    unused) that is equal on each orbit of Aut(G), only the vertices of the
-    base point's orbit are searched as its images.  A vertex map moves darts
+    identity needs no search), ``n(n - 1)/2`` in all; a rotation space
+    builds one chain, based at its pinned vertex.  A vertex map moves darts
     canonically: the ``j``-th dart from ``u`` toward ``v`` goes to the
     ``j``-th from its image of ``u`` toward its image of ``v``.  Then, for
     each parallel class in the order of :func:`_darts_toward`, the
@@ -550,8 +545,6 @@ def _automorphism_chain(
     for i in range(1, n + 1):
         level = [(nd + at[i] - 1, identity)]
         for w in range(i + 1, n + 1):
-            if orbit is not None and orbit[at[w]] != orbit[at[i]]:
-                continue
             found = next(_vertex_isomorphisms(tables, tables, (*range(1, i), w)), None)
             if found is not None:
                 image = [0] * (n + 1)

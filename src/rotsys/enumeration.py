@@ -136,7 +136,7 @@ def exhaustive_classes(
     member and of its reversal, and is two classes in ``iso`` mode and one
     in ``equivalence`` mode.  The records are those :func:`dedup` gives for
     the matches, sorted by canonical key.  The automorphisms applied come
-    from stabiliser chains rebased at vertices, by sifting (see
+    from one stabiliser chain rebased at the pinned vertex, by sifting (see
     :meth:`RotationSpace._landing`); no list of the group is built, so its
     size does not set the cost of an orbit.  ``workers`` has no effect.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
 from .canon import NON_ORIENTABLE, ORIENTABLE
 from .core import Embedding, InvalidEmbedding, MultiGraph, RotsysError, from_neighbor_lists, make_embedding
@@ -189,20 +190,36 @@ def _parse_tag(lineno: int, line: str) -> tuple[str, str]:
 _BRACKET_RE = re.compile(r"\[([^\]]*)\]")
 
 
+def _vertex_lines(start: int, lines: list[tuple[int, str]], shape: str) -> Iterator[tuple[int, int, str]]:
+    """The line number, vertex and body of each line ``-<v> <body>`` of the block at line ``start``.
+
+    ``shape`` names the body in the error for a line of another form.  A
+    vertex given twice is an error at its line; no vertex line, or vertices
+    not covering ``1..n``, one at ``start`` after the last line.
+    """
+    seen: set[int] = set()
+    for lineno, line in lines:
+        m = re.match(r"^-(\d+)\s+(.*)$", line)
+        if not m:
+            raise ParseError(lineno, f"expected '-<vertex> {shape}', got {line!r}")
+        v = int(m.group(1))
+        if v in seen:
+            raise ParseError(lineno, f"duplicate line for vertex {v}")
+        seen.add(v)
+        yield lineno, v, m.group(2)
+    if not seen:
+        raise ParseError(start, "block has no vertex lines")
+    if sorted(seen) != list(range(1, len(seen) + 1)):
+        raise ParseError(start, "vertex lines must cover 1..n")
+
+
 def parse_appendix_a(text: str) -> list[TaggedEmbedding]:
     """Parse bracketed rotation tables (neighbor + edge id + crossing data)."""
     out = []
     for start, lines in _split_blocks(text):
         name, tag = _parse_tag(*lines[0])
         rows: dict[int, list[tuple[int, int]]] = {}  # vertex -> [(neighbor, edge id)]
-        for lineno, line in lines[1:]:
-            m = re.match(r"^-(\d+)\s+(.*)$", line)
-            if not m:
-                raise ParseError(lineno, f"expected '-<vertex> ...', got {line!r}")
-            v = int(m.group(1))
-            if v in rows:
-                raise ParseError(lineno, f"duplicate line for vertex {v}")
-            body = m.group(2)
+        for lineno, v, body in _vertex_lines(start, lines[1:], "..."):
             entries: list[tuple[int, int]] = []
             pos = 0
             while pos < len(body):
@@ -232,9 +249,7 @@ def parse_appendix_a(text: str) -> list[TaggedEmbedding]:
 
 
 def _embedding_from_edge_rows(start: int, rows: dict[int, list[tuple[int, int]]]) -> Embedding:
-    n = max(rows)
-    if sorted(rows) != list(range(1, n + 1)):
-        raise ParseError(start, "vertex lines must cover 1..n")
+    n = len(rows)
     ends: dict[int, list[tuple[int, int]]] = {}  # edge id -> [(vertex, neighbor)]
     for v, entries in rows.items():
         for nbr, eid in entries:
@@ -264,22 +279,13 @@ def parse_appendix_b(text: str) -> list[TaggedEmbedding]:
     for start, lines in _split_blocks(text):
         name, tag = _parse_tag(*lines[0])
         rows: dict[int, list[int]] = {}
-        for lineno, line in lines[1:]:
-            m = re.match(r"^-(\d+)\s+(.*)$", line)
-            if not m:
-                raise ParseError(lineno, f"expected '-<vertex> <neighbors...>', got {line!r}")
-            v = int(m.group(1))
-            if v in rows:
-                raise ParseError(lineno, f"duplicate line for vertex {v}")
+        for lineno, v, body in _vertex_lines(start, lines[1:], "<neighbors...>"):
             try:
-                rows[v] = [int(x) for x in m.group(2).split()]
+                rows[v] = [int(x) for x in body.split()]
             except ValueError:
                 raise ParseError(lineno, "neighbor lists must be integers") from None
-        n = max(rows)
-        if sorted(rows) != list(range(1, n + 1)):
-            raise ParseError(start, "vertex lines must cover 1..n")
         try:
-            emb = from_neighbor_lists([rows[v] for v in range(1, n + 1)])
+            emb = from_neighbor_lists([rows[v] for v in range(1, len(rows) + 1)])
         except InvalidEmbedding as exc:
             raise ParseError(start, str(exc)) from exc
         out.append(TaggedEmbedding(name, tag, emb))

@@ -3,15 +3,14 @@
 A :class:`RotationSpace` numbers the rotation systems of a graph, pins one
 vertex to one order per orbit of its stabiliser (joined by reversal), and
 walks the orbits of Aut(G) x mirror within that pinned subspace.  The
-automorphisms it applies come from stabiliser chains rebased at vertices
-(:func:`canon._automorphism_chain`), by sifting, so no list of the group is
-ever built.  :mod:`rotsys.enumeration` drives it.
+automorphisms it applies come from one stabiliser chain rebased at the
+pinned vertex (:func:`canon._automorphism_chain`), by sifting, so no list
+of the group is ever built.  :mod:`rotsys.enumeration` drives it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -85,6 +84,7 @@ class _Rebased(NamedTuple):
     at w act on w's darts, and the products of the others fix them all.
     """
 
+    vertex: int  # w (0-based)
     order: int  # |Aut G|, the product of the level sizes
     moving: dict[int, Element]  # per vertex u of w's orbit, one automorphism taking w to u
     near: list[tuple[int, int, dict[int, Element] | None]]  # per neighbour b: a position toward b, b, b's level
@@ -98,14 +98,12 @@ class RotationSpace:
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
     fastest digit.  The pinned subspace keeps only the representative
-    orders at the vertex that :attr:`_pin` chooses, whose digit then runs
-    over those; every class, up to isomorphism and mirror image, has a
-    member there, so the orbit pass works in it alone.  The automorphism
-    group of the graph, which the orbit pass and the pin act with, is built
-    as stabiliser chains rebased at vertices (see :meth:`_chain_at`), each
-    once per space; so are the position and vertex tables they use, the
-    pin, and the lists of the automorphisms that land in the pinned
-    subspace.  No list of the whole group is ever built.
+    orders at the vertex with the most orders (see :attr:`_pin`); every
+    class, up to isomorphism and mirror image, has a member there, so the
+    orbit pass works in it alone.  Aut(G), which the pin and the orbit pass
+    act with, is one stabiliser chain rebased at that vertex
+    (:attr:`_chain`), built once per space like the tables, the pin and
+    the landing lists; no list of the whole group is ever built.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -113,7 +111,6 @@ class RotationSpace:
         self.orders = _kernel.build_orders(list(graph.darts_at))
         self.counts = [len(o) for o in self.orders]
         self.total = math.prod(self.counts)
-        self._rebased: dict[int, _Rebased] = {}
         self._holdings: dict[int, list[Element]] = {}
         self._landings: dict[tuple[int, int], list[Element]] = {}
 
@@ -195,93 +192,66 @@ class RotationSpace:
             start += k
         return tables
 
-    def _chain_at(self, w: int) -> _Rebased:
-        """Aut(G) from :func:`canon._automorphism_chain` rebased at vertex ``w`` (0-based), built on first need and kept.
-
-        The first chain built is the one at :attr:`_first`, which gives the
-        orbits of Aut(G) on the vertices (:attr:`_orbit_of`); a later one
-        searches for the images of each base point within its orbit only,
-        so a vertex that no automorphism moves costs no search.
-        """
-        found = self._rebased.get(w)
-        if found is None:
-            g = self.graph
-            darts, position = self._positions
-            nd = len(darts)
-            pad, tail = bytes(256 - nd), bytes(range(nd, 256))
-            position += pad
-            cut = self._vertex_tables[w][0]
-            far = self._ends[1]
-            toward: dict[int, int] = {}  # each neighbour -> the first position at w toward it
-            for p in range(cut.start, cut.stop):
-                toward.setdefault(far[p], p)
-            base = [w, *toward, *(x for x in range(g.n) if x != w and x not in toward)]
-            orbit = None if w == self._first else [-1, *self._orbit_of]
-            levels = []
-            for level in _automorphism_chain(g, [x + 1 for x in base], orbit):
-                elements = {}
-                for point, t in level:
-                    fwd = darts.translate(t[:nd] + pad).translate(position)
-                    elements[point - nd if point >= nd else point] = (
-                        fwd + tail, bytes(sorted(range(nd), key=fwd.__getitem__)) + tail
-                    )
-                levels.append((level[0][0], elements))
-            dv = g.dart_vertex
-            vertex_levels = {b - nd: e for b, e in levels if b >= nd}
-            acts = [b - nd in toward if b >= nd else w + 1 in (dv[b], dv[b ^ 1]) for b, _ in levels]
-            found = self._rebased[w] = _Rebased(
-                order=math.prod(len(e) for _, e in levels),
-                moving=vertex_levels.get(w, {w: (IDENTITY, IDENTITY)}),
-                near=[(p, b, vertex_levels.get(b)) for b, p in toward.items()],
-                acting=[list(e.values()) for (_, e), a in zip(levels, acts) if a],
-                fixing=[list(e.values()) for (b, e), a in zip(levels, acts) if not a and b != nd + w],
-            )
-        return found
-
     @cached_property
-    def _orbit_of(self) -> list[int]:
-        """The least vertex (0-based) of each vertex's orbit under Aut(G).
+    def _chain(self) -> _Rebased:
+        """Aut(G) from :func:`canon._automorphism_chain` rebased at the pinned vertex w, on dart positions.
 
-        The elements of the first chain generate Aut(G), so the orbits are
-        the classes of the pairs (vertex, its image) they make.
+        w has the most cyclic orders, the lowest on ties; the base runs w,
+        then w's neighbours, then the other vertices.
         """
-        rebased = self._chain_at(self._first)
-        darts = self._positions[0]
-        dv = self.graph.dart_vertex
-        starts = [cut.start for cut, *_ in self._vertex_tables]
-        root = list(range(self.graph.n))
+        g = self.graph
+        w = self.counts.index(max(self.counts))
+        darts, position = self._positions
+        nd = len(darts)
+        pad, tail = bytes(256 - nd), bytes(range(nd, 256))
+        position += pad
+        cut = self._vertex_tables[w][0]
+        far = self._ends[1]
+        toward: dict[int, int] = {}  # each neighbour -> the first position at w toward it
+        for p in range(cut.start, cut.stop):
+            toward.setdefault(far[p], p)
+        base = [w, *toward, *(x for x in range(g.n) if x != w and x not in toward)]
+        levels = []
+        for level in _automorphism_chain(g, [x + 1 for x in base]):
+            elements = {}
+            for point, t in level:
+                fwd = darts.translate(t[:nd] + pad).translate(position)
+                elements[point - nd if point >= nd else point] = (
+                    fwd + tail, bytes(sorted(range(nd), key=fwd.__getitem__)) + tail
+                )
+            levels.append((level[0][0], elements))
+        dv = g.dart_vertex
+        vertex_levels = {b - nd: e for b, e in levels if b >= nd}
+        acts = [b - nd in toward if b >= nd else w + 1 in (dv[b], dv[b ^ 1]) for b, _ in levels]
+        return _Rebased(
+            vertex=w,
+            order=math.prod(len(e) for _, e in levels),
+            moving=vertex_levels.get(w, {w: (IDENTITY, IDENTITY)}),
+            near=[(p, b, vertex_levels.get(b)) for b, p in toward.items()],
+            acting=[list(e.values()) for (_, e), a in zip(levels, acts) if a],
+            fixing=[list(e.values()) for (b, e), a in zip(levels, acts) if not a and b != nd + w],
+        )
 
-        def find(x: int) -> int:
-            while root[x] != x:
-                x = root[x]
-            return x
-
-        for fwd, _ in chain.from_iterable((rebased.moving.values(), *rebased.acting, *rebased.fixing)):
-            for x, p in enumerate(starts):
-                a, b = find(x), find(dv[darts[fwd[p]]] - 1)
-                root[max(a, b)] = min(a, b)
-        return [find(x) for x in range(self.graph.n)]
-
-    def _cycle(self, w: int, digit: int) -> bytes:
-        """The positions of order ``digit`` at vertex ``w``, in cyclic order."""
+    def _cycle(self, digit: int) -> bytes:
+        """The positions of order ``digit`` at the pinned vertex, in cyclic order."""
         position = self._positions[1]
-        return bytes(position[d] for d in self.orders[w][digit])
+        return bytes(position[d] for d in self.orders[self._chain.vertex][digit])
 
-    def _sift(self, w: int, phi: bytes) -> Element | None:
-        """The automorphism fixing vertex ``w`` that maps its darts as ``phi`` does, from the chain rebased at ``w``; ``None`` if none does.
+    def _sift(self, phi: bytes) -> Element | None:
+        """The automorphism fixing the pinned vertex v that maps its darts as ``phi`` does, from :attr:`_chain`; ``None`` if none does.
 
-        ``phi`` holds the image of each of ``w``'s positions, in order.  For
+        ``phi`` holds the image of each of v's positions, in order.  For
         each neighbour, the image of a dart toward it names the image of
         the neighbour; its level's element giving that image (the identity
         for no move) is divided out of ``phi``, as in Sims's sifting.  What
         is left must keep every dart toward the neighbour it leads to, and
-        then only permutes the darts within parallel classes at ``w``:
-        those bijections are automorphisms, built here directly.
+        then only permutes the darts within parallel classes at v: those
+        bijections are automorphisms, built here directly.
         """
         partner, far = self._ends
-        cut = self._vertex_tables[w][0]
+        cut = self._vertex_tables[self._chain.vertex][0]
         fwd = inv = IDENTITY
-        for p, b, level in self._chain_at(w).near:
+        for p, b, level in self._chain.near:
             y = far[phi[p - cut.start]]
             if y != b:
                 t = level and level.get(y)
@@ -297,36 +267,37 @@ class RotationSpace:
             c_inv[q], c_inv[partner[q]] = p, partner[p]
         return bytes(c).translate(fwd), inv.translate(c_inv)
 
-    def _aligned(self, w: int, a: int, b: int, first: bool = False) -> list[Element]:
-        """The automorphisms fixing vertex ``w`` that carry its order ``a`` onto ``b`` or ``b``'s reversal, one per map of ``w``'s darts.
+    def _aligned(self, a: int, b: int, first: bool = False) -> list[Element]:
+        """The automorphisms fixing the pinned vertex v that carry its order ``a`` onto ``b`` or ``b``'s reversal, one per map of v's darts.
 
         Each of the ``deg`` rotations of ``a``'s cycle onto a target's maps
-        ``w``'s darts, and is kept when :meth:`_sift` finds an automorphism
+        v's darts, and is kept when :meth:`_sift` finds an automorphism
         making it.  With ``first``, the search stops at the first one.
         """
-        cut, _, _, rev = self._vertex_tables[w]
+        cut, _, _, rev = self._vertex_tables[self._chain.vertex]
         k = cut.stop - cut.start
-        where = bytearray(k)  # the place of each of w's positions in a's cycle
-        for i, p in enumerate(self._cycle(w, a)):
+        where = bytearray(k)  # the place of each of v's positions in a's cycle
+        for i, p in enumerate(self._cycle(a)):
             where[p - cut.start] = i
         pad = bytes(256 - k)
         found = []
         for target in dict.fromkeys((b, rev[b])):
-            cycle = self._cycle(w, target) * 2
+            cycle = self._cycle(target) * 2
             for j in range(k):
-                s = self._sift(w, where.translate(cycle[j : j + k] + pad))
+                s = self._sift(where.translate(cycle[j : j + k] + pad))
                 if s is not None:
                     found.append(s)
                     if first:
                         return found
         return found
 
-    def _orbits_at(self, w: int) -> tuple[list[int], list[int], dict[int, list[Element]]]:
-        """The orbits of vertex ``w``'s stabiliser in Aut(G), joined by reversal, on its cyclic orders.
+    @cached_property
+    def _pinned(self) -> tuple[int, list[int], list[int], dict[int, list[Element]]]:
+        """The pinned vertex v (0-based) and the orbits of its stabiliser in Aut(G), joined by reversal, on its cyclic orders.
 
-        Returns the least digit of each orbit, the representative of every
-        digit, and for each representative the automorphisms fixing ``w``
-        that keep its order or reverse it, one per map of ``w``'s darts
+        Returns v, the least digit of each orbit, the representative of
+        every digit, and for each representative the automorphisms fixing v
+        that keep its order or reverse it, one per map of v's darts
         (:meth:`_aligned`).  The maps the stabiliser makes form a group P of
         order the product of the chain's levels acting there, so by
         orbit-stabiliser digit 0's orbit has ``2|P|`` over the number kept
@@ -334,11 +305,12 @@ class RotationSpace:
         ``2 deg`` sifts settle the vertex.  Otherwise each representative's
         order in turn has every element of P applied.
         """
+        w = self._chain.vertex
         cut, keys, table, rev = self._vertex_tables[w]
-        acting = self._chain_at(w).acting
-        kept = {0: self._aligned(w, 0, 0)}
+        acting = self._chain.acting
+        kept = {0: self._aligned(0, 0)}
         if 2 * math.prod(map(len, acting)) == len(kept[0]) * len(keys):
-            return [0], [0] * len(keys), kept
+            return w, [0], [0] * len(keys), kept
         reps: list[int] = []
         rep_of = [-1] * len(keys)
         for digit in range(len(keys)):
@@ -352,45 +324,11 @@ class RotationSpace:
                 rep_of[x] = rep_of[rev[x]] = digit
                 if x == digit or x == rev[digit]:
                     mine.append(s)
-        return reps, rep_of, kept
-
-    @cached_property
-    def _first(self) -> int:
-        """The vertex (0-based) whose chain is built first: the one with the most orders, the lowest on ties."""
-        return self.counts.index(max(self.counts))
-
-    @cached_property
-    def _pinned(self) -> tuple[int, list[int], list[int], dict[int, list[Element]]]:
-        """The pinned vertex (0-based) and its :meth:`_orbits_at`.
-
-        The vertex has the fewest representatives per order, the lowest one
-        on ties.  Vertices of one orbit of Aut(G) tie, so only the lowest of
-        each is tried, that of :attr:`_first`'s orbit first.  The group P
-        that w's stabiliser makes on w's darts has at most ``|Stab(w)|``
-        over the bijections of the parallel classes away from w elements,
-        and each orbit at w at most ``2 |P|`` orders; so w has at least
-        ``1 / min(2 |P|, orders)`` representatives per order, and is not
-        tried when that cannot beat the best so far.
-        """
-        order = self._chain_at(self._first).order
-        orbit = self._orbit_of
-        classes = Counter(map(frozenset, self.graph.edges))
-        best = None
-        for w in sorted(set(orbit), key=lambda w: (w != orbit[self._first], w)):
-            if best is not None:
-                away = math.prod(math.factorial(k) for ends, k in classes.items() if w + 1 not in ends)
-                most = min(2 * order // (orbit.count(w) * away), self.counts[w])
-                if (self.counts[best[0]], w) > (len(best[1]) * most, best[0]):
-                    continue
-            reps, rep_of, kept = self._orbits_at(w)
-            if best is None or (len(reps) * self.counts[best[0]], w) < (len(best[1]) * self.counts[w], best[0]):
-                best = w, reps, rep_of, kept
-        assert best is not None
-        return best
+        return w, reps, rep_of, kept
 
     @property
     def _pin(self) -> tuple[int, list[int]]:
-        """A vertex (0-based) and the digits of one order per orbit at it.
+        """The pinned vertex (0-based), the one with the most cyclic orders (the lowest on ties), and the digits of one order per orbit at it.
 
         The orbits are those of the vertex's stabiliser in Aut(G), joined by
         reversal, on its cyclic orders; the representative of an orbit is
@@ -398,8 +336,7 @@ class RotationSpace:
         reversal, maps a system to one of its class up to mirror image and
         sends the order at the vertex to any other of its orbit, so every
         class has a member whose order there is a representative, or a
-        mirror image with one.  See :attr:`_pinned` for the choice of
-        vertex and :meth:`_orbits_at` for the orbits.
+        mirror image with one.  See :attr:`_pinned` for the orbits.
         """
         v, reps, _, _ = self._pinned
         return v, reps
@@ -407,12 +344,12 @@ class RotationSpace:
     @cached_property
     def _fixing(self) -> list[Element]:
         """The automorphisms that fix every dart at the pinned vertex."""
-        return list(_products(self._chain_at(self._pin[0]).fixing))
+        return list(_products(self._chain.fixing))
 
     def _holding(self, r: int) -> list[Element]:
         """The automorphisms fixing the pinned vertex that keep its order ``r``, a representative, or reverse it.
 
-        They are the kept ones of :meth:`_orbits_at`, each times every
+        They are the kept ones of :attr:`_pinned`, each times every
         element of :attr:`_fixing`; each ``inv`` is cut to the darts, as
         :meth:`orbits` applies it.  The list is built on first need and kept.
         """
@@ -430,7 +367,7 @@ class RotationSpace:
         representative there or to a representative's reversal; so they are
         the automorphisms whose image of a system with that order at ``u``,
         or the image's reversal, lies in the subspace.  One automorphism t
-        of the chain rebased at v takes ``u`` to v, and the order to one in
+        of :attr:`_chain` takes ``u`` to v, and the order to one in
         the orbit of a representative r.  If that order is neither r nor its
         reversal, one sifted alignment q carries it there; the others are
         those of :meth:`_holding` for r after q t.  The list is built on
@@ -440,7 +377,7 @@ class RotationSpace:
         if found is None:
             v, _, rep_of, _ = self._pinned
             found = []
-            move = self._chain_at(v).moving.get(u)
+            move = self._chain.moving.get(u)
             if move is not None:
                 t = move[1], move[0]
                 cut_u, keys, _, _ = self._vertex_tables[u]
@@ -449,7 +386,7 @@ class RotationSpace:
                 at = table[t[1][cut_v].translate(succ).translate(t[0])]
                 r = rep_of[at]
                 if at != r and at != rev[r]:
-                    t = _compose(self._aligned(v, at, r, first=True)[0], t)
+                    t = _compose(self._aligned(at, r, first=True)[0], t)
                 found = [_compose(h, t) for h in self._holding(r)]
             self._landings[u, digit] = found
         return found
@@ -483,7 +420,7 @@ class RotationSpace:
         """
         v, reps = self._pin
         vertices = self._vertex_tables
-        rebased = self._chain_at(v)
+        rebased = self._chain
         pad = bytes(256 - 2 * self.graph.edge_count)
         counts = [len(orders) for orders in self.pinned_orders]
         places = [math.prod(counts[:w]) for w in range(len(counts))]

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import enumeration as en
-from .canon import NON_ORIENTABLE, ORIENTABLE, chirality, class_key, dedup, graph_automorphism_count
+from .canon import NON_ORIENTABLE, ORIENTABLE, classify, graph_automorphism_count
 from .core import (
     BudgetExceeded,
     build_graph,
@@ -89,6 +89,15 @@ class VerificationReport:
 def _chirality_split(classes) -> tuple[int, int]:
     orc = sum(1 for c in classes if c.chirality == ORIENTABLE)
     return orc, len(classes) - orc
+
+
+def _appendix_classes(entries):
+    """One :func:`classify` pass over a table: its equivalence classes, their keys, each entry's chirality, and the entries whose tag disagrees."""
+    classes, keys = classify([r.embedding for r in entries], "equivalence")
+    chirality = {c.canonical_key: c.chirality for c in classes}
+    recomputed = [chirality[key] for key in keys]
+    mismatches = [r.name for r, chir in zip(entries, recomputed) if chir != r.expected_chirality]
+    return classes, set(keys), recomputed, mismatches
 
 
 def _group_multiset(classes) -> str:
@@ -194,10 +203,7 @@ def _suite_appendix_a(report: VerificationReport, budget: int) -> None:
     stats = [surface_stats(r.embedding) for r in entries]
     report.check("all genus 2", True, all(s.genus == 2 for s in stats))
     report.check("all 3 faces", True, all(s.f == 3 for s in stats))
-    classes = dedup([r.embedding for r in entries], "equivalence")
-    ekeys = {c.canonical_key for c in classes}
-    recomputed = [chirality(r.embedding) for r in entries]
-    mismatches = [r.name for r, chir in zip(entries, recomputed) if chir != r.expected_chirality]
+    classes, ekeys, recomputed, mismatches = _appendix_classes(entries)
     report.check("pairwise non-equivalent", 31, len(ekeys))
     report.check("chirality tags matching recomputation", "31/31",
                  f"{31 - len(mismatches)}/31" + (f" (recomputation wins: {mismatches})" if mismatches else ""))
@@ -217,9 +223,7 @@ def _suite_appendix_b(report: VerificationReport, budget: int) -> None:
     report.check("all exactly one face", True, all(s.f == 1 for s in stats))
     exh = en.exhaustive_classes(complete(5), genus=3, mode="equivalence", budget=budget)
     report.check("exhaustive triple-torus classes (or+non)", "11+2", "%d+%d" % _chirality_split(exh))
-    ekeys = {class_key(r.embedding, "equivalence") for r in entries}
-    recomputed = [chirality(r.embedding) for r in entries]
-    mismatches = [r.name for r, chir in zip(entries, recomputed) if chir != r.expected_chirality]
+    _, ekeys, recomputed, mismatches = _appendix_classes(entries)
     orc = recomputed.count(ORIENTABLE)
     report.check("pairwise non-equivalent", 13, len(ekeys))
     report.check("classes = exhaustive classes", True, ekeys == {c.canonical_key for c in exh})

@@ -58,7 +58,7 @@ from rotsys.enumeration import (
     theta_embeddings,
 )
 from rotsys.formats import load_appendix_a, load_appendix_b
-from rotsys.suites import TORUS_TABLE
+from rotsys.suites import TORUS_TABLE, run_suite
 
 from conftest import product_automorphisms, random_embedding, random_graphs, random_relabel, system_at
 
@@ -368,32 +368,50 @@ class TestAutomorphismChain:
             assert count == math.prod(map(len, _automorphism_chain(g)))
 
     def test_rebased_chains_are_the_automorphisms(self):
-        # At every vertex w, the products of one element taken from w's
-        # level, then from each level acting on w's darts, then from each
-        # level fixing them, are, as a set of (fwd, inv) pairs, the
-        # automorphisms on dart positions, each converted with a plain
-        # inverse; each pair is a permutation and its inverse, and no
-        # product comes twice.
+        # The products of one element taken from the pinned vertex's level,
+        # then from each level acting on its darts, then from each level
+        # fixing them, are, as a set of (fwd, inv) pairs, the automorphisms
+        # on dart positions, each converted with a plain inverse; each pair
+        # is a permutation and its inverse, and no product comes twice.
+        # Every base order a space could take is covered too: the chain
+        # with each vertex first and its neighbours next gives the same
+        # group, without duplicates.
         for g in self.graphs():
             space = RotationSpace(g)
             darts, position = space._positions
             nd = len(darts)
             identity = bytes(range(nd))
+            group = set(product_automorphisms(g))
             expected = set()
-            for perm in product_automorphisms(g):
+            for perm in group:
                 fwd = bytes(position[perm[d]] for d in darts)
                 inv = bytearray(nd)
                 for p, q in enumerate(fwd):
                     inv[q] = p
                 expected.add((fwd, bytes(inv)))
-            for w in range(g.n):
-                rebased = space._chain_at(w)
-                levels = [list(rebased.moving.values()), *rebased.acting, *rebased.fixing]
-                products = [(fwd[:nd], inv[:nd]) for fwd, inv in rotation_space._products(levels)]
-                for fwd, inv in products:
-                    assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
-                assert rebased.order == len(products) == len(set(products)) == len(expected)
-                assert set(products) == expected
+            rebased = space._chain
+            assert rebased.vertex == space.counts.index(max(space.counts))
+            levels = [list(rebased.moving.values()), *rebased.acting, *rebased.fixing]
+            products = [(fwd[:nd], inv[:nd]) for fwd, inv in rotation_space._products(levels)]
+            for fwd, inv in products:
+                assert bytes(fwd[p] for p in inv) == identity == bytes(inv[p] for p in fwd)
+            assert rebased.order == len(products) == len(set(products)) == len(expected)
+            assert set(products) == expected
+            for w in range(1, g.n + 1):
+                near = sorted({g.dart_vertex[d ^ 1] for d in g.darts_at[w - 1]})
+                base = [w, *near, *(x for x in range(1, g.n + 1) if x != w and x not in near)]
+                chain = _automorphism_chain(g, base)
+                found = [t[:nd] for t in self.products([[t for _, t in level] for level in chain])]
+                assert len(found) == len(set(found)) == len(group)
+                assert set(found) == group
+
+    @staticmethod
+    def products(levels):
+        """Every product ``t_1 ... t_k`` of one element per level, ``t_k`` applied first."""
+        found = [bytes(range(len(levels[0][0]))) if levels else b""]
+        for level in levels:
+            found = [bytes(map(node.__getitem__, t)) for node in found for t in level]
+        return found
 
     def test_counts_no_enumeration_could_reach(self):
         # 15! and 2 x 14! vertex maps, about 1e12 and 1e11: the plain search
@@ -418,21 +436,40 @@ class TestAutomorphismChain:
 
     def test_one_chain_per_exhaustive_call(self, vertex_maps):
         # The pin and every landing list take their automorphisms from the
-        # chains the space builds once, by sifting: no search is repeated.
-        # The first chain, at the vertex with the most orders, tries every
-        # later vertex as the image of each base vertex: n(n - 1)/2
-        # searches.  It gives the vertex orbits, and the lowest vertex of
-        # another orbit gets a chain of its own only when its stabiliser
-        # could give it fewer representatives per order.  K5, theta(7),
-        # K3,5 and K5,3 need one chain.  In the multigraph below, vertex 1
-        # keeps 2 of its 6 orders, and vertex 2 might keep fewer (it too
-        # keeps 2), so the chain rebased at 2 is built: 2 searches, as images
-        # are only searched within the orbits {2, 4} and {3, 5}.
+        # one chain the space builds, by sifting: no search is repeated.
+        # The chain, at the vertex with the most orders, tries every later
+        # vertex as the image of each base vertex: n(n - 1)/2 searches.
+        # The multigraph below has two vertex orbits besides vertex 1's,
+        # and still takes one chain: 10 searches.
         multigraph = MultiGraph(5, ((1, 2), (1, 2), (1, 4), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)))
         for g, genus, searches in ((complete(5), 2, 10), (theta(7), 3, 1), (complete_bipartite(3, 5), 1, 28),
-                                   (complete_bipartite(5, 3), 1, 28), (multigraph, 1, 10 + 2)):
+                                   (complete_bipartite(5, 3), 1, 28), (multigraph, 1, 10)):
             classes, found, _ = vertex_maps(lambda: exhaustive_classes(g, genus=genus, mode="equivalence"))
             assert classes and found == searches
+
+    def test_one_chain_call_per_space(self, monkeypatch):
+        # One exhaustive_classes or genus_distribution call builds one
+        # stabiliser chain, whatever the vertex orbits of the graph.
+        calls = []
+        original = rotation_space._automorphism_chain
+
+        def counted(g, *args):
+            calls.append(g)
+            return original(g, *args)
+
+        monkeypatch.setattr(rotation_space, "_automorphism_chain", counted)
+        monkeypatch.setattr(canon, "_automorphism_chain", counted)
+        for _, spec, *_ in TORUS_TABLE:
+            calls.clear()
+            assert exhaustive_classes(build_graph(spec), genus=1)
+            assert len(calls) == 1
+        for g in random_graphs(61, 20):
+            calls.clear()
+            genera = genus_distribution(g).spectrum()
+            assert len(calls) == 1
+            calls.clear()
+            assert exhaustive_classes(g, genus=genera[-1])
+            assert len(calls) == 1
 
 
 class TestChirality:
@@ -528,6 +565,17 @@ class TestDedup:
         for load, sets in ((load_appendix_a, 62), (load_appendix_b, 26)):
             embs = [r.embedding for r in load()]
             assert stream_sets(lambda: dedup(embs, "equivalence"))[1] == sets
+
+    def test_stream_sets_of_the_appendix_suites(self, stream_sets):
+        # One classification pass per table gives the classes, the class
+        # keys and the chiralities: each entry's key and its reversal's
+        # (62 and 26).  appendixB's exhaustive K5 classes at genus 3 add one
+        # per class and one per chiral class (13 + 11).  The expansion chain
+        # that appendixA compares with is warmed first.
+        pipeline_k5_stages()
+        for name, sets in (("appendixA", 62), ("appendixB", 26 + 24)):
+            report, taken = stream_sets(lambda: run_suite(name))
+            assert report.passed and taken == sets
 
 
 def _theta7_one_face():

@@ -253,3 +253,13 @@ class TestVerifyAndConvert:
 
         docs = parse_named_embeddings(out)
         assert len(docs) == 13
+
+    def test_convert_block_without_vertex_lines(self, tmp_path, capsys):
+        # A header alone is an input error at its line, in both formats.
+        f = tmp_path / "t.txt"
+        f.write_text("\nK5#01 (or)\n")
+        for fmt in ("appendixA", "appendixB"):
+            assert main(["convert", fmt, str(f)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: line 2: block has no vertex lines\n"

@@ -8,7 +8,6 @@ import math
 import random
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
@@ -729,11 +728,8 @@ class TestPin:
             orbit_of = self.stabiliser_orbits(g, v, group)
             assert reps == sorted(reps) and reps[0] == 0
             assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
-            # the fewest orbits per order, ties to the lowest vertex
-            ratios = [Fraction(len(set(self.stabiliser_orbits(g, w, group).values())), space.counts[w])
-                      for w in range(g.n)]
-            assert v == ratios.index(min(ratios))
-            assert Fraction(len(reps), space.counts[v]) == min(ratios)
+            # the most orders, ties to the lowest vertex
+            assert space.counts[v] == max(space.counts) > max(space.counts[:v], default=0)
 
     def test_landing_lists_equal_the_plain_filter(self):
         # Every landing list, as a set, against the automorphisms of the
