@@ -114,6 +114,31 @@ def contract_edge(e: Embedding, edge_id: int) -> Embedding:
     return _rebuild(g.n - 1, new_edges, new_rot)
 
 
+def _split(e: Embedding, spec: SplitSpec) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The arc staying at ``spec.vertex``, the darts moving to vertex ``n + 1``, and the split's edges.
+
+    The edges are the graph of :func:`split_vertex`'s result: an edge keeps
+    its ends, except that its darts among the moving ones now end at
+    ``n + 1``, and the new edge ``(vertex, n + 1)`` takes id
+    ``spec.new_edge_id``.  ``spec`` is taken as valid.
+    """
+    g = e.graph
+    v = spec.vertex
+    rotv = e.rot[v - 1]
+    k = len(rotv)
+    arc = [rotv[(spec.arc_start + t) % k] for t in range(spec.arc_len)]
+    rest = [rotv[(spec.arc_start + spec.arc_len + t) % k] for t in range(k - spec.arc_len)]
+    rest_set = set(rest)
+    new_v2 = g.n + 1
+    edges = []
+    for eid, (x, y) in enumerate(g.edges):
+        x2 = new_v2 if (x == v and 2 * eid in rest_set) else x
+        y2 = new_v2 if (y == v and 2 * eid + 1 in rest_set) else y
+        edges.append((x2, y2))
+    edges.insert(spec.new_edge_id - 1, (v, new_v2))
+    return arc, rest, edges
+
+
 def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     """Split a vertex along a contiguous rotation arc, adding a new edge.
 
@@ -126,8 +151,7 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     v = spec.vertex
     if not (1 <= v <= g.n):
         raise ValueError(f"unknown vertex {v}")
-    rotv = e.rot[v - 1]
-    k = len(rotv)
+    k = len(e.rot[v - 1])
     if not (1 <= spec.arc_len <= k - 1):
         raise ValueError(f"arc_len {spec.arc_len} out of range for degree {k}")
     if not (0 <= spec.arc_start < k):
@@ -136,19 +160,7 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     if not (1 <= m <= g.edge_count + 1):
         raise ValueError(f"new_edge_id {m} out of range")
 
-    arc = [rotv[(spec.arc_start + t) % k] for t in range(spec.arc_len)]
-    rest = [rotv[(spec.arc_start + spec.arc_len + t) % k] for t in range(k - spec.arc_len)]
-    rest_set = set(rest)
-    new_v2 = g.n + 1
-
-    new_edges: list[tuple[int, int]] = []
-    for eid, (x, y) in enumerate(g.edges, start=1):
-        dx, dy = 2 * (eid - 1), 2 * (eid - 1) + 1
-        x2 = new_v2 if (x == v and dx in rest_set) else x
-        y2 = new_v2 if (y == v and dy in rest_set) else y
-        new_edges.append((x2, y2))
-    new_edges.insert(m - 1, (v, new_v2))
-
+    arc, rest, new_edges = _split(e, spec)
     d_new_v = 2 * (m - 1)
     d_new_v2 = d_new_v + 1
     new_rot = [
@@ -298,7 +310,9 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     ``target`` must have exactly one vertex more than ``e``.  The result is
     the raw candidate list, one entry per unordered split partition of each
     vertex (see :func:`partition_split_specs`), in vertex order; it is
-    empty when ``target`` does not have one edge more either.
+    empty when ``target`` does not have one edge more either.  Each split's
+    graph is tested against ``target`` before it is built, from the edges
+    :func:`split_vertex` gives it, so only accepted splits are built.
     """
     if target.n != e.graph.n + 1:
         raise ValueError("target must have exactly one vertex more than the embedding")
@@ -308,7 +322,7 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     out = []
     for v in range(1, e.graph.n + 1):
         for spec in partition_split_specs(e, v):
-            child = split_vertex(e, spec)
-            if _same_graph(child.graph, target, target_tables):
-                out.append(child)
+            edges = _split(e, spec)[2]
+            if _same_graph(MultiGraph(target.n, tuple(edges)), target, target_tables):
+                out.append(split_vertex(e, spec))
     return out

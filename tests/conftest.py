@@ -101,14 +101,14 @@ def stream_sets(monkeypatch):
     """``count(fn)``: ``fn()`` and the number of stream sets it took.
 
     A stream set is one search of ``canon._least`` for the least rooted
-    serialization of an embedding.
+    serialization of an embedding or, with ``mirror``, of its reversal.
     """
     taken = [0]
     original = canon._least
 
-    def counted(e):
+    def counted(e, mirror=False):
         taken[0] += 1
-        return original(e)
+        return original(e, mirror)
 
     def count(fn):
         taken[0] = 0
@@ -123,14 +123,15 @@ def stream_blocks(monkeypatch):
     """``count(fn)``: ``fn()`` and the root-blocks it emitted.
 
     A root-block is one call of ``canon._block``: the next vertex block of
-    one root's traversal, as ``canon._least`` advances every live root.
+    one root's traversal, as ``canon._least`` advances every live root,
+    counted when it starts, whether the root finishes it or stops inside.
     """
     emitted = [0]
     original = canon._block
 
-    def counted(steps, starts, vlab, elab, next_edge_label):
+    def counted(steps, starts, vlab, elab, next_edge_label, least):
         emitted[0] += 1
-        return original(steps, starts, vlab, elab, next_edge_label)
+        return original(steps, starts, vlab, elab, next_edge_label, least)
 
     def count(fn):
         emitted[0] = 0

@@ -98,6 +98,18 @@ class TestCanonicalKey:
         with pytest.raises(SizeGuardExceeded):
             canonical_key(_embedding_of_complete(17))
 
+    def test_malformed_keys_raise_value_error(self):
+        # A key is 2 + n + 4m bytes long: a truncated key, one with bytes
+        # left over, and blocks whose degrees overrun the darts are refused
+        # before any byte past the end is read.
+        g = MultiGraph(3, ((1, 2), (2, 3), (1, 3)))
+        key = canonical_key(embedding_from_darts(g, g.darts_at))
+        assert canonical_embedding(key).graph.n == 3
+        bad = [key[:-1], key + b"\x00", b"\x03\x03\x02", b"", b"\x01", bytes([3, 3, 7]) + bytes(14)]
+        for k in bad:
+            with pytest.raises(ValueError, match="malformed canonical key"):
+                canonical_embedding(k)
+
 
 def _embedding_of_complete(n):
     g = complete(n)
@@ -107,14 +119,17 @@ def _embedding_of_complete(n):
     return make_embedding(g, rot)
 
 
-def _plain_stream(e, root):
-    """Serialization of ``e`` relabelled by the traversal rooted at ``root``.
+def _plain_traversal(e, root):
+    """Serialization of ``e`` relabelled by the traversal rooted at ``root``, and that traversal's state.
 
     Vertices receive labels in first-encounter order; the rotation of a
     newly met vertex starts at the dart through which it was discovered.
     Edges are labelled in emission order.  The output is the vertex and
     edge counts, then per vertex in label order: its degree, then
-    (neighbor label, edge label) for each dart of its rotation.
+    (neighbor label, edge label) for each dart of its rotation.  The state
+    is laid out as ``_least`` gives its first root's: ``[root, starts,
+    vertex labels, edge labels, next edge label]``, with ``-1`` where a
+    vertex (index 0 unused) or an edge is not reached.
     """
     g = e.graph
     dv = g.dart_vertex
@@ -134,14 +149,22 @@ def _plain_stream(e, root):
             d = e.succ[d]
             if d == d0:
                 break
-    return bytes(out)
+    state = [
+        root,
+        starts,
+        [vlab.get(v, -1) for v in range(g.n + 1)],
+        [elab.get(k, -1) for k in range(g.edge_count)],
+        len(elab),
+    ]
+    return bytes(out), state
 
 
 def _plain_least(e):
-    """Key, group order and first root from every root's full stream."""
-    s = [_plain_stream(e, d) for d in range(2 * e.graph.edge_count)]
-    key = min(s)
-    return key, s.count(key), s.index(key)
+    """Key, group order and first root's state from every root's full stream."""
+    s = [_plain_traversal(e, d) for d in range(2 * e.graph.edge_count)]
+    streams = [stream for stream, _ in s]
+    key = min(streams)
+    return key, streams.count(key), s[streams.index(key)][1]
 
 
 class TestLeast:
@@ -149,12 +172,18 @@ class TestLeast:
 
     @staticmethod
     def orders_checked(embeddings):
+        # The key, the group order and the first root's whole state (starts,
+        # vertex and edge labels) against every root serialized to the end,
+        # for each input and its reversal; and the reversal keyed in place
+        # (mirror=True) against the reversal built.
         orders = set()
         for e in embeddings:
-            for x in (e, reverse(e)):
+            rev = reverse(e)
+            for x in (e, rev):
                 key, order, first = _least(x)
-                assert (key, order, first[0]) == _plain_least(x)
+                assert (key, order, first) == _plain_least(x)
                 orders.add(order)
+            assert _least(e, mirror=True) == _least(rev)
         return orders
 
     def test_every_system_of_small_graphs(self):
@@ -191,7 +220,7 @@ class TestLeast:
         g = MultiGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3), (1, 3)))
         space = RotationSpace(g)
         systems = [system_at(g, space.orders, i) for i in range(space.total)]
-        firsts = {_plain_stream(systems[0], d)[:11] for d in range(12)}
+        firsts = {_plain_traversal(systems[0], d)[0][:11] for d in range(12)}
         assert len(firsts) > 1
         self.orders_checked(systems)
 

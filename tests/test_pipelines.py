@@ -26,9 +26,16 @@ from rotsys.enumeration import (
     pipeline_k5_stages,
     theta5_classes,
 )
-from rotsys.canon import _stage_classes, canonical_key, dedup, multigraph_key
+from rotsys.canon import _graph_tables, _same_graph, _stage_classes, canonical_key, dedup, multigraph_key
 from rotsys.core import k4_plus, k5_minus_edge, triangle_multi, wheel
-from rotsys.surgery import CornerRef, add_edge_in_face, all_splits, subdivide_edge
+from rotsys.surgery import (
+    CornerRef,
+    add_edge_in_face,
+    all_splits,
+    partition_split_specs,
+    split_vertex,
+    subdivide_edge,
+)
 
 from conftest import random_graphs, random_relabel, system_at
 
@@ -172,6 +179,27 @@ class TestStageShortcuts:
         for e, target in cases:
             assert _edge_additions(e, target) == built_then_filtered(e, target)
 
+    def test_all_splits_match_the_build_every_split_filter(self):
+        # all_splits tests each split's graph before building it; building
+        # every split and filtering by graph gives the same list, in order.
+        def built_then_filtered(e, target):
+            tables = _graph_tables(target)
+            children = [split_vertex(e, spec) for v in range(1, e.graph.n + 1) for spec in partition_split_specs(e, v)]
+            return [child for child in children if _same_graph(child.graph, target, tables)], len(children)
+
+        st = pipeline_k5_stages()
+        cases = [(c.representative, triangle_multi(1, 2, 3)) for c in st.theta5]
+        cases += [(c.representative, k4_plus()) for c in st.t123]
+        cases += [(c.representative, wheel(4)) for c in st.k4_plus]
+        assert len(cases) == 3 + 6 + 5
+        kept = built = 0
+        for e, target in cases:
+            want, children = built_then_filtered(e, target)
+            assert all_splits(e, target) == want
+            kept += len(want)
+            built += children
+        assert (kept, built) == (64, 264)
+
     def test_cold_k5_chain_work_counts(self, stream_sets, graph_tests, monkeypatch):
         # Cleared before and after, so no other test meets a cache state
         # it did not expect.  No pipeline path computes a graph key.
@@ -193,7 +221,13 @@ class TestStageShortcuts:
             built["traces"] += 1
             return trace_faces(e)
 
+        def counted_split(e, spec):
+            built["splits"] += 1
+            return split_vertex(e, spec)
+
         monkeypatch.setattr(canon, "_class_record", counted_record)
+        for module in (enumeration, surgery):
+            monkeypatch.setattr(module, "split_vertex", counted_split)
         for module in (core, canon, enumeration, surgery):
             monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
         for module in (canon, enumeration, surgery):
@@ -219,6 +253,9 @@ class TestStageShortcuts:
         # and the _edge_additions calls on class representatives reuse
         # those walks (579 traces when each call traced its input again).
         assert built["traces"] == 125 + 10
+        # all_splits tests each of the 264 splits' graphs (of the 793 tests)
+        # before building it, and builds the 64 that pass.
+        assert built["splits"] == 64
 
 
 class TestK33Chain:
