@@ -566,6 +566,23 @@ def _same_graph(g: MultiGraph, h: MultiGraph, ht: GraphTables) -> bool:
     return next(_vertex_isomorphisms(gt, ht), None) is not None
 
 
+def _degrees_fit(degrees: Sequence[int], old: Sequence[int], new: Sequence[int], target: list[int]) -> bool:
+    """Whether ``degrees`` with the entries ``old`` replaced by ``new`` sort to ``target``.
+
+    ``degrees`` are a graph's vertex degrees and ``target`` the sorted ones
+    of the graph it is tested against.  A candidate made by one surgery
+    step differs from its parent's degrees by ``old -> new``, so this
+    settles it without building its graph: degrees that differ give vertex
+    profiles that differ, and :func:`_same_graph` would answer ``False``.
+    """
+    out = list(degrees)
+    for d in old:
+        out.remove(d)
+    out += new
+    out.sort()
+    return out == target
+
+
 def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
     """``(u, v) ->`` the darts at ``u`` of the edges joining ``u`` and ``v``."""
     dv = g.dart_vertex

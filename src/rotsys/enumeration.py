@@ -23,7 +23,9 @@ from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
+    _check_guard,
     _check_mode,
+    _degrees_fit,
     _graph_tables,
     _orbit_classes,
     _same_graph,
@@ -50,6 +52,7 @@ from .polygon import PolygonWord, word_key
 from .surgery import (
     CornerRef,
     SplitSpec,
+    _split_fits,
     add_edge_in_face,
     all_splits,
     split_vertex,
@@ -403,12 +406,20 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
     """All single-edge insertions into faces of ``e`` whose graph is isomorphic to ``target``.
 
     The graph of an insertion is ``e.graph`` plus the new edge, whatever
-    its corners, so each vertex pair is tested against ``target`` once, by
-    isomorphism, and only the corners of accepted pairs are built.
+    its corners, so each vertex pair is settled once, and only the corners
+    of accepted pairs are built.  A pair (x, y) raises the degrees of x and
+    y by one; a pair whose degrees then do not sort to ``target``'s is
+    dropped before any graph is made, and the others are tested against
+    ``target`` by isomorphism.  Both graphs are held to the size guard of
+    the graph tests.
     """
     g = e.graph
+    _check_guard(g.n, g.edge_count + 1)
+    _check_guard(target.n, target.edge_count)
     faces = e.face_set.faces
     dv = g.dart_vertex
+    degrees = [len(darts) for darts in g.darts_at]
+    target_degrees = list(target.degree_sequence())
     target_tables = _graph_tables(target)
     accepted: dict[tuple[int, int], bool] = {}
     out = []
@@ -420,7 +431,9 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
                     continue
                 pair = (x, y) if x < y else (y, x)
                 if pair not in accepted:
-                    accepted[pair] = _same_graph(MultiGraph(g.n, g.edges + (pair,)), target, target_tables)
+                    dx, dy = degrees[x - 1], degrees[y - 1]
+                    fits = _degrees_fit(degrees, (dx, dy), (dx + 1, dy + 1), target_degrees)
+                    accepted[pair] = fits and _same_graph(MultiGraph(g.n, g.edges + (pair,)), target, target_tables)
                 if accepted[pair]:
                     out.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
     return out
@@ -438,19 +451,26 @@ def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Embedding]:
     return out
 
 
-def _path_splits(e: Embedding, vertex: int) -> list[Embedding]:
-    """Expand a degree-5 vertex into a path of three (2 + 1 + 2 darts)."""
+def _path_splits(e: Embedding, vertex: int, target: MultiGraph | None = None) -> list[Embedding]:
+    """Expand a degree-5 vertex into a path of three (2 + 1 + 2 darts), one path per start.
+
+    With ``target``, each path's second split is tested against it before
+    it is built, and only paths whose graph is isomorphic to ``target``
+    are built and returned.
+    """
     out = []
     deg = e.degree(vertex)
     if deg != 5:
         raise ValueError("path expansion expects a degree-5 vertex")
+    target_tables = None if target is None else _graph_tables(target)
     for s in range(deg):
         first = split_vertex(e, SplitSpec(vertex, s, 2, e.graph.edge_count + 1))
         mid = first.graph.n  # the fresh vertex holding the remaining three darts
         m1_dart = 2 * first.graph.edge_count - 1
         rot_mid = first.rot[mid - 1]
-        idx = rot_mid.index(m1_dart)
-        out.append(split_vertex(first, SplitSpec(mid, idx, 2, first.graph.edge_count + 1)))
+        spec = SplitSpec(mid, rot_mid.index(m1_dart), 2, first.graph.edge_count + 1)
+        if target is None or _split_fits(first, spec, target, target_tables):
+            out.append(split_vertex(first, spec))
     return out
 
 
@@ -467,14 +487,10 @@ def pipeline_k33_stages() -> K33PipelineResult:
     """Double path splits of the theta(5) classes, filtered to K33, deduped."""
     k33 = complete_bipartite(3, 3)
     theta5 = theta5_classes()
-    k33_tables = _graph_tables(k33)
     counts = []
     candidates: list[Embedding] = []
     for c in theta5:
-        mine = []
-        for first in _path_splits(c.representative, 1):
-            mine.extend(emb for emb in _path_splits(first, 2))
-        mine = [emb for emb in mine if _same_graph(emb.graph, k33, k33_tables)]
+        mine = [emb for first in _path_splits(c.representative, 1) for emb in _path_splits(first, 2, k33)]
         counts.append(len(mine))
         candidates.extend(mine)
     classes = dedup(candidates, "equivalence")

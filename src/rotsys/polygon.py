@@ -144,7 +144,7 @@ def surface_from_word(w: PolygonWord) -> tuple[str, int]:
         else:
             union(p, q)
             union((p + 1) % k, (q + 1) % k)
-    corners = len({find(i) for i in range(k)})
+    corners = len({find(i) for i in range(k)}) if k else 1  # the empty polygon is one corner
     chi = corners - w.letter_count() + 1
     if w.is_orientable_type():
         if chi % 2 != 0 or chi > 2:
@@ -153,35 +153,62 @@ def surface_from_word(w: PolygonWord) -> tuple[str, int]:
     return ("non_orientable", chi)
 
 
+def _framing(word: tuple, start: int, k: int, least: list | None) -> list:
+    """The encoding of the framing of ``word[start : start + k]``, or ``least`` when it does not go below it.
+
+    Letters are renamed in first-occurrence order, each with the sign of
+    its first occurrence taken as ``+``.  ``least`` is the least encoding
+    of the framings before (``None`` for the first).  The encoding is
+    compared with it as it is written and given up at its first pair above
+    it; one that ties ``least`` to the end is not copied.
+    """
+    rename: dict[int, tuple[int, int]] = {}  # letter -> (new letter, sign of its first occurrence)
+    letters = iter(word[start : start + k])
+    out: list = []
+    if least is not None:
+        j = 0
+        for letter, sign in letters:
+            named = rename.get(letter)
+            if named is None:
+                named = rename[letter] = (len(rename) + 1, sign)
+            pair = (named[0], sign * named[1])
+            least_pair = least[j]
+            if pair != least_pair:
+                if pair > least_pair:
+                    return least
+                break
+            j += 1
+        else:
+            return least
+        out = least[:j]
+        out.append(pair)
+    for letter, sign in letters:
+        named = rename.get(letter)
+        if named is None:
+            named = rename[letter] = (len(rename) + 1, sign)
+        out.append((named[0], sign * named[1]))
+    return out
+
+
 def word_key(w: PolygonWord) -> tuple[tuple[int, int], ...]:
     """Canonical form under rotation, reflection and letter renaming.
 
     For each framing (any rotation, optionally reflected), letters are
     renamed in first-occurrence order with the first occurrence forced
     positive; the lexicographic minimum over all framings is returned.
+    Each framing is compared with the least encoding so far as it is
+    written and dropped at its first pair above it, so most of the 2k
+    framings stop after a few letters.
     """
     k = len(w.letters)
     if k == 0:
         return ()
-    variants = [list(w.letters)]
-    variants.append([(letter, -sign) for letter, sign in reversed(w.letters)])
-    best: tuple[tuple[int, int], ...] | None = None
-    for seq in variants:
+    best = None
+    for seq in (w.letters, tuple((letter, -sign) for letter, sign in reversed(w.letters))):
+        doubled = seq + seq
         for r in range(k):
-            rotated = seq[r:] + seq[:r]
-            rename: dict[int, int] = {}
-            flip: dict[int, int] = {}
-            encoded = []
-            for letter, sign in rotated:
-                if letter not in rename:
-                    rename[letter] = len(rename) + 1
-                    flip[letter] = sign
-                encoded.append((rename[letter], sign * flip[letter]))
-            key = tuple(encoded)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return best
+            best = _framing(doubled, r, k, best)
+    return tuple(best)
 
 
 def words_equivalent(w1: PolygonWord, w2: PolygonWord) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import _graph_tables, _same_graph
+from .canon import GraphTables, _check_guard, _degrees_fit, _graph_tables, _same_graph
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -304,25 +304,43 @@ def partition_split_specs(e: Embedding, vertex: int, new_edge_id: int | None = N
     return specs
 
 
+def _split_fits(e: Embedding, spec: SplitSpec, target: MultiGraph, target_tables: GraphTables) -> bool:
+    """Whether :func:`split_vertex` with ``spec`` gives a graph isomorphic to ``target``, tested before it is built.
+
+    The graph is made from the edges :func:`_split` gives the split, and
+    ``target_tables`` are the :func:`_graph_tables` of ``target``.
+    """
+    return _same_graph(MultiGraph(e.graph.n + 1, tuple(_split(e, spec)[2])), target, target_tables)
+
+
 def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     """One-split expansions of ``e`` whose graph is isomorphic to ``target``.
 
     ``target`` must have exactly one vertex more than ``e``.  The result is
     the raw candidate list, one entry per unordered split partition of each
     vertex (see :func:`partition_split_specs`), in vertex order; it is
-    empty when ``target`` does not have one edge more either.  Each split's
-    graph is tested against ``target`` before it is built, from the edges
-    :func:`split_vertex` gives it, so only accepted splits are built.
+    empty when ``target`` does not have one edge more either.  Splitting a
+    degree-k vertex with an arc of length a replaces degree k by a + 1 and
+    k - a + 1, so a split whose degrees do not sort to ``target``'s is
+    dropped before any graph is made.  The others are tested against
+    ``target`` from the edges :func:`split_vertex` gives them, and only
+    accepted splits are built.  ``target`` is held to the size guard of
+    the graph tests.
     """
-    if target.n != e.graph.n + 1:
+    g = e.graph
+    if target.n != g.n + 1:
         raise ValueError("target must have exactly one vertex more than the embedding")
-    if target.edge_count != e.graph.edge_count + 1:
+    if target.edge_count != g.edge_count + 1:
         return []
+    _check_guard(target.n, target.edge_count)
+    degrees = [len(darts) for darts in g.darts_at]
+    target_degrees = list(target.degree_sequence())
     target_tables = _graph_tables(target)
     out = []
-    for v in range(1, e.graph.n + 1):
+    for v, k in enumerate(degrees, start=1):
         for spec in partition_split_specs(e, v):
-            edges = _split(e, spec)[2]
-            if _same_graph(MultiGraph(target.n, tuple(edges)), target, target_tables):
+            a = spec.arc_len
+            fits = _degrees_fit(degrees, (k,), (a + 1, k - a + 1), target_degrees)
+            if fits and _split_fits(e, spec, target, target_tables):
                 out.append(split_vertex(e, spec))
     return out

@@ -122,6 +122,46 @@ def _doubled_subdivisions(e):
     return [subdivide_edge(e, eid) for eid, (u, v) in enumerate(g.edges, start=1) if g.multiplicity(u, v) == 2]
 
 
+def _added_then_filtered(e, target):
+    """The insertions of one edge into ``e`` whose graph is ``target``'s, all built first; and all of them."""
+    target_key = multigraph_key(target)
+    faces = trace_faces(e).faces
+    dv = e.graph.dart_vertex
+    built = []
+    for fi, walk in enumerate(faces):
+        for i in range(len(walk)):
+            for j in range(i + 1, len(walk)):
+                if dv[walk[i]] != dv[walk[j]]:
+                    built.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
+    return [cand for cand in built if multigraph_key(cand.graph) == target_key], built
+
+
+def _split_then_filtered(e, target):
+    """The splits of ``e`` whose graph is ``target``'s, all built first; and all of them."""
+    tables = _graph_tables(target)
+    children = [split_vertex(e, spec) for v in range(1, e.graph.n + 1) for spec in partition_split_specs(e, v)]
+    return [child for child in children if _same_graph(child.graph, target, tables)], children
+
+
+def _near_misses(candidates, target):
+    """How many ``candidates`` have ``target``'s degrees but another graph."""
+    key = multigraph_key(target)
+    return sum(
+        1
+        for cand in candidates
+        if cand.graph.degree_sequence() == target.degree_sequence() and multigraph_key(cand.graph) != key
+    )
+
+
+def _relabelled_graph(rng, g):
+    """``g`` with its vertices and edge order shuffled."""
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return core.MultiGraph(g.n, tuple(edges))
+
+
 class TestStageShortcuts:
     """The stage helpers against the plain build-everything-then-dedup path."""
 
@@ -155,21 +195,6 @@ class TestStageShortcuts:
         assert len(eq) < len(embs)
 
     def test_edge_additions_match_the_build_every_candidate_filter(self):
-        def built_then_filtered(e, target):
-            target_key = multigraph_key(target)
-            faces = trace_faces(e).faces
-            dv = e.graph.dart_vertex
-            out = []
-            for fi, walk in enumerate(faces):
-                for i in range(len(walk)):
-                    for j in range(i + 1, len(walk)):
-                        if dv[walk[i]] == dv[walk[j]]:
-                            continue
-                        cand = add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j))
-                        if multigraph_key(cand.graph) == target_key:
-                            out.append(cand)
-            return out
-
         st = pipeline_k5_stages()
         k5m, k5 = k5_minus_edge(), complete(5)
         cases = [(c.representative, k5m) for c in st.w4]
@@ -177,16 +202,29 @@ class TestStageShortcuts:
         cases += [(c.representative, k5) for c in st.k5_minus]
         assert len(cases) == 4 + 5 * 2 + 39
         for e, target in cases:
-            assert _edge_additions(e, target) == built_then_filtered(e, target)
+            assert _edge_additions(e, target) == _added_then_filtered(e, target)[0]
+
+    def test_edge_additions_on_random_embeddings(self):
+        # Targets are relabelled graphs of some insertion, so candidates of
+        # the same degrees but another graph (parallel edges, other
+        # neighbours) meet the graph test past the degree gate.
+        rng = random.Random(29)
+        near_misses = accepted = 0
+        for g in random_graphs(31, 25):
+            space = RotationSpace(g)
+            e = system_at(g, space.orders, rng.randrange(space.total))
+            for _ in range(2):
+                x, y = rng.sample(range(1, g.n + 1), 2)
+                target = _relabelled_graph(rng, core.MultiGraph(g.n, g.edges + ((x, y),)))
+                want, built = _added_then_filtered(e, target)
+                assert _edge_additions(e, target) == want
+                accepted += len(want)
+                near_misses += _near_misses(built, target)
+        assert accepted > 0 and near_misses > 0
 
     def test_all_splits_match_the_build_every_split_filter(self):
-        # all_splits tests each split's graph before building it; building
-        # every split and filtering by graph gives the same list, in order.
-        def built_then_filtered(e, target):
-            tables = _graph_tables(target)
-            children = [split_vertex(e, spec) for v in range(1, e.graph.n + 1) for spec in partition_split_specs(e, v)]
-            return [child for child in children if _same_graph(child.graph, target, tables)], len(children)
-
+        # all_splits settles each split before building it; building every
+        # split and filtering by graph gives the same list, in order.
         st = pipeline_k5_stages()
         cases = [(c.representative, triangle_multi(1, 2, 3)) for c in st.theta5]
         cases += [(c.representative, k4_plus()) for c in st.t123]
@@ -194,11 +232,27 @@ class TestStageShortcuts:
         assert len(cases) == 3 + 6 + 5
         kept = built = 0
         for e, target in cases:
-            want, children = built_then_filtered(e, target)
+            want, children = _split_then_filtered(e, target)
             assert all_splits(e, target) == want
             kept += len(want)
-            built += children
+            built += len(children)
         assert (kept, built) == (64, 264)
+
+    def test_all_splits_on_random_embeddings(self):
+        # Targets are relabelled graphs of one split, as for edge additions.
+        rng = random.Random(37)
+        near_misses = accepted = 0
+        for g in random_graphs(41, 25):
+            space = RotationSpace(g)
+            e = system_at(g, space.orders, rng.randrange(space.total))
+            for _ in range(2):
+                spec = rng.choice([spec for v in range(1, g.n + 1) for spec in partition_split_specs(e, v)])
+                target = _relabelled_graph(rng, split_vertex(e, spec).graph)
+                want, children = _split_then_filtered(e, target)
+                assert all_splits(e, target) == want
+                accepted += len(want)
+                near_misses += _near_misses(children, target)
+        assert accepted > 0 and near_misses > 0
 
     def test_cold_k5_chain_work_counts(self, stream_sets, graph_tests, monkeypatch):
         # Cleared before and after, so no other test meets a cache state
@@ -207,7 +261,7 @@ class TestStageShortcuts:
             raise AssertionError("multigraph_key called")
 
         built = Counter()
-        class_record, graph_tables = canon._class_record, canon._graph_tables
+        class_record, graph_tables, degrees_fit = canon._class_record, canon._graph_tables, canon._degrees_fit
 
         def counted_record(key, order, achiral):
             built["records"] += 1
@@ -225,6 +279,12 @@ class TestStageShortcuts:
             built["splits"] += 1
             return split_vertex(e, spec)
 
+        def counted_degrees(degrees, old, new, target):
+            fits = degrees_fit(degrees, old, new, target)
+            built["degree gates"] += 1
+            built["settled by degrees"] += not fits
+            return fits
+
         monkeypatch.setattr(canon, "_class_record", counted_record)
         for module in (enumeration, surgery):
             monkeypatch.setattr(module, "split_vertex", counted_split)
@@ -233,28 +293,34 @@ class TestStageShortcuts:
         for module in (canon, enumeration, surgery):
             monkeypatch.setattr(module, "multigraph_key", no_key, raising=False)
             monkeypatch.setattr(module, "_graph_tables", counted_tables)
+            monkeypatch.setattr(module, "_degrees_fit", counted_degrees)
         pipeline_k5_stages.cache_clear()
         try:
             (st, tests, searches), sets = stream_sets(lambda: graph_tests(pipeline_k5_stages))
         finally:
             pipeline_k5_stages.cache_clear()
         assert sets == 556
-        assert (tests, searches) == (793, 130)
+        # Each of the 793 vertex pairs and splits is first settled by its
+        # degrees; 631 fail there, and only the other 162 build a graph
+        # for a graph test.
+        assert built["degree gates"] == 793
+        assert built["settled by degrees"] == 631
+        assert (tests, searches) == (162, 130)
         # One record per distinct class key: the equivalence classes of a
         # stage share the records of its iso classes.  Each graph test
         # builds its candidate's tables; each call of all_splits or
         # _edge_additions builds its target's once (67 calls).
         iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
         assert built["records"] == 125 == sum(map(len, iso_stages))
-        assert built["tables"] == 793 + 67
+        assert built["tables"] == 162 + 67
         # Faces are traced once per embedding and kept on it: once per
         # class record, and once for each of the 10 subdivided K4+ systems
         # that edges are added to.  The 401 insertions of add_edge_in_face
         # and the _edge_additions calls on class representatives reuse
         # those walks (579 traces when each call traced its input again).
         assert built["traces"] == 125 + 10
-        # all_splits tests each of the 264 splits' graphs (of the 793 tests)
-        # before building it, and builds the 64 that pass.
+        # all_splits settles each of the 264 splits (of the 793) before
+        # building it, and builds the 64 that pass.
         assert built["splits"] == 64
 
 
@@ -273,15 +339,50 @@ class TestK33Chain:
         assert by_group[2] == 4  # published count of labelled extensions via the central edge
         assert sum(res.candidates_per_class) > 0
 
-    def test_all_completions_share_one_key_with_witnesses(self):
-        k33_key = multigraph_key(complete_bipartite(3, 3))
+    def test_path_splits_match_the_build_every_split_filter(self):
+        # With a target, _path_splits tests each path's second split before
+        # building it; building every path and filtering by graph key gives
+        # the same completions, in order.
+        k33 = complete_bipartite(3, 3)
+        k33_key = multigraph_key(k33)
         completions = []
         for c in theta5_classes():
             for first in _path_splits(c.representative, 1):
-                for emb in _path_splits(first, 2):
-                    if multigraph_key(emb.graph) == k33_key:
-                        completions.append(emb)
+                want = [emb for emb in _path_splits(first, 2) if multigraph_key(emb.graph) == k33_key]
+                got = _path_splits(first, 2, k33)
+                assert got == want
+                completions += got
         assert len(completions) == 9
+
+    def test_k33_chain_work_counts(self, graph_tests, monkeypatch):
+        # 3 classes x 5 paths at vertex 1 (two splits built each), then
+        # 15 x 5 paths at vertex 2: each builds its first split, and the 75
+        # second splits are tested (53 past the profile check) before the 9
+        # completions are built.  Building every path took 180 splits.
+        built = Counter()
+
+        def counted_split(e, spec):
+            built["final" if e.graph.n == 5 else "earlier"] += 1
+            return split_vertex(e, spec)
+
+        monkeypatch.setattr(enumeration, "split_vertex", counted_split)
+        res, tests, searches = graph_tests(pipeline_k33_stages)
+        assert (tests, searches) == (75, 53)
+        assert sum(res.candidates_per_class) == built["final"] == 9
+        assert built["earlier"] == 3 * 10 + 15 * 5
+        assert built.total() == 114
+
+    def test_all_completions_share_one_key_with_witnesses(self):
+        k33 = complete_bipartite(3, 3)
+        k33_key = multigraph_key(k33)
+        completions = [
+            emb
+            for c in theta5_classes()
+            for first in _path_splits(c.representative, 1)
+            for emb in _path_splits(first, 2, k33)
+        ]
+        assert len(completions) == 9
+        assert all(multigraph_key(e.graph) == k33_key for e in completions)
         keys = {canonical_key(e) for e in completions}
         assert len(keys) == 1
         for other in completions[1:]:

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from rotsys import (
+    Embedding,
+    MultiGraph,
     PolygonWord,
     WordError,
     boundary_word,
@@ -21,6 +23,8 @@ from rotsys import (
     trace_faces,
     words_equivalent,
 )
+from rotsys.formats import load_appendix_b
+from rotsys.polygon import word_key
 
 from conftest import random_embedding
 from test_canon import K33_NEIGHBOR_ROTATIONS
@@ -78,6 +82,12 @@ class TestSurfaceFromWord:
 
     def test_klein_bottle(self):
         assert surface_from_word(parse_word("a+b+a+b-")) == ("non_orientable", 0)
+
+    def test_empty_word_is_the_sphere(self):
+        w = boundary_word(Embedding(MultiGraph(1, ()), ((),)))
+        assert w == PolygonWord(())
+        assert surface_from_word(w) == ("orientable", 0)
+        assert word_key(w) == ()
 
     def test_matches_embedding_genus(self):
         rng = random.Random(55)
@@ -144,6 +154,55 @@ def _random_renaming(rng: random.Random, w: PolygonWord) -> PolygonWord:
     if rng.random() < 0.5:
         letters = tuple((x, -s) for x, s in reversed(letters))
     return PolygonWord(letters)
+
+
+def _all_framings_key(w: PolygonWord):
+    """``word_key`` the plain way: encode all 2k framings to the end and take the least."""
+    k = len(w.letters)
+    keys = []
+    for seq in (list(w.letters), [(x, -s) for x, s in reversed(w.letters)]):
+        for r in range(k):
+            rename: dict[int, int] = {}
+            flip: dict[int, int] = {}
+            for x, s in seq[r:] + seq[:r]:
+                if x not in rename:
+                    rename[x] = len(rename) + 1
+                    flip[x] = s
+            keys.append(tuple((rename[x], s * flip[x]) for x, s in seq[r:] + seq[:r]))
+    return min(keys, default=())
+
+
+class TestWordKey:
+    def test_matches_all_framings_on_random_words(self):
+        # Orientable words (opposite signs), same-sign words and mixed ones,
+        # with 1-12 letters; few letters tie many framings to the end.
+        rng = random.Random(58)
+        for k in range(1, 13):
+            for signs in ("opposite", "same", "mixed"):
+                for _ in range(15):
+                    ids = rng.sample(range(1, 40), k)
+                    letters = []
+                    for x in ids:
+                        s = rng.choice((1, -1))
+                        second = {"opposite": -s, "same": s, "mixed": rng.choice((1, -1))}[signs]
+                        letters += [(x, s), (x, second)]
+                    rng.shuffle(letters)
+                    w = PolygonWord(tuple(letters))
+                    if signs != "mixed":
+                        assert w.is_orientable_type() == (signs == "opposite")
+                    assert word_key(w) == _all_framings_key(w)
+
+    def test_matches_all_framings_on_the_appendix_b_words(self):
+        words = [boundary_word(entry.embedding) for entry in load_appendix_b()]
+        assert len(words) == 13
+        for w in words:
+            assert word_key(w) == _all_framings_key(w)
+
+    def test_periodic_words(self):
+        # Every framing of a word with full symmetry ties the first one.
+        for text in ("a+b+c+d+e+a-b-c-d-e-", "a+b+a-b-", "a+a+", "a+b+c+a+b+c+"):
+            w = parse_word(text)
+            assert word_key(w) == _all_framings_key(w)
 
 
 class TestWordEquivalence:
