@@ -413,19 +413,6 @@ def chirality(e: Embedding) -> Chirality:
     return NON_ORIENTABLE if key == rkey else ORIENTABLE
 
 
-def class_key(e: Embedding, mode: DedupMode = "iso") -> bytes:
-    """Key of the class of ``e``: equal keys iff same class in ``mode``.
-
-    ``iso`` uses the canonical key; ``equivalence`` additionally identifies
-    an embedding with its reversal by keying on ``min(key, key of reversal)``.
-    """
-    _check_mode(mode)
-    if mode == "iso":
-        return canonical_key(e)
-    ((key, rkey, _),) = _mirror_keys([e])
-    return min(key, rkey)
-
-
 def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[list[EmbeddingClass], list[bytes]]:
     """The classes of ``embeddings``, sorted by key, and the class key of each input.
 
@@ -448,7 +435,7 @@ def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[
 
 
 def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[EmbeddingClass]:
-    """Group embeddings into classes by :func:`class_key`, sorted by key (see :func:`classify`)."""
+    """Group embeddings into classes by their class keys, sorted by key (see :func:`classify`)."""
     return classify(embeddings, mode)[0]
 
 

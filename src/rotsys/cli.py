@@ -27,7 +27,7 @@ from hashlib import sha256
 
 from . import enumeration as en
 from .canon import classify
-from .core import RotsysError, build_graph, surface_stats, trace_faces
+from .core import RotsysError, build_graph, face_vertices, surface_stats, trace_faces
 from .formats import (
     ParseError,
     parse_appendix_a,
@@ -65,10 +65,9 @@ def _cmd_faces(args) -> int:
     faces = trace_faces(doc.embedding)
     st = faces.stats
     print(f"graph {doc.name}: n={st.n} edges={st.eps} faces={st.f} genus={st.genus}")
-    dv = doc.embedding.graph.dart_vertex
     for i, walk in enumerate(faces.faces):
         edges = " ".join(str(d // 2 + 1) for d in walk)
-        verts = " ".join(str(dv[d]) for d in walk)
+        verts = " ".join(str(v) for v in face_vertices(doc.embedding, walk))
         print(f"face {i} (length {len(walk)}): edges {edges}")
         print(f"       vertices {verts}")
     return 0
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    sp.add_argument("--budget", type=int, default=None)
+    add_budget(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("convert", help="convert published tables to the native format")

@@ -36,14 +36,15 @@ class SizeGuardExceeded(RotsysError):
 
 
 class BudgetExceeded(RotsysError):
-    """Rotation space has more systems than the configured budget.
+    """A space of rotation systems has more systems than the configured budget.
 
-    The budget bounds the systems addressed (the whole space), not the
-    states a scan expands.
+    The budget bounds the systems addressed, not the states a scan
+    expands.  ``space`` names what it bounds: the whole rotation space, or
+    for theta graphs the pinned subspace.
     """
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"rotation space has {required} systems, budget is {budget}")
+    def __init__(self, space: str, required: int, budget: int):
+        super().__init__(f"{space} has {required} systems, budget is {budget}")
         self.required = required
         self.budget = budget
 

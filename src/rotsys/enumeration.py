@@ -71,16 +71,16 @@ def rotation_space_size(graph: MultiGraph) -> int:
     return math.prod(math.factorial(graph.degree(v) - 1) for v in range(1, graph.n + 1))
 
 
-def _check_budget(graph: MultiGraph, budget: int) -> None:
-    """Refuse a space over ``budget`` before any of its orders are built.
+def _check_budget(space: str, size: int, budget: int) -> None:
+    """Refuse a space of ``size`` systems over ``budget`` before any of its orders are built.
 
     The budget bounds the systems addressed, i.e. the size of the whole
-    rotation space, not the work done: a pinned scan covers part of the
-    space and expands far fewer states than the systems it covers.
+    rotation space (the pinned subspace for theta graphs), not the work
+    done: a pinned scan covers part of the space and expands far fewer
+    states than the systems it covers.
     """
-    total = rotation_space_size(graph)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    if size > budget:
+        raise BudgetExceeded(space, size, budget)
 
 
 def scan_rotation_space(
@@ -93,7 +93,7 @@ def scan_rotation_space(
 
     ``target_f = -1`` collects no indices (histogram only).
     """
-    _check_budget(graph, budget)
+    _check_budget("rotation space", rotation_space_size(graph), budget)
     hist, matches = _kernel.scan(RotationSpace(graph).orders, 2 * graph.edge_count, target_f)
     return {f: c for f, c in enumerate(hist) if c}, matches
 
@@ -126,7 +126,7 @@ def exhaustive_classes(
 
     Only the pinned subspace is scanned for the face count: the systems
     whose order at one vertex is one of its representatives (see
-    :attr:`RotationSpace._pin`).  The scan (:func:`_kernel.matches`) lists
+    :attr:`RotationSpace._pinned`).  The scan (:func:`_kernel.matches`) lists
     only the systems with that face count, and drops the partial systems
     whose open face walks are too short to close as many faces; it builds
     no histogram.  The matches are then walked in index
@@ -145,10 +145,10 @@ def exhaustive_classes(
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
-    rotation_space_size(graph)  # refuses a graph with no rotation space
+    size = rotation_space_size(graph)  # refuses a graph with no rotation space
     if f < 1:
         return []
-    _check_budget(graph, budget)
+    _check_budget("rotation space", size, budget)
     return _pinned_classes(graph, f, mode)
 
 
@@ -210,7 +210,7 @@ def genus_distribution(
     ``raw_systems`` sums the orbit sizes.  The counts are those of
     :func:`dedup` over the whole space.  ``workers`` has no effect.
     """
-    _check_budget(graph, budget)
+    _check_budget("rotation space", rotation_space_size(graph), budget)
     space = RotationSpace(graph)
     by_genus: dict[int, list[tuple[int, int, bool]]] = {}
     for i, size, order, achiral in space.orbits(range(math.prod(map(len, space.pinned_orders)))):
@@ -256,8 +256,7 @@ def theta_embeddings(
     f = _target_faces(graph, genus, None)  # refuses a negative genus
     if f < 1:
         return []
-    if math.factorial(m - 1) > budget:
-        raise BudgetExceeded(math.factorial(m - 1), budget)
+    _check_budget("pinned subspace", math.factorial(m - 1), budget)
     return _pinned_classes(graph, f, mode)
 
 
@@ -390,14 +389,9 @@ THETA5_ROTATIONS: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
 )
 
 
-def theta5_embeddings() -> list[Embedding]:
-    g = theta(5)
-    return [make_embedding(g, rot) for rot in THETA5_ROTATIONS]
-
-
 def theta5_classes() -> list[EmbeddingClass]:
     """The three double-torus classes of theta(5), from the fixed systems."""
-    classes = dedup(theta5_embeddings(), "equivalence")
+    classes = dedup([make_embedding(theta(5), rot) for rot in THETA5_ROTATIONS], "equivalence")
     assert len(classes) == 3
     return classes
 

@@ -67,14 +67,6 @@ def write_embedding(e: Embedding, name: str = "embedding") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_embedding(text: str) -> Embedding:
-    """Parse a single native-format document."""
-    docs = parse_named_embeddings(text)
-    if len(docs) != 1:
-        raise ParseError(1, f"expected one embedding document, found {len(docs)}")
-    return docs[0].embedding
-
-
 def parse_named_embeddings(text: str) -> list[NamedEmbedding]:
     """Parse one or more concatenated native-format documents."""
     name = None

@@ -59,7 +59,6 @@ class PolygonWord:
 
 
 _PLUS = {"+", "⁺"}
-_MINUS = {"-", "−", "⁻", "–"}
 _TOKEN = re.compile(r"([a-z]|#\d+)\s*([+\-⁺⁻−–])", re.I)
 
 

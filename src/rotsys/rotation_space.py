@@ -98,7 +98,7 @@ class RotationSpace:
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
     fastest digit.  The pinned subspace keeps only the representative
-    orders at the vertex with the most orders (see :attr:`_pin`); every
+    orders at the vertex with the most orders (see :attr:`_pinned`); every
     class, up to isomorphism and mirror image, has a member there, so the
     orbit pass works in it alone.  Aut(G), which the pin and the orbit pass
     act with, is one stabiliser chain rebased at that vertex
@@ -120,7 +120,7 @@ class RotationSpace:
 
         They are shared, so callers must not change them.
         """
-        v, reps = self._pin
+        v, reps, _, _ = self._pinned
         orders = list(self.orders)
         orders[v] = [orders[v][d] for d in reps]
         return orders
@@ -295,15 +295,23 @@ class RotationSpace:
     def _pinned(self) -> tuple[int, list[int], list[int], dict[int, list[Element]]]:
         """The pinned vertex v (0-based) and the orbits of its stabiliser in Aut(G), joined by reversal, on its cyclic orders.
 
-        Returns v, the least digit of each orbit, the representative of
-        every digit, and for each representative the automorphisms fixing v
-        that keep its order or reverse it, one per map of v's darts
-        (:meth:`_aligned`).  The maps the stabiliser makes form a group P of
-        order the product of the chain's levels acting there, so by
-        orbit-stabiliser digit 0's orbit has ``2|P|`` over the number kept
-        orders.  When that is all of them, as at theta(m)'s vertices, the
-        ``2 deg`` sifts settle the vertex.  Otherwise each representative's
-        order in turn has every element of P applied.
+        v is :attr:`_chain`'s vertex, the one with the most cyclic orders
+        (the lowest on ties).  Returns v, the least digit of each orbit (its
+        representative), the representative of every digit, and for each
+        representative the automorphisms fixing v that keep its order or
+        reverse it, one per map of v's darts (:meth:`_aligned`).
+
+        An element of that group, or its composite with reversal, maps a
+        system to one of its class up to mirror image and sends the order
+        at v to any other of its orbit, so every class has a member whose
+        order there is a representative, or a mirror image with one.
+
+        The maps the stabiliser makes form a group P of order the product of
+        the chain's levels acting there, so by orbit-stabiliser digit 0's
+        orbit has ``2|P|`` over the number kept orders.  When that is all of
+        them, as at theta(m)'s vertices, the ``2 deg`` sifts settle the
+        vertex.  Otherwise each representative's order in turn has every
+        element of P applied.
         """
         w = self._chain.vertex
         cut, keys, table, rev = self._vertex_tables[w]
@@ -325,21 +333,6 @@ class RotationSpace:
                 if x == digit or x == rev[digit]:
                     mine.append(s)
         return w, reps, rep_of, kept
-
-    @property
-    def _pin(self) -> tuple[int, list[int]]:
-        """The pinned vertex (0-based), the one with the most cyclic orders (the lowest on ties), and the digits of one order per orbit at it.
-
-        The orbits are those of the vertex's stabiliser in Aut(G), joined by
-        reversal, on its cyclic orders; the representative of an orbit is
-        its least digit.  An element of that group, or its composite with
-        reversal, maps a system to one of its class up to mirror image and
-        sends the order at the vertex to any other of its orbit, so every
-        class has a member whose order there is a representative, or a
-        mirror image with one.  See :attr:`_pinned` for the orbits.
-        """
-        v, reps, _, _ = self._pinned
-        return v, reps
 
     @cached_property
     def _fixing(self) -> list[Element]:
@@ -418,7 +411,7 @@ class RotationSpace:
         costs about 64 bytes).  The tables and automorphism lists used are
         kept on the space and shared with later passes.
         """
-        v, reps = self._pin
+        v, reps, _, _ = self._pinned
         vertices = self._vertex_tables
         rebased = self._chain
         pad = bytes(256 - 2 * self.graph.edge_count)

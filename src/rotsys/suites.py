@@ -262,11 +262,11 @@ TORUS_TABLE_BEYOND_BUDGET = ("K7", "icosahedron")
 def _torus_row(report: VerificationReport, name: str, spec: str, emb: int, orc: int,
                non: int, graph_aut: int, groups: str, budget: int) -> None:
     g = build_graph(spec)
-    size = en.rotation_space_size(g)
-    if size > budget:
-        report.skip(f"{name} torus embeddings", f"rotation space {size} exceeds budget {budget}")
+    try:
+        classes = en.exhaustive_classes(g, genus=1, mode="equivalence", budget=budget)
+    except BudgetExceeded as exc:
+        report.skip(f"{name} torus embeddings", str(exc))
         return
-    classes = en.exhaustive_classes(g, genus=1, mode="equivalence", budget=budget)
     got_or, got_non = _chirality_split(classes)
     iso = sum(1 if c.chirality == NON_ORIENTABLE else 2 for c in classes)
     computed = f"{len(classes)}={got_or}+{got_non}"
@@ -317,12 +317,11 @@ def _suite_theta_question(report: VerificationReport, budget: int) -> None:
 def run_suite(
     name: str,
     *,
-    budget: int | None = None,
+    budget: int = en.DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Run a named verification suite and return its report."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    budget = en.DEFAULT_BUDGET if budget is None else budget
     report = VerificationReport(name)
     if name == "core":
         _suite_core(report, budget)

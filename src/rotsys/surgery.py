@@ -171,24 +171,6 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     return _rebuild(g.n + 1, new_edges, new_rot)
 
 
-def _delete(e: Embedding, edge_id: int, one_face: bool) -> Embedding:
-    """Remove an edge (later ids shift down) whose sides lie on one face exactly when ``one_face``."""
-    g = e.graph
-    if not (1 <= edge_id <= g.edge_count):
-        raise ValueError(f"unknown edge id {edge_id}")
-    d0 = 2 * (edge_id - 1)
-    walk = next(w for w in e.face_set.faces if d0 in w)
-    if (d0 + 1 in walk) != one_face:
-        raise InvalidEmbedding(
-            f"edge {edge_id} borders two faces; use delete_edge for the genus-preserving deletion"
-            if one_face
-            else f"both sides of edge {edge_id} lie on one face; deleting it would change the genus"
-        )
-    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
-    new_rot = [[_shift_dart_down(d, edge_id) for d in r if d >> 1 != edge_id - 1] for r in e.rot]
-    return _rebuild(g.n, new_edges, new_rot)
-
-
 def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, CornerRef]:
     """Delete an edge whose two sides lie on distinct faces.
 
@@ -198,22 +180,21 @@ def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, Corne
     edge with both sides on one face, a pendant one among them, raises
     ``InvalidEmbedding``; an unknown id raises ``ValueError``.
     """
-    result = _delete(e, edge_id, one_face=False)
-    at = {d: (fi, pos) for fi, walk in enumerate(result.face_set.faces) for pos, d in enumerate(walk)}
+    g = e.graph
+    if not (1 <= edge_id <= g.edge_count):
+        raise ValueError(f"unknown edge id {edge_id}")
     d0 = 2 * (edge_id - 1)
+    walk = next(w for w in e.face_set.faces if d0 in w)
+    if d0 + 1 in walk:
+        raise InvalidEmbedding(
+            f"both sides of edge {edge_id} lie on one face; deleting it would change the genus"
+        )
+    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
+    new_rot = [[_shift_dart_down(d, edge_id) for d in r if d >> 1 != edge_id - 1] for r in e.rot]
+    result = _rebuild(g.n, new_edges, new_rot)
+    at = {d: (fi, pos) for fi, walk in enumerate(result.face_set.faces) for pos, d in enumerate(walk)}
     s0, s1 = (_shift_dart_down(e.succ[d], edge_id) for d in (d0, d0 + 1))
     return result, CornerRef(*at[s0]), CornerRef(*at[s1])
-
-
-def delete_edge_permissive(e: Embedding, edge_id: int) -> Embedding:
-    """Delete an edge whose two sides lie on one face (genus drops by one).
-
-    :func:`delete_edge`'s removal and checks with the face test reversed,
-    and no corners; the construction pipelines use only :func:`delete_edge`.
-    Deleting a bridge would disconnect the graph and is rejected by the
-    embedding constructor.
-    """
-    return _delete(e, edge_id, one_face=True)
 
 
 def add_edge_in_face(
@@ -286,16 +267,16 @@ def subdivide_edge(e: Embedding, edge_id: int) -> Embedding:
     return _rebuild(g.n + 1, new_edges, new_rot)
 
 
-def partition_split_specs(e: Embedding, vertex: int, new_edge_id: int | None = None) -> list[SplitSpec]:
+def partition_split_specs(e: Embedding, vertex: int) -> list[SplitSpec]:
     """All splits of a vertex, one per unordered arc/complement partition.
 
     A spec and its complementary arc produce the same embedding up to the
     naming of the two halves, so only arcs of length at most half the
     degree are listed (and for even degree, only half the starts at exactly
-    half length).
+    half length).  The new edge takes the next free id.
     """
     k = e.degree(vertex)
-    m = e.graph.edge_count + 1 if new_edge_id is None else new_edge_id
+    m = e.graph.edge_count + 1
     specs = []
     for arc_len in range(1, k // 2 + 1):
         starts = range(k // 2) if 2 * arc_len == k else range(k)

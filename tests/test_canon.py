@@ -21,6 +21,7 @@ from rotsys import (
     build_graph,
     canonical_key,
     chirality,
+    classify,
     complete,
     complete_bipartite,
     dedup,
@@ -46,7 +47,6 @@ from rotsys.canon import (
     _vertex_isomorphisms,
     _vertex_profiles,
     canonical_embedding,
-    class_key,
 )
 from rotsys.core import embedding_from_darts, k5_minus_edge
 from rotsys.enumeration import (
@@ -615,7 +615,7 @@ def _theta7_one_face():
 
 
 class TestDedupDifferential:
-    """``dedup``, ``class_key`` and ``chirality`` against keying every input plainly."""
+    """``dedup``, ``classify``'s class keys and ``chirality`` against keying every input plainly."""
 
     @staticmethod
     def inputs():
@@ -630,13 +630,15 @@ class TestDedupDifferential:
     def test_against_the_plain_path(self, mode):
         embs = self.inputs()
         plain = {}
+        ckeys = []
         for e in embs:
             key, rkey = canonical_key(e), canonical_key(reverse(e))
             ckey = key if mode == "iso" else min(key, rkey)
             chir = NON_ORIENTABLE if key == rkey else ORIENTABLE
-            assert class_key(e, mode) == ckey
+            ckeys.append(ckey)
             assert chirality(e) == chir
             plain.setdefault(ckey, (automorphism_group_order(e), chir))
+        assert classify(embs, mode)[1] == ckeys
         classes = dedup(embs, mode)
         assert [c.canonical_key for c in classes] == sorted(plain)
         assert {c.chirality for c in classes} == {ORIENTABLE, NON_ORIENTABLE}
@@ -658,8 +660,8 @@ GUARDED = {
     "automorphism_group_order": automorphism_group_order,
     "are_isomorphic": lambda e: are_isomorphic(e, e),
     "chirality": chirality,
-    "class_key-iso": lambda e: class_key(e, "iso"),
-    "class_key-equivalence": lambda e: class_key(e, "equivalence"),
+    "class_key-iso": lambda e: classify([e], "iso")[1],
+    "class_key-equivalence": lambda e: classify([e], "equivalence")[1],
     "dedup-iso": lambda e: dedup([e], "iso"),
     "dedup-equivalence": lambda e: dedup([e], "equivalence"),
     "graph_automorphism_count": lambda e: graph_automorphism_count(e.graph),

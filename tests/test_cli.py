@@ -13,7 +13,8 @@ import pytest
 
 import rotsys
 from rotsys import make_embedding, theta
-from rotsys.cli import main
+from rotsys.cli import build_parser, main
+from rotsys.enumeration import DEFAULT_BUDGET
 from rotsys.formats import write_embedding
 from rotsys.suites import SUITE_NAMES, run_suite
 
@@ -40,6 +41,7 @@ class TestBasicCommands:
         assert main(["faces", theta5_file]) == 0
         out = capsys.readouterr().out
         assert "face 0 (length 10)" in out
+        assert "       vertices 1 2 1 2 1 2 1 2 1 2\n" in out
 
     def test_word(self, theta5_file, capsys):
         assert main(["word", theta5_file]) == 0
@@ -88,6 +90,16 @@ class TestBasicCommands:
         bad = tmp_path / "bad.emb"
         bad.write_text("graph x\nvertices 2\nedge 1 1 1\nrot 1: 1 1\nrot 2:\n")
         assert main(["genus", str(bad)]) == 2
+
+    def test_one_embedding_per_file_names_the_file(self, tmp_path, theta5_systems, capsys):
+        # faces, genus and word read exactly one document from their file.
+        two = tmp_path / "two.emb"
+        two.write_text(write_embedding(theta5_systems[2], "a") + write_embedding(theta5_systems[5], "b"))
+        for command in ("faces", "genus", "word"):
+            assert main([command, str(two)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: line 1: {two}: expected one embedding, found 2\n"
 
 
 class TestEnumerate:
@@ -183,6 +195,12 @@ class TestPipelinesAndTheta:
         assert main(["theta", "--m", "3", "--genus", "-1"]) == 2
         assert capsys.readouterr().err == "error: genus -1 is negative\n"
 
+    def test_theta_budget_refusal_names_the_pinned_subspace(self, capsys):
+        # The theta budget bounds the 6! orders of the second vertex, not
+        # theta(7)'s whole space of 6!^2 = 518,400 systems.
+        assert main(["theta", "--m", "7", "--genus", "3", "--budget", "100"]) == 2
+        assert capsys.readouterr().err == "error: pinned subspace has 720 systems, budget is 100\n"
+
 
 class TestVerifyAndConvert:
     def test_verify_pass_exit_zero(self, capsys):
@@ -195,11 +213,11 @@ class TestVerifyAndConvert:
         # torus-table and theta-question report a row beyond the budget as SKIP.
         assert main(["verify", "--suite", "torus-table", "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert "K4,4 torus embeddings\t(skipped)\trotation space 1679616 exceeds budget 100\tSKIP" in out
+        assert "K4,4 torus embeddings\t(skipped)\trotation space has 1679616 systems, budget is 100\tSKIP" in out
         assert "overall: PASS" in out
         assert main(["verify", "--suite", "theta-question", "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert "theta(7) triple-torus classes\t(skipped)\trotation space has 720 systems, budget is 100\tSKIP" in out
+        assert "theta(7) triple-torus classes\t(skipped)\tpinned subspace has 720 systems, budget is 100\tSKIP" in out
 
     def test_budget_stops_the_other_suites(self, capsys):
         # core and appendixB stop at the first space beyond the budget.
@@ -208,6 +226,17 @@ class TestVerifyAndConvert:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: rotation space has {size} systems, budget is 100\n"
+
+    def test_verify_budget_as_the_other_commands(self, capsys):
+        # verify takes --budget with the default and help of enumerate and theta.
+        parser = build_parser()
+        for argv in (["verify", "--suite", "core"], ["enumerate", "--graph", "theta(3)"],
+                     ["theta", "--m", "3", "--genus", "1"]):
+            assert parser.parse_args(argv).budget == DEFAULT_BUDGET
+            with pytest.raises(SystemExit):
+                parser.parse_args([argv[0], "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert "--budget BUDGET max rotation-space size (systems addressed, not states expanded)" in help_text
 
     def test_verify_deterministic_bytes(self, capsys):
         assert main(["verify", "--suite", "k33"]) == 0

@@ -24,6 +24,7 @@ from rotsys import (
     canonical_key,
     chirality,
     circulant,
+    classify,
     complement,
     complete,
     complete_bipartite,
@@ -43,7 +44,6 @@ from rotsys import (
     wheel,
 )
 from rotsys import _kernel, enumeration
-from rotsys.canon import class_key
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
@@ -595,8 +595,9 @@ class TestOrbitMarking:
                 assert size * order == (1 if achiral else 2) * aut
             assert covered == space.total
             firsts: dict[bytes, int] = {}
-            for i in pinned:
-                firsts.setdefault(class_key(space.embedding_at(i), "equivalence"), i)
+            keys = classify([space.embedding_at(i) for i in pinned], "equivalence")[1]
+            for i, key in zip(pinned, keys):
+                firsts.setdefault(key, i)
             assert [i for i, *_ in found] == sorted(firsts.values())
 
     def test_whole_group_gives_the_same_orbits(self):
@@ -671,7 +672,7 @@ class TestOrbitMarking:
         space = RotationSpace(g)
         found, peak = self.orbit_peak_bytes(space, range(1))
         assert found == [(0, 720, 7, True)]
-        assert space._pin == (0, [0]) and space.counts[0] == 720
+        assert space._pinned[:2] == (0, [0]) and space.counts[0] == 720
         assert [len(found) for found in space._landings.values()] == [14]
         assert peak < group_bytes
 
@@ -724,7 +725,7 @@ class TestPin:
         for g in differential_graphs():
             group = list(product_automorphisms(g))
             space = RotationSpace(g)
-            v, reps = space._pin
+            v, reps, _, _ = space._pinned
             orbit_of = self.stabiliser_orbits(g, v, group)
             assert reps == sorted(reps) and reps[0] == 0
             assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
@@ -740,7 +741,7 @@ class TestPin:
         # listed under u and each of those preimages.
         for g in differential_graphs():
             space = RotationSpace(g)
-            v, reps = space._pin
+            v, reps, _, _ = space._pinned
             darts, position = space._positions
             nd = len(darts)
             pad = bytes(256 - nd)

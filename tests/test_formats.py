@@ -11,7 +11,6 @@ from rotsys.formats import (
     load_appendix_b,
     parse_appendix_a,
     parse_appendix_b,
-    parse_embedding,
     parse_named_embeddings,
     write_embedding,
 )
@@ -21,14 +20,15 @@ class TestNativeFormat:
     def test_round_trip_byte_identical(self, theta5_systems):
         for e in theta5_systems.values():
             text = write_embedding(e, "theta5")
-            back = parse_embedding(text)
+            (doc,) = parse_named_embeddings(text)
+            back = doc.embedding
             assert back == e
             assert write_embedding(back, "theta5") == text
 
     def test_loop_rejected(self):
         text = "graph bad\nvertices 2\nedge 1 1 1\nrot 1: 1 1\nrot 2:\n"
         with pytest.raises(ParseError) as err:
-            parse_embedding(text)
+            parse_named_embeddings(text)
         assert "loop" in str(err.value)
 
     def test_duplicate_edge_id_rejected(self):
@@ -37,19 +37,19 @@ class TestNativeFormat:
             "rot 1: 1 1\nrot 2: 1 1\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_embedding(text)
+            parse_named_embeddings(text)
         assert "contiguous" in str(err.value)
 
     def test_missing_rot_line(self):
         text = "graph bad\nvertices 2\nedge 1 1 2\nrot 1: 1\n"
         with pytest.raises(ParseError) as err:
-            parse_embedding(text)
+            parse_named_embeddings(text)
         assert "vertex 2" in str(err.value)
 
     def test_line_numbers_reported(self):
         text = "graph x\nvertices 2\nedge 1 1 2\nwhat 5\n"
         with pytest.raises(ParseError) as err:
-            parse_embedding(text)
+            parse_named_embeddings(text)
         assert str(err.value).startswith("line 4:")
 
     def test_multi_document(self, theta5_systems):

@@ -1,8 +1,10 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and every name it defines is read."""
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,53 @@ def test_every_module_imports_only_the_standard_library():
     assert "rotsys" in out and "multiprocessing" not in out
     assert [m for m in out if m != "rotsys" and m not in sys.stdlib_module_names] == []
 
+
+def _module_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each name a module's top-level statements define, with its statement."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((stmt.name, stmt))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                found += [(node.id, stmt) for node in ast.walk(target) if isinstance(node, ast.Name)]
+    return found
+
+
+def _reads(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name or as an attribute."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_names(package: Path, perfbench: Path) -> list[str]:
+    """Module-level names of ``package`` that nothing reads.
+
+    A name counts as read when a statement of the package other than its
+    definition reads it, when the package's ``__init__`` exports it, or
+    when a file in ``perfbench`` names it.  Tests do not count.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    exported = {name for name, _ in _module_names(trees["__init__"])}
+    exported |= {a.asname or a.name for s in trees["__init__"].body if isinstance(s, ast.ImportFrom) for a in s.names}
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.iterdir()) if p.is_file())
+    reads = {id(stmt): _reads(stmt) for tree in trees.values() for stmt in tree.body}
+    unused = []
+    for module, tree in trees.items():
+        for name, stmt in _module_names(tree):
+            if name in exported or re.search(rf"\b{re.escape(name)}\b", bench):
+                continue
+            if not any(name in names for at, names in reads.items() if at != id(stmt)):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_module_level_name_is_read():
+    # A name only tests read is dead code: delete it, or export it.
+    assert unused_names(SRC / "rotsys", SRC.parent / "perfbench") == []

@@ -17,7 +17,6 @@ from rotsys import (
     complete,
     contract_edge,
     delete_edge,
-    delete_edge_permissive,
     dedup,
     from_neighbor_lists,
     k4_plus,
@@ -156,20 +155,11 @@ class TestDeleteAdd:
         with pytest.raises(InvalidEmbedding):
             delete_edge(theta5_systems[10], 1)
 
-    def test_permissive_mode_drops_genus(self, theta5_systems):
-        e = theta5_systems[10]
-        result = delete_edge_permissive(e, 1)
-        assert surface_stats(result).genus == 1
-        assert surface_stats(result).f == 2
-        with pytest.raises(InvalidEmbedding):
-            delete_edge_permissive(*_two_face_edge())
-
-    def test_unknown_edge_ids_rejected_by_both_deletions(self, theta5_systems):
+    def test_unknown_edge_ids_rejected(self, theta5_systems):
         e = theta5_systems[10]
         for eid in (0, e.graph.edge_count + 1):
-            for delete in (delete_edge, delete_edge_permissive):
-                with pytest.raises(ValueError, match="unknown edge id"):
-                    delete(e, eid)
+            with pytest.raises(ValueError, match="unknown edge id"):
+                delete_edge(e, eid)
 
     def test_pendant_edge_lies_on_one_face(self):
         # A triangle with a pendant edge 4 at vertex 3: the two darts of
@@ -197,12 +187,6 @@ class TestDeleteAdd:
         i, j = [p for p in range(len(walk)) if dv[walk[p]] == 1][:2]
         with pytest.raises(InvalidEmbedding):
             add_edge_in_face(theta5_systems[10], CornerRef(0, i), CornerRef(0, j), 6)
-
-
-def _two_face_edge():
-    # an embedding plus an edge id whose sides lie on two distinct faces
-    e = make_embedding(theta(3), [(1, 2, 3), (1, 3, 2)])
-    return e, 1
 
 
 class TestSubdivide:
