@@ -71,7 +71,12 @@ _MAX_TABLE = 1 << 16
 
 
 def build_orders(darts_by_vertex: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Per-vertex cyclic orders: least dart first, remainder in lex order."""
+    """Per-vertex cyclic orders: least dart first, remainder in lex order.
+
+    This is the one place that numbers a vertex's orders: a digit of a
+    system's index, and every table :class:`rotation_space.RotationSpace`
+    keys by digit, read them off these lists.
+    """
     out = []
     for darts in darts_by_vertex:
         first, rest = darts[0], darts[1:]

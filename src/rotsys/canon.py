@@ -15,12 +15,11 @@ The least serialization is found by pruning breadth first, as in the
 search trees of canonical labelling.  A serialization's third byte is the
 degree of its root's vertex, so only roots at vertices of least degree are
 started.  They all advance together, one vertex block at a time, and after
-each block only the roots whose block is the least one go on.  A root's
-block is compared with the least block of the roots before it as it is
-written, pair by pair, and the root drops out at the first pair above it,
-without finishing the block.  The roots left at the end are those reaching
-the least serialization, so the key and the group order are those of the
-full set of serializations.
+each block only the roots whose block is the least one go on.  A root
+writes its whole block, then compares it with the least block of the
+roots before it, and drops out when its block is above it.  The roots
+left at the end are those reaching the least serialization, so the key
+and the group order are those of the full set of serializations.
 
 Mirror images: reversing all rotations gives the reflected embedding.  An
 embedding isomorphic to its own reversal is called non-orientable (achiral);
@@ -100,48 +99,11 @@ def _block(
     rotation.
 
     ``least`` is the least block of the other roots at this index so far
-    (``None`` for the first).  The block is compared with it as it is
-    written, and at a degree or a (neighbor label, edge label) pair above
-    it the root is out: ``None`` is returned, and the labels are left half
-    written.  A block that ties ``least`` to the end is returned as
-    ``least`` itself; one that goes below it is finished as written.
+    (``None`` for the first).  The block is written whole, then compared
+    with it once: a block above ``least`` gives ``None``, one that ties it
+    is returned as ``least`` itself, and one below it as written.
     """
-    degree = len(steps)
-    out = [degree]
-    if least is not None:
-        if not least or degree > least[0]:
-            return None, next_edge_label
-        if degree == least[0]:
-            # Labels and compares, then hands the darts after the first that
-            # differs to the plain loop below; one loop testing a flag per
-            # dart keyed the workloads' stream sets 5-11 % slower.
-            steps = iter(steps)
-            j = 1
-            for w, k, p in steps:
-                wl = vlab[w]
-                if wl < 0:
-                    wl = vlab[w] = len(starts)
-                    starts.append(p)
-                el = elab[k]
-                if el < 0:
-                    el = elab[k] = next_edge_label
-                    next_edge_label += 1
-                lw = least[j]
-                if wl != lw:
-                    if wl > lw:
-                        return None, next_edge_label
-                    break
-                le = least[j + 1]
-                if el != le:
-                    if el > le:
-                        return None, next_edge_label
-                    break
-                j += 2
-            else:
-                return least, next_edge_label
-            out = least[:j]
-            out.append(wl)
-            out.append(el)
+    out = [len(steps)]
     for w, k, p in steps:
         wl = vlab[w]
         if wl < 0:
@@ -153,6 +115,11 @@ def _block(
             next_edge_label += 1
         out.append(wl)
         out.append(el)
+    if least is not None:
+        if out == least:
+            return least, next_edge_label
+        if out > least:
+            return None, next_edge_label
     return out, next_edge_label
 
 
@@ -164,14 +131,14 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int, list]:
     degree advances one block at a time, and only the roots whose block is
     the least at that index go on; a root with no block left emits the
     empty block, which is least, as a stream that is a prefix of another
-    is less.  A root stops inside its block at the first pair above the
-    least block of the roots before it, so only roots that tie or go below
-    finish theirs.  The roots left at the end all give the least stream:
-    their number is the group order.  A root's state is ``[root, starts,
-    vertex labels, edge labels, next edge label]``, as :func:`_block` takes
-    them; at the end, the labels (0-based, ``-1`` where unreached) are
-    those of the root's whole traversal.  With ``mirror`` all of this is
-    that of ``reverse(e)``, built from the reversed rotations of ``e``.
+    is less.  Each root writes its whole block, even one that drops out,
+    and compares it once with the least block of the roots before it.  The
+    roots left at the end all give the least stream: their number is the
+    group order.  A root's state is ``[root, starts, vertex labels, edge
+    labels, next edge label]``, as :func:`_block` takes them; at the end,
+    the labels (0-based, ``-1`` where unreached) are those of the root's
+    whole traversal.  With ``mirror`` all of this is that of
+    ``reverse(e)``, built from the reversed rotations of ``e``.
     """
     g = e.graph
     steps = _steps(e, mirror)
@@ -222,7 +189,10 @@ def canonical_embedding(key: bytes) -> Embedding:
     A key holds ``n`` and ``m``, then ``n`` blocks of ``2m`` darts in all,
     so it is ``2 + n + 4m`` bytes long; any other length, or blocks whose
     degrees do not add up to it, or edge labels that do not pair up, raise
-    ``ValueError("malformed canonical key")``.
+    ``ValueError("malformed canonical key")``, and so do keys whose blocks
+    make no graph an embedding can have: one with no vertex, a loop, or
+    more than one component.  A rooted serialization that is not the least
+    one decodes too, to the embedding it serializes.
     """
     if len(key) < 2 or len(key) != 2 + key[0] + 4 * key[1]:
         raise ValueError("malformed canonical key")
@@ -251,7 +221,6 @@ def canonical_embedding(key: bytes) -> Embedding:
         if len(occ) != 2 or occ[0][1] != occ[1][0] or occ[1][1] != occ[0][0]:
             raise ValueError("malformed canonical key")
         edges.append((occ[0][0] + 1, occ[1][0] + 1))
-    graph = MultiGraph(n, tuple(edges))
     seen_once: set[int] = set()
     dart_rot: list[list[int]] = []
     for tokens in rotations:
@@ -263,7 +232,10 @@ def canonical_embedding(key: bytes) -> Embedding:
                 seen_once.add(el)
                 darts.append(2 * el)
         dart_rot.append(darts)
-    return embedding_from_darts(graph, dart_rot)
+    try:
+        return embedding_from_darts(MultiGraph(n, tuple(edges)), dart_rot)
+    except ValueError:  # no vertex, a loop or a disconnected graph
+        raise ValueError("malformed canonical key") from None
 
 
 def automorphism_group_order(e: Embedding) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from hashlib import sha256
 
 from . import enumeration as en
@@ -36,7 +35,10 @@ from .formats import (
     write_embedding,
 )
 from .polygon import boundary_word, format_word
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, _chirality_split, _group_multiset, run_suite
+
+# --mode choices, and the dedup mode each names.
+_MODES = {"iso": "iso", "equiv": "equivalence"}
 
 
 def _read(path: str) -> str:
@@ -49,6 +51,12 @@ def _load_one(path: str):
     if len(docs) != 1:
         raise ParseError(1, f"{path}: expected one embedding, found {len(docs)}")
     return docs[0]
+
+
+def _split(orientable: int, non_orientable: int, noun: str = "", iso: int | None = None) -> str:
+    """``N noun (a orientable + b non-orientable)``, with ``, c iso`` inside the brackets when ``iso`` is given."""
+    tail = "" if iso is None else f", {iso} iso"
+    return f"{orientable + non_orientable}{noun} ({orientable} orientable + {non_orientable} non-orientable{tail})"
 
 
 def _class_line(cls) -> str:
@@ -90,7 +98,7 @@ def _cmd_classify(args) -> int:
     docs = []
     for path in args.files:
         docs.extend(parse_named_embeddings(_read(path)))
-    mode = "equivalence" if args.mode == "equiv" else "iso"
+    mode = _MODES[args.mode]
     classes, keys = classify([d.embedding for d in docs], mode)
     members: dict[bytes, list[str]] = {}
     for d, key in zip(docs, keys):
@@ -104,25 +112,19 @@ def _cmd_classify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     graph = build_graph(args.graph)
-    mode = "equivalence" if args.mode == "equiv" else "iso"
+    mode = _MODES[args.mode]
     if args.genus is None and not args.one_face:
         dist = en.genus_distribution(graph, budget=args.budget)
         print(f"graph {args.graph}: rotation systems {en.rotation_space_size(graph)}")
         for r in dist.records:
-            groups = ",".join(f"{o}^{c}" for o, c in sorted(Counter(r.group_orders).items(), reverse=True))
             print(
-                f"genus {r.genus}: {r.equivalence_classes} classes"
-                f" ({r.orientable} orientable + {r.non_orientable} non-orientable,"
-                f" {r.iso_classes} iso), groups {groups}, systems {r.raw_systems}"
+                f"genus {r.genus}: {_split(r.orientable, r.non_orientable, ' classes', r.iso_classes)},"
+                f" groups {_group_multiset(r.group_orders)}, systems {r.raw_systems}"
             )
         return 0
     classes = en.exhaustive_classes(graph, genus=args.genus, faces=1 if args.one_face else None,
                                     mode=mode, budget=args.budget)
-    orc = sum(1 for c in classes if c.chirality == "orientable")
-    print(
-        f"graph {args.graph}: {len(classes)} {mode} classes"
-        f" ({orc} orientable + {len(classes) - orc} non-orientable)"
-    )
+    print(f"graph {args.graph}: {_split(*_chirality_split(classes), f' {mode} classes')}")
     for c in classes:
         print(_class_line(c))
     return 0
@@ -140,8 +142,7 @@ def _cmd_pipeline(args) -> int:
     st = en.pipeline_k5_stages()
 
     def split(classes) -> str:
-        orc = sum(1 for c in classes if c.chirality == "orientable")
-        return f"{len(classes)} ({orc} orientable + {len(classes) - orc} non-orientable)"
+        return _split(*_chirality_split(classes))
 
     print("theta5 classes: 3")
     print(f"T123: {len(st.t123_iso)} iso, {split(st.t123)}")
@@ -156,13 +157,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    mode = "equivalence" if args.mode == "equiv" else "iso"
+    mode = _MODES[args.mode]
     classes = en.theta_embeddings(args.m, args.genus, mode=mode, budget=args.budget)
-    orc = sum(1 for c in classes if c.chirality == "orientable")
-    print(
-        f"theta({args.m}) genus {args.genus}: {len(classes)} {mode} classes"
-        f" ({orc} orientable + {len(classes) - orc} non-orientable)"
-    )
+    print(f"theta({args.m}) genus {args.genus}: {_split(*_chirality_split(classes), f' {mode} classes')}")
     for c in classes:
         print(_class_line(c))
     return 0
@@ -197,6 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=en.DEFAULT_BUDGET,
                         help="max rotation-space size (systems addressed, not states expanded)")
 
+    def add_mode(sp):
+        sp.add_argument("--mode", choices=tuple(_MODES), default="iso")
+
     sp = sub.add_parser("faces", help="facial walks of an embedding file")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_faces)
@@ -211,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="group embedding files into classes")
     sp.add_argument("files", nargs="+")
-    sp.add_argument("--mode", choices=("iso", "equiv"), default="iso")
+    add_mode(sp)
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("enumerate", help="exhaustive rotation-system search")
     sp.add_argument("--graph", required=True, help="graph spec, e.g. complete(5) or circulant(8,1,4)")
     sp.add_argument("--genus", type=int, default=None)
     sp.add_argument("--one-face", action="store_true", help="filter to single-face systems")
-    sp.add_argument("--mode", choices=("iso", "equiv"), default="iso")
+    add_mode(sp)
     add_budget(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("theta", help="theta-graph classes at a genus")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--mode", choices=("iso", "equiv"), default="iso")
+    add_mode(sp)
     add_budget(sp)
     sp.set_defaults(func=_cmd_theta)
 

@@ -44,37 +44,6 @@ def _products(levels: list[list[Element]]) -> Iterator[Element]:
     return walk((IDENTITY, IDENTITY), 0)
 
 
-def _order_keys(start: int, k: int) -> tuple[list[bytes], list[bytes]]:
-    """The keys of the cyclic orders of a vertex of degree ``k`` at positions ``start .. start + k - 1``, and of their reversals.
-
-    The orders are listed as :func:`_kernel.build_orders` lists them: the
-    first dart, then each permutation of the others in lexicographic
-    order.  An order's key holds the position of each position's
-    successor, and its reversal's key the position of its predecessor.
-    They are built depth first, so orders that share a prefix share its
-    work.
-    """
-    if k == 1:
-        return [bytes([start])], [bytes([start])]
-    keys: list[bytes] = []
-    mirrors: list[bytes] = []
-    succ, pred = bytearray(k), bytearray(k)
-
-    def extend(last: int, left: list[int]) -> None:
-        if len(left) == 1:
-            x = left[0]
-            succ[last], pred[x], succ[x], pred[0] = start + x, start + last, start, start + x
-            keys.append(bytes(succ))
-            mirrors.append(bytes(pred))
-            return
-        for i, x in enumerate(left):
-            succ[last], pred[x] = start + x, start + last
-            extend(x, left[:i] + left[i + 1:])
-
-    extend(0, list(range(1, k)))
-    return keys, mirrors
-
-
 class _Rebased(NamedTuple):
     """Aut(G) from its stabiliser chain rebased at a vertex w, on dart positions.
 
@@ -165,14 +134,15 @@ class RotationSpace:
     def _vertex_tables(self) -> list[tuple[slice, list[bytes], dict[bytes, int], list[int]]]:
         """Per vertex: the slice of its positions, its keys, its table and its mirror digits.
 
-        The key of each cyclic order, in digit order, is its slice of
-        ``succ`` (see :func:`_order_keys`), and the table maps it back to
-        the digit; the mirror digits give the digit of each order's
-        reversal.  Vertices of one degree share the work: their keys are
-        the first one's shifted to their positions, and their mirror digits
-        are the first one's.
+        The key of each cyclic order of :attr:`orders`, in digit order, is
+        its slice of ``succ``: the position of each position's successor.
+        The table maps it back to the digit; the mirror digits give the
+        digit of each order's reversal.  Vertices of one degree share the
+        work: their keys are the first one's shifted to their positions,
+        and their mirror digits are the first one's.
         """
-        self._positions  # the size guard, before any position is written to a byte
+        position = self._positions[1]  # the size guard, before any position is written to a byte
+        position += bytes(256 - len(position))  # a translate table
         firsts: dict[int, tuple[int, list[bytes], list[int]]] = {}  # per degree: its first vertex's start, keys, mirrors
         tables = []
         start = 0
@@ -182,13 +152,15 @@ class RotationSpace:
                 first, keys, rev = firsts[k]
                 shift = bytes(first) + bytes(range(start, start + k)) + bytes(256 - first - k)
                 keys = [key.translate(shift) for key in keys]
-                table = {key: digit for digit, key in enumerate(keys)}
             else:
-                keys, mirrors = _order_keys(start, k)
-                table = {key: digit for digit, key in enumerate(keys)}
-                rev = [table[key] for key in mirrors]
+                keys = []
+                for cyc in orders:
+                    p = bytes(cyc).translate(position)  # the positions, in cyclic order
+                    keys.append(bytes.maketrans(p, p[1:] + p[:1])[start : start + k])
+                digit = {cyc: i for i, cyc in enumerate(orders)}
+                rev = [digit[cyc[:1] + cyc[:0:-1]] for cyc in orders]
                 firsts[k] = start, keys, rev
-            tables.append((slice(start, start + k), keys, table, rev))
+            tables.append((slice(start, start + k), keys, {key: i for i, key in enumerate(keys)}, rev))
             start += k
         return tables
 

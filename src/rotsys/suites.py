@@ -100,15 +100,16 @@ def _appendix_classes(entries):
     return classes, set(keys), recomputed, mismatches
 
 
-def _group_multiset(classes) -> str:
-    counts = Counter(c.group_order for c in classes)
+def _group_multiset(orders) -> str:
+    """Group orders as ``o^c,...``: each order and how often it occurs, largest first."""
+    counts = Counter(orders)
     return ",".join(f"{order}^{counts[order]}" for order in sorted(counts, reverse=True))
 
 
 def _suite_core(report: VerificationReport, budget: int) -> None:
     theta5 = en.exhaustive_classes(theta(5), genus=2, mode="equivalence", budget=budget)
     report.check("theta5 double-torus classes", 3, len(theta5))
-    report.check("theta5 group orders", "10^1,5^1,2^1", _group_multiset(theta5))
+    report.check("theta5 group orders", "10^1,5^1,2^1", _group_multiset(c.group_order for c in theta5))
     report.check("theta5 chirality", "all non_orientable",
                  "all non_orientable" if all(c.chirality == NON_ORIENTABLE for c in theta5)
                  else "mixed")
@@ -128,7 +129,7 @@ def _suite_core(report: VerificationReport, budget: int) -> None:
     report.check("K5-uv equivalence (or+non)", "21+18", "%d+%d" % _chirality_split(st.k5_minus))
     report.check("K5 iso classes", 45, len(st.k5_iso))
     report.check("K5 equivalence (or+non)", "14+17", "%d+%d" % _chirality_split(st.k5))
-    report.check("K5 group orders", "5^1,4^2,2^1,1^27", _group_multiset(st.k5))
+    report.check("K5 group orders", "5^1,4^2,2^1,1^27", _group_multiset(c.group_order for c in st.k5))
     order5 = [c for c in st.k5 if c.group_order == 5]
     report.check("K5 order-5 class chirality", "non_orientable",
                  order5[0].chirality if len(order5) == 1 else f"{len(order5)} classes")
@@ -209,7 +210,7 @@ def _suite_appendix_a(report: VerificationReport, budget: int) -> None:
                  f"{31 - len(mismatches)}/31" + (f" (recomputation wins: {mismatches})" if mismatches else ""))
     orc = recomputed.count(ORIENTABLE)
     report.check("orientable+non-orientable", "14+17", f"{orc}+{31 - orc}")
-    report.check("group orders", "5^1,4^2,2^1,1^27", _group_multiset(classes))
+    report.check("group orders", "5^1,4^2,2^1,1^27", _group_multiset(c.group_order for c in classes))
     st = en.pipeline_k5_stages()
     report.check("classes = expansion-chain classes", True,
                  ekeys == {c.canonical_key for c in st.k5})
@@ -274,12 +275,8 @@ def _torus_row(report: VerificationReport, name: str, spec: str, emb: int, orc: 
         computed += f" (iso classes: {iso})"
     report.check(f"{name} torus embeddings (equiv=or+non)", f"{emb}={orc}+{non}", computed)
     report.check(f"{name} graph automorphisms", graph_aut, graph_automorphism_count(g))
-    rot = Counter(c.group_order for c in classes)
-    ext = Counter(
-        c.group_order * (2 if c.chirality == NON_ORIENTABLE else 1) for c in classes
-    )
-    rot_s = ",".join(f"{o}^{rot[o]}" for o in sorted(rot, reverse=True))
-    ext_s = ",".join(f"{o}^{ext[o]}" for o in sorted(ext, reverse=True))
+    rot_s = _group_multiset(c.group_order for c in classes)
+    ext_s = _group_multiset(c.group_order * (2 if c.chirality == NON_ORIENTABLE else 1) for c in classes)
     if rot_s == groups:
         report.result(f"{name} embedding group orders", groups, f"{rot_s} [rotation-preserving]", True)
     elif ext_s == groups:

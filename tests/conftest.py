@@ -124,7 +124,7 @@ def stream_blocks(monkeypatch):
 
     A root-block is one call of ``canon._block``: the next vertex block of
     one root's traversal, as ``canon._least`` advances every live root,
-    counted when it starts, whether the root finishes it or stops inside.
+    counted once per call, whether the root goes on after it or drops out.
     """
     emitted = [0]
     original = canon._block

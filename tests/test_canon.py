@@ -101,11 +101,14 @@ class TestCanonicalKey:
     def test_malformed_keys_raise_value_error(self):
         # A key is 2 + n + 4m bytes long: a truncated key, one with bytes
         # left over, and blocks whose degrees overrun the darts are refused
-        # before any byte past the end is read.
+        # before any byte past the end is read.  So are keys of the right
+        # length that make no graph an embedding has: no vertex, a loop at
+        # vertex 1, and an edge beside an isolated vertex.
         g = MultiGraph(3, ((1, 2), (2, 3), (1, 3)))
         key = canonical_key(embedding_from_darts(g, g.darts_at))
         assert canonical_embedding(key).graph.n == 3
         bad = [key[:-1], key + b"\x00", b"\x03\x03\x02", b"", b"\x01", bytes([3, 3, 7]) + bytes(14)]
+        bad += [b"\x00\x00", bytes([1, 1, 2, 0, 0, 0, 0]), bytes([3, 1, 1, 1, 0, 1, 0, 0, 0])]
         for k in bad:
             with pytest.raises(ValueError, match="malformed canonical key"):
                 canonical_embedding(k)

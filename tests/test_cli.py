@@ -130,6 +130,16 @@ class TestEnumerate:
         assert "genus 1: 2 classes" in out
         assert "genus 2: 1 classes" in out
 
+    def test_distribution_lines(self, capsys):
+        # Every field of the three lines: the space, then per genus the
+        # chirality split, the iso count, the group multiset and the systems.
+        assert main(["enumerate", "--graph", "complete_bipartite(3,3)"]) == 0
+        assert capsys.readouterr().out == (
+            "graph complete_bipartite(3,3): rotation systems 64\n"
+            "genus 1: 2 classes (0 orientable + 2 non-orientable, 2 iso), groups 18^1,2^1, systems 40\n"
+            "genus 2: 1 classes (0 orientable + 1 non-orientable, 1 iso), groups 3^1, systems 24\n"
+        )
+
     def test_budget_error(self, capsys):
         assert main(["enumerate", "--graph", "petersen", "--genus", "1", "--budget", "5"]) == 2
         assert "budget" in capsys.readouterr().err

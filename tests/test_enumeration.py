@@ -100,9 +100,9 @@ class TestRotationSpace:
             assert len(set(pinned)) == len(pinned) and set(pinned) <= whole
 
     def test_vertex_tables_against_each_order(self):
-        # The keys built depth first, and shifted for later vertices of one
-        # degree, against each order's successors written out one by one;
-        # the mirror digit against the reversed order's digit.
+        # The keys read off each vertex's order list, and shifted for later
+        # vertices of one degree, against each order's successors written
+        # out one by one; the mirror digit against the reversed order's digit.
         for g in [theta(7), wheel(6), complete_bipartite(1, 7), complete_bipartite(2, 4)] + random_graphs(71, 10):
             space = RotationSpace(g)
             darts, position = space._positions

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,3 +83,60 @@ def unused_names(package: Path, perfbench: Path) -> list[str]:
 def test_every_module_level_name_is_read():
     # A name only tests read is dead code: delete it, or export it.
     assert unused_names(SRC / "rotsys", SRC.parent / "perfbench") == []
+
+
+def _members(tree: ast.Module) -> list[tuple[str, str, ast.stmt]]:
+    """The class members of a module the guard checks: ``(Class.member, member, its statement)``.
+
+    Members are methods, properties, class-level fields and the names in
+    ``__slots__``.  Every member of a private class is checked, and the
+    underscored members of a public one; dunder names are Python's own.
+    """
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if names == ["__slots__"]:
+                    names = [c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__") and (cls.name.startswith("_") or name.startswith("_")):
+                    found.append((f"{cls.name}.{name}", name, stmt))
+    return found
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name as an attribute."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unread_members(package: Path, perfbench: Path) -> list[str]:
+    """Class members of ``package`` (see :func:`_members`) that nothing reads.
+
+    A member counts as read when a statement of the package other than its
+    own definition reads its name as an attribute, or when a file in
+    ``perfbench`` names it.  Tests do not count.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.iterdir()) if p.is_file())
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for qualified, name, stmt in _members(tree):
+            if re.search(rf"\b{re.escape(name)}\b", bench):
+                continue
+            if reads[name] == _attribute_reads(stmt)[name]:
+                unread.append(f"{module}.{qualified}")
+    return unread
+
+
+def test_every_private_class_member_is_read():
+    # A member only tests read is dead code, like a module-level name.
+    assert unread_members(SRC / "rotsys", SRC.parent / "perfbench") == []
