@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
@@ -192,46 +193,43 @@ def canonical_embedding(key: bytes) -> Embedding:
     ``ValueError("malformed canonical key")``, and so do keys whose blocks
     make no graph an embedding can have: one with no vertex, a loop, or
     more than one component.  A rooted serialization that is not the least
-    one decodes too, to the embedding it serializes.
+    one is refused alike: the embedding it decodes to is keyed once, and
+    its key must be ``key``.
     """
+    e = _decode(key)
+    if _least(e)[0] != key:
+        raise ValueError("malformed canonical key")
+    return e
+
+
+def _decode(key: bytes) -> Embedding:
+    """:func:`canonical_embedding` without its check that ``key`` is least, for keys from :func:`_least`."""
     if len(key) < 2 or len(key) != 2 + key[0] + 4 * key[1]:
         raise ValueError("malformed canonical key")
     n, m = key[0], key[1]
     pos = 2
     darts_left = 2 * m  # so no block reads past the end
-    rotations: list[list[tuple[int, int]]] = []  # (edge label, neighbor label)
-    for _ in range(n):
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # per edge label: (vertex, neighbor) of each dart
+    dart_rot: list[list[int]] = []
+    for v0 in range(n):
         deg = key[pos]
-        pos += 1
         darts_left -= deg
         if darts_left < 0:
             raise ValueError("malformed canonical key")
-        tokens = []
-        for _ in range(deg):
-            tokens.append((key[pos + 1], key[pos]))
-            pos += 2
-        rotations.append(tokens)
-    occurrences: dict[int, list[tuple[int, int]]] = {}  # edge -> [(vertex, nbr)]
-    for v0, tokens in enumerate(rotations):
-        for el, wl in tokens:
-            occurrences.setdefault(el, []).append((v0, wl))
+        block = key[pos + 1 : pos + 1 + 2 * deg]
+        pos += 1 + 2 * deg
+        darts = []
+        for wl, el in zip(block[::2], block[1::2]):
+            if el >= m or len(ends[el]) == 2:
+                raise ValueError("malformed canonical key")
+            darts.append(2 * el + len(ends[el]))  # the edge's first dart is met at its first end
+            ends[el].append((v0, wl))
+        dart_rot.append(darts)
     edges = []
-    for el in range(m):
-        occ = occurrences.get(el, ())
+    for occ in ends:
         if len(occ) != 2 or occ[0][1] != occ[1][0] or occ[1][1] != occ[0][0]:
             raise ValueError("malformed canonical key")
         edges.append((occ[0][0] + 1, occ[1][0] + 1))
-    seen_once: set[int] = set()
-    dart_rot: list[list[int]] = []
-    for tokens in rotations:
-        darts = []
-        for el, _ in tokens:
-            if el in seen_once:
-                darts.append(2 * el + 1)
-            else:
-                seen_once.add(el)
-                darts.append(2 * el)
-        dart_rot.append(darts)
     try:
         return embedding_from_darts(MultiGraph(n, tuple(edges)), dart_rot)
     except ValueError:  # no vertex, a loop or a disconnected graph
@@ -308,14 +306,27 @@ def are_isomorphic(e1: Embedding, e2: Embedding) -> IsoWitness | None:
 
 @dataclass(frozen=True)
 class EmbeddingClass:
-    """An isomorphism (or mirror-equivalence) class of embeddings."""
+    """An isomorphism (or mirror-equivalence) class of embeddings.
+
+    The representative, decoded from the key, and its genus and face
+    degrees, from one face trace, are made on first read and then kept.
+    """
 
     canonical_key: bytes
-    representative: Embedding
-    genus: int
-    face_degrees: tuple[int, ...]
     group_order: int
     chirality: Chirality
+
+    @cached_property
+    def representative(self) -> Embedding:
+        return _decode(self.canonical_key)
+
+    @cached_property
+    def genus(self) -> int:
+        return self.representative.face_set.stats.genus
+
+    @cached_property
+    def face_degrees(self) -> tuple[int, ...]:
+        return self.representative.face_set.face_lengths()
 
 
 def _check_mode(mode: str) -> None:
@@ -345,17 +356,8 @@ def _mirror_keys(embeddings: Iterable[Embedding]) -> Iterator[tuple[bytes, bytes
 
 
 def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
-    """The class of ``key``, built from its decoded representative."""
-    rep = canonical_embedding(key)
-    faces = rep.face_set
-    return EmbeddingClass(
-        canonical_key=key,
-        representative=rep,
-        genus=faces.stats.genus,
-        face_degrees=faces.face_lengths(),
-        group_order=order,
-        chirality=NON_ORIENTABLE if achiral else ORIENTABLE,
-    )
+    """The class of ``key``; nothing is decoded or traced until a field of its representative is read."""
+    return EmbeddingClass(key, order, NON_ORIENTABLE if achiral else ORIENTABLE)
 
 
 def _orbit_classes(e: Embedding, mode: DedupMode, order: int, achiral: bool) -> list[EmbeddingClass]:

@@ -23,6 +23,7 @@ from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
+    GraphTables,
     _check_guard,
     _check_mode,
     _degrees_fit,
@@ -206,15 +207,17 @@ def genus_distribution(
     under Aut(G) x mirror marked within the subspace (see
     :meth:`RotationSpace.orbits`).  Every class has a member there.  The
     orbit gives the class's group order, achirality and size in the whole
-    space, one face trace of its first member gives its genus, and
-    ``raw_systems`` sums the orbit sizes.  The counts are those of
-    :func:`dedup` over the whole space.  ``workers`` has no effect.
+    space, the face count of its first member, counted on the pass's
+    tables (:meth:`RotationSpace.faces_at`), gives its genus, and
+    ``raw_systems`` sums the orbit sizes.  No embedding is built.  The
+    counts are those of :func:`dedup` over the whole space.  ``workers``
+    has no effect.
     """
     _check_budget("rotation space", rotation_space_size(graph), budget)
     space = RotationSpace(graph)
     by_genus: dict[int, list[tuple[int, int, bool]]] = {}
     for i, size, order, achiral in space.orbits(range(math.prod(map(len, space.pinned_orders)))):
-        genus = space.embedding_at(i).face_set.stats.genus
+        genus = (2 - graph.n + graph.edge_count - space.faces_at(i)) // 2
         by_genus.setdefault(genus, []).append((size, order, achiral))
     records = []
     for genus in sorted(by_genus):
@@ -445,10 +448,11 @@ def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Embedding]:
     return out
 
 
-def _path_splits(e: Embedding, vertex: int, target: MultiGraph | None = None) -> list[Embedding]:
+def _path_splits(e: Embedding, vertex: int, target: MultiGraph | None = None, tables: GraphTables | None = None) -> list[Embedding]:
     """Expand a degree-5 vertex into a path of three (2 + 1 + 2 darts), one path per start.
 
-    With ``target``, each path's second split is tested against it before
+    With ``target`` and its :func:`_graph_tables` ``tables``, built once
+    by the caller, each path's second split is tested against it before
     it is built, and only paths whose graph is isomorphic to ``target``
     are built and returned.
     """
@@ -456,14 +460,13 @@ def _path_splits(e: Embedding, vertex: int, target: MultiGraph | None = None) ->
     deg = e.degree(vertex)
     if deg != 5:
         raise ValueError("path expansion expects a degree-5 vertex")
-    target_tables = None if target is None else _graph_tables(target)
     for s in range(deg):
         first = split_vertex(e, SplitSpec(vertex, s, 2, e.graph.edge_count + 1))
         mid = first.graph.n  # the fresh vertex holding the remaining three darts
         m1_dart = 2 * first.graph.edge_count - 1
         rot_mid = first.rot[mid - 1]
         spec = SplitSpec(mid, rot_mid.index(m1_dart), 2, first.graph.edge_count + 1)
-        if target is None or _split_fits(first, spec, target, target_tables):
+        if target is None or _split_fits(first, spec, target, tables):
             out.append(split_vertex(first, spec))
     return out
 
@@ -480,11 +483,12 @@ class K33PipelineResult:
 def pipeline_k33_stages() -> K33PipelineResult:
     """Double path splits of the theta(5) classes, filtered to K33, deduped."""
     k33 = complete_bipartite(3, 3)
+    k33_tables = _graph_tables(k33)
     theta5 = theta5_classes()
     counts = []
     candidates: list[Embedding] = []
     for c in theta5:
-        mine = [emb for first in _path_splits(c.representative, 1) for emb in _path_splits(first, 2, k33)]
+        mine = [emb for first in _path_splits(c.representative, 1) for emb in _path_splits(first, 2, k33, k33_tables)]
         counts.append(len(mine))
         candidates.extend(mine)
     classes = dedup(candidates, "equivalence")

@@ -96,12 +96,8 @@ class RotationSpace:
 
     def embedding_at(self, index: int) -> Embedding:
         """System ``index`` of the pinned subspace."""
-        rotations = []
-        for orders in self.pinned_orders:
-            index, digit = divmod(index, len(orders))
-            rotations.append(orders[digit])
         # orders are least-dart-first, i.e. already normalized
-        return Embedding(self.graph, tuple(rotations))
+        return Embedding(self.graph, tuple(orders[d] for orders, d in zip(self.orders, self._system(index)[0])))
 
     # Images under Aut(G) are computed on dart *positions*: the darts
     # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
@@ -356,6 +352,29 @@ class RotationSpace:
             self._landings[u, digit] = found
         return found
 
+    def _system(self, index: int) -> tuple[list[int], bytes]:
+        """System ``index`` of the pinned subspace: its digit in :attr:`orders` at each vertex, and its ``succ``, padded to 256 bytes."""
+        v, reps, _, _ = self._pinned
+        digits = []
+        for orders in self.pinned_orders:
+            index, digit = divmod(index, len(orders))
+            digits.append(digit)
+        digits[v] = reps[digits[v]]
+        succ = b"".join(keys[d] for (_, keys, _, _), d in zip(self._vertex_tables, digits))
+        return digits, succ + bytes(256 - len(succ))
+
+    def faces_at(self, index: int) -> int:
+        """The face count of system ``index`` of the pinned subspace: the cycles of ``p -> succ[partner[p]]`` on dart positions."""
+        step = self._ends[0][: 2 * self.graph.edge_count].translate(self._system(index)[1])
+        seen = bytearray(len(step))
+        faces = 0
+        for p in range(len(step)):
+            faces += not seen[p]
+            while not seen[p]:
+                seen[p] = 1
+                p = step[p]
+        return faces
+
     def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
         """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
 
@@ -386,7 +405,6 @@ class RotationSpace:
         v, reps, _, _ = self._pinned
         vertices = self._vertex_tables
         rebased = self._chain
-        pad = bytes(256 - 2 * self.graph.edge_count)
         counts = [len(orders) for orders in self.pinned_orders]
         places = [math.prod(counts[:w]) for w in range(len(counts))]
         total = math.prod(counts)
@@ -400,12 +418,7 @@ class RotationSpace:
         for index in indices:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
-            digits, high = [], index
-            for count in counts:
-                high, digit = divmod(high, count)
-                digits.append(digit)
-            digits[v] = reps[digits[v]]
-            succ = b"".join(keys[d] for (_, keys, _, _), d in zip(vertices, digits)) + pad
+            digits, succ = self._system(index)
             hits = []
             order = 0
             achiral = False

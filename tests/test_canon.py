@@ -103,12 +103,19 @@ class TestCanonicalKey:
         # left over, and blocks whose degrees overrun the darts are refused
         # before any byte past the end is read.  So are keys of the right
         # length that make no graph an embedding has: no vertex, a loop at
-        # vertex 1, and an edge beside an isolated vertex.
+        # vertex 1, and an edge beside an isolated vertex.  So are rooted
+        # serializations that are not the least: a K5 double-torus class
+        # with a trivial group has 20 distinct ones, and only its key decodes.
         g = MultiGraph(3, ((1, 2), (2, 3), (1, 3)))
         key = canonical_key(embedding_from_darts(g, g.darts_at))
         assert canonical_embedding(key).graph.n == 3
         bad = [key[:-1], key + b"\x00", b"\x03\x03\x02", b"", b"\x01", bytes([3, 3, 7]) + bytes(14)]
         bad += [b"\x00\x00", bytes([1, 1, 2, 0, 0, 0, 0]), bytes([3, 1, 1, 1, 0, 1, 0, 0, 0])]
+        c = next(c for c in exhaustive_classes(complete(5), genus=2) if c.group_order == 1)
+        serializations = {_plain_traversal(c.representative, d)[0] for d in range(20)}
+        assert len(serializations) == 20 and min(serializations) == c.canonical_key
+        assert canonical_embedding(c.canonical_key) == c.representative
+        bad += sorted(serializations - {c.canonical_key})
         for k in bad:
             with pytest.raises(ValueError, match="malformed canonical key"):
                 canonical_embedding(k)

@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -43,7 +44,7 @@ from rotsys import (
     trace_faces,
     wheel,
 )
-from rotsys import _kernel, enumeration
+from rotsys import _kernel, canon, core, enumeration
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
@@ -129,6 +130,16 @@ class TestRotationSpace:
                     hist, matches = _kernel.scan(orders, nd, f)
                     assert hist == expect_hist
                     assert matches == [k for k, fk in enumerate(faces) if fk == f]
+
+    def test_faces_at_against_trace_faces(self):
+        # Every pinned system of the torus rows with at most 8,000 systems,
+        # and of random multigraphs, which have parallel edges.
+        graphs = small_torus_graphs() + random_graphs(73)
+        assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+        for g in graphs:
+            space = RotationSpace(g)
+            for i in range(pinned_size(space)):
+                assert space.faces_at(i) == space.embedding_at(i).face_set.stats.f
 
     def test_budget_is_checked_before_the_space_is_built(self):
         # K1,10 has 362,880 systems, all cyclic orders of its hub; building
@@ -238,6 +249,30 @@ def expansions(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_expand", counted)
     return calls
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A Counter of the embeddings built, faces traced and class keys decoded while the test runs."""
+    counts = Counter()
+    init, trace, decode = core.Embedding.__init__, core.trace_faces, canon._decode
+
+    def counted_init(self, *args, **kwargs):
+        counts["embeddings"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trace(e):
+        counts["traces"] += 1
+        return trace(e)
+
+    def counted_decode(key):
+        counts["decodes"] += 1
+        return decode(key)
+
+    monkeypatch.setattr(core.Embedding, "__init__", counted_init)
+    monkeypatch.setattr(core, "trace_faces", counted_trace)
+    monkeypatch.setattr(canon, "_decode", counted_decode)
+    return counts
 
 
 class TestKernel:
@@ -524,6 +559,24 @@ class TestExhaustive:
         assert sum(5040 // c.group_order for c in classes) == 240
         mirror = dedup([c.representative for c in classes], "equivalence")
         assert [c.chirality for c in mirror] == ["orientable"]
+
+    def test_records_decode_on_first_read(self, built):
+        # The classification builds one embedding per orbit (31 for K5 at
+        # genus 2, 16 for theta(7) at genus 3), to key it, and decodes and
+        # traces nothing.  Reading a record's face degrees decodes its key
+        # and traces its representative once; reading them again, or its
+        # genus, does neither.
+        for call, orbits in ((lambda: exhaustive_classes(complete(5), genus=2, mode="iso"), 31),
+                             (lambda: theta_embeddings(7, 3), 16)):
+            built.clear()
+            classes = call()
+            assert built == {"embeddings": orbits}
+            built.clear()
+            first = [c.face_degrees for c in classes]
+            assert built == {"embeddings": len(classes), "decodes": len(classes), "traces": len(classes)}
+            built.clear()
+            assert [c.face_degrees for c in classes] == first
+            assert len({c.genus for c in classes}) == 1 and not built
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -867,6 +920,13 @@ class TestGenusDistribution:
             d = genus_distribution(g)
             assert visited == [pinned]
             assert sum(r.raw_systems for r in d.records) == rotation_space_size(g)
+
+    def test_builds_no_embedding(self, built):
+        # Each orbit's genus comes from RotationSpace.faces_at: no
+        # embedding is built, no face traced and no key decoded.
+        for g in (complete(5), complete_bipartite(3, 3), theta(7)):
+            assert genus_distribution(g).records
+        assert not built
 
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:

@@ -262,10 +262,15 @@ class TestStageShortcuts:
 
         built = Counter()
         class_record, graph_tables, degrees_fit = canon._class_record, canon._graph_tables, canon._degrees_fit
+        decode = canon._decode
 
         def counted_record(key, order, achiral):
             built["records"] += 1
             return class_record(key, order, achiral)
+
+        def counted_decode(key):
+            built["decodes"] += 1
+            return decode(key)
 
         def counted_tables(g):
             built["tables"] += 1
@@ -286,6 +291,7 @@ class TestStageShortcuts:
             return fits
 
         monkeypatch.setattr(canon, "_class_record", counted_record)
+        monkeypatch.setattr(canon, "_decode", counted_decode)
         for module in (enumeration, surgery):
             monkeypatch.setattr(module, "split_vertex", counted_split)
         for module in (core, canon, enumeration, surgery):
@@ -313,12 +319,17 @@ class TestStageShortcuts:
         iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
         assert built["records"] == 125 == sum(map(len, iso_stages))
         assert built["tables"] == 162 + 67
-        # Faces are traced once per embedding and kept on it: once per
-        # class record, and once for each of the 10 subdivided K4+ systems
-        # that edges are added to.  The 401 insertions of add_edge_in_face
-        # and the _edge_additions calls on class representatives reuse
-        # those walks (579 traces when each call traced its input again).
-        assert built["traces"] == 125 + 10
+        # A record decodes its representative on first read only: the chain
+        # reads those of the classes it expands (3 theta(5), 6 T123, 5 K4+,
+        # 4 W4 and 39 K5-e), each once.
+        assert built["decodes"] == 3 + 6 + 5 + 4 + 39
+        # Faces are traced once per embedding and kept on it, and records
+        # trace none: once for each representative that edges are added to
+        # (the 4 W4 and 39 K5-e classes), and once for each of the 10
+        # subdivided K4+ systems.  The 401 insertions of add_edge_in_face
+        # and the _edge_additions calls on those reuse the walks (135
+        # traces when every record traced its representative).
+        assert built["traces"] == 4 + 39 + 10
         # all_splits settles each of the 264 splits (of the 793) before
         # building it, and builds the 64 that pass.
         assert built["splits"] == 64
@@ -349,7 +360,7 @@ class TestK33Chain:
         for c in theta5_classes():
             for first in _path_splits(c.representative, 1):
                 want = [emb for emb in _path_splits(first, 2) if multigraph_key(emb.graph) == k33_key]
-                got = _path_splits(first, 2, k33)
+                got = _path_splits(first, 2, k33, _graph_tables(k33))
                 assert got == want
                 completions += got
         assert len(completions) == 9
@@ -359,18 +370,29 @@ class TestK33Chain:
         # 15 x 5 paths at vertex 2: each builds its first split, and the 75
         # second splits are tested (53 past the profile check) before the 9
         # completions are built.  Building every path took 180 splits.
+        # Each graph test builds its candidate's tables, and K33's are built
+        # once for the 15 _path_splits calls toward it (90 when each call
+        # built them).
         built = Counter()
+        graph_tables = canon._graph_tables
 
         def counted_split(e, spec):
             built["final" if e.graph.n == 5 else "earlier"] += 1
             return split_vertex(e, spec)
 
+        def counted_tables(g):
+            built["tables"] += 1
+            return graph_tables(g)
+
         monkeypatch.setattr(enumeration, "split_vertex", counted_split)
+        for module in (canon, enumeration, surgery):
+            monkeypatch.setattr(module, "_graph_tables", counted_tables)
         res, tests, searches = graph_tests(pipeline_k33_stages)
         assert (tests, searches) == (75, 53)
+        assert built["tables"] == 75 + 1
         assert sum(res.candidates_per_class) == built["final"] == 9
         assert built["earlier"] == 3 * 10 + 15 * 5
-        assert built.total() == 114
+        assert built["final"] + built["earlier"] == 114
 
     def test_all_completions_share_one_key_with_witnesses(self):
         k33 = complete_bipartite(3, 3)
@@ -379,7 +401,7 @@ class TestK33Chain:
             emb
             for c in theta5_classes()
             for first in _path_splits(c.representative, 1)
-            for emb in _path_splits(first, 2, k33)
+            for emb in _path_splits(first, 2, k33, _graph_tables(k33))
         ]
         assert len(completions) == 9
         assert all(multigraph_key(e.graph) == k33_key for e in completions)
