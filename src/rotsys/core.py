@@ -40,7 +40,7 @@ class BudgetExceeded(RotsysError):
 
     The budget bounds the systems addressed, not the states a scan
     expands.  ``space`` names what it bounds: the whole rotation space, or
-    for theta graphs the pinned subspace.
+    for theta graphs the subspace with one vertex pinned, (m - 1)! systems.
     """
 
     def __init__(self, space: str, required: int, budget: int):

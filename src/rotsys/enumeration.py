@@ -76,9 +76,9 @@ def _check_budget(space: str, size: int, budget: int) -> None:
     """Refuse a space of ``size`` systems over ``budget`` before any of its orders are built.
 
     The budget bounds the systems addressed, i.e. the size of the whole
-    rotation space (the pinned subspace for theta graphs), not the work
-    done: a pinned scan covers part of the space and expands far fewer
-    states than the systems it covers.
+    rotation space (for theta graphs, the (m - 1)! with one vertex
+    pinned), not the work done: a pinned scan covers part of the space
+    and expands far fewer states than the systems it covers.
     """
     if size > budget:
         raise BudgetExceeded(space, size, budget)
@@ -126,8 +126,8 @@ def exhaustive_classes(
     """Embedding classes of ``graph`` with the given genus or face count.
 
     Only the pinned subspace is scanned for the face count: the systems
-    whose order at one vertex is one of its representatives (see
-    :attr:`RotationSpace._pinned`).  The scan (:func:`_kernel.matches`) lists
+    whose order at one vertex, or two, is one that vertex keeps (see
+    :attr:`RotationSpace._pins`).  The scan (:func:`_kernel.matches`) lists
     only the systems with that face count, and drops the partial systems
     whose open face walks are too short to close as many faces; it builds
     no histogram.  The matches are then walked in index
@@ -201,14 +201,14 @@ def genus_distribution(
 ) -> GenusDistribution:
     """Classes per genus across the whole rotation space of ``graph``.
 
-    One sequential pass over the pinned subspace in index order (1,296 of
+    One sequential pass over the pinned subspace in index order (864 of
     K5's 7,776 systems), with no face-count scan and no canonical key: each
     system not yet marked starts a new equivalence class and has its orbit
     under Aut(G) x mirror marked within the subspace (see
     :meth:`RotationSpace.orbits`).  Every class has a member there.  The
     orbit gives the class's group order, achirality and size in the whole
-    space, the face count of its first member, counted on the pass's
-    tables (:meth:`RotationSpace.faces_at`), gives its genus, and
+    space, the face count of its first member, counted on the system the
+    pass decoded (:meth:`RotationSpace.faces_at`), gives its genus, and
     ``raw_systems`` sums the orbit sizes.  No embedding is built.  The
     counts are those of :func:`dedup` over the whole space.  ``workers``
     has no effect.
@@ -250,9 +250,11 @@ def theta_embeddings(
     is every bijection of the edges, with or without the swap of the two
     vertices, and the stabiliser of a vertex has one orbit on its cyclic
     orders, found by ``2m`` sifts of its chain; so one order is pinned, and
-    the ``(m - 1)!`` rotations of the other vertex are scanned.  The budget
-    bounds that number, not the whole space.  Each class then costs one
-    stream set, and a chiral one one more (18 for theta(7) at genus 3).
+    the other vertex keeps one of each orbit of the ``2m`` automorphisms
+    that keep that order or reverse it (78 of theta(7)'s 720).  The budget
+    bounds its ``(m - 1)!`` orders, before any is built, not the whole space.
+    Each class then costs one stream set, and a chiral one one more (18 for
+    theta(7) at genus 3).
     """
     graph = theta(m)  # refuses m < 1
     _check_mode(mode)

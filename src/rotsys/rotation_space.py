@@ -1,11 +1,13 @@
 """The rotation space of a graph, its pinned subspace and the orbit pass of Aut(G) on it.
 
 A :class:`RotationSpace` numbers the rotation systems of a graph, pins one
-vertex to one order per orbit of its stabiliser (joined by reversal), and
-walks the orbits of Aut(G) x mirror within that pinned subspace.  The
-automorphisms it applies come from one stabiliser chain rebased at the
-pinned vertex (:func:`canon._automorphism_chain`), by sifting, so no list
-of the group is ever built.  :mod:`rotsys.enumeration` drives it.
+vertex to one order per orbit of its stabiliser (joined by reversal) and,
+when that leaves one order, a second vertex to one order per orbit of what
+keeps it, and walks the orbits of Aut(G) x mirror within that pinned
+subspace.  The automorphisms it applies come from one stabiliser chain
+rebased at the first pinned vertex (:func:`canon._automorphism_chain`), by
+sifting, so no list of the group is ever built.  :mod:`rotsys.enumeration`
+drives it.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class RotationSpace:
     Vertex ``v`` contributes ``(deg(v) - 1)!`` cyclic orders (least dart
     pinned first); systems are numbered in mixed radix with vertex 1 as the
     fastest digit.  The pinned subspace keeps only the representative
-    orders at the vertex with the most orders (see :attr:`_pinned`); every
-    class, up to isomorphism and mirror image, has a member there, so the
-    orbit pass works in it alone.  Aut(G), which the pin and the orbit pass
+    orders at the vertex with the most orders (see :attr:`_pinned`) and,
+    when it keeps one, the least order of each orbit at a second vertex
+    (see :attr:`_pins`); every class, up to isomorphism and mirror image,
+    has a member there, so the orbit pass works in it alone.  Aut(G), which the pin and the orbit pass
     act with, is one stabiliser chain rebased at that vertex
     (:attr:`_chain`), built once per space like the tables, the pin and
     the landing lists; no list of the whole group is ever built.
@@ -82,16 +85,17 @@ class RotationSpace:
         self.total = math.prod(self.counts)
         self._holdings: dict[int, list[Element]] = {}
         self._landings: dict[tuple[int, int], list[Element]] = {}
+        self._met: tuple[int, bytes] = (-1, b"")  # the index and succ of the system orbits last met
 
     @cached_property
     def pinned_orders(self) -> list[list[tuple[int, ...]]]:
-        """The order lists of the pinned subspace: at the pinned vertex, its representatives only.
+        """The order lists of the pinned subspace: at each pinned vertex, its kept orders only (see :attr:`_pins`).
 
         They are shared, so callers must not change them.
         """
-        v, reps, _, _ = self._pinned
         orders = list(self.orders)
-        orders[v] = [orders[v][d] for d in reps]
+        for w, kept in self._pins:
+            orders[w] = [orders[w][d] for d in kept]
         return orders
 
     def embedding_at(self, index: int) -> Embedding:
@@ -279,7 +283,8 @@ class RotationSpace:
         orbit has ``2|P|`` over the number kept orders.  When that is all of
         them, as at theta(m)'s vertices, the ``2 deg`` sifts settle the
         vertex.  Otherwise each representative's order in turn has every
-        element of P applied.
+        element of P applied.  With one representative, :attr:`_pins`
+        pins a second vertex.
         """
         w = self._chain.vertex
         cut, keys, table, rev = self._vertex_tables[w]
@@ -321,13 +326,53 @@ class RotationSpace:
             found = self._holdings[r] = [(f, i[:nd]) for a in kept for f, i in (_compose(a, k) for k in self._fixing)]
         return found
 
+    @cached_property
+    def _pins(self) -> list[tuple[int, list[int]]]:
+        """The pinned vertices (0-based), each with the digits of the orders it keeps.
+
+        The first is :attr:`_pinned`'s vertex v with its representatives.
+        When v keeps one, r, a second vertex u is pinned under H, the
+        automorphisms of :meth:`_holding` for r.  Those of H that fix a
+        vertex act on its orders as rho -> h rho, or as rho -> rev(h rho)
+        for one that reverses r: composed with the mirror, it keeps r at v.
+        So each class's member with r at v goes by H to one with the least
+        order of its orbit at u, the order u keeps.  u is the vertex with the
+        fewest orbits per order, the lowest on ties; none is pinned when
+        every vertex has as many orbits as orders.
+        """
+        v, reps, _, _ = self._pinned
+        if len(reps) > 1:
+            return [(v, reps)]
+        holding = self._holding(reps[0])
+        cut_v, keys_v, table_v, _ = self._vertex_tables[v]
+        succ = bytes(cut_v.start) + keys_v[reps[0]] + bytes(256 - cut_v.stop)
+        flips = [table_v[i[cut_v].translate(succ).translate(f)] != reps[0] for f, i in holding]
+        candidates = []  # per vertex but v: its orbits per order, the vertex and its kept digits
+        for w, (cut, keys, table, rev) in enumerate(self._vertex_tables):
+            if w == v:
+                continue
+            acting = [(f, i[cut], flip) for (f, i), flip in zip(holding, flips) if cut.start <= f[cut.start] < cut.stop]
+            seen = bytearray(len(keys))
+            kept = []
+            for digit in range(len(keys)):
+                if not seen[digit]:
+                    kept.append(digit)
+                    succ = bytes(cut.start) + keys[digit] + bytes(256 - cut.stop)
+                    for f, i, flip in acting:
+                        x = table[i.translate(succ).translate(f)]
+                        seen[rev[x] if flip else x] = 1
+            candidates.append((len(kept) / len(keys), w, kept))
+        ratio, u, kept = min(candidates)  # a loopless graph with an edge has a second vertex
+        return [(v, reps), (u, kept)] if ratio < 1 else [(v, reps)]
+
     def _landing(self, u: int, digit: int) -> list[Element]:
-        """The automorphisms that take vertex ``u`` with order ``digit`` into the pinned subspace.
+        """The automorphisms that take vertex ``u`` with order ``digit`` to a representative at the first pinned vertex.
 
         They map ``u`` to the pinned vertex v, and the order to a
         representative there or to a representative's reversal; so they are
         the automorphisms whose image of a system with that order at ``u``,
-        or the image's reversal, lies in the subspace.  One automorphism t
+        or the image's reversal, has a representative at v, as every image
+        in the pinned subspace has.  One automorphism t
         of :attr:`_chain` takes ``u`` to v, and the order to one in
         the orbit of a representative r.  If that order is neither r nor its
         reversal, one sifted alignment q carries it there; the others are
@@ -354,18 +399,24 @@ class RotationSpace:
 
     def _system(self, index: int) -> tuple[list[int], bytes]:
         """System ``index`` of the pinned subspace: its digit in :attr:`orders` at each vertex, and its ``succ``, padded to 256 bytes."""
-        v, reps, _, _ = self._pinned
         digits = []
         for orders in self.pinned_orders:
             index, digit = divmod(index, len(orders))
             digits.append(digit)
-        digits[v] = reps[digits[v]]
+        for w, kept in self._pins:
+            digits[w] = kept[digits[w]]
         succ = b"".join(keys[d] for (_, keys, _, _), d in zip(self._vertex_tables, digits))
         return digits, succ + bytes(256 - len(succ))
 
     def faces_at(self, index: int) -> int:
-        """The face count of system ``index`` of the pinned subspace: the cycles of ``p -> succ[partner[p]]`` on dart positions."""
-        step = self._ends[0][: 2 * self.graph.edge_count].translate(self._system(index)[1])
+        """The face count of system ``index`` of the pinned subspace: the cycles of ``p -> succ[partner[p]]`` on dart positions.
+
+        The system that :meth:`orbits` last met is not decoded again.
+        """
+        last, succ = self._met
+        if last != index:
+            succ = self._system(index)[1]
+        step = self._ends[0][: 2 * self.graph.edge_count].translate(succ)
         seen = bytearray(len(step))
         faces = 0
         for p in range(len(step)):
@@ -391,7 +442,8 @@ class RotationSpace:
 
         Only the automorphisms of :meth:`_landing`, for each vertex and the
         system's order there, are applied (40 of K5's 120), whatever the
-        size of the group.  They include every one that maps the system to
+        size of the group; an image that misses the orders kept at a second
+        pinned vertex is dropped.  They include every one that maps the system to
         itself, whose number is its group order, and every one that maps it
         to its reversal, which exists exactly when it is achiral; both hold
         for the whole class.  The orbit's size in the whole space is, by
@@ -402,16 +454,27 @@ class RotationSpace:
         costs about 64 bytes).  The tables and automorphism lists used are
         kept on the space and shared with later passes.
         """
-        v, reps, _, _ = self._pinned
         vertices = self._vertex_tables
         rebased = self._chain
         counts = [len(orders) for orders in self.pinned_orders]
         places = [math.prod(counts[:w]) for w in range(len(counts))]
         total = math.prod(counts)
-        rest = [(cut, table, rev, place) for w, ((cut, _, table, rev), place) in enumerate(zip(vertices, places)) if w != v]
-        cut_v, _, table_v, rev_v = vertices[v]
-        place_v = places[v]
-        rep_at = {d: k for k, d in enumerate(reps)}
+        pinned = dict(self._pins)
+        # Per vertex: its slice and, for each key, the part of the index it
+        # gives an image and the image's reversal.  A pinned vertex lists
+        # the keys it keeps or whose reversal it keeps, with -total for the
+        # part a key does not give, so an index below 0 lies outside.
+        pins, rest = [], []
+        for w, (cut, keys, _, rev) in enumerate(vertices):
+            kept = pinned.get(w, range(len(keys)))
+            straight = {keys[d]: k * places[w] for k, d in enumerate(kept)}
+            mirrored = {keys[rev[d]]: k * places[w] for k, d in enumerate(kept)}
+            if w in pinned:
+                both = straight.keys() | mirrored.keys()
+                pins.append((cut, {key: (straight.get(key, -total), mirrored.get(key, -total)) for key in both}))
+            else:
+                rest.append((cut, straight, mirrored))
+        miss = -total, -total
         sources = sorted(rebased.moving)
         bits = bytearray(-(-total // 8)) if len(indices) * 512 >= total else None
         marked: set[int] = set()
@@ -419,25 +482,27 @@ class RotationSpace:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
             digits, succ = self._system(index)
+            self._met = index, succ
             hits = []
             order = 0
             achiral = False
             for fwd, inv in chain.from_iterable(self._landing(u, digits[u]) for u in sources):
                 image = inv.translate(succ).translate(fwd)
-                at_v = table_v[image[cut_v]]
-                k, km = rep_at.get(at_v), rep_at.get(rev_v[at_v])
-                if k is not None:
-                    j = k * place_v
-                    for cut, table, _, place in rest:
-                        j += table[image[cut]] * place
+                j = jm = 0
+                for cut, both in pins:
+                    a, b = both.get(image[cut], miss)
+                    j += a
+                    jm += b
+                if j >= 0:
+                    for cut, straight, _ in rest:
+                        j += straight[image[cut]]
                     order += j == index
                     hits.append(j)
-                if km is not None:
-                    j = km * place_v
-                    for cut, table, rev, place in rest:
-                        j += rev[table[image[cut]]] * place
-                    achiral = achiral or j == index
-                    hits.append(j)
+                if jm >= 0:
+                    for cut, _, mirrored in rest:
+                        jm += mirrored[image[cut]]
+                    achiral = achiral or jm == index
+                    hits.append(jm)
             for j in hits:
                 if bits is None:
                     marked.add(j)

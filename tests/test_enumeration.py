@@ -494,7 +494,7 @@ class TestMatches:
         # The bound cuts the states of pinned K4,4 and C8(2) at genus 1; on
         # pinned octahedron no state above the last level can fall short,
         # so the pass keeps no lengths and expands the states scan does.
-        for spec, f, scanned, bounded in (("complete_bipartite(4,4)", 8, 1668, 219),
+        for spec, f, scanned, bounded in (("complete_bipartite(4,4)", 8, 667, 43),
                                           ("circulant(8,1,2)", 8, 1566, 989), ("octahedron", 6, 238, 238)):
             g = build_graph(spec)
             orders = pinned_orders(g)
@@ -554,7 +554,7 @@ class TestExhaustive:
         # matches, and the 240 systems with 14 faces that the unbounded scan
         # of the whole 3.6 * 10^14 space measured.
         classes = exhaustive_classes(complete(7), genus=1, budget=10**15)
-        assert expansions[0] == 1595
+        assert expansions[0] == 1338
         assert [c.group_order for c in classes] == [42, 42]
         assert sum(5040 // c.group_order for c in classes) == 240
         mirror = dedup([c.representative for c in classes], "equivalence")
@@ -620,7 +620,9 @@ class TestOrbitMarking:
             self.check_against_plain_path(g, 2 - g.n + g.edge_count)
 
     def test_random_multigraphs_match_plain_path(self):
-        for g in random_graphs(41):
+        graphs = random_graphs(41)
+        assert any(len(RotationSpace(g)._pins) == 2 for g in graphs)  # some have a second vertex pinned
+        for g in graphs:
             hist, _ = scan_rotation_space(g, -1)
             for f in hist:
                 self.check_against_plain_path(g, f)
@@ -785,6 +787,44 @@ class TestPin:
             # the most orders, ties to the lowest vertex
             assert space.counts[v] == max(space.counts) > max(space.counts[:v], default=0)
 
+    def test_second_pin_keeps_a_transversal_at_the_best_vertex(self):
+        # H, from the plain search's group: the automorphisms fixing v that
+        # keep its one representative r, or reverse it and act composed with
+        # the mirror.  Those of H that fix a vertex w act on w's orders; the
+        # second pin is at the vertex with the fewest orbits per order, the
+        # lowest on ties, and keeps the least order of each orbit.
+        made = {1: 0, 2: 0}
+        for g in differential_graphs():
+            space = RotationSpace(g)
+            v, reps, _, _ = space._pinned
+            made[len(space._pins)] += 1
+            if len(reps) > 1:
+                assert space._pins == [(v, reps)]
+                continue
+            r = space.orders[v][reps[0]]
+            holding = []
+            for perm in product_automorphisms(g):
+                image = normal([perm[d] for d in r])
+                if perm[r[0]] in r and image in (r, normal(r[::-1])):
+                    holding.append((perm, image != r))
+            best = (1.0, -1, [])
+            for w, orders in enumerate(space.orders):
+                if w == v:
+                    continue
+                acting = [(p, flip) for p, flip in holding if p[orders[0][0]] in orders[0]]
+                least = {}
+                for cyc in orders:  # in digit order, so each orbit is met first at its least order
+                    for p, flip in acting:
+                        image = [p[d] for d in cyc]
+                        least.setdefault(normal(image[::-1] if flip else image), cyc)
+                kept = sorted(orders.index(c) for c in set(least.values()))
+                best = min(best, (len(kept) / len(orders), w, kept))
+            assert space._pins == [(v, reps)] + ([best[1:]] if best[0] < 1 else [])
+        assert made[1] and made[2]
+        for spec in ("circulant(8,1,2)", "octahedron"):  # several representatives at v
+            space = RotationSpace(build_graph(spec))
+            assert len(space._pinned[1]) > 1 and len(space._pins) == 1
+
     def test_landing_lists_equal_the_plain_filter(self):
         # Every landing list, as a set, against the automorphisms of the
         # plain search's group that take u to the pinned vertex v and u's
@@ -830,7 +870,7 @@ class TestPin:
 
         monkeypatch.setattr(_kernel, "matches", counted)
         monkeypatch.setattr(_kernel, "scan", lambda orders, nd, f: ([0] * (nd + 2), counted(orders, nd, f)))
-        for spec, pinned in (("complete_bipartite(4,4)", 279936), ("complete_bipartite(3,5)", 18432),
+        for spec, pinned in (("complete_bipartite(4,4)", 46656), ("complete_bipartite(3,5)", 6144),
                              ("circulant(8,1,2)", 839808)):
             g = build_graph(spec)
             for mode in ("iso", "equivalence"):
@@ -904,8 +944,8 @@ class TestGenusDistribution:
             assert {r.genus: r.raw_systems for r in d.records} == expect
 
     def test_visits_the_pinned_subspace(self, monkeypatch):
-        # The orbit pass walks only the systems whose order at the pinned
-        # vertex is a representative; their orbits still cover the space.
+        # The orbit pass walks only the systems whose order at each pinned
+        # vertex is one it keeps; their orbits still cover the space.
         orbits = RotationSpace.orbits
         visited = []
 
@@ -914,8 +954,8 @@ class TestGenusDistribution:
             return orbits(self, indices)
 
         monkeypatch.setattr(RotationSpace, "orbits", counted)
-        for g, pinned in ((complete(5), 1296), (complete_bipartite(3, 4), 576), (theta(5), 24),
-                          (complete_bipartite(3, 3), 32)):
+        for g, pinned in ((complete(5), 864), (complete_bipartite(3, 4), 288), (theta(5), 8),
+                          (complete_bipartite(3, 3), 16)):
             visited.clear()
             d = genus_distribution(g)
             assert visited == [pinned]
@@ -927,6 +967,14 @@ class TestGenusDistribution:
         for g in (complete(5), complete_bipartite(3, 3), theta(7)):
             assert genus_distribution(g).records
         assert not built
+
+    def test_decodes_each_orbit_once(self, monkeypatch):
+        # faces_at reads the system that the orbit pass has just decoded.
+        decode = RotationSpace._system
+        decoded = []
+        monkeypatch.setattr(RotationSpace, "_system", lambda self, index: decoded.append(index) or decode(self, index))
+        d = genus_distribution(complete(5))
+        assert decoded == sorted(set(decoded)) and len(decoded) == d.total_equivalence() == 50
 
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:
@@ -963,6 +1011,7 @@ class TestGenusDistribution:
     def test_random_multigraphs_match_plain_path(self):
         graphs = random_graphs(67)
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+        assert any(len(RotationSpace(g)._pins) == 2 for g in graphs)  # some have a second vertex pinned
         for g in graphs:
             assert genus_distribution(g).records == self.plain_records(g)
 
