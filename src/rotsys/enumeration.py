@@ -497,11 +497,6 @@ def pipeline_k33_stages() -> K33PipelineResult:
     return K33PipelineResult(tuple(theta5), tuple(counts), tuple(classes))
 
 
-def pipeline_k33() -> list[EmbeddingClass]:
-    """The double-torus classes of K33 obtained by expansion."""
-    return list(pipeline_k33_stages().classes)
-
-
 @dataclass(frozen=True)
 class K5PipelineResult:
     """The expansion chain from theta(5) up to K5 on the double torus."""
@@ -568,8 +563,3 @@ def pipeline_k5_stages() -> K5PipelineResult:
         k5_iso=tuple(k5_iso),
         k5=tuple(k5),
     )
-
-
-def pipeline_k5() -> list[EmbeddingClass]:
-    """The double-torus classes of K5 obtained by the expansion chain."""
-    return list(pipeline_k5_stages().k5)

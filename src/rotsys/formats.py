@@ -111,17 +111,19 @@ def parse_named_embeddings(text: str) -> list[NamedEmbedding]:
         elif kind == "vertices":
             if name is None:
                 raise ParseError(lineno, "'vertices' before 'graph'")
+            if n is not None:
+                raise ParseError(lineno, "second 'vertices' line in one document")
             try:
-                n = int(fields[1])
-            except (IndexError, ValueError):
-                raise ParseError(lineno, "vertices line needs an integer") from None
+                (n,) = (int(x) for x in fields[1:])
+            except ValueError:
+                raise ParseError(lineno, "vertices line needs exactly one integer") from None
         elif kind == "edge":
             if name is None or n is None:
                 raise ParseError(lineno, "'edge' before 'graph'/'vertices'")
             try:
-                eid, u, v = (int(x) for x in fields[1:4])
+                eid, u, v = (int(x) for x in fields[1:])
             except ValueError:
-                raise ParseError(lineno, "edge line needs three integers") from None
+                raise ParseError(lineno, "edge line needs exactly three integers") from None
             if eid != len(edges) + 1:
                 raise ParseError(lineno, f"edge ids must be contiguous; expected {len(edges) + 1}, got {eid}")
             if u == v:

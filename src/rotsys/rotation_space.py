@@ -4,10 +4,11 @@ A :class:`RotationSpace` numbers the rotation systems of a graph, pins one
 vertex to one order per orbit of its stabiliser (joined by reversal) and,
 when that leaves one order, a second vertex to one order per orbit of what
 keeps it, and walks the orbits of Aut(G) x mirror within that pinned
-subspace.  The automorphisms it applies come from one stabiliser chain
-rebased at the first pinned vertex (:func:`canon._automorphism_chain`), by
-sifting, so no list of the group is ever built.  :mod:`rotsys.enumeration`
-drives it.
+subspace.  Both pins find their orbits by one walk over a vertex's orders
+(:meth:`RotationSpace._firsts`).  The automorphisms it applies come from one
+stabiliser chain rebased at the first pinned vertex
+(:func:`canon._automorphism_chain`), by sifting, so no list of the group is
+ever built.  :mod:`rotsys.enumeration` drives it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .core import Embedding, MultiGraph
 # the bytes of each position's image and of its preimage, extended to 256
 # entries by the identity, so that either one serves as a translate table.
 Element = tuple[bytes, bytes]
+# An Element with a flip flag: a flipped element acts on cyclic orders composed
+# with the mirror, as one that reverses the pinned order it keeps must.
+Flipped = tuple[bytes, bytes, bool]
 IDENTITY = bytes(range(256))
 
 
@@ -71,11 +75,12 @@ class RotationSpace:
     fastest digit.  The pinned subspace keeps only the representative
     orders at the vertex with the most orders (see :attr:`_pinned`) and,
     when it keeps one, the least order of each orbit at a second vertex
-    (see :attr:`_pins`); every class, up to isomorphism and mirror image,
-    has a member there, so the orbit pass works in it alone.  Aut(G), which the pin and the orbit pass
-    act with, is one stabiliser chain rebased at that vertex
-    (:attr:`_chain`), built once per space like the tables, the pin and
-    the landing lists; no list of the whole group is ever built.
+    (see :attr:`_pins`); both come from one walk over a vertex's orders
+    (:meth:`_firsts`).  Every class, up to isomorphism and mirror image,
+    has a member there, so the orbit pass works in it alone.  Aut(G), which
+    the pins and the orbit pass act with, is one stabiliser chain rebased at
+    that vertex (:attr:`_chain`), built once per space like the tables, the
+    pins and the landing lists; no list of the whole group is ever built.
     """
 
     def __init__(self, graph: MultiGraph):
@@ -83,7 +88,7 @@ class RotationSpace:
         self.orders = _kernel.build_orders(list(graph.darts_at))
         self.counts = [len(o) for o in self.orders]
         self.total = math.prod(self.counts)
-        self._holdings: dict[int, list[Element]] = {}
+        self._holdings: dict[int, list[Flipped]] = {}
         self._landings: dict[tuple[int, int], list[Element]] = {}
         self._met: tuple[int, bytes] = (-1, b"")  # the index and succ of the system orbits last met
 
@@ -239,12 +244,14 @@ class RotationSpace:
             c_inv[q], c_inv[partner[q]] = p, partner[p]
         return bytes(c).translate(fwd), inv.translate(c_inv)
 
-    def _aligned(self, a: int, b: int, first: bool = False) -> list[Element]:
+    def _aligned(self, a: int, b: int, first: bool = False) -> list[Flipped]:
         """The automorphisms fixing the pinned vertex v that carry its order ``a`` onto ``b`` or ``b``'s reversal, one per map of v's darts.
 
         Each of the ``deg`` rotations of ``a``'s cycle onto a target's maps
         v's darts, and is kept when :meth:`_sift` finds an automorphism
-        making it.  With ``first``, the search stops at the first one.
+        making it; its flag tells whether it lands on the reversal (never
+        when ``b`` is its own reversal).  With ``first``, the search stops
+        at the first one.
         """
         cut, _, _, rev = self._vertex_tables[self._chain.vertex]
         k = cut.stop - cut.start
@@ -258,72 +265,78 @@ class RotationSpace:
             for j in range(k):
                 s = self._sift(where.translate(cycle[j : j + k] + pad))
                 if s is not None:
-                    found.append(s)
+                    found.append((*s, target != b))
                     if first:
                         return found
         return found
 
+    def _firsts(self, w: int, acting: list[Flipped]) -> list[int]:
+        """For each cyclic order of vertex ``w`` (0-based), by digit, the least order of its orbit under ``acting``.
+
+        ``acting`` is a group, each element acting on ``w``'s orders as
+        rho -> h rho, or as rho -> rev(h rho) when it is flipped.  The digits
+        are walked in order, so each orbit is met first at its least order,
+        and every element is applied to that order.
+        """
+        cut, keys, table, rev = self._vertex_tables[w]
+        acting = [(f, i[cut], flip) for f, i, flip in acting]
+        first = [-1] * len(keys)
+        for digit in range(len(keys)):
+            if first[digit] < 0:
+                succ = bytes(cut.start) + keys[digit] + bytes(256 - cut.stop)
+                for f, i, flip in acting:
+                    x = table[i.translate(succ).translate(f)]
+                    first[rev[x] if flip else x] = digit
+        return first
+
     @cached_property
-    def _pinned(self) -> tuple[int, list[int], list[int], dict[int, list[Element]]]:
-        """The pinned vertex v (0-based) and the orbits of its stabiliser in Aut(G), joined by reversal, on its cyclic orders.
+    def _pinned(self) -> tuple[int, list[int]]:
+        """The pinned vertex v (0-based), and for each of its cyclic orders the least order of its orbit under v's stabiliser in Aut(G), joined by reversal.
 
         v is :attr:`_chain`'s vertex, the one with the most cyclic orders
-        (the lowest on ties).  Returns v, the least digit of each orbit (its
-        representative), the representative of every digit, and for each
-        representative the automorphisms fixing v that keep its order or
-        reverse it, one per map of v's darts (:meth:`_aligned`).
+        (the lowest on ties).  The least order of each orbit is its
+        representative.
 
         An element of that group, or its composite with reversal, maps a
         system to one of its class up to mirror image and sends the order
         at v to any other of its orbit, so every class has a member whose
         order there is a representative, or a mirror image with one.
 
-        The maps the stabiliser makes form a group P of order the product of
-        the chain's levels acting there, so by orbit-stabiliser digit 0's
-        orbit has ``2|P|`` over the number kept orders.  When that is all of
-        them, as at theta(m)'s vertices, the ``2 deg`` sifts settle the
-        vertex.  Otherwise each representative's order in turn has every
-        element of P applied.  With one representative, :attr:`_pins`
-        pins a second vertex.
+        The stabiliser is P K: P, the maps it makes on v's darts, has order
+        the product of the chain's levels acting there, and K is
+        :attr:`_fixing`.  So by orbit-stabiliser digit 0's orbit under it
+        and the mirror has ``2|P||K| / |H|`` orders, H being
+        :meth:`_holding`'s for order 0.  When that is all of them, as at
+        theta(m)'s vertices, the ``2 deg`` sifts that build H settle the
+        vertex.  Otherwise :meth:`_firsts` walks the orders under every
+        element of P, once as it is and once flipped.  With one
+        representative, :attr:`_pins` pins a second vertex.
         """
         w = self._chain.vertex
-        cut, keys, table, rev = self._vertex_tables[w]
         acting = self._chain.acting
-        kept = {0: self._aligned(0, 0)}
-        if 2 * math.prod(map(len, acting)) == len(kept[0]) * len(keys):
-            return w, [0], [0] * len(keys), kept
-        reps: list[int] = []
-        rep_of = [-1] * len(keys)
-        for digit in range(len(keys)):
-            if rep_of[digit] >= 0:
-                continue
-            reps.append(digit)
-            kept[digit] = mine = []
-            succ = bytes(cut.start) + keys[digit] + bytes(256 - cut.stop)
-            for s in _products(acting):
-                x = table[s[1][cut].translate(succ).translate(s[0])]
-                rep_of[x] = rep_of[rev[x]] = digit
-                if x == digit or x == rev[digit]:
-                    mine.append(s)
-        return w, reps, rep_of, kept
+        if 2 * math.prod(map(len, acting)) * len(self._fixing) == len(self._holding(0)) * self.counts[w]:
+            return w, [0] * self.counts[w]
+        return w, self._firsts(w, [(f, i, flip) for f, i in _products(acting) for flip in (False, True)])
 
     @cached_property
     def _fixing(self) -> list[Element]:
         """The automorphisms that fix every dart at the pinned vertex."""
         return list(_products(self._chain.fixing))
 
-    def _holding(self, r: int) -> list[Element]:
-        """The automorphisms fixing the pinned vertex that keep its order ``r``, a representative, or reverse it.
+    def _holding(self, r: int) -> list[Flipped]:
+        """The automorphisms fixing the pinned vertex that keep its order ``r``, a representative, or reverse it, each flagged when it reverses it.
 
-        They are the kept ones of :attr:`_pinned`, each times every
-        element of :attr:`_fixing`; each ``inv`` is cut to the darts, as
-        :meth:`orbits` applies it.  The list is built on first need and kept.
+        They are :meth:`_aligned`'s from ``r`` onto ``r``, each times every
+        element of :attr:`_fixing`, which keeps the flag as it keeps every
+        dart at v; each ``inv`` is cut to the darts, as :meth:`orbits`
+        applies it.  The list is built on first need and kept.
         """
         found = self._holdings.get(r)
         if found is None:
             nd = 2 * self.graph.edge_count
-            kept = self._pinned[3][r]
-            found = self._holdings[r] = [(f, i[:nd]) for a in kept for f, i in (_compose(a, k) for k in self._fixing)]
+            found = self._holdings[r] = [
+                (f, i[:nd], a[2]) for a in self._aligned(r, r) for f, i in (_compose(a, k) for k in self._fixing)
+            ]
         return found
 
     @cached_property
@@ -333,37 +346,25 @@ class RotationSpace:
         The first is :attr:`_pinned`'s vertex v with its representatives.
         When v keeps one, r, a second vertex u is pinned under H, the
         automorphisms of :meth:`_holding` for r.  Those of H that fix a
-        vertex act on its orders as rho -> h rho, or as rho -> rev(h rho)
-        for one that reverses r: composed with the mirror, it keeps r at v.
-        So each class's member with r at v goes by H to one with the least
-        order of its orbit at u, the order u keeps.  u is the vertex with the
-        fewest orbits per order, the lowest on ties; none is pinned when
-        every vertex has as many orbits as orders.
+        vertex act on its orders, each flipped one composed with the mirror
+        so that it keeps r at v, and :meth:`_firsts` walks them.  So each
+        class's member with r at v goes by H to one with the least order of
+        its orbit at u, the order u keeps.  u is the vertex with the fewest
+        orbits per order, the lowest on ties; none is pinned when every
+        vertex has as many orbits as orders.
         """
-        v, reps, _, _ = self._pinned
-        if len(reps) > 1:
-            return [(v, reps)]
-        holding = self._holding(reps[0])
-        cut_v, keys_v, table_v, _ = self._vertex_tables[v]
-        succ = bytes(cut_v.start) + keys_v[reps[0]] + bytes(256 - cut_v.stop)
-        flips = [table_v[i[cut_v].translate(succ).translate(f)] != reps[0] for f, i in holding]
+        v, first = self._pinned
+        pins = [(v, sorted(set(first)))]
+        if len(pins[0][1]) > 1:
+            return pins
+        holding = self._holding(0)
         candidates = []  # per vertex but v: its orbits per order, the vertex and its kept digits
-        for w, (cut, keys, table, rev) in enumerate(self._vertex_tables):
-            if w == v:
-                continue
-            acting = [(f, i[cut], flip) for (f, i), flip in zip(holding, flips) if cut.start <= f[cut.start] < cut.stop]
-            seen = bytearray(len(keys))
-            kept = []
-            for digit in range(len(keys)):
-                if not seen[digit]:
-                    kept.append(digit)
-                    succ = bytes(cut.start) + keys[digit] + bytes(256 - cut.stop)
-                    for f, i, flip in acting:
-                        x = table[i.translate(succ).translate(f)]
-                        seen[rev[x] if flip else x] = 1
-            candidates.append((len(kept) / len(keys), w, kept))
+        for w, (cut, keys, _, _) in enumerate(self._vertex_tables):
+            if w != v:
+                kept = sorted(set(self._firsts(w, [h for h in holding if cut.start <= h[0][cut.start] < cut.stop])))
+                candidates.append((len(kept) / len(keys), w, kept))
         ratio, u, kept = min(candidates)  # a loopless graph with an edge has a second vertex
-        return [(v, reps), (u, kept)] if ratio < 1 else [(v, reps)]
+        return pins + [(u, kept)] if ratio < 1 else pins
 
     def _landing(self, u: int, digit: int) -> list[Element]:
         """The automorphisms that take vertex ``u`` with order ``digit`` to a representative at the first pinned vertex.
@@ -381,7 +382,7 @@ class RotationSpace:
         """
         found = self._landings.get((u, digit))
         if found is None:
-            v, _, rep_of, _ = self._pinned
+            v, least = self._pinned
             found = []
             move = self._chain.moving.get(u)
             if move is not None:
@@ -390,7 +391,7 @@ class RotationSpace:
                 cut_v, _, table, rev = self._vertex_tables[v]
                 succ = bytes(cut_u.start) + keys[digit] + bytes(256 - cut_u.stop)
                 at = table[t[1][cut_v].translate(succ).translate(t[0])]
-                r = rep_of[at]
+                r = least[at]
                 if at != r and at != rev[r]:
                     t = _compose(self._aligned(at, r, first=True)[0], t)
                 found = [_compose(h, t) for h in self._holding(r)]

@@ -44,7 +44,7 @@ from rotsys import (
     trace_faces,
     wheel,
 )
-from rotsys import _kernel, canon, core, enumeration
+from rotsys import _kernel, canon, core, enumeration, rotation_space
 from rotsys.enumeration import RotationSpace, scan_rotation_space, theta5_classes
 from rotsys.suites import TORUS_TABLE, TORUS_TABLE_EXTRA
 
@@ -60,6 +60,12 @@ def small_torus_graphs():
 def pinned_size(space):
     """Number of systems of the pinned subspace of ``space``."""
     return math.prod(map(len, space.pinned_orders))
+
+
+def representatives(space):
+    """The pinned vertex of ``space`` and its representatives: the digits that are the least order of their orbit."""
+    v, first = space._pinned
+    return v, [d for d, f in enumerate(first) if d == f]
 
 
 def differential_graphs():
@@ -727,7 +733,8 @@ class TestOrbitMarking:
         space = RotationSpace(g)
         found, peak = self.orbit_peak_bytes(space, range(1))
         assert found == [(0, 720, 7, True)]
-        assert space._pinned[:2] == (0, [0]) and space.counts[0] == 720
+        v, first = space._pinned
+        assert v == 0 and first == [0] * 720 and space.counts[0] == 720
         assert [len(found) for found in space._landings.values()] == [14]
         assert peak < group_bytes
 
@@ -780,10 +787,13 @@ class TestPin:
         for g in differential_graphs():
             group = list(product_automorphisms(g))
             space = RotationSpace(g)
-            v, reps, _, _ = space._pinned
+            v, reps = representatives(space)
             orbit_of = self.stabiliser_orbits(g, v, group)
             assert reps == sorted(reps) and reps[0] == 0
             assert sorted(orbit_of[space.orders[v][d]] for d in reps) == sorted(set(orbit_of.values()))
+            # every order's least order is its orbit's representative
+            rep_of = {orbit_of[space.orders[v][d]]: d for d in reps}
+            assert space._pinned[1] == [rep_of[orbit_of[cyc]] for cyc in space.orders[v]]
             # the most orders, ties to the lowest vertex
             assert space.counts[v] == max(space.counts) > max(space.counts[:v], default=0)
 
@@ -796,7 +806,7 @@ class TestPin:
         made = {1: 0, 2: 0}
         for g in differential_graphs():
             space = RotationSpace(g)
-            v, reps, _, _ = space._pinned
+            v, reps = representatives(space)
             made[len(space._pins)] += 1
             if len(reps) > 1:
                 assert space._pins == [(v, reps)]
@@ -823,7 +833,41 @@ class TestPin:
         assert made[1] and made[2]
         for spec in ("circulant(8,1,2)", "octahedron"):  # several representatives at v
             space = RotationSpace(build_graph(spec))
-            assert len(space._pinned[1]) > 1 and len(space._pins) == 1
+            assert len(representatives(space)[1]) > 1 and len(space._pins) == 1
+
+    def test_transitive_shortcut_equals_the_walk(self):
+        # Where digit 0's orbit covers every order at v, the 2 deg sifts of
+        # the shortcut settle the pin; walking the orders under every element
+        # of P, as it is and flipped, must give the same answer.
+        for g in [theta(m) for m in range(3, 9)] + [complete_bipartite(1, 7)]:
+            space = RotationSpace(g)
+            v, first = space._pinned
+            group = list(rotation_space._products(space._chain.acting))
+            assert 2 * len(group) * len(space._fixing) == len(space._holding(0)) * space.counts[v]  # the shortcut fires
+            assert first == space._firsts(v, [(f, i, flip) for f, i in group for flip in (False, True)])
+
+    def test_holding_equals_the_plain_filter(self):
+        # _holding(r) against the automorphisms of the plain search's group
+        # that fix v and keep its order r (not flipped) or reverse it
+        # (flipped), as a set of (map of v's darts, flip) pairs, each listed
+        # once for every automorphism fixing all of v's darts.
+        for g in differential_graphs():
+            space = RotationSpace(g)
+            v, reps = representatives(space)
+            darts, position = space._positions
+            cut = space._vertex_tables[v][0]
+            group = list(product_automorphisms(g))
+            fixing = sum(all(p[d] == d for d in g.darts_at[v]) for p in group)
+            for r in reps:
+                cyc = space.orders[v][r]
+                expected = set()
+                for perm in group:
+                    image = normal([perm[d] for d in cyc])
+                    if perm[cyc[0]] in cyc and image in (cyc, normal(cyc[::-1])):
+                        expected.add((bytes(position[perm[d]] for d in darts[cut]), image != cyc))
+                holding = space._holding(r)
+                assert {(f[cut], flip) for f, _, flip in holding} == expected
+                assert len(holding) == len(expected) * fixing
 
     def test_landing_lists_equal_the_plain_filter(self):
         # Every landing list, as a set, against the automorphisms of the
@@ -834,7 +878,7 @@ class TestPin:
         # listed under u and each of those preimages.
         for g in differential_graphs():
             space = RotationSpace(g)
-            v, reps, _, _ = space._pinned
+            v, reps = representatives(space)
             darts, position = space._positions
             nd = len(darts)
             pad = bytes(256 - nd)

@@ -52,6 +52,29 @@ class TestNativeFormat:
             parse_named_embeddings(text)
         assert str(err.value).startswith("line 4:")
 
+    def test_second_vertices_line_rejected(self):
+        text = "graph a\nvertices 5\nvertices 2\nedge 1 1 2\nrot 1: 1\nrot 2: 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_named_embeddings(text)
+        assert str(err.value).startswith("line 3:")
+
+    def test_vertices_line_with_extra_field_rejected(self):
+        text = "graph a\nvertices 2 extra\nedge 1 1 2\nrot 1: 1\nrot 2: 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_named_embeddings(text)
+        assert str(err.value).startswith("line 2:")
+
+    def test_edge_line_with_extra_fields_rejected(self):
+        text = "graph a\nvertices 2\nedge 1 1 2 7 7\nrot 1: 1\nrot 2: 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_named_embeddings(text)
+        assert str(err.value).startswith("line 3:")
+
+    def test_graph_name_with_spaces(self):
+        text = "graph two words\nvertices 2\nedge 1 1 2\nrot 1: 1\nrot 2: 1\n"
+        (doc,) = parse_named_embeddings(text)
+        assert doc.name == "two words"
+
     def test_multi_document(self, theta5_systems):
         text = "".join(
             write_embedding(e, f"sys{g}") for g, e in sorted(theta5_systems.items())
