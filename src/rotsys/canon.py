@@ -40,7 +40,6 @@ from .core import (
     Embedding,
     MultiGraph,
     SizeGuardExceeded,
-    _normalize_cycle,
     embedding_from_darts,
 )
 
@@ -124,8 +123,8 @@ def _block(
     return out, next_edge_label
 
 
-def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int, list]:
-    """The least stream of ``e``, how often it occurs, and the state of the first root giving it.
+def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int]:
+    """The least stream of ``e`` and how often it occurs: the canonical key and the group order.
 
     A root's stream is the graph's vertex and edge counts, then the
     :func:`_block` of each vertex in label order.  Every root of least
@@ -135,18 +134,17 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int, list]:
     is less.  Each root writes its whole block, even one that drops out,
     and compares it once with the least block of the roots before it.  The
     roots left at the end all give the least stream: their number is the
-    group order.  A root's state is ``[root, starts, vertex labels, edge
-    labels, next edge label]``, as :func:`_block` takes them; at the end,
-    the labels (0-based, ``-1`` where unreached) are those of the root's
-    whole traversal.  With ``mirror`` all of this is that of
-    ``reverse(e)``, built from the reversed rotations of ``e``.
+    group order.  A root's state is ``[starts, vertex labels, edge labels,
+    next edge label]``, as :func:`_block` takes them.  With ``mirror`` all
+    of this is that of ``reverse(e)``, built from the reversed rotations
+    of ``e``.
     """
     g = e.graph
     steps = _steps(e, mirror)
     if not steps:
         # The one-vertex graph (the only connected edgeless one): one vertex
-        # block of degree 0, and the vertex labelled 0 with no root dart.
-        return bytes([1, 0, 0]), 1, [None, [], [-1, 0], [], 0]
+        # block of degree 0, and no root dart.
+        return bytes([1, 0, 0]), 1
     dv = g.dart_vertex
     n, m = g.n, g.edge_count
     low = min(map(len, steps))
@@ -155,15 +153,15 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int, list]:
         if len(s) == low:
             vlab = [-1] * (n + 1)
             vlab[dv[d]] = 0
-            live.append([d, [d], vlab, [-1] * m, 0])
+            live.append([[d], vlab, [-1] * m, 0])
     key = bytearray((n, m))
     for i in range(n):
         best = None
         survivors = []
         for state in live:
-            starts = state[1]
+            starts = state[0]
             if i < len(starts):
-                block, state[4] = _block(steps[starts[i]], starts, state[2], state[3], state[4], best)
+                block, state[3] = _block(steps[starts[i]], starts, state[1], state[2], state[3], best)
             else:  # no block left: the empty block, below any other
                 block = best if best == [] else []
             if block is best:  # a tie: _block hands back the least block itself
@@ -175,7 +173,7 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int, list]:
         if not best:
             break
         key += bytes(best)
-    return bytes(key), len(live), live[0]
+    return bytes(key), len(live)
 
 
 def canonical_key(e: Embedding) -> bytes:
@@ -247,64 +245,6 @@ def automorphism_group_order(e: Embedding) -> int:
 
 
 @dataclass(frozen=True)
-class IsoWitness:
-    """An isomorphism between two embeddings, as explicit bijections."""
-
-    vertex_map: dict[int, int]
-    edge_map: dict[int, int]
-
-
-def apply_iso(e: Embedding, witness: IsoWitness) -> Embedding:
-    """Relabel ``e`` through ``witness`` (vertex and edge bijections)."""
-    g = e.graph
-    vm, em = witness.vertex_map, witness.edge_map
-    new_edges: list[tuple[int, int]] = [(0, 0)] * g.edge_count
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        new_edges[em[eid] - 1] = (vm[u], vm[v])
-    new_graph = MultiGraph(g.n, tuple(new_edges))
-    dart_rot: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(1, g.n + 1):
-        darts = []
-        for d in e.rot[v - 1]:
-            darts.append(2 * (em[(d >> 1) + 1] - 1) + (d & 1))
-        dart_rot[vm[v] - 1] = darts
-    return embedding_from_darts(new_graph, dart_rot)
-
-
-def _same_map(e1: Embedding, e2: Embedding) -> bool:
-    """Equality as embeddings, ignoring stored endpoint order of edges."""
-    g1, g2 = e1.graph, e2.graph
-    return (
-        g1.n == g2.n
-        and [sorted(p) for p in g1.edges] == [sorted(p) for p in g2.edges]
-        and all(
-            _normalize_cycle(e1.rotation_edges(v)) == _normalize_cycle(e2.rotation_edges(v))
-            for v in range(1, g1.n + 1)
-        )
-    )
-
-
-def are_isomorphic(e1: Embedding, e2: Embedding) -> IsoWitness | None:
-    """A verified isomorphism witness, or None when the keys differ."""
-    for e in (e1, e2):
-        _check_guard(e.graph.n, e.graph.edge_count)
-    if e1.graph.n != e2.graph.n or e1.graph.edge_count != e2.graph.edge_count:
-        return None
-    (key1, _, root1), (key2, _, root2) = _least(e1), _least(e2)
-    if key1 != key2:
-        return None
-    vertex2 = {lab: v for v, lab in enumerate(root2[2]) if lab >= 0}
-    edge2 = {lab: k for k, lab in enumerate(root2[3]) if lab >= 0}
-    witness = IsoWitness(
-        vertex_map={v: vertex2[lab] for v, lab in enumerate(root1[2]) if lab >= 0},
-        edge_map={k + 1: edge2[lab] + 1 for k, lab in enumerate(root1[3]) if lab >= 0},
-    )
-    if not _same_map(apply_iso(e1, witness), e2):
-        raise AssertionError("isomorphism witness failed verification")
-    return witness
-
-
-@dataclass(frozen=True)
 class EmbeddingClass:
     """An isomorphism (or mirror-equivalence) class of embeddings.
 
@@ -347,7 +287,7 @@ def _mirror_keys(embeddings: Iterable[Embedding]) -> Iterator[tuple[bytes, bytes
     mirror: dict[bytes, bytes] = {}  # each key met -> the key of its reversal
     for e in embeddings:
         _check_guard(e.graph.n, e.graph.edge_count)
-        key, order, _ = _least(e)
+        key, order = _least(e)
         rkey = mirror.get(key)
         if rkey is None:
             rkey = _least(e, mirror=True)[0]

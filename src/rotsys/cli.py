@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(sp):
         sp.add_argument("--budget", type=int, default=en.DEFAULT_BUDGET,
-                        help="max rotation-space size (systems addressed, not states expanded)")
+                        help="max systems addressed, not states expanded: the whole rotation space, "
+                             "or for theta(m) the (m - 1)! systems with one vertex pinned")
 
     def add_mode(sp):
         sp.add_argument("--mode", choices=tuple(_MODES), default="iso")

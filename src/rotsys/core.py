@@ -457,7 +457,10 @@ def build_graph(spec: str) -> MultiGraph:
         if args is None:
             raise ValueError("complement(...) needs an inner graph spec")
         return complement(build_graph(args))
-    int_args = [int(a) for a in args.split(",")] if args else []
+    try:
+        int_args = [int(a) for a in args.split(",")] if args else []
+    except ValueError:
+        raise ValueError(f"arguments of graph spec {spec!r} must be integers") from None
     # name -> (constructor, least and most argument counts; None: no most)
     table = {
         "complete": (complete, 1, 1),

@@ -128,6 +128,8 @@ def parse_named_embeddings(text: str) -> list[NamedEmbedding]:
                 raise ParseError(lineno, f"edge ids must be contiguous; expected {len(edges) + 1}, got {eid}")
             if u == v:
                 raise ParseError(lineno, f"edge {eid} is a loop at vertex {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(lineno, f"edge {eid} endpoint out of range: ({u}, {v})")
             edges.append((u, v))
         elif kind == "rot":
             if name is None or n is None:

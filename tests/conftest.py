@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from rotsys import IsoWitness, MultiGraph, apply_iso, canon, enumeration, make_embedding, surgery, theta
+from rotsys import MultiGraph, canon, enumeration, make_embedding, surgery, theta
 from rotsys.core import Embedding, embedding_from_darts
 
 
@@ -73,16 +73,19 @@ def product_automorphisms(g: MultiGraph):
 
 
 def random_relabel(rng: random.Random, e: Embedding) -> Embedding:
+    """``e`` with its vertices and then its edges shuffled by ``rng``: an isomorphic embedding."""
     g = e.graph
     vperm = list(range(1, g.n + 1))
     rng.shuffle(vperm)
     eperm = list(range(1, g.edge_count + 1))
     rng.shuffle(eperm)
-    witness = IsoWitness(
-        vertex_map={v: vperm[v - 1] for v in range(1, g.n + 1)},
-        edge_map={k: eperm[k - 1] for k in range(1, g.edge_count + 1)},
-    )
-    return apply_iso(e, witness)
+    edges = [(0, 0)] * g.edge_count
+    rot: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), k in zip(g.edges, eperm):
+        edges[k - 1] = (vperm[u - 1], vperm[v - 1])
+    for v, darts in enumerate(e.rot):
+        rot[vperm[v] - 1] = [2 * eperm[d >> 1] - 2 + (d & 1) for d in darts]
+    return embedding_from_darts(MultiGraph(g.n, tuple(edges)), rot)
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Canonical keys, witnesses, automorphisms, chirality, deduplication."""
+"""Canonical keys, automorphisms, chirality, deduplication."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ import pytest
 from rotsys import (
     NON_ORIENTABLE,
     ORIENTABLE,
-    IsoWitness,
     MultiGraph,
     SizeGuardExceeded,
-    apply_iso,
-    are_isomorphic,
     automorphism_group_order,
     build_graph,
     canonical_key,
@@ -112,7 +109,7 @@ class TestCanonicalKey:
         bad = [key[:-1], key + b"\x00", b"\x03\x03\x02", b"", b"\x01", bytes([3, 3, 7]) + bytes(14)]
         bad += [b"\x00\x00", bytes([1, 1, 2, 0, 0, 0, 0]), bytes([3, 1, 1, 1, 0, 1, 0, 0, 0])]
         c = next(c for c in exhaustive_classes(complete(5), genus=2) if c.group_order == 1)
-        serializations = {_plain_traversal(c.representative, d)[0] for d in range(20)}
+        serializations = {_plain_traversal(c.representative, d) for d in range(20)}
         assert len(serializations) == 20 and min(serializations) == c.canonical_key
         assert canonical_embedding(c.canonical_key) == c.representative
         bad += sorted(serializations - {c.canonical_key})
@@ -130,16 +127,13 @@ def _embedding_of_complete(n):
 
 
 def _plain_traversal(e, root):
-    """Serialization of ``e`` relabelled by the traversal rooted at ``root``, and that traversal's state.
+    """Serialization of ``e`` relabelled by the traversal rooted at ``root``.
 
     Vertices receive labels in first-encounter order; the rotation of a
     newly met vertex starts at the dart through which it was discovered.
     Edges are labelled in emission order.  The output is the vertex and
     edge counts, then per vertex in label order: its degree, then
-    (neighbor label, edge label) for each dart of its rotation.  The state
-    is laid out as ``_least`` gives its first root's: ``[root, starts,
-    vertex labels, edge labels, next edge label]``, with ``-1`` where a
-    vertex (index 0 unused) or an edge is not reached.
+    (neighbor label, edge label) for each dart of its rotation.
     """
     g = e.graph
     dv = g.dart_vertex
@@ -159,22 +153,14 @@ def _plain_traversal(e, root):
             d = e.succ[d]
             if d == d0:
                 break
-    state = [
-        root,
-        starts,
-        [vlab.get(v, -1) for v in range(g.n + 1)],
-        [elab.get(k, -1) for k in range(g.edge_count)],
-        len(elab),
-    ]
-    return bytes(out), state
+    return bytes(out)
 
 
 def _plain_least(e):
-    """Key, group order and first root's state from every root's full stream."""
-    s = [_plain_traversal(e, d) for d in range(2 * e.graph.edge_count)]
-    streams = [stream for stream, _ in s]
+    """Key and group order from every root's full stream."""
+    streams = [_plain_traversal(e, d) for d in range(2 * e.graph.edge_count)]
     key = min(streams)
-    return key, streams.count(key), s[streams.index(key)][1]
+    return key, streams.count(key)
 
 
 class TestLeast:
@@ -182,16 +168,15 @@ class TestLeast:
 
     @staticmethod
     def orders_checked(embeddings):
-        # The key, the group order and the first root's whole state (starts,
-        # vertex and edge labels) against every root serialized to the end,
-        # for each input and its reversal; and the reversal keyed in place
-        # (mirror=True) against the reversal built.
+        # The key and the group order against every root serialized to the
+        # end, for each input and its reversal; and the reversal keyed in
+        # place (mirror=True) against the reversal built.
         orders = set()
         for e in embeddings:
             rev = reverse(e)
             for x in (e, rev):
-                key, order, first = _least(x)
-                assert (key, order, first) == _plain_least(x)
+                key, order = _least(x)
+                assert (key, order) == _plain_least(x)
                 orders.add(order)
             assert _least(e, mirror=True) == _least(rev)
         return orders
@@ -230,7 +215,7 @@ class TestLeast:
         g = MultiGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3), (1, 3)))
         space = RotationSpace(g)
         systems = [system_at(g, space.orders, i) for i in range(space.total)]
-        firsts = {_plain_traversal(systems[0], d)[0][:11] for d in range(12)}
+        firsts = {_plain_traversal(systems[0], d)[:11] for d in range(12)}
         assert len(firsts) > 1
         self.orders_checked(systems)
 
@@ -267,32 +252,26 @@ class TestLeast:
 
 class TestIsomorphism:
     def test_witness_for_relabeling(self, theta5_systems):
+        # A relabelling is an isomorphism, so it keeps the key.
         rng = random.Random(13)
         e = theta5_systems[5]
         for _ in range(40):
-            e2 = random_relabel(rng, e)
-            w = are_isomorphic(e, e2)
-            assert w is not None
-            assert canonical_key(apply_iso(e, w)) == canonical_key(e2)
+            assert canonical_key(random_relabel(rng, e)) == canonical_key(e)
 
     def test_edges_stored_with_reversed_endpoints(self):
-        # The witness maps each edge onto one stored the other way round,
-        # so the check compares edges as unordered pairs.
+        # The same map with every edge stored the other way round.
         g = complete(5)
         rot = [[i for i, (u, v) in enumerate(g.edges, start=1) if w in (u, v)] for w in range(1, 6)]
         e = make_embedding(g, rot)
         flipped = make_embedding(MultiGraph(5, tuple((v, u) for u, v in g.edges)), rot)
         assert flipped.graph.edges != g.edges
-        w = are_isomorphic(e, flipped)
-        assert w is not None
-        assert canonical_key(apply_iso(e, w)) == canonical_key(flipped)
+        assert canonical_key(flipped) == canonical_key(e)
 
     def test_non_isomorphic_theta5(self, theta5_systems):
-        assert are_isomorphic(theta5_systems[10], theta5_systems[5]) is None
+        assert canonical_key(theta5_systems[10]) != canonical_key(theta5_systems[5])
 
     def test_one_vertex_graph(self):
         e = make_embedding(MultiGraph(1, ()), [()])
-        assert are_isomorphic(e, e) == IsoWitness(vertex_map={1: 1}, edge_map={})
         key = canonical_key(e)
         assert key == bytes([1, 0, 0])
         assert canonical_embedding(key) == e
@@ -668,7 +647,6 @@ def _embedding_on(g):
 GUARDED = {
     "canonical_key": canonical_key,
     "automorphism_group_order": automorphism_group_order,
-    "are_isomorphic": lambda e: are_isomorphic(e, e),
     "chirality": chirality,
     "class_key-iso": lambda e: classify([e], "iso")[1],
     "class_key-equivalence": lambda e: classify([e], "equivalence")[1],

@@ -246,7 +246,14 @@ class TestVerifyAndConvert:
             with pytest.raises(SystemExit):
                 parser.parse_args([argv[0], "--help"])
             help_text = " ".join(capsys.readouterr().out.split())
-            assert "--budget BUDGET max rotation-space size (systems addressed, not states expanded)" in help_text
+            assert ("--budget BUDGET max systems addressed, not states expanded: the whole rotation space, "
+                    "or for theta(m) the (m - 1)! systems with one vertex pinned") in help_text
+
+    def test_theta_help_names_the_pinned_measure(self, capsys):
+        # theta bounds the (m - 1)! systems with one vertex pinned, not theta(m)'s whole space.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["theta", "--help"])
+        assert "for theta(m) the (m - 1)! systems with one vertex pinned" in " ".join(capsys.readouterr().out.split())
 
     def test_verify_deterministic_bytes(self, capsys):
         assert main(["verify", "--suite", "k33"]) == 0

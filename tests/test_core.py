@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,11 @@ class TestConstructors:
     )
     def test_build_graph_refuses_a_wrong_argument_count(self, spec):
         with pytest.raises(ValueError, match="wrong number of arguments"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("spec", ["complete(x)", "theta(5.0)", "circulant(8,1,y)"])
+    def test_build_graph_refuses_an_argument_that_is_not_an_integer(self, spec):
+        with pytest.raises(ValueError, match=rf"graph spec {re.escape(repr(spec))} must be integers"):
             build_graph(spec)
 
 

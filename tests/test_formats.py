@@ -31,6 +31,12 @@ class TestNativeFormat:
             parse_named_embeddings(text)
         assert "loop" in str(err.value)
 
+    def test_endpoint_out_of_range_reported_at_its_edge_line(self):
+        text = "graph a\nvertices 2\nedge 1 1 9\nrot 1: 1\nrot 2: 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_named_embeddings(text)
+        assert str(err.value) == "line 3: edge 1 endpoint out of range: (1, 9)"
+
     def test_duplicate_edge_id_rejected(self):
         text = (
             "graph bad\nvertices 2\nedge 1 1 2\nedge 1 1 2\n"

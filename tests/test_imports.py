@@ -58,6 +58,15 @@ def _reads(stmt: ast.stmt) -> set[str]:
     return names
 
 
+def _bench_text(perfbench: Path) -> str:
+    """The text of every file in ``perfbench``, where a name counts as read when it is named."""
+    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.iterdir()) if p.is_file())
+
+
+def _named(name: str, text: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
 def unused_names(package: Path, perfbench: Path) -> list[str]:
     """Module-level names of ``package`` that nothing reads.
 
@@ -68,12 +77,12 @@ def unused_names(package: Path, perfbench: Path) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
     exported = {name for name, _ in _module_names(trees["__init__"])}
     exported |= {a.asname or a.name for s in trees["__init__"].body if isinstance(s, ast.ImportFrom) for a in s.names}
-    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.iterdir()) if p.is_file())
+    bench = _bench_text(perfbench)
     reads = {id(stmt): _reads(stmt) for tree in trees.values() for stmt in tree.body}
     unused = []
     for module, tree in trees.items():
         for name, stmt in _module_names(tree):
-            if name in exported or re.search(rf"\b{re.escape(name)}\b", bench):
+            if name in exported or _named(name, bench):
                 continue
             if not any(name in names for at, names in reads.items() if at != id(stmt)):
                 unused.append(f"{module}.{name}")
@@ -83,6 +92,34 @@ def unused_names(package: Path, perfbench: Path) -> list[str]:
 def test_every_module_level_name_is_read():
     # A name only tests read is dead code: delete it, or export it.
     assert unused_names(SRC / "rotsys", SRC.parent / "perfbench") == []
+
+
+def unread_exports(package: Path, perfbench: Path, readme: Path) -> list[str]:
+    """Names the package's ``__init__`` re-exports that nothing but the tests reads.
+
+    :func:`unused_names` counts every export as read; this holds the
+    exports themselves to account.  One counts as read when a statement of
+    another package module, other than its definition, reads it, when a
+    file in ``perfbench`` names it, or when ``readme`` names it.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    init = trees.pop("__init__")
+    exported = [a.asname or a.name for s in init.body if isinstance(s, ast.ImportFrom) for a in s.names]
+    bench, docs = _bench_text(perfbench), readme.read_text(encoding="utf-8")
+    defined = {name: id(stmt) for tree in trees.values() for name, stmt in _module_names(tree)}
+    reads = {id(stmt): _reads(stmt) for tree in trees.values() for stmt in tree.body}
+    return [
+        name
+        for name in exported
+        if not _named(name, bench)
+        and not _named(name, docs)
+        and not any(name in names for at, names in reads.items() if at != defined.get(name))
+    ]
+
+
+def test_every_export_is_read_outside_the_tests():
+    # An export only tests read is dead code: delete it, use it, or document it.
+    assert unread_exports(SRC / "rotsys", SRC.parent / "perfbench", SRC.parent / "README.md") == []
 
 
 def _members(tree: ast.Module) -> list[tuple[str, str, ast.stmt]]:
@@ -125,12 +162,12 @@ def unread_members(package: Path, perfbench: Path) -> list[str]:
     ``perfbench`` names it.  Tests do not count.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
-    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.iterdir()) if p.is_file())
+    bench = _bench_text(perfbench)
     reads = sum(map(_attribute_reads, trees.values()), Counter())
     unread = []
     for module, tree in trees.items():
         for qualified, name, stmt in _members(tree):
-            if re.search(rf"\b{re.escape(name)}\b", bench):
+            if _named(name, bench):
                 continue
             if reads[name] == _attribute_reads(stmt)[name]:
                 unread.append(f"{module}.{qualified}")

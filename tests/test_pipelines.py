@@ -6,7 +6,6 @@ import random
 from collections import Counter
 
 from rotsys import (
-    are_isomorphic,
     canon,
     complete,
     core,
@@ -394,7 +393,7 @@ class TestK33Chain:
         assert built["earlier"] == 3 * 10 + 15 * 5
         assert built["final"] + built["earlier"] == 114
 
-    def test_all_completions_share_one_key_with_witnesses(self):
+    def test_all_completions_share_one_key(self):
         k33 = complete_bipartite(3, 3)
         k33_key = multigraph_key(k33)
         completions = [
@@ -407,8 +406,6 @@ class TestK33Chain:
         assert all(multigraph_key(e.graph) == k33_key for e in completions)
         keys = {canonical_key(e) for e in completions}
         assert len(keys) == 1
-        for other in completions[1:]:
-            assert are_isomorphic(completions[0], other) is not None
 
     def test_completions_are_one_face_double_torus(self):
         res = pipeline_k33_stages()
