@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
-    GraphTables,
     _check_guard,
     _check_mode,
     _degrees_fit,
@@ -42,6 +42,7 @@ from .core import (
     _check_connected,
     complete,
     complete_bipartite,
+    embedding_from_darts,
     k4_plus,
     k5_minus_edge,
     make_embedding,
@@ -53,10 +54,9 @@ from .polygon import PolygonWord, word_key
 from .surgery import (
     CornerRef,
     SplitSpec,
-    _split_fits,
+    _split,
     add_edge_in_face,
     all_splits,
-    split_vertex,
     subdivide_edge,
 )
 from .rotation_space import RotationSpace
@@ -450,27 +450,16 @@ def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Embedding]:
     return out
 
 
-def _path_splits(e: Embedding, vertex: int, target: MultiGraph | None = None, tables: GraphTables | None = None) -> list[Embedding]:
-    """Expand a degree-5 vertex into a path of three (2 + 1 + 2 darts), one path per start.
+def _path_split(n: int, edges: Sequence[tuple[int, int]], rot: Sequence[Sequence[int]], vertex: int, start: int) -> tuple[int, list, list]:
+    """Lay out the path of three (2 + 1 + 2 darts) that a degree-5 ``vertex`` expands into, by two :func:`_split` calls.
 
-    With ``target`` and its :func:`_graph_tables` ``tables``, built once
-    by the caller, each path's second split is tested against it before
-    it is built, and only paths whose graph is isomorphic to ``target``
-    are built and returned.
+    The first split keeps the two darts from ``start``; the new edge's
+    dart is then last of the four at ``n + 1``, at index 3, so the second
+    split keeps it and the next dart there and moves the other two on.
     """
-    out = []
-    deg = e.degree(vertex)
-    if deg != 5:
-        raise ValueError("path expansion expects a degree-5 vertex")
-    for s in range(deg):
-        first = split_vertex(e, SplitSpec(vertex, s, 2, e.graph.edge_count + 1))
-        mid = first.graph.n  # the fresh vertex holding the remaining three darts
-        m1_dart = 2 * first.graph.edge_count - 1
-        rot_mid = first.rot[mid - 1]
-        spec = SplitSpec(mid, rot_mid.index(m1_dart), 2, first.graph.edge_count + 1)
-        if target is None or _split_fits(first, spec, target, tables):
-            out.append(split_vertex(first, spec))
-    return out
+    m = len(edges) + 1
+    mid = _split(n, edges, rot, SplitSpec(vertex, start, 2, m))
+    return _split(*mid, SplitSpec(n + 1, 3, 2, m + 1))
 
 
 @dataclass(frozen=True)
@@ -483,14 +472,26 @@ class K33PipelineResult:
 
 
 def pipeline_k33_stages() -> K33PipelineResult:
-    """Double path splits of the theta(5) classes, filtered to K33, deduped."""
+    """Double path splits of the theta(5) classes, filtered to K33, deduped.
+
+    The 5 x 5 path expansions of each class's vertices 1 and 2 are tested
+    as the edge lists :func:`_path_split` lays out; only K33's are built.
+    """
     k33 = complete_bipartite(3, 3)
     k33_tables = _graph_tables(k33)
     theta5 = theta5_classes()
     counts = []
     candidates: list[Embedding] = []
     for c in theta5:
-        mine = [emb for first in _path_splits(c.representative, 1) for emb in _path_splits(first, 2, k33, k33_tables)]
+        e = c.representative
+        mine = []
+        for s in range(5):
+            first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
+            for t in range(5):
+                n, edges, rot = _path_split(*first, 2, t)
+                graph = MultiGraph(n, tuple(edges))
+                if _same_graph(graph, k33, k33_tables):
+                    mine.append(embedding_from_darts(graph, rot))
         counts.append(len(mine))
         candidates.extend(mine)
     classes = dedup(candidates, "equivalence")

@@ -117,6 +117,8 @@ def parse_named_embeddings(text: str) -> list[NamedEmbedding]:
                 (n,) = (int(x) for x in fields[1:])
             except ValueError:
                 raise ParseError(lineno, "vertices line needs exactly one integer") from None
+            if n < 1:
+                raise ParseError(lineno, "need at least one vertex")
         elif kind == "edge":
             if name is None or n is None:
                 raise ParseError(lineno, "'edge' before 'graph'/'vertices'")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import GraphTables, _check_guard, _degrees_fit, _graph_tables, _same_graph
+from .canon import _check_guard, _degrees_fit, _graph_tables, _same_graph
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -114,29 +114,31 @@ def contract_edge(e: Embedding, edge_id: int) -> Embedding:
     return _rebuild(g.n - 1, new_edges, new_rot)
 
 
-def _split(e: Embedding, spec: SplitSpec) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The arc staying at ``spec.vertex``, the darts moving to vertex ``n + 1``, and the split's edges.
+def _split(n: int, edges: Sequence[tuple[int, int]], rot: Sequence[Sequence[int]], spec: SplitSpec) -> tuple[int, list, list]:
+    """Lay out a split as lists: the result's vertex count, edges and dart rotations, nothing built.
 
-    The edges are the graph of :func:`split_vertex`'s result: an edge keeps
-    its ends, except that its darts among the moving ones now end at
-    ``n + 1``, and the new edge ``(vertex, n + 1)`` takes id
-    ``spec.new_edge_id``.  ``spec`` is taken as valid.
+    The arc, then the new edge's dart, stays at ``spec.vertex``; the rest
+    of its rotation, then the new edge's other dart, moves to vertex
+    ``n + 1``, where that dart is last.  An edge keeps its ends, except
+    that its darts among the moving ones now end at ``n + 1``; the new
+    edge ``(vertex, n + 1)`` takes id ``spec.new_edge_id``, shifting
+    larger ids up.  ``spec`` is taken as valid for ``rot``, whose cycles
+    may start anywhere.
     """
-    g = e.graph
-    v = spec.vertex
-    rotv = e.rot[v - 1]
-    k = len(rotv)
-    arc = [rotv[(spec.arc_start + t) % k] for t in range(spec.arc_len)]
-    rest = [rotv[(spec.arc_start + spec.arc_len + t) % k] for t in range(k - spec.arc_len)]
+    v, m, s = spec.vertex, spec.new_edge_id, spec.arc_start
+    turned = [*rot[v - 1][s:], *rot[v - 1][:s]]
+    arc, rest = turned[: spec.arc_len], turned[spec.arc_len :]
     rest_set = set(rest)
-    new_v2 = g.n + 1
-    edges = []
-    for eid, (x, y) in enumerate(g.edges):
-        x2 = new_v2 if (x == v and 2 * eid in rest_set) else x
-        y2 = new_v2 if (y == v and 2 * eid + 1 in rest_set) else y
-        edges.append((x2, y2))
-    edges.insert(spec.new_edge_id - 1, (v, new_v2))
-    return arc, rest, edges
+    new_edges = [
+        (n + 1 if x == v and 2 * eid in rest_set else x, n + 1 if y == v and 2 * eid + 1 in rest_set else y)
+        for eid, (x, y) in enumerate(edges)
+    ]
+    new_edges.insert(m - 1, (v, n + 1))
+    d_new = 2 * (m - 1)
+    new_rot = [[_shift_dart_up(d, m) for d in r] for r in rot]
+    new_rot[v - 1] = [_shift_dart_up(d, m) for d in arc] + [d_new]
+    new_rot.append([_shift_dart_up(d, m) for d in rest] + [d_new + 1])
+    return n + 1, new_edges, new_rot
 
 
 def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
@@ -145,7 +147,8 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
     The arc (plus a dart of the new edge, appended after it) stays at the
     original vertex; the remaining darts (plus the other new dart at the
     splice point) move to vertex ``n + 1``.  Inverse of
-    :func:`contract_edge` applied to ``spec.new_edge_id``.
+    :func:`contract_edge` applied to ``spec.new_edge_id``.  The split is
+    laid out by :func:`_split` and built once.
     """
     g = e.graph
     v = spec.vertex
@@ -156,19 +159,9 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
         raise ValueError(f"arc_len {spec.arc_len} out of range for degree {k}")
     if not (0 <= spec.arc_start < k):
         raise ValueError(f"arc_start {spec.arc_start} out of range for degree {k}")
-    m = spec.new_edge_id
-    if not (1 <= m <= g.edge_count + 1):
-        raise ValueError(f"new_edge_id {m} out of range")
-
-    arc, rest, new_edges = _split(e, spec)
-    d_new_v = 2 * (m - 1)
-    d_new_v2 = d_new_v + 1
-    new_rot = [
-        [_shift_dart_up(d, m) for d in e.rot[w - 1]] for w in range(1, g.n + 1)
-    ]
-    new_rot[v - 1] = [_shift_dart_up(d, m) for d in arc] + [d_new_v]
-    new_rot.append([_shift_dart_up(d, m) for d in rest] + [d_new_v2])
-    return _rebuild(g.n + 1, new_edges, new_rot)
+    if not (1 <= spec.new_edge_id <= g.edge_count + 1):
+        raise ValueError(f"new_edge_id {spec.new_edge_id} out of range")
+    return _rebuild(*_split(g.n, g.edges, e.rot, spec))
 
 
 def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, CornerRef]:
@@ -285,15 +278,6 @@ def partition_split_specs(e: Embedding, vertex: int) -> list[SplitSpec]:
     return specs
 
 
-def _split_fits(e: Embedding, spec: SplitSpec, target: MultiGraph, target_tables: GraphTables) -> bool:
-    """Whether :func:`split_vertex` with ``spec`` gives a graph isomorphic to ``target``, tested before it is built.
-
-    The graph is made from the edges :func:`_split` gives the split, and
-    ``target_tables`` are the :func:`_graph_tables` of ``target``.
-    """
-    return _same_graph(MultiGraph(e.graph.n + 1, tuple(_split(e, spec)[2])), target, target_tables)
-
-
 def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     """One-split expansions of ``e`` whose graph is isomorphic to ``target``.
 
@@ -303,10 +287,10 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     empty when ``target`` does not have one edge more either.  Splitting a
     degree-k vertex with an arc of length a replaces degree k by a + 1 and
     k - a + 1, so a split whose degrees do not sort to ``target``'s is
-    dropped before any graph is made.  The others are tested against
-    ``target`` from the edges :func:`split_vertex` gives them, and only
-    accepted splits are built.  ``target`` is held to the size guard of
-    the graph tests.
+    dropped before any graph is made.  The others are laid out by
+    :func:`_split`, tested against ``target`` by the graph of that layout,
+    and only accepted splits are built, from the same layout.  ``target``
+    is held to the size guard of the graph tests.
     """
     g = e.graph
     if target.n != g.n + 1:
@@ -321,7 +305,10 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     for v, k in enumerate(degrees, start=1):
         for spec in partition_split_specs(e, v):
             a = spec.arc_len
-            fits = _degrees_fit(degrees, (k,), (a + 1, k - a + 1), target_degrees)
-            if fits and _split_fits(e, spec, target, target_tables):
-                out.append(split_vertex(e, spec))
+            if not _degrees_fit(degrees, (k,), (a + 1, k - a + 1), target_degrees):
+                continue
+            n, edges, rot = _split(g.n, g.edges, e.rot, spec)
+            graph = MultiGraph(n, tuple(edges))
+            if _same_graph(graph, target, target_tables):
+                out.append(embedding_from_darts(graph, rot))
     return out

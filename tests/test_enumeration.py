@@ -959,6 +959,24 @@ class TestGenusDistribution:
             d = genus_distribution(g)
             assert sum(r.raw_systems for r in d.records) == rotation_space_size(g)
 
+    def test_theta_raw_systems_follow_the_closed_form(self):
+        # With the order at one vertex of theta(m) fixed, 2 c(m+1, f) / (m (m+1))
+        # of the other's (m-1)! orders give f = m - 2g faces, c being the
+        # unsigned Stirling numbers of the first kind (Zagier 1995; Stanley
+        # 2011).  Each fixed order gives as many, so raw_systems at genus g
+        # is (m-1)! times that.
+        c = [[1]]
+        for n in range(1, 10):
+            prev = c[-1] + [0]
+            c.append([(n - 1) * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1)])
+        for m in range(2, 9):
+            want = {}
+            for g in range((m - 1) // 2 + 1):
+                count, rem = divmod(2 * c[m + 1][m - 2 * g], m * (m + 1))
+                assert rem == 0
+                want[g] = math.factorial(m - 1) * count
+            assert {r.genus: r.raw_systems for r in genus_distribution(theta(m)).records} == want
+
     def test_iso_count_weighted_by_graph_group_covers_space(self):
         # sum over iso classes of |Aut(G)| / |Aut(embedding)| = number of systems
         for g in (complete(5), complete_bipartite(3, 3), theta(5)):

@@ -64,6 +64,12 @@ class TestNativeFormat:
             parse_named_embeddings(text)
         assert str(err.value).startswith("line 3:")
 
+    @pytest.mark.parametrize("text", ["graph a\nvertices 0\n", "graph a\nvertices -2\nedge 1 1 2\n"])
+    def test_vertices_below_one_rejected_at_their_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_named_embeddings(text)
+        assert str(err.value) == "line 2: need at least one vertex"
+
     def test_vertices_line_with_extra_field_rejected(self):
         text = "graph a\nvertices 2 extra\nedge 1 1 2\nrot 1: 1\nrot 2: 1\n"
         with pytest.raises(ParseError) as err:

@@ -19,16 +19,17 @@ from rotsys import (
 from rotsys.enumeration import (
     RotationSpace,
     _edge_additions,
-    _path_splits,
+    _path_split,
     _subdivide_and_join,
     pipeline_k33_stages,
     pipeline_k5_stages,
     theta5_classes,
 )
 from rotsys.canon import _graph_tables, _same_graph, _stage_classes, canonical_key, dedup, multigraph_key
-from rotsys.core import k4_plus, k5_minus_edge, triangle_multi, wheel
+from rotsys.core import MultiGraph, embedding_from_darts, k4_plus, k5_minus_edge, triangle_multi, wheel
 from rotsys.surgery import (
     CornerRef,
+    SplitSpec,
     add_edge_in_face,
     all_splits,
     partition_split_specs,
@@ -279,9 +280,15 @@ class TestStageShortcuts:
             built["traces"] += 1
             return trace_faces(e)
 
-        def counted_split(e, spec):
-            built["splits"] += 1
-            return split_vertex(e, spec)
+        layout, build = surgery._split, surgery.embedding_from_darts
+
+        def counted_layout(n, edges, rot, spec):
+            built["layouts"] += 1
+            return layout(n, edges, rot, spec)
+
+        def counted_build(graph, rot):
+            built["surgery builds"] += 1
+            return build(graph, rot)
 
         def counted_degrees(degrees, old, new, target):
             fits = degrees_fit(degrees, old, new, target)
@@ -291,8 +298,8 @@ class TestStageShortcuts:
 
         monkeypatch.setattr(canon, "_class_record", counted_record)
         monkeypatch.setattr(canon, "_decode", counted_decode)
-        for module in (enumeration, surgery):
-            monkeypatch.setattr(module, "split_vertex", counted_split)
+        monkeypatch.setattr(surgery, "_split", counted_layout)
+        monkeypatch.setattr(surgery, "embedding_from_darts", counted_build)
         for module in (core, canon, enumeration, surgery):
             monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
         for module in (canon, enumeration, surgery):
@@ -329,9 +336,13 @@ class TestStageShortcuts:
         # and the _edge_additions calls on those reuse the walks (135
         # traces when every record traced its representative).
         assert built["traces"] == 4 + 39 + 10
-        # all_splits settles each of the 264 splits (of the 793) before
-        # building it, and builds the 64 that pass.
-        assert built["splits"] == 64
+        # all_splits settles each of the 264 splits (of the 793) by its
+        # degrees or, for 80, by the graph of the one layout it builds
+        # from; it builds the 64 that pass (144 layouts when split_vertex
+        # laid out each again).  Surgery builds those 64 splits, the 401
+        # insertions of add_edge_in_face and the 10 subdivisions.
+        assert built["layouts"] == 80
+        assert built["surgery builds"] == 64 + 401 + 10
 
 
 class TestK33Chain:
@@ -349,59 +360,89 @@ class TestK33Chain:
         assert by_group[2] == 4  # published count of labelled extensions via the central edge
         assert sum(res.candidates_per_class) > 0
 
-    def test_path_splits_match_the_build_every_split_filter(self):
-        # With a target, _path_splits tests each path's second split before
-        # building it; building every path and filtering by graph key gives
-        # the same completions, in order.
-        k33 = complete_bipartite(3, 3)
-        k33_key = multigraph_key(k33)
-        completions = []
+    def test_path_split_lists_build_what_split_vertex_builds(self, monkeypatch):
+        # Every double path expansion of the theta(5) classes, built from
+        # _path_split's lists, equals the one two split_vertex calls per
+        # path build, the second at the new edge's dart of the first path
+        # as built.  Filtered by graph key they are the chain's completions.
+        def built_path(e, vertex, start):
+            first = split_vertex(e, SplitSpec(vertex, start, 2, e.graph.edge_count + 1))
+            mid, m1_dart = first.graph.n, 2 * first.graph.edge_count - 1
+            return split_vertex(first, SplitSpec(mid, first.rot[mid - 1].index(m1_dart), 2, first.graph.edge_count + 1))
+
+        def build(layout):
+            n, edges, rot = layout
+            return embedding_from_darts(MultiGraph(n, tuple(edges)), rot)
+
+        expansions = []
         for c in theta5_classes():
-            for first in _path_splits(c.representative, 1):
-                want = [emb for emb in _path_splits(first, 2) if multigraph_key(emb.graph) == k33_key]
-                got = _path_splits(first, 2, k33, _graph_tables(k33))
-                assert got == want
-                completions += got
-        assert len(completions) == 9
+            e = c.representative
+            for s in range(5):
+                first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
+                first_built = built_path(e, 1, s)
+                assert build(first) == first_built
+                for t in range(5):
+                    expansions.append(build(_path_split(*first, 2, t)))
+                    assert expansions[-1] == built_path(first_built, 2, t)
+        assert len(expansions) == 75
+        deduped = []
+        monkeypatch.setattr(enumeration, "dedup", lambda candidates, mode: deduped.append(candidates) or dedup(candidates, mode))
+        pipeline_k33_stages()
+        k33_key = multigraph_key(complete_bipartite(3, 3))
+        assert [emb for emb in expansions if multigraph_key(emb.graph) == k33_key] == deduped[-1]
+        assert len(deduped[-1]) == 9
 
     def test_k33_chain_work_counts(self, graph_tests, monkeypatch):
-        # 3 classes x 5 paths at vertex 1 (two splits built each), then
-        # 15 x 5 paths at vertex 2: each builds its first split, and the 75
-        # second splits are tested (53 past the profile check) before the 9
-        # completions are built.  Building every path took 180 splits.
-        # Each graph test builds its candidate's tables, and K33's are built
-        # once for the 15 _path_splits calls toward it (90 when each call
-        # built them).
+        # 3 classes x 5 paths at vertex 1, then x 5 paths at vertex 2: the
+        # 75 double path expansions are laid out as lists (two _split calls
+        # per path, 180 in all), their graphs tested (53 past the profile
+        # check), and only the 9 completions built.  No split_vertex call
+        # is left; building the first split of every path and then each
+        # completion took 114.  Each graph test builds its candidate's
+        # tables, and K33's are built once.
         built = Counter()
-        graph_tables = canon._graph_tables
-
-        def counted_split(e, spec):
-            built["final" if e.graph.n == 5 else "earlier"] += 1
-            return split_vertex(e, spec)
+        graph_tables, layout, build = canon._graph_tables, surgery._split, enumeration.embedding_from_darts
 
         def counted_tables(g):
             built["tables"] += 1
             return graph_tables(g)
 
-        monkeypatch.setattr(enumeration, "split_vertex", counted_split)
+        def counted_layout(n, edges, rot, spec):
+            built["layouts"] += 1
+            return layout(n, edges, rot, spec)
+
+        def counted_build(graph, rot):
+            built["builds"] += 1
+            return build(graph, rot)
+
+        def no_split(e, spec):
+            raise AssertionError("split_vertex called")
+
         for module in (canon, enumeration, surgery):
             monkeypatch.setattr(module, "_graph_tables", counted_tables)
+        for module in (enumeration, surgery):
+            monkeypatch.setattr(module, "split_vertex", no_split, raising=False)
+            monkeypatch.setattr(module, "_split", counted_layout)
+            monkeypatch.setattr(module, "embedding_from_darts", counted_build)
         res, tests, searches = graph_tests(pipeline_k33_stages)
         assert (tests, searches) == (75, 53)
         assert built["tables"] == 75 + 1
-        assert sum(res.candidates_per_class) == built["final"] == 9
-        assert built["earlier"] == 3 * 10 + 15 * 5
-        assert built["final"] + built["earlier"] == 114
+        assert built["layouts"] == 2 * (15 + 75)
+        assert sum(res.candidates_per_class) == built["builds"] == 9
 
     def test_all_completions_share_one_key(self):
         k33 = complete_bipartite(3, 3)
         k33_key = multigraph_key(k33)
-        completions = [
-            emb
-            for c in theta5_classes()
-            for first in _path_splits(c.representative, 1)
-            for emb in _path_splits(first, 2, k33, _graph_tables(k33))
-        ]
+        k33_tables = _graph_tables(k33)
+        completions = []
+        for c in theta5_classes():
+            e = c.representative
+            for s in range(5):
+                first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
+                for n, edges, rot in (_path_split(*first, 2, t) for t in range(5)):
+                    graph = MultiGraph(n, tuple(edges))
+                    if _same_graph(graph, k33, k33_tables):
+                        completions.append(embedding_from_darts(graph, rot))
         assert len(completions) == 9
         assert all(multigraph_key(e.graph) == k33_key for e in completions)
         keys = {canonical_key(e) for e in completions}
