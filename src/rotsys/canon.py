@@ -63,14 +63,21 @@ def _check_guard(n: int, m: int) -> None:
         )
 
 
-def _steps(e: Embedding, mirror: bool = False) -> list[list[tuple[int, int, int]]]:
+Layout = tuple[int, Sequence[int], Sequence[Sequence[int]]]
+"""A map as keys read it: its vertex count, the vertex of each dart, and each vertex's rotation, from any dart on."""
+
+
+def _layout(e: Embedding) -> Layout:
+    return e.graph.n, e.graph.dart_vertex, e.rot
+
+
+def _steps(dv: Sequence[int], rot: Iterable[Sequence[int]], mirror: bool = False) -> list[list[tuple[int, int, int]]]:
     """Per dart, the darts around its vertex from it on, as ``(partner vertex, edge, partner dart)``.
 
-    With ``mirror`` they are those of ``reverse(e)``: each rotation is read backwards.
+    Each rotation of a :data:`Layout` is read as a cycle, and backwards with ``mirror``.
     """
-    dv = e.graph.dart_vertex
     steps: list = [None] * len(dv)
-    for r in e.rot:
+    for r in rot:
         if mirror:
             r = r[::-1]
         k = len(r)
@@ -123,8 +130,8 @@ def _block(
     return out, next_edge_label
 
 
-def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int]:
-    """The least stream of ``e`` and how often it occurs: the canonical key and the group order.
+def _least(layout: Layout, mirror: bool = False) -> tuple[bytes, int]:
+    """The least stream of a map and how often it occurs: the canonical key and the group order.
 
     A root's stream is the graph's vertex and edge counts, then the
     :func:`_block` of each vertex in label order.  Every root of least
@@ -135,18 +142,17 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int]:
     and compares it once with the least block of the roots before it.  The
     roots left at the end all give the least stream: their number is the
     group order.  A root's state is ``[starts, vertex labels, edge labels,
-    next edge label]``, as :func:`_block` takes them.  With ``mirror`` all
-    of this is that of ``reverse(e)``, built from the reversed rotations
-    of ``e``.
+    next edge label]``, as :func:`_block` takes them.  The map is read as
+    its :data:`Layout`, so it need not be built.  With ``mirror`` all of
+    this is that of its reversal, read off the reversed rotations.
     """
-    g = e.graph
-    steps = _steps(e, mirror)
+    n, dv, rot = layout
+    steps = _steps(dv, rot, mirror)
     if not steps:
         # The one-vertex graph (the only connected edgeless one): one vertex
         # block of degree 0, and no root dart.
         return bytes([1, 0, 0]), 1
-    dv = g.dart_vertex
-    n, m = g.n, g.edge_count
+    m = len(dv) // 2
     low = min(map(len, steps))
     live = []
     for d, s in enumerate(steps):
@@ -179,7 +185,7 @@ def _least(e: Embedding, mirror: bool = False) -> tuple[bytes, int]:
 def canonical_key(e: Embedding) -> bytes:
     """Canonical byte key: equal keys iff isomorphic embeddings."""
     _check_guard(e.graph.n, e.graph.edge_count)
-    return _least(e)[0]
+    return _least(_layout(e))[0]
 
 
 def canonical_embedding(key: bytes) -> Embedding:
@@ -195,7 +201,7 @@ def canonical_embedding(key: bytes) -> Embedding:
     its key must be ``key``.
     """
     e = _decode(key)
-    if _least(e)[0] != key:
+    if _least(_layout(e))[0] != key:
         raise ValueError("malformed canonical key")
     return e
 
@@ -241,7 +247,7 @@ def automorphism_group_order(e: Embedding) -> int:
     reversals are not counted.
     """
     _check_guard(e.graph.n, e.graph.edge_count)
-    return _least(e)[1]
+    return _least(_layout(e))[1]
 
 
 @dataclass(frozen=True)
@@ -274,23 +280,23 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown dedup mode {mode!r}")
 
 
-def _mirror_keys(embeddings: Iterable[Embedding]) -> Iterator[tuple[bytes, bytes, int]]:
-    """``(key, key of the reversal, group order)`` of each of ``embeddings``, in input order.
+def _mirror_keys(layouts: Iterable[Layout]) -> Iterator[tuple[bytes, bytes, int]]:
+    """``(key, key of the reversal, group order)`` of each of ``layouts``, in input order.
 
     Each input costs one stream set, and its reversal one more only when
     its key has not been met yet, as an input's or as a reversal's: the
     reversal's key depends on the key alone.  The reversal is keyed in
-    place (``_least(e, mirror=True)``), not built.  Isomorphic embeddings
+    place (``_least(layout, mirror=True)``), not built.  Isomorphic maps
     and mirror images have groups of the same order, so the order holds for
     the key's class and its mirror's.
     """
     mirror: dict[bytes, bytes] = {}  # each key met -> the key of its reversal
-    for e in embeddings:
-        _check_guard(e.graph.n, e.graph.edge_count)
-        key, order = _least(e)
+    for layout in layouts:
+        _check_guard(layout[0], len(layout[1]) // 2)
+        key, order = _least(layout)
         rkey = mirror.get(key)
         if rkey is None:
-            rkey = _least(e, mirror=True)[0]
+            rkey = _least(layout, mirror=True)[0]
             mirror[key], mirror[rkey] = rkey, key
         yield key, rkey, order
 
@@ -310,9 +316,10 @@ def _orbit_classes(e: Embedding, mode: DedupMode, order: int, achiral: bool) -> 
     in ``iso`` mode and the one class of the lesser key in ``equivalence``
     mode.
     """
-    keys = [_least(e)[0]]
+    layout = _layout(e)
+    keys = [_least(layout)[0]]
     if not achiral:
-        keys.append(_least(e, mirror=True)[0])
+        keys.append(_least(layout, mirror=True)[0])
         if mode == "equivalence":
             keys = [min(keys)]
     return [_class_record(key, order, achiral) for key in keys]
@@ -323,7 +330,7 @@ def chirality(e: Embedding) -> Chirality:
 
     Two stream sets: the keys of ``e`` and of its reversal, compared.
     """
-    ((key, rkey, _),) = _mirror_keys([e])
+    ((key, rkey, _),) = _mirror_keys([_layout(e)])
     return NON_ORIENTABLE if key == rkey else ORIENTABLE
 
 
@@ -339,10 +346,15 @@ def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[
     achirality known, are cheaper through :func:`_orbit_classes`, as the
     orbit pass of the exhaustive classification gives them.
     """
+    return _classify(map(_layout, embeddings), mode)
+
+
+def _classify(layouts: Iterable[Layout], mode: DedupMode) -> tuple[list[EmbeddingClass], list[bytes]]:
+    """:func:`classify` of maps given as their :data:`Layout`, none of them built."""
     _check_mode(mode)
     keys: list[bytes] = []
     classes: dict[bytes, tuple[int, bool]] = {}
-    for key, rkey, order in _mirror_keys(embeddings):
+    for key, rkey, order in _mirror_keys(layouts):
         keys.append(key if mode == "iso" else min(key, rkey))
         classes[keys[-1]] = order, key == rkey
     return [_class_record(key, *classes[key]) for key in sorted(classes)], keys
@@ -353,8 +365,8 @@ def dedup(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> list[Embe
     return classify(embeddings, mode)[0]
 
 
-def _stage_classes(candidates: Iterable[Embedding]) -> tuple[list[EmbeddingClass], list[EmbeddingClass]]:
-    """Iso and equivalence classes of a pipeline stage's candidates.
+def _stage_classes(candidates: Iterable[Layout]) -> tuple[list[EmbeddingClass], list[EmbeddingClass]]:
+    """Iso and equivalence classes of a pipeline stage's candidates, given as their :data:`Layout`.
 
     Stages carry embeddings up to equivalence, so a chiral candidate stands
     for itself and its mirror and both chiralities enter the iso classes.

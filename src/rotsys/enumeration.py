@@ -24,8 +24,10 @@ from . import _kernel
 from .canon import (
     DedupMode,
     EmbeddingClass,
+    Layout,
     _check_guard,
     _check_mode,
+    _classify,
     _degrees_fit,
     _graph_tables,
     _orbit_classes,
@@ -42,7 +44,6 @@ from .core import (
     _check_connected,
     complete,
     complete_bipartite,
-    embedding_from_darts,
     k4_plus,
     k5_minus_edge,
     make_embedding,
@@ -51,14 +52,7 @@ from .core import (
     wheel,
 )
 from .polygon import PolygonWord, word_key
-from .surgery import (
-    CornerRef,
-    SplitSpec,
-    _split,
-    add_edge_in_face,
-    all_splits,
-    subdivide_edge,
-)
+from .surgery import SplitSpec, _graph, _insert, _split, _splits, subdivide_edge
 from .rotation_space import RotationSpace
 
 DEFAULT_BUDGET = 10**9
@@ -401,12 +395,13 @@ def theta5_classes() -> list[EmbeddingClass]:
     return classes
 
 
-def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
-    """All single-edge insertions into faces of ``e`` whose graph is isomorphic to ``target``.
+def _edge_additions(e: Embedding, target: MultiGraph) -> list[Layout]:
+    """All single-edge insertions into faces of ``e`` whose graph is isomorphic to ``target``, as layouts.
 
     The graph of an insertion is ``e.graph`` plus the new edge, whatever
     its corners, so each vertex pair is settled once, and only the corners
-    of accepted pairs are built.  A pair (x, y) raises the degrees of x and
+    of accepted pairs are laid out (:func:`surgery._insert`, with the next
+    free edge id), none built.  A pair (x, y) raises the degrees of x and
     y by one; a pair whose degrees then do not sort to ``target``'s is
     dropped before any graph is made, and the others are tested against
     ``target`` by isomorphism.  Both graphs are held to the size guard of
@@ -434,31 +429,26 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Embedding]:
                     fits = _degrees_fit(degrees, (dx, dy), (dx + 1, dy + 1), target_degrees)
                     accepted[pair] = fits and _same_graph(MultiGraph(g.n, g.edges + (pair,)), target, target_tables)
                 if accepted[pair]:
-                    out.append(add_edge_in_face(e, CornerRef(fi, i), CornerRef(fi, j)))
+                    out.append(_insert(g.n, dv, e.rot, walk[i], walk[j], g.edge_count + 1))
     return out
 
 
-def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Embedding]:
+def _subdivide_and_join(e: Embedding, target: MultiGraph) -> list[Layout]:
     """Subdivide each copy of a doubled edge, then join the new vertex in."""
     g = e.graph
-    doubled = [
-        eid for eid, (u, v) in enumerate(g.edges, start=1) if g.multiplicity(u, v) == 2
-    ]
-    out = []
-    for eid in doubled:
-        out.extend(_edge_additions(subdivide_edge(e, eid), target))
-    return out
+    doubled = [eid for eid, (u, v) in enumerate(g.edges, start=1) if g.multiplicity(u, v) == 2]
+    return [layout for eid in doubled for layout in _edge_additions(subdivide_edge(e, eid), target)]
 
 
-def _path_split(n: int, edges: Sequence[tuple[int, int]], rot: Sequence[Sequence[int]], vertex: int, start: int) -> tuple[int, list, list]:
+def _path_split(n: int, dart_vertex: Sequence[int], rot: Sequence[Sequence[int]], vertex: int, start: int) -> Layout:
     """Lay out the path of three (2 + 1 + 2 darts) that a degree-5 ``vertex`` expands into, by two :func:`_split` calls.
 
     The first split keeps the two darts from ``start``; the new edge's
     dart is then last of the four at ``n + 1``, at index 3, so the second
     split keeps it and the next dart there and moves the other two on.
     """
-    m = len(edges) + 1
-    mid = _split(n, edges, rot, SplitSpec(vertex, start, 2, m))
+    m = len(dart_vertex) // 2 + 1
+    mid = _split(n, dart_vertex, rot, SplitSpec(vertex, start, 2, m))
     return _split(*mid, SplitSpec(n + 1, 3, 2, m + 1))
 
 
@@ -475,26 +465,26 @@ def pipeline_k33_stages() -> K33PipelineResult:
     """Double path splits of the theta(5) classes, filtered to K33, deduped.
 
     The 5 x 5 path expansions of each class's vertices 1 and 2 are tested
-    as the edge lists :func:`_path_split` lays out; only K33's are built.
+    by the graphs of the layouts :func:`_path_split` gives, and K33's are
+    keyed as they are; none is built.
     """
     k33 = complete_bipartite(3, 3)
     k33_tables = _graph_tables(k33)
     theta5 = theta5_classes()
     counts = []
-    candidates: list[Embedding] = []
+    candidates: list[Layout] = []
     for c in theta5:
         e = c.representative
         mine = []
         for s in range(5):
-            first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
+            first = _path_split(e.graph.n, e.graph.dart_vertex, e.rot, 1, s)
             for t in range(5):
-                n, edges, rot = _path_split(*first, 2, t)
-                graph = MultiGraph(n, tuple(edges))
-                if _same_graph(graph, k33, k33_tables):
-                    mine.append(embedding_from_darts(graph, rot))
+                layout = _path_split(*first, 2, t)
+                if _same_graph(_graph(*layout[:2]), k33, k33_tables):
+                    mine.append(layout)
         counts.append(len(mine))
         candidates.extend(mine)
-    classes = dedup(candidates, "equivalence")
+    classes = _classify(candidates, "equivalence")[0]
     return K33PipelineResult(tuple(theta5), tuple(counts), tuple(classes))
 
 
@@ -514,44 +504,27 @@ class K5PipelineResult:
     k5: tuple[EmbeddingClass, ...]
 
 
+def _expand(classes: Sequence[EmbeddingClass], grow, target: MultiGraph) -> list[Layout]:
+    """The layouts ``grow`` gives from each class representative toward ``target``, in class order."""
+    return [layout for c in classes for layout in grow(c.representative, target)]
+
+
 @lru_cache(maxsize=1)
 def pipeline_k5_stages() -> K5PipelineResult:
-    """Run the expansion chain, deduplicating after every stage."""
+    """Run the expansion chain, deduplicating after every stage.
+
+    A stage keys its candidates as laid out (:func:`surgery._splits`,
+    :func:`_edge_additions`) and builds none of them; the next expands the
+    class representatives, decoded from their keys.
+    """
     theta5 = theta5_classes()
-
-    t123_candidates: list[Embedding] = []
-    for c in theta5:
-        t123_candidates.extend(all_splits(c.representative, triangle_multi(1, 2, 3)))
-    t123_iso, t123 = _stage_classes(t123_candidates)
-
-    k4p_graph = k4_plus()
-    k4p_candidates: list[Embedding] = []
-    for c in t123:
-        k4p_candidates.extend(all_splits(c.representative, k4p_graph))
-    k4p = dedup(k4p_candidates, "equivalence")
-
-    w4_graph = wheel(4)
-    w4_candidates: list[Embedding] = []
-    for c in k4p:
-        w4_candidates.extend(all_splits(c.representative, w4_graph))
-    w4 = dedup(w4_candidates, "equivalence")
-
+    t123_iso, t123 = _stage_classes(_expand(theta5, _splits, triangle_multi(1, 2, 3)))
+    k4p = _classify(_expand(t123, _splits, k4_plus()), "equivalence")[0]
+    w4 = _classify(_expand(k4p, _splits, wheel(4)), "equivalence")[0]
     k5m_graph = k5_minus_edge()
-    from_w4: list[Embedding] = []
-    for c in w4:
-        from_w4.extend(_edge_additions(c.representative, k5m_graph))
-    from_k4p: list[Embedding] = []
-    for c in k4p:
-        from_k4p.extend(_subdivide_and_join(c.representative, k5m_graph))
-    k5m_candidates = from_w4 + from_k4p
-    k5m_iso, k5m = _stage_classes(k5m_candidates)
-
-    k5_graph = complete(5)
-    k5_candidates: list[Embedding] = []
-    for c in k5m:
-        k5_candidates.extend(_edge_additions(c.representative, k5_graph))
-    k5_iso, k5 = _stage_classes(k5_candidates)
-
+    from_w4, from_k4p = _expand(w4, _edge_additions, k5m_graph), _expand(k4p, _subdivide_and_join, k5m_graph)
+    k5m_iso, k5m = _stage_classes(from_w4 + from_k4p)
+    k5_iso, k5 = _stage_classes(_expand(k5m, _edge_additions, complete(5)))
     return K5PipelineResult(
         theta5=tuple(theta5),
         t123_iso=tuple(t123_iso),

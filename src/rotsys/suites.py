@@ -15,6 +15,7 @@ it differs from the expected value's reading.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -293,9 +294,27 @@ def _suite_torus_table(report: VerificationReport, budget: int) -> None:
         report.skip(f"{name} torus embeddings", "rotation space beyond any configured budget")
 
 
+def _theta_raw_systems(m: int) -> dict[int, int]:
+    """theta(m)'s systems per genus g: (m - 1)! 2 c(m + 1, m - 2g) / (m (m + 1)) (Zagier 1995; Stanley 2011).
+
+    c are the unsigned Stirling numbers of the first kind, by their recurrence.
+    """
+    c = [1]  # c(k, 0..k), from k = 0
+    for k in range(1, m + 2):
+        c = [(k - 1) * (c[j] if j < k else 0) + (c[j - 1] if j else 0) for j in range(k + 1)]
+    return {g: math.factorial(m - 1) * 2 * c[m - 2 * g] // (m * (m + 1)) for g in range((m + 1) // 2)}
+
+
 def _suite_theta_question(report: VerificationReport, budget: int) -> None:
     report.check("theta(3) torus classes", 1, len(en.theta_embeddings(3, 1, budget=budget)))
     report.check("theta(5) double-torus classes", 3, len(en.theta_embeddings(5, 2, budget=budget)))
+    item = "theta(2..8) systems per genus = closed form"
+    try:
+        got = {m: {r.genus: r.raw_systems for r in en.genus_distribution(theta(m), budget=budget).records} for m in range(2, 9)}
+    except BudgetExceeded as exc:
+        report.skip(item, str(exc))
+    else:
+        report.check(item, True, all(got[m] == _theta_raw_systems(m) for m in got))
     try:
         eq = en.theta_embeddings(7, 3, mode="equivalence", budget=budget)
         iso = en.theta_embeddings(7, 3, mode="iso", budget=budget)

@@ -4,8 +4,9 @@ Edge contraction and vertex splitting are mutually inverse, as are edge
 deletion (when the edge borders two distinct faces) and edge insertion
 inside a face.  All five operations preserve the genus; contraction and
 splitting also preserve the face count, while deletion and insertion lower
-and raise it by one.  Results are rebuilt through the validating embedding
-constructor.
+and raise it by one.  Each result is laid out as the :data:`canon.Layout`
+that keys read, and built from it through the validating embedding
+constructor; the expansion chains key split and insertion layouts unbuilt.
 
 Edge ids stay contiguous: removing edge ``k`` shifts every larger id down
 by one, and inserting an edge *with* id ``k`` shifts larger ids up.  This
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import _check_guard, _degrees_fit, _graph_tables, _same_graph
+from .canon import Layout, _check_guard, _degrees_fit, _graph_tables, _same_graph
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -66,8 +67,13 @@ def _shift_dart_down(d: int, removed_eid: int) -> int:
     return d - 2 if (d >> 1) + 1 > removed_eid else d
 
 
-def _rebuild(n: int, edges: Sequence[tuple[int, int]], rot: Iterable[Sequence[int]]) -> Embedding:
-    return embedding_from_darts(MultiGraph(n, tuple(edges)), rot)
+def _graph(n: int, dart_vertex: Sequence[int]) -> MultiGraph:
+    """The graph of a layout: edge ``i`` joins the vertices of darts ``2i - 2`` and ``2i - 1``."""
+    return MultiGraph(n, tuple(zip(dart_vertex[::2], dart_vertex[1::2])))
+
+
+def _rebuild(n: int, dart_vertex: Sequence[int], rot: Iterable[Sequence[int]]) -> Embedding:
+    return embedding_from_darts(_graph(n, dart_vertex), rot)
 
 
 def contract_edge(e: Embedding, edge_id: int) -> Embedding:
@@ -88,57 +94,38 @@ def contract_edge(e: Embedding, edge_id: int) -> Embedding:
     a, b = min(p, q), max(p, q)
 
     def vmap(w: int) -> int:
-        if w == b:
-            return a
-        return w - 1 if w > b else w
+        return a if w == b else w - (w > b)
 
-    d_p = 2 * (edge_id - 1)
-    d_q = d_p + 1
-    rot_p = list(e.rot[p - 1])
-    rot_q = list(e.rot[q - 1])
-    i = rot_p.index(d_p)
-    j = rot_q.index(d_q)
-    merged = rot_p[i + 1 :] + rot_p[:i] + rot_q[j + 1 :] + rot_q[:j]
+    rot_p, rot_q = e.rot[p - 1], e.rot[q - 1]
+    i, j = rot_p.index(2 * edge_id - 2), rot_q.index(2 * edge_id - 1)
+    merged = [*rot_p[i + 1 :], *rot_p[:i], *rot_q[j + 1 :], *rot_q[:j]]
 
-    new_edges = []
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        if eid == edge_id:
-            continue
-        new_edges.append((vmap(u), vmap(v)))
-    new_rot: list[list[int]] = [[] for _ in range(g.n - 1)]
-    for w in range(1, g.n + 1):
-        if w == p or w == q:
-            continue
-        new_rot[vmap(w) - 1] = [_shift_dart_down(d, edge_id) for d in e.rot[w - 1]]
-    new_rot[a - 1] = [_shift_dart_down(d, edge_id) for d in merged]
-    return _rebuild(g.n - 1, new_edges, new_rot)
+    new_dv = [vmap(w) for d, w in enumerate(g.dart_vertex) if d >> 1 != edge_id - 1]
+    new_rot = [[_shift_dart_down(d, edge_id) for d in (merged if w == a else r)] for w, r in enumerate(e.rot, 1) if w != b]
+    return _rebuild(g.n - 1, new_dv, new_rot)
 
 
-def _split(n: int, edges: Sequence[tuple[int, int]], rot: Sequence[Sequence[int]], spec: SplitSpec) -> tuple[int, list, list]:
-    """Lay out a split as lists: the result's vertex count, edges and dart rotations, nothing built.
+def _split(n: int, dart_vertex: Sequence[int], rot: Sequence[Sequence[int]], spec: SplitSpec) -> Layout:
+    """Lay out a split as lists: the result's vertex count, dart vertices and rotations, nothing built.
 
     The arc, then the new edge's dart, stays at ``spec.vertex``; the rest
     of its rotation, then the new edge's other dart, moves to vertex
-    ``n + 1``, where that dart is last.  An edge keeps its ends, except
-    that its darts among the moving ones now end at ``n + 1``; the new
-    edge ``(vertex, n + 1)`` takes id ``spec.new_edge_id``, shifting
-    larger ids up.  ``spec`` is taken as valid for ``rot``, whose cycles
-    may start anywhere.
+    ``n + 1``, where that dart is last.  Each moving dart now sits at
+    ``n + 1``; the new edge ``(vertex, n + 1)`` takes id
+    ``spec.new_edge_id``, shifting larger ids up.  ``spec`` is taken as
+    valid for ``rot``, whose cycles may start anywhere.
     """
     v, m, s = spec.vertex, spec.new_edge_id, spec.arc_start
     turned = [*rot[v - 1][s:], *rot[v - 1][:s]]
     arc, rest = turned[: spec.arc_len], turned[spec.arc_len :]
     rest_set = set(rest)
-    new_edges = [
-        (n + 1 if x == v and 2 * eid in rest_set else x, n + 1 if y == v and 2 * eid + 1 in rest_set else y)
-        for eid, (x, y) in enumerate(edges)
-    ]
-    new_edges.insert(m - 1, (v, n + 1))
     d_new = 2 * (m - 1)
+    new_dv = [n + 1 if d in rest_set else w for d, w in enumerate(dart_vertex)]
+    new_dv[d_new:d_new] = (v, n + 1)
     new_rot = [[_shift_dart_up(d, m) for d in r] for r in rot]
     new_rot[v - 1] = [_shift_dart_up(d, m) for d in arc] + [d_new]
     new_rot.append([_shift_dart_up(d, m) for d in rest] + [d_new + 1])
-    return n + 1, new_edges, new_rot
+    return n + 1, new_dv, new_rot
 
 
 def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
@@ -161,7 +148,7 @@ def split_vertex(e: Embedding, spec: SplitSpec) -> Embedding:
         raise ValueError(f"arc_start {spec.arc_start} out of range for degree {k}")
     if not (1 <= spec.new_edge_id <= g.edge_count + 1):
         raise ValueError(f"new_edge_id {spec.new_edge_id} out of range")
-    return _rebuild(*_split(g.n, g.edges, e.rot, spec))
+    return _rebuild(*_split(g.n, g.dart_vertex, e.rot, spec))
 
 
 def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, CornerRef]:
@@ -182,9 +169,9 @@ def delete_edge(e: Embedding, edge_id: int) -> tuple[Embedding, CornerRef, Corne
         raise InvalidEmbedding(
             f"both sides of edge {edge_id} lie on one face; deleting it would change the genus"
         )
-    new_edges = [pair for eid, pair in enumerate(g.edges, start=1) if eid != edge_id]
+    new_dv = [w for d, w in enumerate(g.dart_vertex) if d >> 1 != edge_id - 1]
     new_rot = [[_shift_dart_down(d, edge_id) for d in r if d >> 1 != edge_id - 1] for r in e.rot]
-    result = _rebuild(g.n, new_edges, new_rot)
+    result = _rebuild(g.n, new_dv, new_rot)
     at = {d: (fi, pos) for fi, walk in enumerate(result.face_set.faces) for pos, d in enumerate(walk)}
     s0, s1 = (_shift_dart_down(e.succ[d], edge_id) for d in (d0, d0 + 1))
     return result, CornerRef(*at[s0]), CornerRef(*at[s1])
@@ -213,23 +200,34 @@ def add_edge_in_face(
     if not (0 <= corner_u.position < len(walk) and 0 <= corner_v.position < len(walk)):
         raise ValueError("corner position out of range")
     du = walk[corner_u.position]
-    dv = walk[corner_v.position]
+    dw = walk[corner_v.position]
     x = g.dart_vertex[du]
-    y = g.dart_vertex[dv]
-    if x == y:
+    if x == g.dart_vertex[dw]:
         raise InvalidEmbedding(f"both corners sit at vertex {x}")
     m = g.edge_count + 1 if new_edge_id is None else new_edge_id
     if not (1 <= m <= g.edge_count + 1):
         raise ValueError(f"new_edge_id {m} out of range")
+    return _rebuild(*_insert(g.n, g.dart_vertex, e.rot, du, dw, m))
 
-    new_edges = list(g.edges)
-    new_edges.insert(m - 1, (x, y))
-    mx = 2 * (m - 1)
-    my = mx + 1
-    new_rot = [[_shift_dart_up(d, m) for d in e.rot[w - 1]] for w in range(1, g.n + 1)]
-    new_rot[x - 1].insert(new_rot[x - 1].index(_shift_dart_up(du, m)), mx)
-    new_rot[y - 1].insert(new_rot[y - 1].index(_shift_dart_up(dv, m)), my)
-    return _rebuild(g.n, new_edges, new_rot)
+
+def _insert(n: int, dart_vertex: Sequence[int], rot: Sequence[Sequence[int]], du: int, dw: int, m: int) -> Layout:
+    """Lay out an insertion as lists, as :func:`_split` does a split.
+
+    Edge ``m`` joins the vertices of darts ``du`` and ``dw``, two corners
+    of one face at distinct vertices; each new dart goes just before its
+    corner's dart.  Only an ``m`` below the next free id shifts darts up.
+    """
+    d_new = 2 * (m - 1)
+    x, y = dart_vertex[du], dart_vertex[dw]
+    new_dv = list(dart_vertex)
+    new_dv[d_new:d_new] = (x, y)
+    if d_new < len(dart_vertex):
+        rot = [[_shift_dart_up(d, m) for d in r] for r in rot]
+        du, dw = _shift_dart_up(du, m), _shift_dart_up(dw, m)
+    new_rot = [list(r) for r in rot]
+    new_rot[x - 1].insert(new_rot[x - 1].index(du), d_new)
+    new_rot[y - 1].insert(new_rot[y - 1].index(dw), d_new + 1)
+    return n, new_dv, new_rot
 
 
 def subdivide_edge(e: Embedding, edge_id: int) -> Embedding:
@@ -243,21 +241,17 @@ def subdivide_edge(e: Embedding, edge_id: int) -> Embedding:
     g = e.graph
     if not (1 <= edge_id <= g.edge_count):
         raise ValueError(f"unknown edge id {edge_id}")
-    u, v = g.edges[edge_id - 1]
+    v = g.edges[edge_id - 1][1]
     x = g.n + 1
-    m2 = g.edge_count + 1
-    d1 = 2 * (edge_id - 1) + 1        # the v-side dart of edge_id, moving to x
-    d2_x = 2 * (m2 - 1)               # new edge, x side
-    d2_v = d2_x + 1                   # new edge, v side
-
-    new_edges = list(g.edges)
-    new_edges[edge_id - 1] = (u, x)
-    new_edges.append((x, v))
-    new_rot = [list(e.rot[w - 1]) for w in range(1, g.n + 1)]
+    d1 = 2 * edge_id - 1              # the v-side dart of edge_id, moving to x
+    d2 = 2 * g.edge_count             # the new edge's dart at x; d2 + 1 is its dart at v
+    new_dv = [*g.dart_vertex, x, v]
+    new_dv[d1] = x
+    new_rot = [list(r) for r in e.rot]
     rv = new_rot[v - 1]
-    rv[rv.index(d1)] = d2_v
-    new_rot.append([d1, d2_x])
-    return _rebuild(g.n + 1, new_edges, new_rot)
+    rv[rv.index(d1)] = d2 + 1
+    new_rot.append([d1, d2])
+    return _rebuild(g.n + 1, new_dv, new_rot)
 
 
 def partition_split_specs(e: Embedding, vertex: int) -> list[SplitSpec]:
@@ -288,10 +282,15 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
     degree-k vertex with an arc of length a replaces degree k by a + 1 and
     k - a + 1, so a split whose degrees do not sort to ``target``'s is
     dropped before any graph is made.  The others are laid out by
-    :func:`_split`, tested against ``target`` by the graph of that layout,
-    and only accepted splits are built, from the same layout.  ``target``
-    is held to the size guard of the graph tests.
+    :func:`_split` and tested against ``target`` by the graph of that
+    layout (see :func:`_splits`); only accepted splits are built, from the
+    same layout.  ``target`` is held to the size guard of the graph tests.
     """
+    return [_rebuild(*layout) for layout in _splits(e, target)]
+
+
+def _splits(e: Embedding, target: MultiGraph) -> list[Layout]:
+    """The layouts of :func:`all_splits`, in its order, none of them built."""
     g = e.graph
     if target.n != g.n + 1:
         raise ValueError("target must have exactly one vertex more than the embedding")
@@ -307,8 +306,7 @@ def all_splits(e: Embedding, target: MultiGraph) -> list[Embedding]:
             a = spec.arc_len
             if not _degrees_fit(degrees, (k,), (a + 1, k - a + 1), target_degrees):
                 continue
-            n, edges, rot = _split(g.n, g.edges, e.rot, spec)
-            graph = MultiGraph(n, tuple(edges))
-            if _same_graph(graph, target, target_tables):
-                out.append(embedding_from_darts(graph, rot))
+            layout = _split(g.n, g.dart_vertex, e.rot, spec)
+            if _same_graph(_graph(*layout[:2]), target, target_tables):
+                out.append(layout)
     return out

@@ -104,14 +104,15 @@ def stream_sets(monkeypatch):
     """``count(fn)``: ``fn()`` and the number of stream sets it took.
 
     A stream set is one search of ``canon._least`` for the least rooted
-    serialization of an embedding or, with ``mirror``, of its reversal.
+    serialization of a map, given as its layout, or, with ``mirror``, of
+    its reversal.
     """
     taken = [0]
     original = canon._least
 
-    def counted(e, mirror=False):
+    def counted(layout, mirror=False):
         taken[0] += 1
-        return original(e, mirror)
+        return original(layout, mirror)
 
     def count(fn):
         taken[0] = 0

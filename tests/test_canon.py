@@ -38,6 +38,7 @@ from rotsys import canon, rotation_space
 from rotsys.canon import (
     _automorphism_chain,
     _graph_tables,
+    _layout,
     _least,
     _mult_matrix,
     _same_graph,
@@ -175,10 +176,10 @@ class TestLeast:
         for e in embeddings:
             rev = reverse(e)
             for x in (e, rev):
-                key, order = _least(x)
+                key, order = _least(_layout(x))
                 assert (key, order) == _plain_least(x)
                 orders.add(order)
-            assert _least(e, mirror=True) == _least(rev)
+            assert _least(_layout(e), mirror=True) == _least(_layout(rev))
         return orders
 
     def test_every_system_of_small_graphs(self):
@@ -226,7 +227,7 @@ class TestLeast:
         space = RotationSpace(g)
         systems = [system_at(g, space.orders, i) for i in range(space.total)]
         self.orders_checked(systems)
-        assert all(len(_least(e)[0]) == 2 + 2 * 7 for e in systems)
+        assert all(len(_least(_layout(e))[0]) == 2 + 2 * 7 for e in systems)
 
     def test_roots_started_and_finished(self, stream_blocks, stream_sets):
         # Only least-degree roots start (all 20 darts of K5), and all of

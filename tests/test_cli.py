@@ -228,6 +228,8 @@ class TestVerifyAndConvert:
         assert main(["verify", "--suite", "theta-question", "--budget", "100"]) == 0
         out = capsys.readouterr().out
         assert "theta(7) triple-torus classes\t(skipped)\tpinned subspace has 720 systems, budget is 100\tSKIP" in out
+        assert ("theta(2..8) systems per genus = closed form\t(skipped)\t"
+                "rotation space has 576 systems, budget is 100\tSKIP") in out
 
     def test_budget_stops_the_other_suites(self, capsys):
         # core and appendixB stop at the first space beyond the budget.
@@ -276,8 +278,9 @@ class TestVerifyAndConvert:
                 "f4fdae889679e46e8708f2fceef096d7d2b72ffedf455bd440eb51e013b3a23f"),
         "torus-table": ("a47595aae60041ea2b8f0a976225ac91114b119d51533f218e6a9de628f42d30",
                         "74c0d318e8f1edb9b1463aa74f27bed281a181ea09928afb7d1d9930ada3b5ea"),
-        "theta-question": ("bb5a220c89570d2ae1a1e9e4f0c9087be2f11720a4c72ccc99ae10ef6a22b139",
-                           "7712518b6acbb310fa2865ea9b07c872e3c50aa9ce98de0ba927ccf957e6f220"),
+        # theta-question gained the row of theta(m)'s closed form.
+        "theta-question": ("874be4edccabfd71e4b103102d7c533f7ef6ff863cc88fbf4f14cee4cbfe62d3",
+                           "702be07518fa3e4a9926c894decf3fc794dc59643b4d70bf10b3bac71d3d83ea"),
     }
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)

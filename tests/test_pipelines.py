@@ -25,11 +25,26 @@ from rotsys.enumeration import (
     pipeline_k5_stages,
     theta5_classes,
 )
-from rotsys.canon import _graph_tables, _same_graph, _stage_classes, canonical_key, dedup, multigraph_key
-from rotsys.core import MultiGraph, embedding_from_darts, k4_plus, k5_minus_edge, triangle_multi, wheel
+from rotsys.canon import (
+    _classify,
+    _graph_tables,
+    _layout,
+    _mirror_keys,
+    _same_graph,
+    _stage_classes,
+    automorphism_group_order,
+    canonical_key,
+    classify,
+    dedup,
+    multigraph_key,
+)
+from rotsys.core import k4_plus, k5_minus_edge, triangle_multi, wheel
 from rotsys.surgery import (
     CornerRef,
     SplitSpec,
+    _graph,
+    _rebuild,
+    _splits,
     add_edge_in_face,
     all_splits,
     partition_split_specs,
@@ -105,16 +120,39 @@ class TestK5Chain:
 
 
 def _stage_candidates(st):
-    """The candidates of each stage of ``st``, rebuilt from the stage before."""
+    """The candidates of each stage of ``st``, laid out again from the stage before, as the chain keys them."""
     k5m, k5 = k5_minus_edge(), complete(5)
     return {
-        "t123": [e for c in st.theta5 for e in all_splits(c.representative, triangle_multi(1, 2, 3))],
-        "k4_plus": [e for c in st.t123 for e in all_splits(c.representative, k4_plus())],
-        "w4": [e for c in st.k4_plus for e in all_splits(c.representative, wheel(4))],
-        "k5_minus": [e for c in st.w4 for e in _edge_additions(c.representative, k5m)]
-        + [e for c in st.k4_plus for e in _subdivide_and_join(c.representative, k5m)],
-        "k5": [e for c in st.k5_minus for e in _edge_additions(c.representative, k5)],
+        "t123": [x for c in st.theta5 for x in _splits(c.representative, triangle_multi(1, 2, 3))],
+        "k4_plus": [x for c in st.t123 for x in _splits(c.representative, k4_plus())],
+        "w4": [x for c in st.k4_plus for x in _splits(c.representative, wheel(4))],
+        "k5_minus": [x for c in st.w4 for x in _edge_additions(c.representative, k5m)]
+        + [x for c in st.k4_plus for x in _subdivide_and_join(c.representative, k5m)],
+        "k5": [x for c in st.k5_minus for x in _edge_additions(c.representative, k5)],
     }
+
+
+def _built_stage_candidates(st):
+    """The same candidates as :func:`_stage_candidates`, in its order, each built through ``embedding_from_darts``.
+
+    Every split and every insertion is built by ``split_vertex`` and
+    ``add_edge_in_face`` first and then filtered by graph key, so no
+    layout, degree gate or graph test of the chain makes this list.
+    """
+    k5m, k5 = k5_minus_edge(), complete(5)
+    return {
+        "t123": [e for c in st.theta5 for e in _split_then_filtered(c.representative, triangle_multi(1, 2, 3))[0]],
+        "k4_plus": [e for c in st.t123 for e in _split_then_filtered(c.representative, k4_plus())[0]],
+        "w4": [e for c in st.k4_plus for e in _split_then_filtered(c.representative, wheel(4))[0]],
+        "k5_minus": [e for c in st.w4 for e in _added_then_filtered(c.representative, k5m)[0]]
+        + [e for c in st.k4_plus for d in _doubled_subdivisions(c.representative) for e in _added_then_filtered(d, k5m)[0]],
+        "k5": [e for c in st.k5_minus for e in _added_then_filtered(c.representative, k5)[0]],
+    }
+
+
+def _built(layouts):
+    """``layouts`` built through the validating ``embedding_from_darts``."""
+    return [_rebuild(*layout) for layout in layouts]
 
 
 def _doubled_subdivisions(e):
@@ -165,8 +203,10 @@ def _relabelled_graph(rng, g):
 class TestStageShortcuts:
     """The stage helpers against the plain build-everything-then-dedup path."""
 
-    def _check_stage_classes(self, candidates):
-        iso, eq = _stage_classes(candidates)
+    def _check_stage_classes(self, layouts, candidates):
+        # The records of the layouts, keyed as they are, against those of
+        # the same maps built.
+        iso, eq = _stage_classes(layouts)
         assert iso == dedup(candidates + [reverse(e) for e in candidates], "iso")
         assert eq == dedup(candidates, "equivalence")
         # Each equivalence class is one of the iso classes, record and all.
@@ -175,10 +215,42 @@ class TestStageShortcuts:
 
     def test_stage_classes_on_every_pipeline_stage(self):
         st = pipeline_k5_stages()
-        stages = _stage_candidates(st)
+        stages, built = _stage_candidates(st), _built_stage_candidates(st)
         assert len(stages["k5_minus"]) == sum(st.k5_minus_candidates)
-        for candidates in stages.values():
-            self._check_stage_classes(candidates)
+        for name, layouts in stages.items():
+            self._check_stage_classes(layouts, built[name])
+
+    def test_keyed_layouts_match_the_built_candidates(self, monkeypatch):
+        # Every stage of a cold chain keys its candidates as layouts and
+        # builds none of them.  Each layout builds, through the validating
+        # embedding_from_darts, a connected embedding of its stage's target
+        # graph: the one the build-everything-then-filter construction
+        # builds at its place.  Keyed, the layouts give that construction's
+        # records: per candidate the key, its reversal's key and the group
+        # order, and per stage its classes, in order.
+        keyed = []
+
+        def record(fn):
+            return lambda layouts, *mode: keyed.append(list(layouts)) or fn(keyed[-1], *mode)
+
+        monkeypatch.setattr(enumeration, "_stage_classes", record(_stage_classes))
+        monkeypatch.setattr(enumeration, "_classify", record(_classify))
+        pipeline_k5_stages.cache_clear()
+        try:
+            st = pipeline_k5_stages()
+        finally:
+            pipeline_k5_stages.cache_clear()
+        built = _built_stage_candidates(st)
+        assert [len(layouts) for layouts in keyed] == [len(built[name]) for name in built] == [30, 20, 14, 192, 209]
+        targets = (triangle_multi(1, 2, 3), k4_plus(), wheel(4), k5_minus_edge(), complete(5))
+        for layouts, candidates, target in zip(keyed, built.values(), targets):
+            assert _built(layouts) == candidates
+            assert all(multigraph_key(e.graph) == multigraph_key(target) and trace_faces(e).stats.genus == 2 for e in candidates)
+            assert list(_mirror_keys(layouts)) == [
+                (canonical_key(e), canonical_key(reverse(e)), automorphism_group_order(e)) for e in candidates
+            ]
+            for mode in ("iso", "equivalence"):
+                assert _classify(layouts, mode) == classify(candidates, mode)
 
     def test_stage_classes_on_random_embeddings(self):
         # Random systems of random multigraphs, with relabelled and mirrored
@@ -190,7 +262,7 @@ class TestStageShortcuts:
             embs += [system_at(g, space.orders, rng.randrange(space.total)) for _ in range(3)]
         embs += [random_relabel(rng, e) for e in embs[::2]] + [reverse(e) for e in embs[1::3]]
         rng.shuffle(embs)
-        eq = self._check_stage_classes(embs)
+        eq = self._check_stage_classes([_layout(e) for e in embs], embs)
         assert {c.chirality for c in eq} == {"orientable", "non_orientable"}
         assert len(eq) < len(embs)
 
@@ -202,7 +274,7 @@ class TestStageShortcuts:
         cases += [(c.representative, k5) for c in st.k5_minus]
         assert len(cases) == 4 + 5 * 2 + 39
         for e, target in cases:
-            assert _edge_additions(e, target) == _added_then_filtered(e, target)[0]
+            assert _built(_edge_additions(e, target)) == _added_then_filtered(e, target)[0]
 
     def test_edge_additions_on_random_embeddings(self):
         # Targets are relabelled graphs of some insertion, so candidates of
@@ -217,7 +289,7 @@ class TestStageShortcuts:
                 x, y = rng.sample(range(1, g.n + 1), 2)
                 target = _relabelled_graph(rng, core.MultiGraph(g.n, g.edges + ((x, y),)))
                 want, built = _added_then_filtered(e, target)
-                assert _edge_additions(e, target) == want
+                assert _built(_edge_additions(e, target)) == want
                 accepted += len(want)
                 near_misses += _near_misses(built, target)
         assert accepted > 0 and near_misses > 0
@@ -280,11 +352,15 @@ class TestStageShortcuts:
             built["traces"] += 1
             return trace_faces(e)
 
-        layout, build = surgery._split, surgery.embedding_from_darts
+        layout, insertion, build = surgery._split, surgery._insert, surgery.embedding_from_darts
 
-        def counted_layout(n, edges, rot, spec):
+        def counted_layout(n, dart_vertex, rot, spec):
             built["layouts"] += 1
-            return layout(n, edges, rot, spec)
+            return layout(n, dart_vertex, rot, spec)
+
+        def counted_insertion(n, dart_vertex, rot, du, dw, m):
+            built["insertion layouts"] += 1
+            return insertion(n, dart_vertex, rot, du, dw, m)
 
         def counted_build(graph, rot):
             built["surgery builds"] += 1
@@ -299,6 +375,7 @@ class TestStageShortcuts:
         monkeypatch.setattr(canon, "_class_record", counted_record)
         monkeypatch.setattr(canon, "_decode", counted_decode)
         monkeypatch.setattr(surgery, "_split", counted_layout)
+        monkeypatch.setattr(enumeration, "_insert", counted_insertion)
         monkeypatch.setattr(surgery, "embedding_from_darts", counted_build)
         for module in (core, canon, enumeration, surgery):
             monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
@@ -332,17 +409,20 @@ class TestStageShortcuts:
         # Faces are traced once per embedding and kept on it, and records
         # trace none: once for each representative that edges are added to
         # (the 4 W4 and 39 K5-e classes), and once for each of the 10
-        # subdivided K4+ systems.  The 401 insertions of add_edge_in_face
-        # and the _edge_additions calls on those reuse the walks (135
-        # traces when every record traced its representative).
+        # subdivided K4+ systems.  The 401 insertions and the
+        # _edge_additions calls on those reuse the walks (135 traces when
+        # every record traced its representative).
         assert built["traces"] == 4 + 39 + 10
-        # all_splits settles each of the 264 splits (of the 793) by its
-        # degrees or, for 80, by the graph of the one layout it builds
-        # from; it builds the 64 that pass (144 layouts when split_vertex
-        # laid out each again).  Surgery builds those 64 splits, the 401
-        # insertions of add_edge_in_face and the 10 subdivisions.
+        # The chain settles each of the 264 splits (of the 793) by its
+        # degrees or, for 80, by the graph of its one layout (144 layouts
+        # when split_vertex laid out each again), and keys the 64 that pass
+        # as laid out; it lays out the 401 accepted insertions and keys
+        # them alike.  Surgery builds only the 10 subdivisions, whose faces
+        # are traced; it built 64 + 401 + 10 when every split and insertion
+        # was built through embedding_from_darts to be keyed.
         assert built["layouts"] == 80
-        assert built["surgery builds"] == 64 + 401 + 10
+        assert built["insertion layouts"] == 401
+        assert built["surgery builds"] == 10
 
 
 class TestK33Chain:
@@ -370,46 +450,50 @@ class TestK33Chain:
             mid, m1_dart = first.graph.n, 2 * first.graph.edge_count - 1
             return split_vertex(first, SplitSpec(mid, first.rot[mid - 1].index(m1_dart), 2, first.graph.edge_count + 1))
 
-        def build(layout):
-            n, edges, rot = layout
-            return embedding_from_darts(MultiGraph(n, tuple(edges)), rot)
-
         expansions = []
         for c in theta5_classes():
             e = c.representative
             for s in range(5):
-                first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
+                first = _path_split(e.graph.n, e.graph.dart_vertex, e.rot, 1, s)
                 first_built = built_path(e, 1, s)
-                assert build(first) == first_built
+                assert _rebuild(*first) == first_built
                 for t in range(5):
-                    expansions.append(build(_path_split(*first, 2, t)))
+                    expansions.append(_rebuild(*_path_split(*first, 2, t)))
                     assert expansions[-1] == built_path(first_built, 2, t)
         assert len(expansions) == 75
-        deduped = []
-        monkeypatch.setattr(enumeration, "dedup", lambda candidates, mode: deduped.append(candidates) or dedup(candidates, mode))
-        pipeline_k33_stages()
+        keyed = []
+        monkeypatch.setattr(enumeration, "_classify", lambda layouts, mode: keyed.append(layouts) or _classify(layouts, mode))
+        res = pipeline_k33_stages()
         k33_key = multigraph_key(complete_bipartite(3, 3))
-        assert [emb for emb in expansions if multigraph_key(emb.graph) == k33_key] == deduped[-1]
-        assert len(deduped[-1]) == 9
+        completions = [emb for emb in expansions if multigraph_key(emb.graph) == k33_key]
+        assert _built(keyed[-1]) == completions
+        assert len(completions) == 9
+        # Keyed as laid out, the completions give the records of the same
+        # completions built: per completion and for the chain's one class.
+        assert list(_mirror_keys(keyed[-1])) == [
+            (canonical_key(e), canonical_key(reverse(e)), automorphism_group_order(e)) for e in completions
+        ]
+        assert list(res.classes) == dedup(completions, "equivalence")
 
     def test_k33_chain_work_counts(self, graph_tests, monkeypatch):
         # 3 classes x 5 paths at vertex 1, then x 5 paths at vertex 2: the
         # 75 double path expansions are laid out as lists (two _split calls
         # per path, 180 in all), their graphs tested (53 past the profile
-        # check), and only the 9 completions built.  No split_vertex call
-        # is left; building the first split of every path and then each
-        # completion took 114.  Each graph test builds its candidate's
-        # tables, and K33's are built once.
+        # check), and the 9 completions keyed as laid out.  No split_vertex
+        # call and no build is left; building the first split of every path
+        # and then each completion took 114, and building the completions
+        # alone 9.  Each graph test builds its candidate's tables, and K33's
+        # are built once.
         built = Counter()
-        graph_tables, layout, build = canon._graph_tables, surgery._split, enumeration.embedding_from_darts
+        graph_tables, layout, build = canon._graph_tables, surgery._split, surgery.embedding_from_darts
 
         def counted_tables(g):
             built["tables"] += 1
             return graph_tables(g)
 
-        def counted_layout(n, edges, rot, spec):
+        def counted_layout(n, dart_vertex, rot, spec):
             built["layouts"] += 1
-            return layout(n, edges, rot, spec)
+            return layout(n, dart_vertex, rot, spec)
 
         def counted_build(graph, rot):
             built["builds"] += 1
@@ -423,12 +507,13 @@ class TestK33Chain:
         for module in (enumeration, surgery):
             monkeypatch.setattr(module, "split_vertex", no_split, raising=False)
             monkeypatch.setattr(module, "_split", counted_layout)
-            monkeypatch.setattr(module, "embedding_from_darts", counted_build)
+            monkeypatch.setattr(module, "embedding_from_darts", counted_build, raising=False)
         res, tests, searches = graph_tests(pipeline_k33_stages)
         assert (tests, searches) == (75, 53)
         assert built["tables"] == 75 + 1
         assert built["layouts"] == 2 * (15 + 75)
-        assert sum(res.candidates_per_class) == built["builds"] == 9
+        assert sum(res.candidates_per_class) == 9
+        assert built["builds"] == 0
 
     def test_all_completions_share_one_key(self):
         k33 = complete_bipartite(3, 3)
@@ -438,11 +523,10 @@ class TestK33Chain:
         for c in theta5_classes():
             e = c.representative
             for s in range(5):
-                first = _path_split(e.graph.n, e.graph.edges, e.rot, 1, s)
-                for n, edges, rot in (_path_split(*first, 2, t) for t in range(5)):
-                    graph = MultiGraph(n, tuple(edges))
-                    if _same_graph(graph, k33, k33_tables):
-                        completions.append(embedding_from_darts(graph, rot))
+                first = _path_split(e.graph.n, e.graph.dart_vertex, e.rot, 1, s)
+                for n, dart_vertex, rot in (_path_split(*first, 2, t) for t in range(5)):
+                    if _same_graph(_graph(n, dart_vertex), k33, k33_tables):
+                        completions.append(_rebuild(n, dart_vertex, rot))
         assert len(completions) == 9
         assert all(multigraph_key(e.graph) == k33_key for e in completions)
         keys = {canonical_key(e) for e in completions}
