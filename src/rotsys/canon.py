@@ -14,12 +14,15 @@ same multiplicity, which *is* the automorphism group order.
 The least serialization is found by pruning breadth first, as in the
 search trees of canonical labelling.  A serialization's third byte is the
 degree of its root's vertex, so only roots at vertices of least degree are
-started.  They all advance together, one vertex block at a time, and after
-each block only the roots whose block is the least one go on.  A root
-writes its whole block, then compares it with the least block of the
-roots before it, and drops out when its block is above it.  The roots
-left at the end are those reaching the least serialization, so the key
-and the group order are those of the full set of serializations.
+ranked, by an exact prefix of their serializations read off the rotations
+(the first block's neighbour labels, the second block's degree and its
+second dart), and only those with the least prefix are started.  They all
+advance together, one vertex block at a time, and after each block only
+the roots whose block is the least one go on.  A root writes its whole
+block, then compares it with the least block of the roots before it, and
+drops out when its block is above it.  The roots left at the end are
+those reaching the least serialization, so the key and the group order
+are those of the full set of serializations.
 
 Mirror images: reversing all rotations gives the reflected embedding.  An
 embedding isomorphic to its own reversal is called non-orientable (achiral);
@@ -130,15 +133,69 @@ def _block(
     return out, next_edge_label
 
 
+def _roots(steps: list[list[tuple[int, int, int]]], rot: Sequence[Sequence[int]], low: int) -> list[int]:
+    """The roots of degree ``low`` whose streams start with the least exact prefix.
+
+    After the counts, a root ``d`` at ``v0`` has this prefix: block 0's
+    neighbour labels (its edge labels are ``0..low-1`` from every root),
+    the degree of ``d``'s far end ``w1``, which opens block 1, and block
+    1's pair after ``(0, 0)``, for the next dart at ``w1`` (none when
+    ``w1`` has degree 1).  With ``y1`` the far end of that dart, the pair
+    is ``(0, its edge's place in block 0)`` when ``y1`` is ``v0``, and
+    else ``(y1's label, low)``, a new label when ``y1`` is no neighbour of
+    ``v0``.  Distinct neighbours label block 0 ``1..low`` from every root,
+    above any repeat, and ``y1``'s label is then one lookup of its place
+    around ``v0``.  Every root reaching the least stream has the least
+    prefix, so the key and the group order are those of all the roots.
+    """
+    ones = tuple(range(1, low + 1))
+    best = None
+    roots: list[int] = []
+    for r in rot:
+        if len(r) != low:
+            continue
+        ring = steps[r[0]]
+        at = {w: j for j, (w, _, _) in enumerate(ring)}
+        distinct = len(at) == low
+        for i, (_, _, back) in enumerate(ring):
+            d = back ^ 1  # the root, at place i around v0
+            after = steps[back]  # block 1's steps: from d^1 at w1, back to v0 first
+            if distinct:
+                pattern = ones
+            else:
+                lab: dict[int, int] = {}
+                for w, _, _ in steps[d]:
+                    lab.setdefault(w, len(lab) + 1)
+                pattern = tuple([lab[w] for w, _, _ in steps[d]])
+            if len(after) == 1:
+                prefix = pattern, 1
+            else:
+                y, k, _ = after[1]
+                if distinct:
+                    j = at.get(y)
+                    prefix = pattern, len(after), low + 1 if j is None else (j - i) % low + 1, low
+                elif y == after[0][0]:
+                    prefix = pattern, len(after), 0, [e for _, e, _ in steps[d]].index(k)
+                else:
+                    prefix = pattern, len(after), lab.get(y, len(lab) + 1), low
+            if prefix == best:
+                roots.append(d)
+            elif best is None or prefix < best:
+                best = prefix
+                roots = [d]
+    return roots
+
+
 def _least(layout: Layout, mirror: bool = False) -> tuple[bytes, int]:
     """The least stream of a map and how often it occurs: the canonical key and the group order.
 
     A root's stream is the graph's vertex and edge counts, then the
-    :func:`_block` of each vertex in label order.  Every root of least
-    degree advances one block at a time, and only the roots whose block is
-    the least at that index go on; a root with no block left emits the
-    empty block, which is least, as a stream that is a prefix of another
-    is less.  Each root writes its whole block, even one that drops out,
+    :func:`_block` of each vertex in label order.  The roots of least
+    degree whose streams start with the least exact prefix (see
+    :func:`_roots`) advance one block at a time, and only the roots whose
+    block is the least at that index go on; a root with no block left
+    emits the empty block, which is least, as a stream that is a prefix of
+    another is less.  Each root writes its whole block, even one that drops out,
     and compares it once with the least block of the roots before it.  The
     roots left at the end all give the least stream: their number is the
     group order.  A root's state is ``[starts, vertex labels, edge labels,
@@ -153,13 +210,11 @@ def _least(layout: Layout, mirror: bool = False) -> tuple[bytes, int]:
         # block of degree 0, and no root dart.
         return bytes([1, 0, 0]), 1
     m = len(dv) // 2
-    low = min(map(len, steps))
     live = []
-    for d, s in enumerate(steps):
-        if len(s) == low:
-            vlab = [-1] * (n + 1)
-            vlab[dv[d]] = 0
-            live.append([[d], vlab, [-1] * m, 0])
+    for d in _roots(steps, rot, min(map(len, steps))):
+        vlab = [-1] * (n + 1)
+        vlab[dv[d]] = 0
+        live.append([[d], vlab, [-1] * m, 0])
     key = bytearray((n, m))
     for i in range(n):
         best = None
@@ -459,22 +514,43 @@ def _vertex_isomorphisms(g: GraphTables, h: GraphTables, fixed: Sequence[int] = 
     return extend(len(fixed) + 1)
 
 
+def _triangles(g: MultiGraph) -> list[int]:
+    """Per vertex of ``g``, sorted: its triangles, each counted once for each of its edges at the vertex.
+
+    Each edge ``uv`` adds the common neighbours of ``u`` and ``v``, read
+    off neighbour bitmasks, to both ends, so on a simple graph this is
+    twice the number of triangles at each vertex.  Isomorphisms keep it.
+    """
+    bits = [0] * (g.n + 1)
+    for u, v in g.edges:
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    count = [0] * (g.n + 1)
+    for u, v in g.edges:
+        common = (bits[u] & bits[v]).bit_count()
+        count[u] += common
+        count[v] += common
+    return sorted(count[1:])
+
+
 def _same_graph(g: MultiGraph, h: MultiGraph, ht: GraphTables) -> bool:
     """Whether ``g`` and ``h`` are isomorphic multigraphs (rotations ignored).
 
     ``ht`` are the :func:`_graph_tables` of ``h``: a caller testing many
     graphs against one ``h`` builds them once.  The answer, and the size
     guard on both graphs, are those of ``multigraph_key(g) ==
-    multigraph_key(h)``; but only graphs with equal sizes and equal sorted
-    vertex profiles reach the search, which takes the tables built for
-    that check and stops at the first vertex map.
+    multigraph_key(h)``; but only graphs with equal sizes, equal sorted
+    vertex profiles and equal :func:`_triangles` reach the search, which
+    takes the tables built for the profile check and stops at the first
+    vertex map.  The triangle counts stay out of the profiles, which the
+    search and :func:`_automorphism_chain` compare vertex by vertex.
     """
     for x in (g, h):
         _check_guard(x.n, x.edge_count)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     gt = _graph_tables(g)
-    if sorted(gt[1]) != sorted(ht[1]):
+    if sorted(gt[1]) != sorted(ht[1]) or _triangles(g) != _triangles(h):
         return False
     return next(_vertex_isomorphisms(gt, ht), None) is not None
 

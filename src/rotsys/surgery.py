@@ -112,19 +112,23 @@ def _split(n: int, dart_vertex: Sequence[int], rot: Sequence[Sequence[int]], spe
     of its rotation, then the new edge's other dart, moves to vertex
     ``n + 1``, where that dart is last.  Each moving dart now sits at
     ``n + 1``; the new edge ``(vertex, n + 1)`` takes id
-    ``spec.new_edge_id``, shifting larger ids up.  ``spec`` is taken as
-    valid for ``rot``, whose cycles may start anywhere.
+    ``spec.new_edge_id``, shifting larger ids up; only an id below the
+    next free one shifts darts, as in :func:`_insert`.  ``spec`` is taken
+    as valid for ``rot``, whose cycles may start anywhere, and the
+    rotations it leaves alone may be shared with the result.
     """
     v, m, s = spec.vertex, spec.new_edge_id, spec.arc_start
     turned = [*rot[v - 1][s:], *rot[v - 1][:s]]
-    arc, rest = turned[: spec.arc_len], turned[spec.arc_len :]
-    rest_set = set(rest)
+    rest_set = set(turned[spec.arc_len :])
     d_new = 2 * (m - 1)
     new_dv = [n + 1 if d in rest_set else w for d, w in enumerate(dart_vertex)]
     new_dv[d_new:d_new] = (v, n + 1)
-    new_rot = [[_shift_dart_up(d, m) for d in r] for r in rot]
-    new_rot[v - 1] = [_shift_dart_up(d, m) for d in arc] + [d_new]
-    new_rot.append([_shift_dart_up(d, m) for d in rest] + [d_new + 1])
+    if d_new < len(dart_vertex):
+        rot = [[_shift_dart_up(d, m) for d in r] for r in rot]
+        turned = [_shift_dart_up(d, m) for d in turned]
+    new_rot = list(rot)
+    new_rot[v - 1] = turned[: spec.arc_len] + [d_new]
+    new_rot.append(turned[spec.arc_len :] + [d_new + 1])
     return n + 1, new_dv, new_rot
 
 

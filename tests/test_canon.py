@@ -18,9 +18,11 @@ from rotsys import (
     build_graph,
     canonical_key,
     chirality,
+    circulant,
     classify,
     complete,
     complete_bipartite,
+    cube,
     dedup,
     from_neighbor_lists,
     graph_automorphism_count,
@@ -42,6 +44,7 @@ from rotsys.canon import (
     _least,
     _mult_matrix,
     _same_graph,
+    _triangles,
     _vertex_isomorphisms,
     _vertex_profiles,
     canonical_embedding,
@@ -164,6 +167,31 @@ def _plain_least(e):
     return key, streams.count(key)
 
 
+def _root_prefixes(e):
+    """Per least-degree root of ``e``: the prefix of its full stream that ``canon._roots`` ranks by, and its branches there.
+
+    The prefix is the counts, block 0, and block 1 up to its second pair
+    (its one pair when ``w1`` has degree 1).  The branches are whether
+    block 0's labels are ``1..low`` (distinct neighbours) and which of the
+    cases of block 1's second pair the root is in.
+    """
+    low = min(map(len, e.rot))
+    out = {}
+    for d in range(2 * e.graph.edge_count):
+        if len(e.rot[e.graph.dart_vertex[d] - 1]) != low:
+            continue
+        stream = _plain_traversal(e, d)
+        labels = list(stream[3 : 3 + 2 * low : 2])
+        kind = "distinct" if labels == list(range(1, low + 1)) else "repeated"
+        if stream[3 + 2 * low] == 1:
+            out[d] = stream[: 6 + 2 * low], kind, "w1 of degree 1"
+        else:
+            y1 = stream[6 + 2 * low]
+            case = "y1 is v0" if y1 == 0 else "y1 a neighbour of v0" if y1 in labels else "y1 new"
+            out[d] = stream[: 8 + 2 * low], kind, case
+    return out
+
+
 class TestLeast:
     """``_least`` prunes roots; it must agree with serializing every root."""
 
@@ -229,6 +257,48 @@ class TestLeast:
         self.orders_checked(systems)
         assert all(len(_least(_layout(e))[0]) == 2 + 2 * 7 for e in systems)
 
+    def test_every_branch_of_the_root_ranking(self):
+        # _roots keeps the least-degree roots whose stream starts with the
+        # least prefix: block 0's neighbour labels, the degree that opens
+        # block 1 and block 1's pair after (0, 0).  Every branch of it is
+        # met below.  The roots it keeps are those whose full streams start
+        # with the least prefix, and the key and the group order of each
+        # input and its reversal are those of every root serialized to the
+        # end.
+        rng = random.Random(35)
+        inputs = [random_embedding(rng) for _ in range(300)]
+        for g in (
+            complete(2),  # w1 of degree 1
+            theta(3),  # y1 is v0 at every root
+            MultiGraph(4, ((1, 4), (1, 4), (2, 3), (2, 4), (3, 4))),  # distinct and repeated at degree 2
+            MultiGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3), (1, 3))),  # repeated at every vertex
+        ):
+            space = RotationSpace(g)
+            inputs += [system_at(g, space.orders, i) for i in range(space.total)]
+        self.orders_checked(inputs)
+        met = set()
+        for e in inputs:
+            n, dv, rot = _layout(e)
+            low = min(map(len, rot))
+            for x, mirror in ((e, False), (reverse(e), True)):
+                prefixes = _root_prefixes(x)
+                least = min(prefix for prefix, _, _ in prefixes.values())
+                kept = sorted(d for d, (prefix, _, _) in prefixes.items() if prefix == least)
+                assert sorted(canon._roots(canon._steps(dv, rot, mirror), rot, low)) == kept
+                kinds = {kind for _, kind, _ in prefixes.values()}
+                met |= kinds | {case for _, _, case in prefixes.values()}
+                if len(kinds) == 2:
+                    met.add("distinct and repeated")
+        assert met == {
+            "distinct",
+            "repeated",
+            "distinct and repeated",
+            "w1 of degree 1",
+            "y1 is v0",
+            "y1 a neighbour of v0",
+            "y1 new",
+        }
+
     def test_roots_started_and_finished(self, stream_blocks, stream_sets):
         # Only least-degree roots start (all 20 darts of K5), and all of
         # them advance one vertex block at a time; only those whose block
@@ -241,12 +311,12 @@ class TestLeast:
         firsts = [space.embedding_at(i) for i, *_ in space.orbits(pinned)]
         assert len(firsts) == 50
         (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: dedup(firsts, "equivalence")))
-        assert (sets, blocks) == (100, 4860)
+        assert (sets, blocks) == (100, 2304)
         (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: genus_distribution(complete(5))))
         assert (sets, blocks) == (0, 0)
         pipeline_k5_stages.cache_clear()
         try:
-            assert stream_blocks(pipeline_k5_stages)[1] == 16095
+            assert stream_blocks(pipeline_k5_stages)[1] == 7391
         finally:
             pipeline_k5_stages.cache_clear()
 
@@ -696,12 +766,16 @@ def _plus(g, *extra):
     return MultiGraph(g.n, g.edges + extra)
 
 
-# Equal sizes and equal sorted vertex profiles, yet not isomorphic.
+# Equal sizes and equal sorted vertex profiles, yet not isomorphic.  The
+# triangle counts tell the first three pairs apart; the cube and C8+ (the
+# Moebius ladder circulant(8,1,4)) have no triangles, so only the search
+# does.
 K5_MINUS = k5_minus_edge()  # vertices 4 and 5 are not adjacent
 PROFILE_TWINS = [
     (prism(3), complete_bipartite(3, 3)),
     (_plus(prism(3), (1, 2)), _plus(prism(3), (1, 4))),
     (_plus(K5_MINUS, (1, 2), (1, 4), (3, 5)), _plus(K5_MINUS, (1, 2), (3, 4), (3, 5))),
+    (cube(), circulant(8, (1, 4))),
 ]
 
 
@@ -745,6 +819,14 @@ class TestSameGraph:
         for g, h in PROFILE_TWINS:
             assert sorted(_vertex_profiles(_mult_matrix(g))) == sorted(_vertex_profiles(_mult_matrix(h)))
             assert self.check_pairs([(g, h), (h, g), (g, g)]) == 1
+
+    def test_triangle_counts_settle_before_the_search(self, graph_tests):
+        # 3-prism and K33 tie on profiles but not on triangles, so no search
+        # starts; the cube and C8+ tie on both, and the search answers.
+        for (g, h), searches in zip(PROFILE_TWINS, (0, 0, 0, 1)):
+            assert (_triangles(g) == _triangles(h)) == searches
+            assert graph_tests(lambda: canon._same_graph(g, h, _graph_tables(h))) == (False, 1, searches)
+        assert _triangles(cube()) == [0] * 8
 
     def test_size_guard_on_both_graphs(self):
         big = complete(17)

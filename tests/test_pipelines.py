@@ -353,10 +353,15 @@ class TestStageShortcuts:
             return trace_faces(e)
 
         layout, insertion, build = surgery._split, surgery._insert, surgery.embedding_from_darts
+        shift = surgery._shift_dart_up
 
         def counted_layout(n, dart_vertex, rot, spec):
             built["layouts"] += 1
             return layout(n, dart_vertex, rot, spec)
+
+        def counted_shift(d, new_eid):
+            built["shifts"] += 1
+            return shift(d, new_eid)
 
         def counted_insertion(n, dart_vertex, rot, du, dw, m):
             built["insertion layouts"] += 1
@@ -377,6 +382,7 @@ class TestStageShortcuts:
         monkeypatch.setattr(surgery, "_split", counted_layout)
         monkeypatch.setattr(enumeration, "_insert", counted_insertion)
         monkeypatch.setattr(surgery, "embedding_from_darts", counted_build)
+        monkeypatch.setattr(surgery, "_shift_dart_up", counted_shift)
         for module in (core, canon, enumeration, surgery):
             monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
         for module in (canon, enumeration, surgery):
@@ -423,6 +429,9 @@ class TestStageShortcuts:
         assert built["layouts"] == 80
         assert built["insertion layouts"] == 401
         assert built["surgery builds"] == 10
+        # Every split and insertion takes the next free edge id, so no dart
+        # is shifted (1,320 shifts when _split shifted every dart).
+        assert built["shifts"] == 0
 
 
 class TestK33Chain:
@@ -478,14 +487,18 @@ class TestK33Chain:
     def test_k33_chain_work_counts(self, graph_tests, monkeypatch):
         # 3 classes x 5 paths at vertex 1, then x 5 paths at vertex 2: the
         # 75 double path expansions are laid out as lists (two _split calls
-        # per path, 180 in all), their graphs tested (53 past the profile
-        # check), and the 9 completions keyed as laid out.  No split_vertex
-        # call and no build is left; building the first split of every path
-        # and then each completion took 114, and building the completions
-        # alone 9.  Each graph test builds its candidate's tables, and K33's
-        # are built once.
+        # per path, 180 in all), their graphs tested, and the 9 completions
+        # keyed as laid out.  53 candidates pass the profile check, and the
+        # 44 cubic ones with triangles (3-prisms) stop at the triangle
+        # counts, so 9 searches start (53 before that gate).  No
+        # split_vertex call and no build is left; building the first split
+        # of every path and then each completion took 114, and building
+        # the completions alone 9.  Each graph test builds its candidate's
+        # tables, and K33's are built once.  Every split takes the next free
+        # edge id and shifts no dart (3,390 shifts when every dart was).
         built = Counter()
         graph_tables, layout, build = canon._graph_tables, surgery._split, surgery.embedding_from_darts
+        shift = surgery._shift_dart_up
 
         def counted_tables(g):
             built["tables"] += 1
@@ -499,6 +512,10 @@ class TestK33Chain:
             built["builds"] += 1
             return build(graph, rot)
 
+        def counted_shift(d, new_eid):
+            built["shifts"] += 1
+            return shift(d, new_eid)
+
         def no_split(e, spec):
             raise AssertionError("split_vertex called")
 
@@ -508,12 +525,14 @@ class TestK33Chain:
             monkeypatch.setattr(module, "split_vertex", no_split, raising=False)
             monkeypatch.setattr(module, "_split", counted_layout)
             monkeypatch.setattr(module, "embedding_from_darts", counted_build, raising=False)
+        monkeypatch.setattr(surgery, "_shift_dart_up", counted_shift)
         res, tests, searches = graph_tests(pipeline_k33_stages)
-        assert (tests, searches) == (75, 53)
+        assert (tests, searches) == (75, 9)
         assert built["tables"] == 75 + 1
         assert built["layouts"] == 2 * (15 + 75)
         assert sum(res.candidates_per_class) == 9
         assert built["builds"] == 0
+        assert built["shifts"] == 0
 
     def test_all_completions_share_one_key(self):
         k33 = complete_bipartite(3, 3)
