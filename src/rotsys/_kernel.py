@@ -23,10 +23,10 @@ gives the state of ``S - {w}`` and closes the faces whose cycles of
 ``rho . P`` stay inside w's darts.  The faces of every completion depend on
 the state alone, so each level keeps the face-count histogram of the
 completions of each state it meets (up to :data:`_MAX_TABLE` states per
-scan; beyond that they are recomputed), and the last vertex counts the
-cycles of ``rho . P`` for all its orders at once (:func:`_row`).  A second
-walk descends only into states whose histogram holds the face count still
-needed, which finds the matching indices.
+scan; beyond that they are recomputed), and the last level groups its
+orders by the faces they close from each state it meets (:func:`_where`).
+A second walk descends only into states whose histogram holds the face
+count still needed, which finds the matching indices.
 
 :func:`matches` bounds the faces a state can still close, pruning on face
 length as Brinkmann's genus algorithm does (Ars Math. Contemp., 2022).
@@ -82,24 +82,6 @@ def build_orders(darts_by_vertex: list[tuple[int, ...]]) -> list[list[tuple[int,
         first, rest = darts[0], darts[1:]
         out.append([(first,) + p for p in permutations(rest)])
     return out
-
-
-def _row(rhos: list[list[int]], p: tuple[int, ...]) -> dict[int, list[int]]:
-    """The digits of each cycle count of ``rho . p``, over every rho."""
-    k = len(p)
-    where: dict[int, list[int]] = {}
-    for digit, rho in enumerate(rhos):
-        seen = [False] * k
-        c = 0
-        for i in range(k):
-            if not seen[i]:
-                c += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = rho[p[j]]
-        where.setdefault(c, []).append(digit)
-    return where
 
 
 def _elimination_order(orders: list[list[tuple[int, ...]]], vertex_of: list[int]) -> list[int]:
@@ -188,10 +170,8 @@ class _Level:
         self.free, self.pairs = free, pairs
 
 
-def _levels(
-    orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list[int]
-) -> tuple[list[_Level], list[list[int]]]:
-    """The levels of all but the last vertex of ``seq``, and the last vertex's orders as successor lists."""
+def _levels(orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list[int]) -> list[_Level]:
+    """The level of each vertex of ``seq``; the last one's darts all lead to fixed vertices, so it has no heads."""
     fixed = [False] * len(orders)
     bound: list[int] = []  # the boundary darts, in state order
     free, pairs = len(vertex_of), 0
@@ -201,7 +181,7 @@ def _levels(
         return opened[v] - (0 < opened[v] < len(orders[v][0]))
 
     levels = []
-    for w in seq[:-1]:
+    for w in seq:
         darts = orders[w][0]
         deg = len(darts)
         at = {d: i for i, d in enumerate(bound)}
@@ -233,14 +213,7 @@ def _levels(
         pairs += adjacent(w)
         levels.append(_Level(code, heads, tuple(range(m, m + 2 * nn)), deg, rs, free, pairs))
         bound = [bound[i] for i in kept] + [darts[a] ^ 1 for a in inner]
-    at = {d: i for i, d in enumerate(bound)}
-    rhos = []
-    for cyc in orders[seq[-1]]:
-        rho = [0] * len(cyc)
-        for i, d in enumerate(cyc):
-            rho[at[d]] = at[cyc[i + 1 - len(cyc)]]
-        rhos.append(rho)
-    return levels, rhos
+    return levels
 
 
 def _step(
@@ -294,17 +267,18 @@ class _Scan:
     A histogram is one integer with ``width`` bits per face count, wide
     enough for the number of systems in the space, so merging two costs one
     shift and one add.  ``memo[k]`` maps a state of level k to the fewest
-    faces needed of it so far and its histogram, exact from that count up.
+    faces needed of it so far and its histogram, exact from that count up;
+    ``rows`` maps a state of the last level, ``last``, to its :func:`_where` row.
     ``cap`` is ell when the walks' lengths are kept, and 0 when they are not.
     """
 
-    __slots__ = ("levels", "place", "rhos", "last", "cap", "width", "memo", "rows", "room")
+    __slots__ = ("levels", "place", "last", "cap", "width", "memo", "rows", "room")
 
-    def __init__(self, levels: list[_Level], place: list[int], rhos: list[list[int]], size: int, cap: int):
-        self.levels, self.place, self.rhos, self.cap = levels, place, rhos, cap
-        self.last = len(levels)
+    def __init__(self, levels: list[_Level], place: list[int], size: int, cap: int):
+        self.levels, self.place, self.cap = levels, place, cap
+        self.last = len(levels) - 1
         self.width = size.bit_length()
-        self.memo: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in range(self.last + 1)]
+        self.memo: list[dict[tuple[int, ...], tuple[int, int]]] = [{} for _ in levels]
         self.rows: dict[tuple[int, ...], dict[int, list[int]]] = {}
         self.room = _MAX_TABLE
 
@@ -323,10 +297,13 @@ def _hist(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: int) 
 
 
 def _where(b: _Scan, p: tuple[int, ...]) -> dict[int, list[int]]:
-    """:func:`_row` of state ``p`` at the last level, memoised like the histograms."""
+    """The last level's digits by the faces each order closes from state ``p``, memoised like the histograms."""
     where = b.rows.get(p)
     if where is None:
-        where = _row(b.rhos, p)
+        lv = b.levels[b.last]
+        where = {}
+        for digit, rs in enumerate(lv.rs):
+            where.setdefault(_step(lv, rs, p, (), 0)[2], []).append(digit)
         if b.room > 0:
             b.rows[p] = where
             b.room -= 1
@@ -402,12 +379,12 @@ def _start(
         for d in o[0]:
             vertex_of[d] = v
     seq = _elimination_order(orders, vertex_of)
-    levels, rhos = _levels(orders, seq, vertex_of)
+    levels = _levels(orders, seq, vertex_of)
     places = [1]
     for o in orders:
         places.append(places[-1] * len(o))
     cap = _shortest_face(orders, vertex_of) if bounded else 0
-    b = _Scan(levels, [places[w] for w in seq], rhos, places[-1], cap)
+    b = _Scan(levels, [places[w] for w in seq], places[-1], cap)
     # The one-order levels come first; each adds digit 0 to an index.
     k, p, ls, closed = 0, (), (), 0
     while k < b.last and len(levels[k].rs) == 1:
@@ -449,7 +426,7 @@ def matches(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> list
     # The least capped length the walks below a level can sum to: at most
     # ``pairs`` of them are two darts long, the rest three or more.
     two, three = min(2, cap), min(3, cap)
-    if all(three * len(lv.heads) - (three - two) * lv.pairs + lv.free >= cap * need for lv in b.levels[k:-1]):
+    if all(three * len(lv.heads) - (three - two) * lv.pairs + lv.free >= cap * need for lv in b.levels[k : b.last - 1]):
         b.cap, ls = 0, ()  # no state above the last level can fall short
     if not _hist(b, k, p, ls, need if b.cap else 0) >> b.width * need & (1 << b.width) - 1:
         return []

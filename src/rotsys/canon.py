@@ -53,8 +53,8 @@ Chirality = Literal["orientable", "non_orientable"]
 DedupMode = Literal["iso", "equivalence"]
 
 MAX_VERTICES = 16
-# Darts and vertices must fit a byte, in the permutations of
-# _automorphism_chain and in RotationSpace's images.
+# Darts must fit a byte in the permutations of _automorphism_chain, and
+# darts and vertices in RotationSpace's images.
 MAX_EDGES = 40
 
 
@@ -533,24 +533,35 @@ def _triangles(g: MultiGraph) -> list[int]:
     return sorted(count[1:])
 
 
-def _same_graph(g: MultiGraph, h: MultiGraph, ht: GraphTables) -> bool:
+# A graph that others are tested against: its tables, sorted profiles and triangle counts.
+Target = tuple[GraphTables, list[tuple], list[int]]
+
+
+def _target(h: MultiGraph) -> Target:
+    """What :func:`_same_graph` reads of ``h``, built once for every graph tested against it."""
+    ht = _graph_tables(h)
+    return ht, sorted(ht[1]), _triangles(h)
+
+
+def _same_graph(g: MultiGraph, h: MultiGraph, target: Target) -> bool:
     """Whether ``g`` and ``h`` are isomorphic multigraphs (rotations ignored).
 
-    ``ht`` are the :func:`_graph_tables` of ``h``: a caller testing many
-    graphs against one ``h`` builds them once.  The answer, and the size
+    ``target`` is the :func:`_target` of ``h``.  The answer, and the size
     guard on both graphs, are those of ``multigraph_key(g) ==
     multigraph_key(h)``; but only graphs with equal sizes, equal sorted
     vertex profiles and equal :func:`_triangles` reach the search, which
     takes the tables built for the profile check and stops at the first
-    vertex map.  The triangle counts stay out of the profiles, which the
-    search and :func:`_automorphism_chain` compare vertex by vertex.
+    vertex map.  ``g``'s triangles are counted only when its profiles tie.
+    The triangle counts stay out of the profiles, which the search and
+    :func:`_automorphism_chain` compare vertex by vertex.
     """
     for x in (g, h):
         _check_guard(x.n, x.edge_count)
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     gt = _graph_tables(g)
-    if sorted(gt[1]) != sorted(ht[1]) or _triangles(g) != _triangles(h):
+    ht, profiles, triangles = target
+    if sorted(gt[1]) != profiles or _triangles(g) != triangles:
         return False
     return next(_vertex_isomorphisms(gt, ht), None) is not None
 
@@ -584,11 +595,11 @@ def _darts_toward(g: MultiGraph) -> dict[tuple[int, int], list[int]]:
 def _automorphism_chain(g: MultiGraph, base: Sequence[int] | None = None) -> list[list[tuple[int, bytes]]]:
     """Aut(G) as a stabiliser chain: per level, each image of its base point and an element giving it.
 
-    Elements permute *points*: the darts ``0..2m-1``, then ``2m + v - 1``
-    for vertex ``v``.  Every automorphism is, in exactly one way, a product
-    ``t_1 t_2 ... t_k`` (``t_k`` applied first) of one element per level.
-    The first element of a level is the identity, whose image is the base
-    point.
+    Elements are permutations of the darts ``0..2m-1``.  A base point is a
+    dart, or ``2m + v - 1`` for vertex ``v``, and so is its image.  Every
+    automorphism is, in exactly one way, a product ``t_1 t_2 ... t_k``
+    (``t_k`` applied first) of one element per level.  The first element
+    of a level is the identity, whose image is the base point.
 
     The vertex levels come first, with base points the vertices in ``base``
     order (``1..n`` by default): the level of the ``i``-th holds one
@@ -614,7 +625,7 @@ def _automorphism_chain(g: MultiGraph, base: Sequence[int] | None = None) -> lis
     dv = g.dart_vertex
     toward = _darts_toward(g)
     slot = {d: j for ds in toward.values() for j, d in enumerate(ds)}
-    identity = bytes(range(nd + n))
+    identity = bytes(range(nd))
     at = [0, *(base or range(1, n + 1))]  # the vertex relabelled i
     mat, profiles = _graph_tables(g)
     tables = [[mat[x][y] for y in at] for x in at], [profiles[x - 1] for x in at[1:]]
@@ -628,8 +639,7 @@ def _automorphism_chain(g: MultiGraph, base: Sequence[int] | None = None) -> lis
                 for x, y in zip(at, found):
                     image[x] = at[y]
                 darts = [toward[image[dv[d]], image[dv[d ^ 1]]][slot[d]] for d in range(nd)]
-                vertices = [nd + x - 1 for x in image[1:]]
-                level.append((nd + at[w] - 1, bytes(darts + vertices)))
+                level.append((nd + at[w] - 1, bytes(darts)))
         chain.append(level)
     for (u, v), ds in toward.items():
         if u > v:

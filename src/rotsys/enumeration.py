@@ -29,10 +29,10 @@ from .canon import (
     _check_mode,
     _classify,
     _degrees_fit,
-    _graph_tables,
     _orbit_classes,
     _same_graph,
     _stage_classes,
+    _target,
     dedup,
 )
 from .core import (
@@ -414,7 +414,7 @@ def _edge_additions(e: Embedding, target: MultiGraph) -> list[Layout]:
     dv = g.dart_vertex
     degrees = [len(darts) for darts in g.darts_at]
     target_degrees = list(target.degree_sequence())
-    target_tables = _graph_tables(target)
+    target_tables = _target(target)
     accepted: dict[tuple[int, int], bool] = {}
     out = []
     for fi, walk in enumerate(faces):
@@ -469,7 +469,7 @@ def pipeline_k33_stages() -> K33PipelineResult:
     keyed as they are; none is built.
     """
     k33 = complete_bipartite(3, 3)
-    k33_tables = _graph_tables(k33)
+    k33_tables = _target(k33)
     theta5 = theta5_classes()
     counts = []
     candidates: list[Layout] = []

@@ -192,7 +192,7 @@ class RotationSpace:
         for level in _automorphism_chain(g, [x + 1 for x in base]):
             elements = {}
             for point, t in level:
-                fwd = darts.translate(t[:nd] + pad).translate(position)
+                fwd = darts.translate(t + pad).translate(position)
                 elements[point - nd if point >= nd else point] = (
                     fwd + tail, bytes(sorted(range(nd), key=fwd.__getitem__)) + tail
                 )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import Layout, _check_guard, _degrees_fit, _graph_tables, _same_graph
+from .canon import Layout, _check_guard, _degrees_fit, _same_graph, _target
 from .core import (
     Embedding,
     InvalidEmbedding,
@@ -303,7 +303,7 @@ def _splits(e: Embedding, target: MultiGraph) -> list[Layout]:
     _check_guard(target.n, target.edge_count)
     degrees = [len(darts) for darts in g.darts_at]
     target_degrees = list(target.degree_sequence())
-    target_tables = _graph_tables(target)
+    target_tables = _target(target)
     out = []
     for v, k in enumerate(degrees, start=1):
         for spec in partition_split_specs(e, v):

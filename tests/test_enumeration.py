@@ -395,6 +395,46 @@ class TestKernel:
             assert len(others) == 2000
             assert all(faces_at(g, orders, i) != f for i in others)
 
+    def test_last_level_against_trace_faces(self, monkeypatch):
+        # Spaces whose last vertex eliminated has the most orders: theta(m)'s
+        # vertex 2 with vertex 1 held to one order (up to 720 orders),
+        # wheel(5)'s hub with each rim vertex held to one (24), and 2,916
+        # systems of pinned K4,4, whose 6-face systems matches finds with
+        # the walks' lengths kept.  Every histogram and match list is the
+        # plain filter over trace_faces.
+        caps = set()
+        expand = _kernel._expand
+
+        def counted(b, *args):
+            caps.add(b.cap)
+            return expand(b, *args)
+
+        monkeypatch.setattr(_kernel, "_expand", counted)
+        spaces = []
+        for m in range(2, 8):
+            u, v = RotationSpace(theta(m)).orders
+            spaces.append((theta(m), [u[:1], v]))
+        w = wheel(5)
+        spaces.append((w, [o if w.degree(v) == 5 else o[:1] for v, o in enumerate(RotationSpace(w).orders, 1)]))
+        k44 = build_graph("complete_bipartite(4,4)")
+        spaces.append((k44, [o[3:6] if v in (1, 2, 3, 5) else o for v, o in enumerate(pinned_orders(k44))]))
+        for g, orders in spaces:
+            nd = 2 * g.edge_count
+            vertex_of = {d: v for v, o in enumerate(orders) for d in o[0]}
+            seq = _kernel._elimination_order(orders, [vertex_of[d] for d in range(nd)])
+            assert len(orders[seq[-1]]) == max(map(len, orders))
+            faces = all_faces(g, orders)
+            check_scan(orders, nd, faces)
+            for f in range(-1, nd + 2):
+                assert _kernel.matches(orders, nd, f) == [k for k, fk in enumerate(faces) if fk == f]
+        assert len(spaces[5][1][1]) == 720 and len(spaces[6][1][-1]) == 24
+        orders = spaces[7][1]
+        hist, _ = _kernel.scan(orders, 32, -1)
+        assert sum(hist) == 2916 and hist[6] == 68
+        caps.clear()
+        _kernel.matches(orders, 32, 6)
+        assert caps == {4}  # the lengths are kept, capped at K4,4's girth
+
     def test_memo_cap_on_a_pinned_sub_range(self, monkeypatch, expansions):
         # With no state, one state and three states memoised, the rest are
         # recomputed; every cap gives the systems' own face counts.

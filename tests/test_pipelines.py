@@ -27,11 +27,11 @@ from rotsys.enumeration import (
 )
 from rotsys.canon import (
     _classify,
-    _graph_tables,
     _layout,
     _mirror_keys,
     _same_graph,
     _stage_classes,
+    _target,
     automorphism_group_order,
     canonical_key,
     classify,
@@ -176,7 +176,7 @@ def _added_then_filtered(e, target):
 
 def _split_then_filtered(e, target):
     """The splits of ``e`` whose graph is ``target``'s, all built first; and all of them."""
-    tables = _graph_tables(target)
+    tables = _target(target)
     children = [split_vertex(e, spec) for v in range(1, e.graph.n + 1) for spec in partition_split_specs(e, v)]
     return [child for child in children if _same_graph(child.graph, target, tables)], children
 
@@ -334,7 +334,7 @@ class TestStageShortcuts:
 
         built = Counter()
         class_record, graph_tables, degrees_fit = canon._class_record, canon._graph_tables, canon._degrees_fit
-        decode = canon._decode
+        decode, triangles = canon._decode, canon._triangles
 
         def counted_record(key, order, achiral):
             built["records"] += 1
@@ -347,6 +347,10 @@ class TestStageShortcuts:
         def counted_tables(g):
             built["tables"] += 1
             return graph_tables(g)
+
+        def counted_triangles(g):
+            built["triangles"] += 1
+            return triangles(g)
 
         def counted_trace(e):
             built["traces"] += 1
@@ -385,9 +389,10 @@ class TestStageShortcuts:
         monkeypatch.setattr(surgery, "_shift_dart_up", counted_shift)
         for module in (core, canon, enumeration, surgery):
             monkeypatch.setattr(module, "trace_faces", counted_trace, raising=False)
+        monkeypatch.setattr(canon, "_graph_tables", counted_tables)
+        monkeypatch.setattr(canon, "_triangles", counted_triangles)
         for module in (canon, enumeration, surgery):
             monkeypatch.setattr(module, "multigraph_key", no_key, raising=False)
-            monkeypatch.setattr(module, "_graph_tables", counted_tables)
             monkeypatch.setattr(module, "_degrees_fit", counted_degrees)
         pipeline_k5_stages.cache_clear()
         try:
@@ -404,10 +409,14 @@ class TestStageShortcuts:
         # One record per distinct class key: the equivalence classes of a
         # stage share the records of its iso classes.  Each graph test
         # builds its candidate's tables; each call of all_splits or
-        # _edge_additions builds its target's once (67 calls).
+        # _edge_additions builds its target's once (67 calls), with the
+        # target's triangle counts.  A candidate's triangles are counted
+        # only when its profiles tie, in the 130 tests that reach the
+        # search (260 calls when each test counted both graphs').
         iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
         assert built["records"] == 125 == sum(map(len, iso_stages))
         assert built["tables"] == 162 + 67
+        assert built["triangles"] == 130 + 67
         # A record decodes its representative on first read only: the chain
         # reads those of the classes it expands (3 theta(5), 6 T123, 5 K4+,
         # 4 W4 and 39 K5-e), each once.
@@ -494,15 +503,21 @@ class TestK33Chain:
         # split_vertex call and no build is left; building the first split
         # of every path and then each completion took 114, and building
         # the completions alone 9.  Each graph test builds its candidate's
-        # tables, and K33's are built once.  Every split takes the next free
-        # edge id and shifts no dart (3,390 shifts when every dart was).
+        # tables, and K33's are built once, with its triangle counts; the
+        # 53 candidates whose profiles tie count theirs (106 calls when each
+        # test counted both graphs').  Every split takes the next free edge
+        # id and shifts no dart (3,390 shifts when every dart was).
         built = Counter()
         graph_tables, layout, build = canon._graph_tables, surgery._split, surgery.embedding_from_darts
-        shift = surgery._shift_dart_up
+        shift, triangles = surgery._shift_dart_up, canon._triangles
 
         def counted_tables(g):
             built["tables"] += 1
             return graph_tables(g)
+
+        def counted_triangles(g):
+            built["triangles"] += 1
+            return triangles(g)
 
         def counted_layout(n, dart_vertex, rot, spec):
             built["layouts"] += 1
@@ -519,8 +534,8 @@ class TestK33Chain:
         def no_split(e, spec):
             raise AssertionError("split_vertex called")
 
-        for module in (canon, enumeration, surgery):
-            monkeypatch.setattr(module, "_graph_tables", counted_tables)
+        monkeypatch.setattr(canon, "_graph_tables", counted_tables)
+        monkeypatch.setattr(canon, "_triangles", counted_triangles)
         for module in (enumeration, surgery):
             monkeypatch.setattr(module, "split_vertex", no_split, raising=False)
             monkeypatch.setattr(module, "_split", counted_layout)
@@ -529,6 +544,7 @@ class TestK33Chain:
         res, tests, searches = graph_tests(pipeline_k33_stages)
         assert (tests, searches) == (75, 9)
         assert built["tables"] == 75 + 1
+        assert built["triangles"] == 53 + 1
         assert built["layouts"] == 2 * (15 + 75)
         assert sum(res.candidates_per_class) == 9
         assert built["builds"] == 0
@@ -537,7 +553,7 @@ class TestK33Chain:
     def test_all_completions_share_one_key(self):
         k33 = complete_bipartite(3, 3)
         k33_key = multigraph_key(k33)
-        k33_tables = _graph_tables(k33)
+        k33_tables = _target(k33)
         completions = []
         for c in theta5_classes():
             e = c.representative
