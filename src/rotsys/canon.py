@@ -361,17 +361,16 @@ def _class_record(key: bytes, order: int, achiral: bool) -> EmbeddingClass:
     return EmbeddingClass(key, order, NON_ORIENTABLE if achiral else ORIENTABLE)
 
 
-def _orbit_classes(e: Embedding, mode: DedupMode, order: int, achiral: bool) -> list[EmbeddingClass]:
-    """The class records of the orbit of ``e`` under Aut(G) x mirror, whose group order and achirality are known.
+def _orbit_classes(layout: Layout, mode: DedupMode, order: int, achiral: bool) -> list[EmbeddingClass]:
+    """The class records of the orbit of the map ``layout`` under Aut(G) x mirror, whose group order and achirality are known.
 
-    They are the records :func:`dedup` gives for ``e`` and its reversal.
-    One stream set gives the canonical key of ``e``, which names the one
-    class of an achiral orbit; a chiral orbit takes one more, for its
-    reversal's key (keyed in place), and is the two classes of those keys
-    in ``iso`` mode and the one class of the lesser key in ``equivalence``
-    mode.
+    They are the records :func:`dedup` gives for the map and its reversal.
+    One stream set gives the canonical key of the map, read as laid out,
+    which names the one class of an achiral orbit; a chiral orbit takes one
+    more, for its reversal's key (keyed in place), and is the two classes
+    of those keys in ``iso`` mode and the one class of the lesser key in
+    ``equivalence`` mode.
     """
-    layout = _layout(e)
     keys = [_least(layout)[0]]
     if not achiral:
         keys.append(_least(layout, mirror=True)[0])
@@ -401,15 +400,10 @@ def classify(embeddings: Iterable[Embedding], mode: DedupMode = "iso") -> tuple[
     achirality known, are cheaper through :func:`_orbit_classes`, as the
     orbit pass of the exhaustive classification gives them.
     """
-    return _classify(map(_layout, embeddings), mode)
-
-
-def _classify(layouts: Iterable[Layout], mode: DedupMode) -> tuple[list[EmbeddingClass], list[bytes]]:
-    """:func:`classify` of maps given as their :data:`Layout`, none of them built."""
     _check_mode(mode)
     keys: list[bytes] = []
     classes: dict[bytes, tuple[int, bool]] = {}
-    for key, rkey, order in _mirror_keys(layouts):
+    for key, rkey, order in _mirror_keys(map(_layout, embeddings)):
         keys.append(key if mode == "iso" else min(key, rkey))
         classes[keys[-1]] = order, key == rkey
     return [_class_record(key, *classes[key]) for key in sorted(classes)], keys

@@ -27,7 +27,6 @@ from .canon import (
     Layout,
     _check_guard,
     _check_mode,
-    _classify,
     _degrees_fit,
     _orbit_classes,
     _same_graph,
@@ -86,10 +85,12 @@ def scan_rotation_space(
 ) -> tuple[dict[int, int], list[int]]:
     """Face-count histogram over all systems, plus indices with ``target_f`` faces.
 
-    ``target_f = -1`` collects no indices (histogram only).
+    ``target_f = -1`` collects no indices (histogram only).  The order lists
+    come from :func:`_kernel.build_orders`, with no :class:`RotationSpace`,
+    so this unpinned scan shares no code with the pinned pass it checks.
     """
     _check_budget("rotation space", rotation_space_size(graph), budget)
-    hist, matches = _kernel.scan(RotationSpace(graph).orders, 2 * graph.edge_count, target_f)
+    hist, matches = _kernel.scan(_kernel.build_orders(list(graph.darts_at)), 2 * graph.edge_count, target_f)
     return {f: c for f, c in enumerate(hist) if c}, matches
 
 
@@ -123,20 +124,21 @@ def exhaustive_classes(
     whose order at one vertex, or two, is one that vertex keeps (see
     :attr:`RotationSpace._pins`).  The scan (:func:`_kernel.matches`) lists
     only the systems with that face count, and drops the partial systems
-    whose open face walks are too short to close as many faces; it builds
-    no histogram.  The matches are then walked in index
-    order of the subspace: each one not yet marked starts a new orbit under
-    Aut(G) x mirror, which is marked within the subspace (see
-    :meth:`RotationSpace.orbits`) and gives its group order and
-    achirality.  The class records are built from the orbit's first member
-    (see :func:`canon._orbit_classes`): an achiral orbit is one class and
-    takes one stream set; a chiral one takes two, for the keys of the
-    member and of its reversal, and is two classes in ``iso`` mode and one
-    in ``equivalence`` mode.  The records are those :func:`dedup` gives for
-    the matches, sorted by canonical key.  The automorphisms applied come
-    from one stabiliser chain rebased at the pinned vertex, by sifting (see
-    :meth:`RotationSpace._landing`); no list of the group is built, so its
-    size does not set the cost of an orbit.  ``workers`` has no effect.
+    whose open face walks are too short to close as many faces; it builds no
+    histogram.  The matches are then walked in index order of the subspace:
+    each one not yet marked starts a new orbit under Aut(G) x mirror, which
+    is marked within the subspace (see :meth:`RotationSpace.orbits`) and
+    gives its group order and achirality.  The class records come from the
+    orbit's first member as the pass decoded it, keyed as laid out, as the
+    chains key theirs, and never built (see :func:`canon._orbit_classes`):
+    an achiral orbit is one class and takes one stream set; a chiral one
+    takes two, for the keys of the member and of its reversal, and is two
+    classes in ``iso`` mode and one in ``equivalence`` mode.  The records
+    are those :func:`dedup` gives for the matches, sorted by canonical key.
+    The automorphisms applied come from one stabiliser chain rebased at the
+    pinned vertex, by sifting (see :meth:`RotationSpace._landing`); no list
+    of the group is built, so its size does not set the cost of an orbit.
+    ``workers`` has no effect.
     """
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
@@ -151,10 +153,10 @@ def _pinned_classes(graph: MultiGraph, f: int, mode: DedupMode) -> list[Embeddin
     """The classes with ``f`` faces, from the pinned scan and the orbit pass (see :func:`exhaustive_classes`)."""
     space = RotationSpace(graph)
     matches = _kernel.matches(space.pinned_orders, 2 * graph.edge_count, f)
-    classes = [
-        c for i, _, order, achiral in space.orbits(matches)
-        for c in _orbit_classes(space.embedding_at(i), mode, order, achiral)
-    ]
+    classes = []
+    for _, _, order, achiral, digits, _ in space.orbits(matches):
+        rot = [orders[d] for orders, d in zip(space.orders, digits)]
+        classes += _orbit_classes((graph.n, graph.dart_vertex, rot), mode, order, achiral)
     return sorted(classes, key=lambda c: c.canonical_key)
 
 
@@ -201,8 +203,8 @@ def genus_distribution(
     under Aut(G) x mirror marked within the subspace (see
     :meth:`RotationSpace.orbits`).  Every class has a member there.  The
     orbit gives the class's group order, achirality and size in the whole
-    space, the face count of its first member, counted on the system the
-    pass decoded (:meth:`RotationSpace.faces_at`), gives its genus, and
+    space, the face count of its first member, which the pass yields as it
+    decoded it (:meth:`RotationSpace.faces`), gives its genus, and
     ``raw_systems`` sums the orbit sizes.  No embedding is built.  The
     counts are those of :func:`dedup` over the whole space.  ``workers``
     has no effect.
@@ -210,8 +212,8 @@ def genus_distribution(
     _check_budget("rotation space", rotation_space_size(graph), budget)
     space = RotationSpace(graph)
     by_genus: dict[int, list[tuple[int, int, bool]]] = {}
-    for i, size, order, achiral in space.orbits(range(math.prod(map(len, space.pinned_orders)))):
-        genus = (2 - graph.n + graph.edge_count - space.faces_at(i)) // 2
+    for _, size, order, achiral, _, succ in space.orbits(range(math.prod(map(len, space.pinned_orders)))):
+        genus = (2 - graph.n + graph.edge_count - space.faces(succ)) // 2
         by_genus.setdefault(genus, []).append((size, order, achiral))
     records = []
     for genus in sorted(by_genus):
@@ -484,7 +486,7 @@ def pipeline_k33_stages() -> K33PipelineResult:
                     mine.append(layout)
         counts.append(len(mine))
         candidates.extend(mine)
-    classes = _classify(candidates, "equivalence")[0]
+    classes = _stage_classes(candidates)[1]
     return K33PipelineResult(tuple(theta5), tuple(counts), tuple(classes))
 
 
@@ -519,8 +521,8 @@ def pipeline_k5_stages() -> K5PipelineResult:
     """
     theta5 = theta5_classes()
     t123_iso, t123 = _stage_classes(_expand(theta5, _splits, triangle_multi(1, 2, 3)))
-    k4p = _classify(_expand(t123, _splits, k4_plus()), "equivalence")[0]
-    w4 = _classify(_expand(k4p, _splits, wheel(4)), "equivalence")[0]
+    k4p = _stage_classes(_expand(t123, _splits, k4_plus()))[1]
+    w4 = _stage_classes(_expand(k4p, _splits, wheel(4)))[1]
     k5m_graph = k5_minus_edge()
     from_w4, from_k4p = _expand(w4, _edge_additions, k5m_graph), _expand(k4p, _subdivide_and_join, k5m_graph)
     k5m_iso, k5m = _stage_classes(from_w4 + from_k4p)

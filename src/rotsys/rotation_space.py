@@ -4,9 +4,10 @@ A :class:`RotationSpace` numbers the rotation systems of a graph, pins one
 vertex to one order per orbit of its stabiliser (joined by reversal) and,
 when that leaves one order, a second vertex to one order per orbit of what
 keeps it, and walks the orbits of Aut(G) x mirror within that pinned
-subspace.  Both pins find their orbits by one walk over a vertex's orders
-(:meth:`RotationSpace._firsts`).  The automorphisms it applies come from one
-stabiliser chain rebased at the first pinned vertex
+subspace, handing each orbit's first member to its caller as it decoded it,
+so no caller decodes a system.  Both pins find their orbits by one walk over
+a vertex's orders (:meth:`RotationSpace._firsts`).  The automorphisms it
+applies come from one stabiliser chain rebased at the first pinned vertex
 (:func:`canon._automorphism_chain`), by sifting, so no list of the group is
 ever built.  :mod:`rotsys.enumeration` drives it.
 """
@@ -20,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import _kernel
 from .canon import _automorphism_chain, _check_guard
-from .core import Embedding, MultiGraph
+from .core import MultiGraph
 
 # An automorphism acts on dart positions (see RotationSpace) as ``(fwd, inv)``:
 # the bytes of each position's image and of its preimage, extended to 256
@@ -90,7 +91,6 @@ class RotationSpace:
         self.total = math.prod(self.counts)
         self._holdings: dict[int, list[Flipped]] = {}
         self._landings: dict[tuple[int, int], list[Element]] = {}
-        self._met: tuple[int, bytes] = (-1, b"")  # the index and succ of the system orbits last met
 
     @cached_property
     def pinned_orders(self) -> list[list[tuple[int, ...]]]:
@@ -102,11 +102,6 @@ class RotationSpace:
         for w, kept in self._pins:
             orders[w] = [orders[w][d] for d in kept]
         return orders
-
-    def embedding_at(self, index: int) -> Embedding:
-        """System ``index`` of the pinned subspace."""
-        # orders are least-dart-first, i.e. already normalized
-        return Embedding(self.graph, tuple(orders[d] for orders, d in zip(self.orders, self._system(index)[0])))
 
     # Images under Aut(G) are computed on dart *positions*: the darts
     # numbered contiguously by vertex, in ``graph.darts_at`` order.  A
@@ -409,14 +404,8 @@ class RotationSpace:
         succ = b"".join(keys[d] for (_, keys, _, _), d in zip(self._vertex_tables, digits))
         return digits, succ + bytes(256 - len(succ))
 
-    def faces_at(self, index: int) -> int:
-        """The face count of system ``index`` of the pinned subspace: the cycles of ``p -> succ[partner[p]]`` on dart positions.
-
-        The system that :meth:`orbits` last met is not decoded again.
-        """
-        last, succ = self._met
-        if last != index:
-            succ = self._system(index)[1]
+    def faces(self, succ: bytes) -> int:
+        """The face count of a system given as its ``succ``, as :meth:`orbits` yields it: the cycles of ``p -> succ[partner[p]]`` on dart positions."""
         step = self._ends[0][: 2 * self.graph.edge_count].translate(succ)
         seen = bytearray(len(step))
         faces = 0
@@ -427,8 +416,12 @@ class RotationSpace:
                 p = step[p]
         return faces
 
-    def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
-        """First index, size, group order and achirality of each orbit met in ``indices``, in their order.
+    def orbits(self, indices: Sequence[int]) -> Iterator[tuple[int, int, int, bool, list[int], bytes]]:
+        """First index, size, group order and achirality of each orbit met in ``indices``, in their order, and that first member.
+
+        The member is given as the pass decoded it (:meth:`_system`): its
+        digit in :attr:`orders` at each vertex, from which a caller reads
+        its rotations, and its ``succ``, whose faces :meth:`faces` counts.
 
         ``indices`` number systems of the pinned subspace (see
         :attr:`pinned_orders`).  Two systems of one labelled graph are
@@ -483,7 +476,6 @@ class RotationSpace:
             if (index in marked) if bits is None else bits[index >> 3] >> (index & 7) & 1:
                 continue
             digits, succ = self._system(index)
-            self._met = index, succ
             hits = []
             order = 0
             achiral = False
@@ -509,4 +501,4 @@ class RotationSpace:
                     marked.add(j)
                 else:
                     bits[j >> 3] |= 1 << (j & 7)
-            yield index, 2 * rebased.order // (order * (1 + achiral)), order, achiral
+            yield index, 2 * rebased.order // (order * (1 + achiral)), order, achiral, digits, succ

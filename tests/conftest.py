@@ -40,8 +40,8 @@ def system_at(graph: MultiGraph, orders, index: int) -> Embedding:
     """System ``index`` of the product of ``orders``, in mixed radix with vertex 1 the fastest digit.
 
     Given a ``RotationSpace``'s ``orders`` it indexes the whole rotation
-    space, as the plain scan numbers it; ``RotationSpace.embedding_at``
-    indexes only the pinned subspace.
+    space, as the plain scan numbers it; given its ``pinned_orders`` it
+    indexes the pinned subspace, as ``RotationSpace.orbits`` numbers it.
     """
     rot = []
     for o in orders:

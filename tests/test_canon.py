@@ -307,9 +307,10 @@ class TestLeast:
         # stream sets in dedup; the genus distribution, whose orbit pass
         # gives group orders and chirality, takes none.  Serializing every
         # root to the end, the K5 firsts would emit 10,000 root-blocks.
-        space = RotationSpace(complete(5))
+        g = complete(5)
+        space = RotationSpace(g)
         pinned = range(math.prod(map(len, space.pinned_orders)))
-        firsts = [space.embedding_at(i) for i, *_ in space.orbits(pinned)]
+        firsts = [system_at(g, space.pinned_orders, i) for i, *_ in space.orbits(pinned)]
         assert len(firsts) == 50
         (_, blocks), sets = stream_sets(lambda: stream_blocks(lambda: dedup(firsts, "equivalence")))
         assert (sets, blocks) == (100, 2304)

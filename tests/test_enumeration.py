@@ -102,7 +102,7 @@ class TestRotationSpace:
         for g in (theta(3), complete(4), complete_bipartite(3, 3), k4_plus()):
             space = RotationSpace(g)
             whole = {system_at(g, space.orders, i).rot for i in range(space.total)}
-            pinned = [space.embedding_at(i).rot for i in range(pinned_size(space))]
+            pinned = [system_at(g, space.pinned_orders, i).rot for i in range(pinned_size(space))]
             assert len(whole) == space.total
             assert len(set(pinned)) == len(pinned) and set(pinned) <= whole
 
@@ -137,15 +137,20 @@ class TestRotationSpace:
                     assert hist == expect_hist
                     assert matches == [k for k, fk in enumerate(faces) if fk == f]
 
-    def test_faces_at_against_trace_faces(self):
-        # Every pinned system of the torus rows with at most 8,000 systems,
-        # and of random multigraphs, which have parallel edges.
+    def test_faces_against_trace_faces(self):
+        # Every member that the orbit pass yields over the whole pinned
+        # subspace of the torus rows with at most 8,000 systems, and of
+        # random multigraphs, which have parallel edges: its digits give the
+        # rotations of the system at its index, and RotationSpace.faces
+        # counts that system's faces as trace_faces does.
         graphs = small_torus_graphs() + random_graphs(73)
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)
         for g in graphs:
             space = RotationSpace(g)
-            for i in range(pinned_size(space)):
-                assert space.faces_at(i) == space.embedding_at(i).face_set.stats.f
+            for i, _, _, _, digits, succ in space.orbits(range(pinned_size(space))):
+                e = system_at(g, space.pinned_orders, i)
+                assert tuple(orders[d] for orders, d in zip(space.orders, digits)) == e.rot
+                assert space.faces(succ) == trace_faces(e).stats.f
 
     def test_budget_is_checked_before_the_space_is_built(self):
         # K1,10 has 362,880 systems, all cyclic orders of its hub; building
@@ -607,16 +612,15 @@ class TestExhaustive:
         assert [c.chirality for c in mirror] == ["orientable"]
 
     def test_records_decode_on_first_read(self, built):
-        # The classification builds one embedding per orbit (31 for K5 at
-        # genus 2, 16 for theta(7) at genus 3), to key it, and decodes and
-        # traces nothing.  Reading a record's face degrees decodes its key
-        # and traces its representative once; reading them again, or its
-        # genus, does neither.
-        for call, orbits in ((lambda: exhaustive_classes(complete(5), genus=2, mode="iso"), 31),
-                             (lambda: theta_embeddings(7, 3), 16)):
+        # The classification keys each orbit's first member as laid out, so
+        # it builds no embedding and decodes and traces nothing.  Reading a
+        # record's face degrees decodes its key and traces its
+        # representative once; reading them again, or its genus, does
+        # neither.
+        for call in (lambda: exhaustive_classes(complete(5), genus=2, mode="iso"), lambda: theta_embeddings(7, 3)):
             built.clear()
             classes = call()
-            assert built == {"embeddings": orbits}
+            assert built == {}
             built.clear()
             first = [c.face_degrees for c in classes]
             assert built == {"embeddings": len(classes), "decodes": len(classes), "traces": len(classes)}
@@ -688,15 +692,15 @@ class TestOrbitMarking:
             covered = 0
             pinned = range(pinned_size(space))
             found = list(space.orbits(pinned))
-            for i, size, order, achiral in found:
-                e = space.embedding_at(i)
+            for i, size, order, achiral, *_ in found:
+                e = system_at(g, space.pinned_orders, i)
                 covered += size
                 assert order == automorphism_group_order(e)
                 assert achiral == (chirality(e) == NON_ORIENTABLE)
                 assert size * order == (1 if achiral else 2) * aut
             assert covered == space.total
             firsts: dict[bytes, int] = {}
-            keys = classify([space.embedding_at(i) for i in pinned], "equivalence")[1]
+            keys = classify([system_at(g, space.pinned_orders, i) for i in pinned], "equivalence")[1]
             for i, key in zip(pinned, keys):
                 firsts.setdefault(key, i)
             assert [i for i, *_ in found] == sorted(firsts.values())
@@ -711,12 +715,12 @@ class TestOrbitMarking:
             group = list(product_automorphisms(g))
             pinned = {}
             for i in range(pinned_size(space)):
-                pinned[tuple(map(tuple, space.embedding_at(i).rot))] = i
+                pinned[tuple(map(tuple, system_at(g, space.pinned_orders, i).rot))] = i
             plain, marked = [], set()
             for i in range(pinned_size(space)):
                 if i in marked:
                     continue
-                e = space.embedding_at(i)
+                e = system_at(g, space.pinned_orders, i)
                 order = achiral = 0
                 for perm in group:
                     image = relabelled(e, perm)
@@ -727,7 +731,7 @@ class TestOrbitMarking:
                             order += k == 0 and j == i
                             achiral = achiral or (k == 1 and j == i)
                 plain.append((i, 2 * len(group) // (order * (1 + achiral)), order, bool(achiral)))
-            assert list(space.orbits(range(pinned_size(space)))) == plain
+            assert [o[:4] for o in space.orbits(range(pinned_size(space)))] == plain
 
     def test_sparse_marks_give_the_bitmap_orbits(self):
         # Under 1/512 of the pinned subspace, marks go in a set instead of a
@@ -772,7 +776,7 @@ class TestOrbitMarking:
         group_bytes = sum(sys.getsizeof(p) for p in product_automorphisms(g))
         space = RotationSpace(g)
         found, peak = self.orbit_peak_bytes(space, range(1))
-        assert found == [(0, 720, 7, True)]
+        assert [o[:4] for o in found] == [(0, 720, 7, True)]
         v, first = space._pinned
         assert v == 0 and first == [0] * 720 and space.counts[0] == 720
         assert [len(found) for found in space._landings.values()] == [14]
@@ -1064,19 +1068,26 @@ class TestGenusDistribution:
             assert sum(r.raw_systems for r in d.records) == rotation_space_size(g)
 
     def test_builds_no_embedding(self, built):
-        # Each orbit's genus comes from RotationSpace.faces_at: no
-        # embedding is built, no face traced and no key decoded.
+        # Each orbit's genus comes from RotationSpace.faces on the member the
+        # orbit pass yields: no embedding is built, no face traced and no key
+        # decoded.
         for g in (complete(5), complete_bipartite(3, 3), theta(7)):
             assert genus_distribution(g).records
         assert not built
 
     def test_decodes_each_orbit_once(self, monkeypatch):
-        # faces_at reads the system that the orbit pass has just decoded.
+        # The orbit pass yields each orbit's first member as it decoded it,
+        # so the faces of the distribution and the keys of the exhaustive
+        # classification read it without a second decode: 50 orbits of K5
+        # in all, 31 at genus 2.
         decode = RotationSpace._system
         decoded = []
         monkeypatch.setattr(RotationSpace, "_system", lambda self, index: decoded.append(index) or decode(self, index))
         d = genus_distribution(complete(5))
         assert decoded == sorted(set(decoded)) and len(decoded) == d.total_equivalence() == 50
+        decoded.clear()
+        assert len(exhaustive_classes(complete(5), genus=2, mode="iso")) == 45
+        assert decoded == sorted(set(decoded)) and len(decoded) == 31
 
     def test_iso_equals_two_orientable_plus_non(self):
         for rec in genus_distribution(complete(5)).records:
@@ -1146,8 +1157,8 @@ class TestGroupOrder:
         groups: dict = {}
         for g in small_torus_graphs() + random_graphs(61):
             space = RotationSpace(g)
-            for i, _, order_of_orbit, _ in space.orbits(range(pinned_size(space))):
-                e = space.embedding_at(i)
+            for i, _, order_of_orbit, *_ in space.orbits(range(pinned_size(space))):
+                e = system_at(g, space.pinned_orders, i)
                 order = self.commuting(e, groups)
                 assert automorphism_group_order(e) == order == order_of_orbit
                 for mode in ("iso", "equivalence"):

@@ -26,7 +26,6 @@ from rotsys.enumeration import (
     theta5_classes,
 )
 from rotsys.canon import (
-    _classify,
     _layout,
     _mirror_keys,
     _same_graph,
@@ -34,7 +33,6 @@ from rotsys.canon import (
     _target,
     automorphism_group_order,
     canonical_key,
-    classify,
     dedup,
     multigraph_key,
 )
@@ -230,11 +228,10 @@ class TestStageShortcuts:
         # order, and per stage its classes, in order.
         keyed = []
 
-        def record(fn):
-            return lambda layouts, *mode: keyed.append(list(layouts)) or fn(keyed[-1], *mode)
+        def record(layouts):
+            return keyed.append(list(layouts)) or _stage_classes(keyed[-1])
 
-        monkeypatch.setattr(enumeration, "_stage_classes", record(_stage_classes))
-        monkeypatch.setattr(enumeration, "_classify", record(_classify))
+        monkeypatch.setattr(enumeration, "_stage_classes", record)
         pipeline_k5_stages.cache_clear()
         try:
             st = pipeline_k5_stages()
@@ -249,8 +246,7 @@ class TestStageShortcuts:
             assert list(_mirror_keys(layouts)) == [
                 (canonical_key(e), canonical_key(reverse(e)), automorphism_group_order(e)) for e in candidates
             ]
-            for mode in ("iso", "equivalence"):
-                assert _classify(layouts, mode) == classify(candidates, mode)
+            self._check_stage_classes(layouts, candidates)
 
     def test_stage_classes_on_random_embeddings(self):
         # Random systems of random multigraphs, with relabelled and mirrored
@@ -406,15 +402,20 @@ class TestStageShortcuts:
         assert built["degree gates"] == 793
         assert built["settled by degrees"] == 631
         assert (tests, searches) == (162, 130)
-        # One record per distinct class key: the equivalence classes of a
-        # stage share the records of its iso classes.  Each graph test
-        # builds its candidate's tables; each call of all_splits or
+        # One record per distinct iso class key of each stage: the
+        # equivalence classes of a stage share the records of its iso
+        # classes.  The K4+ and W4 stages keep only their equivalence
+        # classes, so the mirror records of their 2 + 1 chiral classes are
+        # built and dropped (125 records when those two stages built
+        # equivalence records only).  Each graph test builds its
+        # candidate's tables; each call of all_splits or
         # _edge_additions builds its target's once (67 calls), with the
         # target's triangle counts.  A candidate's triangles are counted
         # only when its profiles tie, in the 130 tests that reach the
         # search (260 calls when each test counted both graphs').
         iso_stages = (st.theta5, st.t123_iso, st.k4_plus, st.w4, st.k5_minus_iso, st.k5_iso)
-        assert built["records"] == 125 == sum(map(len, iso_stages))
+        chiral = sum(c.chirality == "orientable" for c in st.k4_plus + st.w4)
+        assert built["records"] == 128 == sum(map(len, iso_stages)) + chiral
         assert built["tables"] == 162 + 67
         assert built["triangles"] == 130 + 67
         # A record decodes its representative on first read only: the chain
@@ -480,7 +481,7 @@ class TestK33Chain:
                     assert expansions[-1] == built_path(first_built, 2, t)
         assert len(expansions) == 75
         keyed = []
-        monkeypatch.setattr(enumeration, "_classify", lambda layouts, mode: keyed.append(layouts) or _classify(layouts, mode))
+        monkeypatch.setattr(enumeration, "_stage_classes", lambda layouts: keyed.append(layouts) or _stage_classes(layouts))
         res = pipeline_k33_stages()
         k33_key = multigraph_key(complete_bipartite(3, 3))
         completions = [emb for emb in expansions if multigraph_key(emb.graph) == k33_key]
