@@ -43,10 +43,11 @@ ell, is below the faces still needed has no matching completion, and is
 dropped.  The memo is still keyed by the state alone, since the lengths
 only decide what to drop: a state's histogram is exact from the fewest
 faces needed of it so far, and is expanded again when a later visit needs
-fewer.  Where no state above the last level can fall short (as a level's
-boundary darts, free darts and the most walks of two darts it can hold
-show), the lengths would cut nothing, and :func:`matches` keeps none and
-runs as :func:`scan` does.
+fewer.  Where, at every level above the last, the open walks (each
+counted as min(3, ell) darts) and the free darts could close the faces
+still needed, only a state with a shorter walk can fall short, and
+:func:`matches` keeps no lengths and runs as :func:`scan` does.  Both
+routes give the same matches, so this choice sets only the work.
 
 The vertices with one order (pinned, or of degree at most 2) are fixed
 first, in one loop, so the recursion is only as deep as the vertices
@@ -154,32 +155,21 @@ class _Level:
     walk of one dart (``ones`` holds their lengths).  ``rs[o]`` holds, for
     order o and at index ``~a``, the position of ``p + tail`` that follows
     w's a-th dart under o.  Once w is fixed, ``free`` darts join two unfixed
-    vertices, and at most ``pairs`` walks are two darts long: such a walk
-    passes a fixed vertex by two darts adjacent in its order whose edges
-    lead to unfixed vertices.
+    vertices.
     """
 
-    __slots__ = ("code", "heads", "tail", "ones", "deg", "rs", "free", "pairs")
+    __slots__ = ("code", "heads", "tail", "ones", "deg", "rs", "free")
 
-    def __init__(
-        self, code: list[int], heads: list[int], tail: tuple[int, ...], deg: int, rs: list[list[int]],
-        free: int, pairs: int,
-    ):
-        self.code, self.heads, self.tail, self.deg, self.rs = code, heads, tail, deg, rs
+    def __init__(self, code: list[int], heads: list[int], tail: tuple[int, ...], deg: int, rs: list[list[int]], free: int):
+        self.code, self.heads, self.tail, self.deg, self.rs, self.free = code, heads, tail, deg, rs, free
         self.ones = (1,) * len(tail)
-        self.free, self.pairs = free, pairs
 
 
 def _levels(orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list[int]) -> list[_Level]:
     """The level of each vertex of ``seq``; the last one's darts all lead to fixed vertices, so it has no heads."""
     fixed = [False] * len(orders)
     bound: list[int] = []  # the boundary darts, in state order
-    free, pairs = len(vertex_of), 0
-    opened = [0] * len(orders)  # per fixed vertex, its darts to unfixed ones
-
-    def adjacent(v: int) -> int:  # the most pairs of such darts adjacent at v
-        return opened[v] - (0 < opened[v] < len(orders[v][0]))
-
+    free = len(vertex_of)
     levels = []
     for w in seq:
         darts = orders[w][0]
@@ -202,16 +192,9 @@ def _levels(orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list
                 fwd[loc[d]] = at[s] if s in at else exit_at[s]
             rs.append(fwd[::-1])
         heads = kept + list(range(m + nn, m + 2 * nn))
-        for d in darts:
-            x = vertex_of[d ^ 1]
-            if fixed[x]:
-                pairs -= adjacent(x)
-                opened[x] -= 1
-                pairs += adjacent(x)
-        fixed[w], opened[w] = True, nn
+        fixed[w] = True
         free -= 2 * nn
-        pairs += adjacent(w)
-        levels.append(_Level(code, heads, tuple(range(m, m + 2 * nn)), deg, rs, free, pairs))
+        levels.append(_Level(code, heads, tuple(range(m, m + 2 * nn)), deg, rs, free))
         bound = [bound[i] for i in kept] + [darts[a] ^ 1 for a in inner]
     return levels
 
@@ -366,15 +349,16 @@ def _collect(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: in
 
 
 def _start(
-    orders: list[list[tuple[int, ...]]], nd: int, bounded: bool
+    orders: list[list[tuple[int, ...]]], bounded: bool
 ) -> tuple[_Scan, int, tuple[int, ...], tuple[int, ...], int]:
     """The scan of the product of ``orders``, stepped through its one-order levels.
 
-    Returns the scan, the first level that branches, its state and walk
-    lengths (capped at ell when ``bounded``, else none kept), and the faces
-    closed on the way.
+    The darts are numbered from 0 up, as many as each vertex's first order
+    holds in all.  Returns the scan, the first level that branches, its
+    state and walk lengths (capped at ell when ``bounded``, else none kept),
+    and the faces closed on the way.
     """
-    vertex_of = [0] * nd
+    vertex_of = [0] * sum(len(o[0]) for o in orders)
     for v, o in enumerate(orders):
         for d in o[0]:
             vertex_of[d] = v
@@ -394,15 +378,17 @@ def _start(
     return b, k, p, ls, closed
 
 
-def scan(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> tuple[list[int], list[int]]:
+def scan(orders: list[list[tuple[int, ...]]], target_f: int) -> tuple[list[int], list[int]]:
     """Count faces for every system of the product of ``orders``; collect those with ``target_f`` faces.
 
     Every vertex needs at least one order.  Returns the histogram over face
-    counts ``0..nd+1`` and the matching indices in ascending order.
+    counts ``0..nd+1``, nd being the number of darts, and the matching
+    indices in ascending order.
     """
-    b, k, p, ls, closed = _start(orders, nd, False)
+    b, k, p, ls, closed = _start(orders, False)
     top = _hist(b, k, p, ls, 0)
     mask = (1 << b.width) - 1
+    nd = sum(len(o[0]) for o in orders)
     hist = [0] * (nd + 2)
     for f in range(closed, nd + 2):
         hist[f] = top >> b.width * (f - closed) & mask
@@ -412,22 +398,21 @@ def scan(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> tuple[l
     return hist, found
 
 
-def matches(orders: list[list[tuple[int, ...]]], nd: int, target_f: int) -> list[int]:
+def matches(orders: list[list[tuple[int, ...]]], target_f: int) -> list[int]:
     """The indices, ascending, of the systems of the product of ``orders`` with ``target_f`` faces.
 
-    Every vertex needs at least one order.  The same as ``scan(orders, nd,
+    Every vertex needs at least one order.  The same as ``scan(orders,
     target_f)[1]``, but states whose open walks are too short to close the
     faces still needed are not expanded (see the module docstring).
     """
-    b, k, p, ls, closed = _start(orders, nd, True)
+    b, k, p, ls, closed = _start(orders, True)
     need, cap = target_f - closed, b.cap
     if need < 0:
         return []
-    # The least capped length the walks below a level can sum to: at most
-    # ``pairs`` of them are two darts long, the rest three or more.
-    two, three = min(2, cap), min(3, cap)
-    if all(three * len(lv.heads) - (three - two) * lv.pairs + lv.free >= cap * need for lv in b.levels[k : b.last - 1]):
-        b.cap, ls = 0, ()  # no state above the last level can fall short
+    # The plain route where each level's open walks, counted as min(3, ell)
+    # darts each, and its free darts could close the faces needed.
+    if all(min(3, cap) * len(lv.heads) + lv.free >= cap * need for lv in b.levels[k : b.last - 1]):
+        b.cap, ls = 0, ()
     if not _hist(b, k, p, ls, need if b.cap else 0) >> b.width * need & (1 << b.width) - 1:
         return []
     return sorted(_collect(b, k, p, ls, need))

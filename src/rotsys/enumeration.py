@@ -90,7 +90,7 @@ def scan_rotation_space(
     so this unpinned scan shares no code with the pinned pass it checks.
     """
     _check_budget("rotation space", rotation_space_size(graph), budget)
-    hist, matches = _kernel.scan(_kernel.build_orders(list(graph.darts_at)), 2 * graph.edge_count, target_f)
+    hist, matches = _kernel.scan(_kernel.build_orders(list(graph.darts_at)), target_f)
     return {f: c for f, c in enumerate(hist) if c}, matches
 
 
@@ -143,7 +143,7 @@ def exhaustive_classes(
     _check_mode(mode)
     f = _target_faces(graph, genus, faces)
     size = rotation_space_size(graph)  # refuses a graph with no rotation space
-    if f < 1:
+    if f < 1 or (f + graph.n - graph.edge_count) % 2:  # no system has f faces (Euler: n - m + f is even)
         return []
     _check_budget("rotation space", size, budget)
     return _pinned_classes(graph, f, mode)
@@ -152,7 +152,7 @@ def exhaustive_classes(
 def _pinned_classes(graph: MultiGraph, f: int, mode: DedupMode) -> list[EmbeddingClass]:
     """The classes with ``f`` faces, from the pinned scan and the orbit pass (see :func:`exhaustive_classes`)."""
     space = RotationSpace(graph)
-    matches = _kernel.matches(space.pinned_orders, 2 * graph.edge_count, f)
+    matches = _kernel.matches(space.pinned_orders, f)
     classes = []
     for _, _, order, achiral, digits, _ in space.orbits(matches):
         rot = [orders[d] for orders, d in zip(space.orders, digits)]

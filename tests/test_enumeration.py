@@ -133,7 +133,7 @@ class TestRotationSpace:
                 faces = all_faces(g, orders)
                 expect_hist = [faces.count(f) for f in range(nd + 2)]
                 for f in sorted(set(faces)) + [-1, nd + 1]:
-                    hist, matches = _kernel.scan(orders, nd, f)
+                    hist, matches = _kernel.scan(orders, f)
                     assert hist == expect_hist
                     assert matches == [k for k, fk in enumerate(faces) if fk == f]
 
@@ -206,7 +206,7 @@ def check_scan(orders, nd, faces):
     """_kernel.scan over the whole product of ``orders`` against its systems' face counts."""
     expect = [faces.count(f) for f in range(nd + 2)]
     for f in sorted(set(faces)) + [-1]:
-        hist, matches = _kernel.scan(orders, nd, f)
+        hist, matches = _kernel.scan(orders, f)
         assert hist == expect
         assert matches == [k for k, fk in enumerate(faces) if fk == f]
 
@@ -236,7 +236,7 @@ def pinned_orders(g):
     """The order lists that exhaustive_classes passes to the kernel at genus 1, the same in either mode."""
     seen = []
 
-    def stub(orders, nd, target_f):
+    def stub(orders, target_f):
         seen.append(orders)
         return []
 
@@ -390,7 +390,7 @@ class TestKernel:
             f = g.edge_count - g.n  # genus 1
             orders = pinned_orders(g)
             total = math.prod(len(x) for x in orders)
-            hist, matches = _kernel.scan(orders, 2 * g.edge_count, f)
+            hist, matches = _kernel.scan(orders, f)
             assert sum(hist) == total
             assert hist[f] == len(matches) > 0
             assert matches == sorted(set(matches))
@@ -431,13 +431,13 @@ class TestKernel:
             faces = all_faces(g, orders)
             check_scan(orders, nd, faces)
             for f in range(-1, nd + 2):
-                assert _kernel.matches(orders, nd, f) == [k for k, fk in enumerate(faces) if fk == f]
+                assert _kernel.matches(orders, f) == [k for k, fk in enumerate(faces) if fk == f]
         assert len(spaces[5][1][1]) == 720 and len(spaces[6][1][-1]) == 24
         orders = spaces[7][1]
-        hist, _ = _kernel.scan(orders, 32, -1)
+        hist, _ = _kernel.scan(orders, -1)
         assert sum(hist) == 2916 and hist[6] == 68
         caps.clear()
-        _kernel.matches(orders, 32, 6)
+        _kernel.matches(orders, 6)
         assert caps == {4}  # the lengths are kept, capped at K4,4's girth
 
     def test_memo_cap_on_a_pinned_sub_range(self, monkeypatch, expansions):
@@ -459,7 +459,7 @@ class TestKernel:
     def test_states_expanded_on_pinned_c8_2(self, expansions):
         g = build_graph("circulant(8,1,2)")
         orders = pinned_orders(g)
-        hist, matches = _kernel.scan(orders, 32, 8)
+        hist, matches = _kernel.scan(orders, 8)
         assert math.prod(len(x) for x in orders) == 839808 and hist[8] == len(matches) == 319
         assert expansions[0] == 1566
 
@@ -484,10 +484,10 @@ class TestKernel:
 def check_matches(orders, least=0):
     """_kernel.matches against scan's matches, for every face count from ``least`` to nd/2 + 2."""
     nd = sum(len(o[0]) for o in orders)
-    hist, _ = _kernel.scan(orders, nd, -1)
+    hist, _ = _kernel.scan(orders, -1)
     for f in range(least, nd // 2 + 3):
-        expect = _kernel.scan(orders, nd, f)[1] if hist[f] else []
-        assert _kernel.matches(orders, nd, f) == expect, f
+        expect = _kernel.scan(orders, f)[1] if hist[f] else []
+        assert _kernel.matches(orders, f) == expect, f
 
 
 def pendant(g):
@@ -542,19 +542,24 @@ class TestMatches:
                 check_matches(orders)
 
     def test_states_expanded(self, expansions):
-        # The bound cuts the states of pinned K4,4 and C8(2) at genus 1; on
-        # pinned octahedron no state above the last level can fall short,
-        # so the pass keeps no lengths and expands the states scan does.
-        for spec, f, scanned, bounded in (("complete_bipartite(4,4)", 8, 667, 43),
-                                          ("circulant(8,1,2)", 8, 1566, 989), ("octahedron", 6, 238, 238)):
+        # The states scan and matches expand on each torus row's pinned
+        # space at genus 1.  On the first five rows matches takes the plain
+        # route, keeping no lengths, and expands the states scan does; on
+        # the others it keeps them, and the bound cuts most on K4,4.
+        states = {"K4": (7, 7), "K5": (48, 48), "K3,3": (12, 12), "3-prism": (20, 20), "octahedron": (238, 238),
+                  "K3,4": (43, 39), "K3,5": (161, 36), "cube": (53, 55), "C8+": (55, 54), "petersen": (83, 67),
+                  "C7(2)": (923, 639), "C8(2)": (1566, 989), "complement-of-cube": (526, 270), "K4,4": (667, 43)}
+        assert [name for name, *_ in TORUS_TABLE] == list(states)
+        for name, spec, *_ in TORUS_TABLE:
             g = build_graph(spec)
+            f = g.edge_count - g.n  # genus 1
             orders = pinned_orders(g)
             expansions[0] = 0
-            found = _kernel.scan(orders, 2 * g.edge_count, f)[1]
-            assert expansions[0] == scanned
-            expansions[0] = 0
-            assert _kernel.matches(orders, 2 * g.edge_count, f) == found
-            assert expansions[0] == bounded
+            found = _kernel.scan(orders, f)[1]
+            scanned, expansions[0] = expansions[0], 0
+            assert _kernel.matches(orders, f) == found
+            assert (scanned, expansions[0]) == states[name], name
+        assert sum(s for s, _ in states.values()) == 4402 and sum(b for _, b in states.values()) == 2517
 
 
 class TestScanAgainstDistribution:
@@ -952,19 +957,24 @@ class TestPin:
     def test_systems_scanned(self, monkeypatch):
         scanned = []
 
-        def counted(orders, nd, target_f):
+        def counted(orders, target_f):
             scanned.append(math.prod(len(o) for o in orders))
             return []
 
         monkeypatch.setattr(_kernel, "matches", counted)
-        monkeypatch.setattr(_kernel, "scan", lambda orders, nd, f: ([0] * (nd + 2), counted(orders, nd, f)))
-        for spec, pinned in (("complete_bipartite(4,4)", 46656), ("complete_bipartite(3,5)", 6144),
-                             ("circulant(8,1,2)", 839808)):
+        monkeypatch.setattr(_kernel, "scan", lambda orders, f: ([], counted(orders, f)))
+        # One face: K3,5 at genus 4; K4,4 and C8(2) have none, as n - m + 1
+        # is odd, so no system is scanned.
+        for spec, pinned, one_face in (("complete_bipartite(4,4)", 46656, 0), ("complete_bipartite(3,5)", 6144, 6144),
+                                       ("circulant(8,1,2)", 839808, 0)):
             g = build_graph(spec)
             for mode in ("iso", "equivalence"):
                 scanned.clear()
                 exhaustive_classes(g, genus=1, mode=mode)
                 assert sum(scanned) == pinned
+            scanned.clear()
+            assert exhaustive_classes(g, faces=1) == []
+            assert sum(scanned) == one_face
             scanned.clear()
             scan_rotation_space(g, -1)  # the oracle stays a full scan
             assert sum(scanned) == rotation_space_size(g)
