@@ -40,14 +40,21 @@ vertices, and each face still to close takes some of them whose capped
 lengths sum to at least ell (a face through a capped walk has ell from it
 alone; any other has its true length).  So a state at which that sum, over
 ell, is below the faces still needed has no matching completion, and is
-dropped.  The memo is still keyed by the state alone, since the lengths
-only decide what to drop: a state's histogram is exact from the fewest
-faces needed of it so far, and is expanded again when a later visit needs
-fewer.  Where, at every level above the last, the open walks (each
-counted as min(3, ell) darts) and the free darts could close the faces
-still needed, only a state with a shorter walk can fall short, and
-:func:`matches` keeps no lengths and runs as :func:`scan` does.  Both
-routes give the same matches, so this choice sets only the work.
+dropped.  So is one with too many cycles for Euler's formula: with each
+cycle of P contracted to one vertex (taking the far end of e to that of
+``P[e]``), the faces still to close are those of a map with len(P) +
+free/2 edges, free being the darts joining two unfixed vertices, and |S| +
+cycles(P) vertices, each of whose components holds a vertex of S.  So at
+most ``euler + len(P) - cycles(P)`` are left, where ``euler`` is free/2 -
+|S| + 2 * (components of the graph on S) (:func:`_euler`).  The memo is
+still keyed by the state alone, since the bounds only decide what to drop:
+a state's histogram is exact from the fewest faces needed of it so far,
+and is expanded again when a later visit needs fewer.  Where, at every
+level above the last, the open walks (each counted as min(3, ell) darts)
+and the free darts could close the faces still needed, only a state with
+a shorter walk can fall short of the first bound, and :func:`matches`
+keeps neither bound and runs as :func:`scan` does.  Both routes give the
+same matches, so this choice sets only the work.
 
 The vertices with one order (pinned, or of degree at most 2) are fixed
 first, in one loop, so the recursion is only as deep as the vertices
@@ -155,10 +162,11 @@ class _Level:
     walk of one dart (``ones`` holds their lengths).  ``rs[o]`` holds, for
     order o and at index ``~a``, the position of ``p + tail`` that follows
     w's a-th dart under o.  Once w is fixed, ``free`` darts join two unfixed
-    vertices.
+    vertices.  A state q of the level closes at most ``euler + len(q) -
+    cycles(q)`` more faces, on the route that keeps bounds.
     """
 
-    __slots__ = ("code", "heads", "tail", "ones", "deg", "rs", "free")
+    __slots__ = ("code", "heads", "tail", "ones", "deg", "rs", "free", "euler")
 
     def __init__(self, code: list[int], heads: list[int], tail: tuple[int, ...], deg: int, rs: list[list[int]], free: int):
         self.code, self.heads, self.tail, self.deg, self.rs, self.free = code, heads, tail, deg, rs, free
@@ -197,6 +205,21 @@ def _levels(orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list
         levels.append(_Level(code, heads, tuple(range(m, m + 2 * nn)), deg, rs, free))
         bound = [bound[i] for i in kept] + [darts[a] ^ 1 for a in inner]
     return levels
+
+
+def _euler(orders: list[list[tuple[int, ...]]], seq: list[int], vertex_of: list[int], levels: list[_Level]) -> None:
+    """Set each level's ``euler``, by one union-find that adds the vertices in the reverse of ``seq``."""
+    up, t = [-1] * len(orders), 0
+    for w, lv in zip(reversed(seq), reversed(levels)):
+        up[w], t = w, t + 1  # one more vertex and one more component
+        for d in orders[w][0]:
+            x = up[vertex_of[d ^ 1]]  # -1 while the neighbour is fixed
+            if x >= 0:
+                while up[x] != x:
+                    up[x] = x = up[up[x]]  # path halving
+                t += 1 if x == w else -1  # an edge, less 2 if it joins two components
+                up[x] = w
+        lv.euler = t
 
 
 def _step(
@@ -272,6 +295,17 @@ def _hist(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: int) 
     got = memo.get(p)
     if got is not None and got[0] <= need:
         return got[1]
+    if b.cap:  # Euler's formula: 0 from need up where p has more than room cycles
+        room = b.levels[k].euler + len(p) - need
+        seen, left, i = [False] * len(p), len(p), 0
+        while left > room:  # the positions not yet seen may hold more than room cycles
+            if room <= 0:
+                return 0
+            room -= 1
+            while seen[i]:
+                i += 1
+            while not seen[i]:
+                seen[i], left, i = True, left - 1, p[i]
     h = _expand(b, k, p, ls, need)
     if got is not None or b.room > 0:
         memo[p] = (need, h)
@@ -349,14 +383,15 @@ def _collect(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: in
 
 
 def _start(
-    orders: list[list[tuple[int, ...]]], bounded: bool
+    orders: list[list[tuple[int, ...]]], target_f: int | None
 ) -> tuple[_Scan, int, tuple[int, ...], tuple[int, ...], int]:
     """The scan of the product of ``orders``, stepped through its one-order levels.
 
     The darts are numbered from 0 up, as many as each vertex's first order
     holds in all.  Returns the scan, the first level that branches, its
-    state and walk lengths (capped at ell when ``bounded``, else none kept),
-    and the faces closed on the way.
+    state and walk lengths, and the faces closed on the way.  Only the
+    bounded route of ``matches(orders, target_f)`` keeps the lengths
+    (capped at ell) and sets the levels' ``euler``; :func:`scan` passes None.
     """
     vertex_of = [0] * sum(len(o[0]) for o in orders)
     for v, o in enumerate(orders):
@@ -367,7 +402,7 @@ def _start(
     places = [1]
     for o in orders:
         places.append(places[-1] * len(o))
-    cap = _shortest_face(orders, vertex_of) if bounded else 0
+    cap = 0 if target_f is None else _shortest_face(orders, vertex_of)
     b = _Scan(levels, [places[w] for w in seq], places[-1], cap)
     # The one-order levels come first; each adds digit 0 to an index.
     k, p, ls, closed = 0, (), (), 0
@@ -375,6 +410,12 @@ def _start(
         p, ls, c = _step(levels[k], levels[k].rs[0], p, ls, cap)
         closed += c
         k += 1
+    # The plain route where each level's open walks, counted as min(3, ell)
+    # darts each, and its free darts could close the faces needed.
+    if cap and all(min(3, cap) * len(lv.heads) + lv.free >= cap * (target_f - closed) for lv in levels[k : b.last - 1]):
+        b.cap, ls = 0, ()
+    if b.cap:
+        _euler(orders, seq, vertex_of, levels)
     return b, k, p, ls, closed
 
 
@@ -385,7 +426,7 @@ def scan(orders: list[list[tuple[int, ...]]], target_f: int) -> tuple[list[int],
     counts ``0..nd+1``, nd being the number of darts, and the matching
     indices in ascending order.
     """
-    b, k, p, ls, closed = _start(orders, False)
+    b, k, p, ls, closed = _start(orders, None)
     top = _hist(b, k, p, ls, 0)
     mask = (1 << b.width) - 1
     nd = sum(len(o[0]) for o in orders)
@@ -402,17 +443,14 @@ def matches(orders: list[list[tuple[int, ...]]], target_f: int) -> list[int]:
     """The indices, ascending, of the systems of the product of ``orders`` with ``target_f`` faces.
 
     Every vertex needs at least one order.  The same as ``scan(orders,
-    target_f)[1]``, but states whose open walks are too short to close the
-    faces still needed are not expanded (see the module docstring).
+    target_f)[1]``, but states whose open walks are too short, or whose
+    cycles too many, to close the faces still needed are not expanded (see
+    the module docstring).
     """
-    b, k, p, ls, closed = _start(orders, True)
-    need, cap = target_f - closed, b.cap
+    b, k, p, ls, closed = _start(orders, target_f)
+    need = target_f - closed
     if need < 0:
         return []
-    # The plain route where each level's open walks, counted as min(3, ell)
-    # darts each, and its free darts could close the faces needed.
-    if all(min(3, cap) * len(lv.heads) + lv.free >= cap * need for lv in b.levels[k : b.last - 1]):
-        b.cap, ls = 0, ()
     if not _hist(b, k, p, ls, need if b.cap else 0) >> b.width * need & (1 << b.width) - 1:
         return []
     return sorted(_collect(b, k, p, ls, need))

@@ -545,10 +545,10 @@ class TestMatches:
         # The states scan and matches expand on each torus row's pinned
         # space at genus 1.  On the first five rows matches takes the plain
         # route, keeping no lengths, and expands the states scan does; on
-        # the others it keeps them, and the bound cuts most on K4,4.
+        # the others it keeps them, and the two bounds cut most on K4,4.
         states = {"K4": (7, 7), "K5": (48, 48), "K3,3": (12, 12), "3-prism": (20, 20), "octahedron": (238, 238),
-                  "K3,4": (43, 39), "K3,5": (161, 36), "cube": (53, 55), "C8+": (55, 54), "petersen": (83, 67),
-                  "C7(2)": (923, 639), "C8(2)": (1566, 989), "complement-of-cube": (526, 270), "K4,4": (667, 43)}
+                  "K3,4": (43, 35), "K3,5": (161, 29), "cube": (53, 48), "C8+": (55, 47), "petersen": (83, 54),
+                  "C7(2)": (923, 420), "C8(2)": (1566, 522), "complement-of-cube": (526, 176), "K4,4": (667, 35)}
         assert [name for name, *_ in TORUS_TABLE] == list(states)
         for name, spec, *_ in TORUS_TABLE:
             g = build_graph(spec)
@@ -559,7 +559,57 @@ class TestMatches:
             scanned, expansions[0] = expansions[0], 0
             assert _kernel.matches(orders, f) == found
             assert (scanned, expansions[0]) == states[name], name
-        assert sum(s for s, _ in states.values()) == 4402 and sum(b for _, b in states.values()) == 2517
+        assert sum(s for s, _ in states.values()) == 4402 and sum(b for _, b in states.values()) == 1691
+
+    def test_euler_bound(self, monkeypatch):
+        # Every state the histogram scan memoises closes at most its
+        # level's euler + len(p) - cycles(p) faces, the bound matches drops
+        # states on, and on most states exactly that many.  Two K4s sharing
+        # vertex 1, held to one order, leave two components unfixed; two
+        # disjoint K4s have two components at every level.
+        started = []
+        start, levels = _kernel._start, _kernel._levels
+
+        def with_euler(*args):
+            out = levels(*args)
+            _kernel._euler(*args, out)
+            return out
+
+        monkeypatch.setattr(_kernel, "_start", lambda *args: started.append(start(*args)) or started[-1])
+        monkeypatch.setattr(_kernel, "_levels", with_euler)
+
+        def tight(orders):
+            """(states at their bound, states) over the memo of one scan of ``orders``."""
+            started.clear()
+            _kernel.scan(orders, -1)
+            b = started[0][0]
+            at = 0
+            for lv, memo in zip(b.levels, b.memo):
+                for p, (_, hist) in memo.items():
+                    assert sorted(p) == list(range(len(p)))
+                    cycles, seen = 0, set()
+                    for i in range(len(p)):
+                        cycles += i not in seen
+                        while i not in seen:
+                            seen.add(i)
+                            i = p[i]
+                    bound = lv.euler + len(p) - cycles
+                    assert hist >> b.width * (bound + 1) == 0
+                    at += hist >> b.width * bound & (1 << b.width) - 1 > 0
+            return at, sum(map(len, b.memo))
+
+        rows = {name: tight(pinned_orders(build_graph(spec))) for name, spec, *_ in TORUS_TABLE}
+        assert rows["C8(2)"] == (958, 1566)
+        assert [sum(col) for col in zip(*rows.values())] == [2609, 4402]
+        whole = [tight(RotationSpace(g).orders) for g in random_graphs(83)]
+        assert [sum(col) for col in zip(*whole)] == [221, 221]
+        edges = complete(4).edges
+        shared = RotationSpace(MultiGraph(7, edges + tuple((u + 3 * (u > 1), v + 3) for u, v in edges))).orders
+        shared[0] = shared[0][:1]
+        disjoint = RotationSpace(MultiGraph(8, edges + tuple((u + 4, v + 4) for u, v in edges))).orders
+        assert tight(shared) == (6, 14) and tight(disjoint) == (20, 24)
+        check_matches(shared)
+        check_matches(disjoint)
 
 
 class TestScanAgainstDistribution:
