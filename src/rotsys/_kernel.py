@@ -295,17 +295,25 @@ def _hist(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: int) 
     got = memo.get(p)
     if got is not None and got[0] <= need:
         return got[1]
-    if b.cap:  # Euler's formula: 0 from need up where p has more than room cycles
+    if b.cap and b.levels[k].euler < need:  # Euler's formula leaves room for fewer than len(p) cycles
         room = b.levels[k].euler + len(p) - need
-        seen, left, i = [False] * len(p), len(p), 0
-        while left > room:  # the positions not yet seen may hold more than room cycles
-            if room <= 0:
+        if room <= 0:
+            return 0  # p is empty, or has a cycle
+        x, left = p[0], len(p) - 1  # the cycle through 0, and the positions off it
+        while x:
+            x, left = p[x], left - 1
+        room -= 1
+        if left > room:  # the positions off it may hold more than room cycles
+            if not room:
                 return 0
-            room -= 1
-            while seen[i]:
-                i += 1
-            while not seen[i]:
-                seen[i], left, i = True, left - 1, p[i]
+            for i in range(1, len(p)):  # each further cycle at its least position
+                x = p[i]
+                while x > i:
+                    x = p[x]
+                if x == i:
+                    room -= 1
+                    if room < 0:
+                        return 0
     h = _expand(b, k, p, ls, need)
     if got is not None or b.room > 0:
         memo[p] = (need, h)
