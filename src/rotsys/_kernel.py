@@ -298,7 +298,7 @@ def _hist(b: _Scan, k: int, p: tuple[int, ...], ls: tuple[int, ...], need: int) 
     if b.cap and b.levels[k].euler < need:  # Euler's formula leaves room for fewer than len(p) cycles
         room = b.levels[k].euler + len(p) - need
         if room <= 0:
-            return 0  # p is empty, or has a cycle
+            return 0  # p has a cycle, or is empty and room < 0
         x, left = p[0], len(p) - 1  # the cycle through 0, and the positions off it
         while x:
             x, left = p[x], left - 1
